@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--jobs", type=int, default=None, help="worker threads for cells")
         p.add_argument(
             "--set",
             dest="overrides",
@@ -60,13 +59,13 @@ def _load(args):
 
 def cmd_benchmark(args) -> int:
     config = _load(args)
-    run_benchmark(config, jobs=args.jobs or config.jobs, out_dir=config.output)
+    run_benchmark(config, out_dir=config.output)
     return EXIT_OK
 
 
 def cmd_sanity(args) -> int:
     config = _load(args)
-    outcome = run_sanity(config, jobs=args.jobs or config.jobs)
+    outcome = run_sanity(config)
     header = f"{'test':<5} {'estimator':<34} {'criterion':<8} {'value':>10} {'std':>8}  expected"
     print(header)
     print("-" * len(header))
@@ -84,7 +83,7 @@ def cmd_sanity(args) -> int:
 
 def cmd_hpo(args) -> int:
     config = _load(args)
-    ranked = run_hpo(config, jobs=args.jobs or config.jobs)
+    ranked = run_hpo(config)
     print(f"{'rank':<5} {'mc':>8}  cell")
     for rank, row in enumerate(ranked, start=1):
         print(f"{rank:<5} {row['mc']:>8.4f}  {row['cell']}")
@@ -95,7 +94,7 @@ def cmd_hpo(args) -> int:
 
 def cmd_convergence(args) -> int:
     config = _load(args)
-    summary = run_convergence(config, jobs=args.jobs or config.jobs)
+    summary = run_convergence(config)
     print(f"{'estimator pair':<60} {'corr':>8}  category")
     for row in summary["pairs"]:
         kind = "within" if row["within_category"] else "cross"

@@ -10,7 +10,6 @@ comparison inverted for lower-is-better estimators).  The four criteria,
 with the adversarial-reactivity IAC reverse-scored so that higher is always
 better, average into one meta-consistency (MC) score.
 """
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -261,22 +260,14 @@ def _std_entries(vectors) -> dict:
     }
 
 
-def run_meta_evaluation(setup: BenchmarkSetup, jobs: int = 1) -> dict:
-    """Evaluate every estimator x test cell.
+def run_meta_evaluation(setup: BenchmarkSetup) -> dict:
+    """Evaluate every estimator x test cell, keyed (estimator_id, test).
 
-    Cells are independent and may run on `jobs` worker threads; the result
-    (keyed (estimator_id, test)) is identical for any worker count because
-    each cell derives its own seeds.
+    Each cell derives its own seeds, so its result does not depend on the
+    order in which cells run.
     """
-    cells = [
-        (estimator_id, cfg, test)
+    return {
+        (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test)
         for estimator_id, cfg in setup.estimators
         for test in setup.tests
-    ]
-    if jobs <= 1:
-        outcomes = [evaluate_cell(setup, e, c, t) for e, c, t in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(evaluate_cell, setup, e, c, t) for e, c, t in cells]
-            outcomes = [f.result() for f in futures]
-    return {(r.estimator_id, r.test): r for r in outcomes}
+    }

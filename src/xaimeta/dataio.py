@@ -201,4 +201,7 @@ def load_model(path) -> Net:
     expected = get_weights(skeleton).size
     if weights.size != expected:
         raise DataFormatError(f"{path}: payload holds {weights.size} values, expected {expected}")
-    return set_weights(skeleton, weights.astype(np.float64))
+    try:
+        return set_weights(skeleton, weights.astype(np.float64))
+    except ValueError as exc:  # a non-finite parameter, covered by a valid checksum
+        raise DataFormatError(f"{path}: {exc}") from exc

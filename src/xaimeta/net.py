@@ -69,26 +69,38 @@ def make_net(layers) -> Net:
     return Net(layers=layers, input_dim=input_dim, num_classes=dim)
 
 
-def _check_input(net: Net, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
-    if not np.isfinite(x).all():
-        raise ValueError("input must be finite")
-    return x
-
-
-def logits_batch(net: Net, X) -> np.ndarray:
-    """Raw class scores for a batch; rows of X are inputs."""
+def _check_batch(net: Net, X) -> np.ndarray:
+    """Validate a batch of inputs: a finite (B, input_dim) float matrix."""
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2 or A.shape[1] != net.input_dim:
         raise ValueError(f"batch shape {A.shape} does not match input_dim {net.input_dim}")
-    for layer in net.layers:
+    if not np.isfinite(A).all():
+        raise ValueError("inputs must be finite")
+    return A
+
+
+def _as_row(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"input must be a vector, got shape {x.shape}")
+    return x[None, :]
+
+
+def _activations(layers, A) -> list:
+    """Forward pass through `layers`: each layer's input, then the logits."""
+    acts = [A]
+    for layer in layers:
         if layer.kind == "dense":
             A = A @ layer.weights.T + layer.bias
         else:
             A = np.maximum(A, 0.0)
-    return A
+        acts.append(A)
+    return acts
+
+
+def logits_batch(net: Net, X) -> np.ndarray:
+    """Raw class scores for a batch; rows of X are inputs."""
+    return _activations(net.layers, _check_batch(net, X))[-1]
 
 
 def softmax(logits) -> np.ndarray:
@@ -100,8 +112,7 @@ def softmax(logits) -> np.ndarray:
 
 def forward(net: Net, x) -> Prediction:
     """Deterministic forward pass; probs are softmax over the logits."""
-    x = _check_input(net, x)
-    logits = logits_batch(net, x[None, :])[0]
+    logits = logits_batch(net, _as_row(x))[0]
     probs = softmax(logits)
     return Prediction(logits=logits, probs=probs, label=int(np.argmax(logits)))
 
@@ -117,17 +128,8 @@ def input_gradient_batch(net: Net, X, class_index: int) -> np.ndarray:
     """
     if not 0 <= class_index < net.num_classes:
         raise IndexError(f"class_index {class_index} outside [0, {net.num_classes})")
-    A = np.asarray(X, dtype=np.float64)
-    if A.ndim != 2 or A.shape[1] != net.input_dim:
-        raise ValueError(f"batch shape {A.shape} does not match input_dim {net.input_dim}")
-    activations = [A]
-    for layer in net.layers:
-        if layer.kind == "dense":
-            A = A @ layer.weights.T + layer.bias
-        else:
-            A = np.maximum(A, 0.0)
-        activations.append(A)
-    G = np.zeros((A.shape[0], net.num_classes))
+    activations = _activations(net.layers, _check_batch(net, X))
+    G = np.zeros((activations[0].shape[0], net.num_classes))
     G[:, class_index] = 1.0
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
@@ -139,8 +141,7 @@ def input_gradient_batch(net: Net, X, class_index: int) -> np.ndarray:
 
 
 def input_gradient(net: Net, x, class_index: int) -> np.ndarray:
-    x = _check_input(net, x)
-    return input_gradient_batch(net, x[None, :], class_index)[0]
+    return input_gradient_batch(net, _as_row(x), class_index)[0]
 
 
 def get_weights(net: Net) -> np.ndarray:
@@ -154,7 +155,10 @@ def get_weights(net: Net) -> np.ndarray:
 
 
 def set_weights(net: Net, w) -> Net:
-    """Return a new net with the flat parameter vector written back."""
+    """Return a new net with the flat parameter vector written back.
+
+    The layers are rebuilt through `dense`, so non-finite parameters raise.
+    """
     w = np.asarray(w, dtype=np.float64)
     expected = get_weights(net).size
     if w.shape != (expected,):
@@ -171,7 +175,7 @@ def set_weights(net: Net, w) -> Net:
         offset += n_w
         new_b = w[offset : offset + n_b].copy()
         offset += n_b
-        layers.append(Layer("dense", new_w, new_b))
+        layers.append(dense(new_w, new_b))
     return Net(layers=tuple(layers), input_dim=net.input_dim, num_classes=net.num_classes)
 
 
@@ -230,65 +234,40 @@ def train_tiny(
         raise ValueError("labels outside [0, num_classes)")
 
     rng = np.random.default_rng(seed + 1)
-    params = [
-        [layer.weights.copy(), layer.bias.copy()]
-        for layer in net.layers
+    layers = list(net.layers)
+    velocity = {
+        i: (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+        for i, layer in enumerate(layers)
         if layer.kind == "dense"
-    ]
-    velocity = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
-
-    def assemble() -> Net:
-        layers = []
-        k = 0
-        for layer in net.layers:
-            if layer.kind == "dense":
-                layers.append(Layer("dense", params[k][0].copy(), params[k][1].copy()))
-                k += 1
-            else:
-                layers.append(layer)
-        return Net(layers=tuple(layers), input_dim=net.input_dim, num_classes=net.num_classes)
-
+    }
     n = X.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             xb, yb = X[idx], y[idx]
-            # forward with cached pre/post activations
-            acts = [xb]
-            A = xb
-            dense_pos = []
-            for layer in net.layers:
-                if layer.kind == "dense":
-                    dense_pos.append(len(acts) - 1)
-                    W, b = params[len(dense_pos) - 1]
-                    A = A @ W.T + b
-                else:
-                    A = np.maximum(A, 0.0)
-                acts.append(A)
-            probs = softmax(A)
+            acts = _activations(layers, xb)
+            probs = softmax(acts[-1])
             loss = -np.mean(np.log(probs[np.arange(len(yb)), yb] + 1e-300))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became non-finite ({loss})")
             G = probs
             G[np.arange(len(yb)), yb] -= 1.0
             G /= len(yb)
-            # backward
-            k = len(dense_pos) - 1
-            for i in range(len(net.layers) - 1, -1, -1):
-                layer = net.layers[i]
+            # backward; acts[i] is the input of layer i
+            for i in range(len(layers) - 1, -1, -1):
+                layer = layers[i]
                 if layer.kind == "dense":
-                    grad_W = G.T @ acts[dense_pos[k]]
+                    grad_W = G.T @ acts[i]
                     grad_b = G.sum(axis=0)
-                    G = G @ params[k][0]
-                    velocity[k][0] = momentum * velocity[k][0] - learning_rate * grad_W
-                    velocity[k][1] = momentum * velocity[k][1] - learning_rate * grad_b
-                    params[k][0] = params[k][0] + velocity[k][0]
-                    params[k][1] = params[k][1] + velocity[k][1]
-                    k -= 1
+                    G = G @ layer.weights
+                    v_W = momentum * velocity[i][0] - learning_rate * grad_W
+                    v_b = momentum * velocity[i][1] - learning_rate * grad_b
+                    velocity[i] = (v_W, v_b)
+                    layers[i] = Layer("dense", layer.weights + v_W, layer.bias + v_b)
                 else:
                     G = G * (acts[i] > 0.0)
-    return assemble()
+    return Net(layers=tuple(layers), input_dim=net.input_dim, num_classes=net.num_classes)
 
 
 def accuracy(net: Net, inputs, labels) -> float:

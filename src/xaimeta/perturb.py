@@ -48,6 +48,8 @@ class PerturbSpec:
             raise ValueError("ipt_alpha must not exceed ipt_beta")
         if self.mpt_sigma < 0:
             raise ValueError("mpt_sigma must be nonnegative")
+        if self.max_resamples < 1:
+            raise ValueError("max_resamples must be >= 1")
         if not 0 < self.min_retained_fraction <= 1:
             raise ValueError("min_retained_fraction must lie in (0, 1]")
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .estimators import DIRECTIONS, EstimatorConfig
 from .explain import ALL_METHODS, ExplainerConfig
+from .perturb import PerturbSpec, input_spec, model_spec
 
 # --- generic table text format ---------------------------------------------
 
@@ -134,7 +135,7 @@ DATASET_KEYS = {
     "mask_quantile",
 }
 MODEL_KEYS = {"path", "hidden", "epochs", "learning_rate", "momentum", "batch_size"}
-RUN_KEYS = {"tests", "k", "iterations", "sample_count", "master_seed", "output", "jobs"}
+RUN_KEYS = {"tests", "k", "iterations", "sample_count", "master_seed", "output"}
 PERTURB_KEYS = {"alpha", "beta", "sigma", "mu", "max_resamples", "min_retained_fraction"}
 HPO_KEYS = {"estimator", "axes"}
 CONVERGENCE_KEYS: set = set()
@@ -160,7 +161,6 @@ class RunConfig:
     sample_count: int | None = None
     master_seed: int = 0
     output: str = "out"
-    jobs: int = 1
     hpo: dict = field(default_factory=dict)
 
     def estimator_config(self, estimator_id: str, extra: dict | None = None) -> EstimatorConfig:
@@ -174,6 +174,22 @@ class RunConfig:
         if "shap_bounds" in kwargs:
             kwargs["shap_bounds"] = tuple(kwargs["shap_bounds"])
         return ExplainerConfig(seed=seed, **kwargs)
+
+    def perturb_spec(self, test: str, strength: str) -> PerturbSpec:
+        """The [perturb.<test>.<strength>] overrides applied to the default spec."""
+        overrides = self.perturb[(test, strength)]
+        common = {}
+        if "max_resamples" in overrides:
+            common["max_resamples"] = int(overrides["max_resamples"])
+        if "min_retained_fraction" in overrides:
+            common["min_retained_fraction"] = overrides["min_retained_fraction"]
+        if test == "ipt":
+            return input_spec(
+                strength, alpha=overrides.get("alpha"), beta=overrides.get("beta"), **common
+            )
+        if "mu" in overrides:
+            common["mpt_mu"] = float(overrides["mu"])
+        return model_spec(strength, sigma=overrides.get("sigma"), **common)
 
 
 def _check_keys(table: dict, allowed: set, where: str, errors: list):
@@ -287,18 +303,26 @@ def config_from_tables(tables: dict) -> RunConfig:
         sample_count=run.get("sample_count"),
         master_seed=int(run.get("master_seed", 0)),
         output=str(run.get("output", "out")),
-        jobs=int(run.get("jobs", 1)),
         hpo=hpo,
     )
     if config.k < 1 or config.iterations < 1:
         raise ConfigError("[run] k and iterations must be >= 1")
     if len(config.methods) < 2:
         raise ConfigError("[methods] use must list at least two methods")
-    # constructing the per-method/estimator configs surfaces bad values early
-    for method_id in config.methods:
-        config.explainer_config(method_id, seed=0)
-    for estimator_id in config.estimators:
-        config.estimator_config(estimator_id)
+    # constructing the per-method/estimator configs and the perturbation
+    # specs surfaces bad values as configuration errors, before any work
+    try:
+        for method_id in config.methods:
+            where = f"[methods.{method_id}]"
+            config.explainer_config(method_id, seed=0)
+        for estimator_id in config.estimators:
+            where = f"[estimators.{estimator_id}]"
+            config.estimator_config(estimator_id)
+        for test, strength in config.perturb:
+            where = f"[perturb.{test}.{strength}]"
+            config.perturb_spec(test, strength)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return config
 
 
@@ -312,7 +336,6 @@ def config_to_tables(config: RunConfig) -> dict:
         "iterations": config.iterations,
         "master_seed": config.master_seed,
         "output": config.output,
-        "jobs": config.jobs,
     }
     if config.sample_count is not None:
         run["sample_count"] = config.sample_count

@@ -18,7 +18,6 @@ from .errors import ConfigError
 from .estimators import CATEGORIES, NEEDS_MASK
 from .explain import build_explainer
 from .net import accuracy, train_tiny
-from .perturb import input_spec, model_spec
 from .report import mc_bar, write_report
 from .runconfig import RunConfig, config_to_tables
 from .seeding import derive_rng, derive_seed
@@ -100,31 +99,6 @@ def build_net(config: RunConfig, dataset: Dataset):
     )
 
 
-def _perturb_templates(config: RunConfig) -> dict:
-    templates = {}
-    for (test, strength), overrides in config.perturb.items():
-        common = {
-            key: overrides[key]
-            for key in ("max_resamples", "min_retained_fraction")
-            if key in overrides
-        }
-        if "max_resamples" in common:
-            common["max_resamples"] = int(common["max_resamples"])
-        if test == "ipt":
-            templates[(test, strength)] = input_spec(
-                strength,
-                alpha=overrides.get("alpha"),
-                beta=overrides.get("beta"),
-                **common,
-            )
-        else:
-            spec = model_spec(strength, sigma=overrides.get("sigma"), **common)
-            if "mu" in overrides:
-                spec = replace(spec, mpt_mu=float(overrides["mu"]))
-            templates[(test, strength)] = spec
-    return templates
-
-
 def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> BenchmarkSetup:
     dataset = dataset if dataset is not None else build_dataset(config)
     net = net if net is not None else build_net(config, dataset)
@@ -152,18 +126,20 @@ def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> Benchma
         master_seed=config.master_seed,
         dataset_mean=dataset.mean,
         masks=dataset.masks,
-        perturb_templates=_perturb_templates(config),
+        perturb_templates={key: config.perturb_spec(*key) for key in config.perturb},
     )
 
 
 def run_benchmark(config: RunConfig, jobs: int = 1, out_dir=None):
     """Full meta-evaluation over the configured estimators; writes reports."""
+    if jobs != 1:  # the keyword stays only for bench/run.py, which passes jobs=1
+        raise ValueError(f"cells run serially; jobs must be 1, got {jobs}")
     setup = build_setup(config)
     log(
         f"benchmark: {len(setup.estimators)} estimators x {setup.tests} "
         f"on N={setup.inputs.shape[0]}, K={setup.K}, iterations={setup.iterations}"
     )
-    results = run_meta_evaluation(setup, jobs=jobs)
+    results = run_meta_evaluation(setup)
     paths = write_report(
         results,
         config_echo=config_to_tables(config),
@@ -196,6 +172,8 @@ def run_sanity(
     samples; synthetic datasets are grown to that size, real ones only
     trigger a warning when smaller.
     """
+    if jobs != 1:  # the keyword stays only for bench/run.py, which passes jobs=1
+        raise ValueError(f"cells run serially; jobs must be 1, got {jobs}")
     dataset_spec = dict(config.dataset)
     if dataset_spec.get("kind", "blobs") == "blobs":
         dataset_spec["samples"] = max(int(dataset_spec.get("samples", min_samples)), min_samples)
@@ -218,7 +196,7 @@ def run_sanity(
             f"tolerances presume at least {min_samples}"
         )
     log(f"sanity: N={setup.inputs.shape[0]}, K={k}, iterations={iterations}, both tests")
-    results = run_meta_evaluation(setup, jobs=jobs)
+    results = run_meta_evaluation(setup)
     rows = []
     passed = True
     for (estimator_id, test), cell in sorted(results.items()):
@@ -240,7 +218,7 @@ def run_sanity(
     return SanityOutcome(rows=rows, results=results, passed=passed)
 
 
-def run_hpo(config: RunConfig, jobs: int = 1):
+def run_hpo(config: RunConfig):
     """Grid search over estimator-config axes ranked by meta-consistency.
 
     [hpo] names the estimator and [hpo.axes] the value lists; an `estimator`
@@ -279,7 +257,7 @@ def run_hpo(config: RunConfig, jobs: int = 1):
             },
         )
         setup = build_setup(trial, dataset=dataset, net=net)
-        results = run_meta_evaluation(setup, jobs=jobs)
+        results = run_meta_evaluation(setup)
         score = mc_bar(results, cell["estimator"])
         vectors = {test: results[(cell["estimator"], test)].mean for test in trial.tests}
         ranked.append({"cell": cell, "mc": score, "vectors": vectors})
@@ -288,11 +266,11 @@ def run_hpo(config: RunConfig, jobs: int = 1):
     return ranked
 
 
-def run_convergence(config: RunConfig, jobs: int = 1):
+def run_convergence(config: RunConfig):
     """Correlate the meta-evaluation vectors of every estimator pair and
     compare within-category against cross-category agreement."""
     setup = build_setup(config)
-    results = run_meta_evaluation(setup, jobs=jobs)
+    results = run_meta_evaluation(setup)
     pairs = []
     estimators = list(config.estimators)
     for i, first in enumerate(estimators):

@@ -3,7 +3,7 @@ import pytest
 
 from xaimeta.cli import main
 from xaimeta.runconfig import load_config
-from xaimeta.runner import run_convergence, run_hpo, run_sanity
+from xaimeta.runner import run_benchmark, run_convergence, run_hpo, run_sanity
 from xaimeta.stats import spearman
 
 QUICK_BENCH = """
@@ -106,12 +106,21 @@ class TestBenchmarkCommand:
         config = write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out")
         assert main(["benchmark", "--config", config, "--set", "run.warp=9"]) == 1
 
-    def test_jobs_flag_gives_identical_results(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        config = write_config(tmp_path, QUICK_BENCH, out=out_a)
-        assert main(["benchmark", "--config", config]) == 0
-        assert main(["benchmark", "--config", config, "--out", str(out_b), "--jobs", "4"]) == 0
-        assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "table",
+        ["[perturb.mpt.minor]\nmax_resamples = 0", "[methods.integrated_gradients]\nig_steps = 0"],
+        ids=["max_resamples", "ig_steps"],
+    )
+    def test_bad_hyperparameter_is_config_error(self, tmp_path, capsys, table):
+        text = QUICK_BENCH.replace("use = [gradient, saliency]", "use = [gradient, integrated_gradients]")
+        config = write_config(tmp_path, text + "\n" + table + "\n", out=tmp_path / "out")
+        assert main(["benchmark", "--config", config]) == 1
+        assert "configuration error: [" in capsys.readouterr().err
+
+    def test_parallel_jobs_rejected(self, tmp_path):
+        config = load_config(write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out"))
+        with pytest.raises(ValueError, match="jobs"):
+            run_benchmark(config, jobs=2)
 
 
 class TestSanityCommand:
@@ -262,6 +271,6 @@ class TestExitCodes:
         from xaimeta.runner import SanityOutcome
 
         failed = SanityOutcome(rows=[], results={}, passed=False)
-        monkeypatch.setattr(cli, "run_sanity", lambda config, jobs=1: failed)
+        monkeypatch.setattr(cli, "run_sanity", lambda config: failed)
         config = write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out")
         assert main(["sanity", "--config", config]) == 3

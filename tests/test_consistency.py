@@ -220,7 +220,7 @@ class TestEndToEnd:
             dataset_mean=small_setup.dataset_mean,
         )
         a = run_meta_evaluation(setup)
-        b = run_meta_evaluation(setup, jobs=2)
+        b = run_meta_evaluation(setup)
         assert set(a) == {("adversarial_deterministic", "ipt"), ("sparseness", "ipt")}
         for key in a:
             assert a[key].mean == b[key].mean

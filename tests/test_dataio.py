@@ -212,6 +212,24 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="checksum"):
             load_model(path)
 
+    def test_non_finite_weights_rejected_with_file_name(self, tmp_path):
+        # the checksum covers the NaN, so only the parameter check catches it
+        net = self.build_net()
+        w = get_weights(net)
+        w[3] = np.nan
+        payload = w.astype("<f8").tobytes()
+        path = tmp_path / "model.txt"
+        save_model(net, path)
+        text = path.read_text().splitlines()
+        for i, line in enumerate(text):
+            if line.startswith("checksum "):
+                text[i] = "checksum sha256:" + hashlib.sha256(payload).hexdigest()
+            if line.startswith("payload "):
+                text[i] = "payload " + base64.b64encode(payload).decode()
+        path.write_text("\n".join(text))
+        with pytest.raises(DataFormatError, match="model.txt.*finite"):
+            load_model(path)
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("something else\n")

@@ -9,7 +9,10 @@ from xaimeta.net import (
     get_weights,
     init_net,
     input_gradient,
+    input_gradient_batch,
+    logits_batch,
     make_net,
+    predict_labels,
     relu,
     set_weights,
     train_tiny,
@@ -94,6 +97,20 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(net, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_raise(self, bad):
+        net = make_net([dense(np.eye(2), np.zeros(2))])
+        X = np.array([[1.0, 2.0], [bad, 0.0]])
+        for call in (
+            lambda: logits_batch(net, X),
+            lambda: predict_labels(net, X),
+            lambda: input_gradient_batch(net, X, 0),
+            lambda: forward(net, X[1]),
+            lambda: input_gradient(net, X[1], 0),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_bad_chaining_rejected(self):
         with pytest.raises(ValueError):
             make_net(
@@ -171,6 +188,14 @@ class TestWeightVector:
         net1 = set_weights(net, get_weights(net) * 1.0)
         x = rng.normal(size=net.input_dim)
         assert forward(net, x).label == forward(net1, x).label
+
+    def test_non_finite_parameters_rejected(self):
+        net = make_net([dense(np.eye(2), np.zeros(2))])
+        for bad in (np.nan, np.inf):
+            w = get_weights(net)
+            w[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                set_weights(net, w)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(6)
