@@ -6,13 +6,15 @@ disruption criterion compares perturbed against unperturbed scores.
 """
 from xaimeta.dataio import make_masks, synth_blobs
 from xaimeta.estimators import DIRECTIONS, ESTIMATOR_FUNCTIONS, EstimatorConfig, EvalContext
-from xaimeta.explain import ExplainerConfig, build_explainer
+from xaimeta.explain import Attribution, ExplainerConfig, build_explainer
 from xaimeta.net import forward, train_tiny
 
 dataset = synth_blobs(n=200, d=16, classes=4, seed=3)
 dataset.masks = make_masks(dataset, "threshold", quantile=0.75)
 net = train_tiny((16,), dataset.inputs, dataset.labels, epochs=20, seed=3)
 
+# explainers take a (B, D) batch; the context holds the one row it scores, and
+# robustness and randomisation estimators re-invoke the explainer on batches
 explainer = build_explainer("gradient", ExplainerConfig(seed=5))
 x = dataset.inputs[0]
 label = forward(net, x).label
@@ -20,7 +22,7 @@ ctx = EvalContext(
     net=net,
     x=x,
     label=label,
-    attribution=explainer(net, x, label),
+    attribution=Attribution(explainer(net, x[None, :], label)[0], "gradient"),
     explainer=explainer,
     dataset_bounds=dataset.bounds,
     mask=dataset.masks[0],

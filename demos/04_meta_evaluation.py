@@ -14,6 +14,8 @@ from xaimeta.net import train_tiny
 dataset = synth_blobs(n=48, d=16, classes=4, seed=13)
 net = train_tiny((16,), dataset.inputs, dataset.labels, epochs=20, seed=13)
 
+# each explainer maps (net, X, labels) to normalized (B, D) maps; collect
+# calls it once for the unperturbed rows and once per perturbed column
 methods = [
     (name, build_explainer(name, ExplainerConfig(seed=1)))
     for name in ("gradient", "saliency", "input_x_gradient", "occlusion")

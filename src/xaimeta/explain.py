@@ -1,23 +1,31 @@
 """Attribution methods and the second-moment normalization.
 
-Each method maps (net, x, label) to a per-feature relevance vector.  Signs
-are preserved throughout; normalization divides by the root mean square of
-the map so that maps from different methods live on a comparable scale.
-All methods are deterministic given their config (including its seed).
+Every method is batch-first: it maps (net, X, labels) to one relevance row
+per input row, where X is (B, D) and labels is one class for every row or a
+(B,) array of per-row classes.  Signs are preserved throughout;
+normalization divides each row by its root mean square so that maps from
+different methods live on a comparable scale.  All methods are
+deterministic given their config (including its seed), and row i of a
+batch is the map of X[i] alone, up to floating-point rounding.
 """
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, input_gradient, input_gradient_batch, logits_batch
+from .net import Net, input_gradient_batch, logits_batch
 from .seeding import derive_rng
+
+# Bound on the floats of expanded points (IG steps, SHAP samples, occluded
+# copies) that one net call sees; a batch is processed in row chunks under it.
+_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
 class Attribution:
+    """One sample's explanation, as an estimator sees it."""
+
     values: np.ndarray
     method_id: str
-    normalized: bool = False
 
 
 @dataclass(frozen=True)
@@ -36,78 +44,109 @@ class ExplainerConfig:
             raise ValueError("ig_steps, occlusion_patch and shap_samples must be >= 1")
 
 
-def explain_gradient(net: Net, x, label: int, cfg: ExplainerConfig = None) -> Attribution:
-    return Attribution(input_gradient(net, x, label), "gradient")
+def _batch(X, labels):
+    """(B, D) float inputs and (B,) integer labels; a scalar label is shared."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"explainers take a (B, D) batch, got shape {X.shape}")
+    return X, np.broadcast_to(np.asarray(labels, dtype=np.int64), (X.shape[0],))
 
 
-def explain_saliency(net: Net, x, label: int, cfg: ExplainerConfig = None) -> Attribution:
-    return Attribution(np.abs(input_gradient(net, x, label)), "saliency")
+def _chunks(n_rows: int, row_elements: int):
+    """Slices over n_rows rows that each expand to row_elements floats."""
+    step = max(1, _CHUNK_ELEMENTS // row_elements)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def explain_input_x_gradient(net: Net, x, label: int, cfg: ExplainerConfig = None) -> Attribution:
-    x = np.asarray(x, dtype=np.float64)
-    return Attribution(x * input_gradient(net, x, label), "input_x_gradient")
+def _gradients(net: Net, X, labels) -> np.ndarray:
+    out = np.empty_like(X)
+    for rows in _chunks(X.shape[0], X.shape[1]):
+        out[rows] = input_gradient_batch(net, X[rows], labels[rows])
+    return out
 
 
-def explain_integrated_gradients(net: Net, x, label: int, cfg: ExplainerConfig) -> Attribution:
+def explain_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
+    return _gradients(net, *_batch(X, labels))
+
+
+def explain_saliency(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
+    return np.abs(_gradients(net, *_batch(X, labels)))
+
+
+def explain_input_x_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
+    X, labels = _batch(X, labels)
+    return X * _gradients(net, X, labels)
+
+
+def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     """Midpoint Riemann sum of gradients along the straight path baseline -> x."""
-    x = np.asarray(x, dtype=np.float64)
-    baseline = np.broadcast_to(np.asarray(cfg.ig_baseline, dtype=np.float64), x.shape)
+    X, labels = _batch(X, labels)
+    d = X.shape[1]
     steps = cfg.ig_steps
     alphas = (np.arange(steps) + 0.5) / steps
-    points = baseline[None, :] + alphas[:, None] * (x - baseline)[None, :]
-    grads = input_gradient_batch(net, points, label)
-    values = (x - baseline) * grads.mean(axis=0)
-    return Attribution(values, "integrated_gradients")
+    out = np.empty_like(X)
+    for rows in _chunks(X.shape[0], steps * d):
+        span = X[rows] - cfg.ig_baseline
+        points = cfg.ig_baseline + alphas[None, :, None] * span[:, None, :]
+        grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], steps))
+        out[rows] = span * grads.reshape(-1, steps, d).mean(axis=1)
+    return out
 
 
-def explain_occlusion(net: Net, x, label: int, cfg: ExplainerConfig) -> Attribution:
+def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     """Drop in the class logit when a block of features is set to the baseline.
 
     Blocks of `occlusion_patch` consecutive features tile the input; a final
     smaller block is allowed when the length does not divide evenly.  Every
     feature in a block receives the block's full logit drop.
     """
-    x = np.asarray(x, dtype=np.float64)
-    base_logit = logits_batch(net, x[None, :])[0, label]
-    patch = cfg.occlusion_patch
-    n_blocks = (x.size + patch - 1) // patch
-    occluded = np.repeat(x[None, :], n_blocks, axis=0)
-    for row, start in enumerate(range(0, x.size, patch)):
-        occluded[row, start : start + patch] = cfg.occlusion_baseline
-    drops = base_logit - logits_batch(net, occluded)[:, label]
-    values = np.empty_like(x)
-    for row, start in enumerate(range(0, x.size, patch)):
-        values[start : start + patch] = drops[row]
-    return Attribution(values, "occlusion")
+    X, labels = _batch(X, labels)
+    d = X.shape[1]
+    block_of = np.arange(d) // cfg.occlusion_patch
+    n_blocks = int(block_of[-1]) + 1
+    # copy 0 is the input itself, copy j > 0 has block j - 1 occluded
+    occluded = np.arange(-1, n_blocks)[:, None] == block_of[None, :]
+    out = np.empty_like(X)
+    for rows in _chunks(X.shape[0], (n_blocks + 1) * d):
+        copies = np.where(occluded, cfg.occlusion_baseline, X[rows][:, None, :])
+        logits = logits_batch(net, copies.reshape(-1, d)).reshape(copies.shape[0], n_blocks + 1, -1)
+        scores = np.take_along_axis(logits, labels[rows][:, None, None], axis=2)[:, :, 0]
+        drops = scores[:, :1] - scores[:, 1:]
+        out[rows] = drops[:, block_of]
+    return out
 
 
-def explain_gradient_shap(net: Net, x, label: int, cfg: ExplainerConfig) -> Attribution:
+def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     """Expected-gradients estimate: jittered baselines, random interpolation.
 
     Baselines are drawn uniformly over `shap_bounds` with Gaussian jitter of
     std `shap_noise_std`; one uniform interpolation coefficient is drawn per
     baseline.  The average of (x - baseline) * grad(point) over the samples
-    is returned.  Deterministic for a fixed cfg.seed.
+    is returned.  Deterministic for a fixed cfg.seed; every row of a batch
+    shares the same baselines and coefficients.
     """
-    x = np.asarray(x, dtype=np.float64)
+    X, labels = _batch(X, labels)
+    d = X.shape[1]
+    samples = cfg.shap_samples
     rng = derive_rng("gradient_shap", cfg.seed)
     low, high = cfg.shap_bounds
-    baselines = rng.uniform(low, high, size=(cfg.shap_samples, x.size))
+    baselines = rng.uniform(low, high, size=(samples, d))
     baselines = baselines + rng.normal(0.0, cfg.shap_noise_std, size=baselines.shape)
-    ts = rng.uniform(0.0, 1.0, size=cfg.shap_samples)
-    points = baselines + ts[:, None] * (x[None, :] - baselines)
-    grads = input_gradient_batch(net, points, label)
-    values = ((x[None, :] - baselines) * grads).mean(axis=0)
-    return Attribution(values, "gradient_shap")
+    ts = rng.uniform(0.0, 1.0, size=samples)
+    out = np.empty_like(X)
+    for rows in _chunks(X.shape[0], samples * d):
+        span = X[rows][:, None, :] - baselines[None, :, :]
+        points = baselines + ts[:, None] * span
+        grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], samples))
+        out[rows] = (span * grads.reshape(-1, samples, d)).mean(axis=1)
+    return out
 
 
-def normalize(a: Attribution) -> Attribution:
-    """Divide by the root of the average squared value; all-zero maps pass through."""
-    rms = float(np.sqrt(np.mean(a.values**2)))
-    if rms == 0.0:
-        return replace(a, normalized=False)
-    return Attribution(a.values / rms, a.method_id, normalized=True)
+def normalize(values) -> np.ndarray:
+    """Divide each row by the root of its average squared value; all-zero rows pass through."""
+    values = np.asarray(values, dtype=np.float64)
+    rms = np.sqrt(np.mean(values**2, axis=-1, keepdims=True))
+    return np.divide(values, rms, out=values.copy(), where=rms != 0.0)
 
 
 # --- method registry ------------------------------------------------------
@@ -123,22 +162,23 @@ METHODS = {
 
 # cheap placeholder methods for pipeline checks where only the plumbing
 # matters (the adversarial estimators ignore the attribution entirely)
-def _synthetic_flat(net, x, label, cfg=None):
-    return Attribution(np.ones_like(np.asarray(x, dtype=np.float64)), "synthetic_flat")
+def _synthetic_flat(net, X, labels, cfg=None):
+    return np.ones_like(_batch(X, labels)[0])
 
 
-def _synthetic_input(net, x, label, cfg=None):
-    return Attribution(np.asarray(x, dtype=np.float64).copy(), "synthetic_input")
+def _synthetic_input(net, X, labels, cfg=None):
+    return _batch(X, labels)[0].copy()
 
 
-def _synthetic_negative(net, x, label, cfg=None):
-    return Attribution(-np.asarray(x, dtype=np.float64), "synthetic_negative")
+def _synthetic_negative(net, X, labels, cfg=None):
+    return -_batch(X, labels)[0]
 
 
-def _synthetic_noise(net, x, label, cfg=None):
+def _synthetic_noise(net, X, labels, cfg=None):
+    X, _ = _batch(X, labels)
     seed = cfg.seed if cfg is not None else 0
-    rng = derive_rng("synthetic_noise", seed)
-    return Attribution(rng.normal(size=np.asarray(x).shape), "synthetic_noise")
+    row = derive_rng("synthetic_noise", seed).normal(size=X.shape[1])
+    return np.tile(row, (X.shape[0], 1))
 
 
 SYNTHETIC_METHODS = {
@@ -152,13 +192,13 @@ ALL_METHODS = {**METHODS, **SYNTHETIC_METHODS}
 
 
 def build_explainer(method_id: str, cfg: ExplainerConfig):
-    """Wrap a method into normalized callable(net, x, label) -> Attribution."""
+    """Wrap a method into the normalized callable(net, X, labels) -> (B, D)."""
     if method_id not in ALL_METHODS:
         raise KeyError(f"unknown explanation method {method_id!r}")
     fn = ALL_METHODS[method_id]
 
-    def explainer(net, x, label):
-        return normalize(fn(net, x, label, cfg))
+    def explainer(net, X, labels):
+        return normalize(fn(net, X, labels, cfg))
 
     explainer.method_id = method_id
     return explainer

@@ -121,16 +121,19 @@ def predict_labels(net: Net, X) -> np.ndarray:
     return np.argmax(logits_batch(net, X), axis=1)
 
 
-def input_gradient_batch(net: Net, X, class_index: int) -> np.ndarray:
-    """d logit[class_index] / d input for every row of X, via the chain rule.
+def input_gradient_batch(net: Net, X, class_index) -> np.ndarray:
+    """d logit[class] / d input for every row of X, via the chain rule.
 
-    Relu kinks (pre-activation exactly zero) use subgradient zero.
+    `class_index` is one class for every row or a (B,) array of per-row
+    classes.  Relu kinks (pre-activation exactly zero) use subgradient zero.
     """
-    if not 0 <= class_index < net.num_classes:
+    A = _check_batch(net, X)
+    classes = np.broadcast_to(np.asarray(class_index), (A.shape[0],))
+    if classes.size and not (0 <= classes.min() and classes.max() < net.num_classes):
         raise IndexError(f"class_index {class_index} outside [0, {net.num_classes})")
-    activations = _activations(net.layers, _check_batch(net, X))
-    G = np.zeros((activations[0].shape[0], net.num_classes))
-    G[:, class_index] = 1.0
+    activations = _activations(net.layers, A)
+    G = np.zeros((A.shape[0], net.num_classes))
+    G[np.arange(A.shape[0]), classes] = 1.0
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.kind == "dense":

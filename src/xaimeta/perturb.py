@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import MetaEvaluationError, PerturbationInfeasibleError
 from .estimators import EvalContext
+from .explain import Attribution
 from .net import Net, get_weights, predict_labels, set_weights
 from .seeding import derive_seed
 
@@ -191,7 +192,8 @@ def collect(
 ) -> CollectResult:
     """Gather unperturbed and K perturbed estimates per (sample, method).
 
-    `methods` is a sequence of (method_id, explainer) pairs; `scorer` is an
+    `methods` is a sequence of (method_id, explainer) pairs, each explainer
+    a batch callable(net, X, labels) -> (B, D); `scorer` is an
     estimators.Scorer.  Payload draws are shared across methods; every
     stochastic choice derives from spec.seed, so results are independent of
     execution schedule.  Aborts when more than `max_dropped_fraction` of
@@ -238,6 +240,18 @@ def collect(
     total = 0
     per_method = {}
     for method_id, explainer in methods:
+        # one explainer call for the unperturbed rows, then one per payload
+        # column over its compliant rows; each call sees at most n rows
+        base = explainer(net, X, labels)
+        columns = np.empty((K, *X.shape))
+        for k in range(K):
+            rows = compliant[:, k]
+            if not rows.any():
+                continue
+            if spec.space == INPUT_SPACE:
+                columns[k, rows] = explainer(net, payload_inputs[rows, k], labels[rows])
+            else:
+                columns[k, rows] = explainer(payload_nets[k], X[rows], labels[rows])
         unperturbed = np.full(n, np.nan)
         unperturbed_ok = np.zeros(n, dtype=bool)
         perturbed = np.full((n, K), np.nan)
@@ -247,7 +261,7 @@ def collect(
             # sampling stays fixed so that only the perturbed space varies
             seed_ij = derive_seed(spec.seed, "est", i, method_id)
             ctx = EvalContext(
-                attribution=explainer(net, X[i], int(labels[i])),
+                attribution=Attribution(base[i], method_id),
                 explainer=explainer,
                 **context(i, X[i], net, seed_ij),
             )
@@ -266,7 +280,7 @@ def collect(
                 else:
                     x_i, net_i = X[i], payload_nets[k]
                 ctx = EvalContext(
-                    attribution=explainer(net_i, x_i, int(labels[i])),
+                    attribution=Attribution(columns[k, i], method_id),
                     explainer=explainer,
                     **context(i, x_i, net_i, seed_ij),
                 )

@@ -101,6 +101,16 @@ def build_net(config: RunConfig, dataset: Dataset):
 
 def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> BenchmarkSetup:
     dataset = dataset if dataset is not None else build_dataset(config)
+    # what the dataset decides about the estimator configs is checked before any training
+    if dataset.masks is None and any(e in NEEDS_MASK for e in config.estimators):
+        needing = sorted(set(config.estimators) & NEEDS_MASK)
+        raise ConfigError(f"estimators {needing} need [dataset] mask != none")
+    estimators = [(e, config.estimator_config(e)) for e in config.estimators]
+    for estimator_id, cfg in estimators:
+        try:
+            cfg.check_features(dataset.inputs.shape[1])
+        except ValueError as exc:
+            raise ConfigError(f"[estimators.{estimator_id}]: {exc}") from exc
     net = net if net is not None else build_net(config, dataset)
     methods = []
     for method_id in config.methods:
@@ -110,10 +120,6 @@ def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> Benchma
         if "shap_bounds" not in config.method_overrides.get(method_id, {}):
             explainer_cfg = replace(explainer_cfg, shap_bounds=tuple(dataset.bounds))
         methods.append((method_id, build_explainer(method_id, explainer_cfg)))
-    estimators = [(e, config.estimator_config(e)) for e in config.estimators]
-    if dataset.masks is None and any(e in NEEDS_MASK for e in config.estimators):
-        needing = sorted(set(config.estimators) & NEEDS_MASK)
-        raise ConfigError(f"estimators {needing} need [dataset] mask != none")
     return BenchmarkSetup(
         net=net,
         inputs=dataset.inputs,

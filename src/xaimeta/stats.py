@@ -33,15 +33,15 @@ def average_ranks(values) -> np.ndarray:
     """Ascending ranks 1..n with ties assigned their average rank."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j share the mean of ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ordered = values[order]
+    # tie groups are runs of equal sorted values; group [i, j] gets 0.5 * (i + j) + 1
+    n = values.size
+    boundary = np.ones(n + 1, dtype=bool)
+    boundary[1:n] = ordered[1:] != ordered[:-1]
+    edges = np.flatnonzero(boundary)  # group starts, then n
+    starts, sizes = edges[:-1], np.diff(edges)
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1.0, sizes)
     return ranks
 
 

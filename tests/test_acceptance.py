@@ -234,8 +234,8 @@ class TestCriterion3Gradients:
             gap = forward(net, x).logits[1] - forward(net, np.zeros(5)).logits[1]
             if abs(gap) < 1e-3:
                 continue
-            a = explain_integrated_gradients(net, x, 1, cfg)
-            worst = max(worst, abs(a.values.sum() - gap) / abs(gap))
+            a = explain_integrated_gradients(net, x[None, :], 1, cfg)[0]
+            worst = max(worst, abs(a.sum() - gap) / abs(gap))
             checked += 1
         assert worst <= 1e-3, worst
 

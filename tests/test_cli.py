@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xaimeta import runner
 from xaimeta.cli import main
 from xaimeta.runconfig import load_config
 from xaimeta.runner import run_benchmark, run_convergence, run_hpo, run_sanity
@@ -116,6 +117,30 @@ class TestBenchmarkCommand:
         config = write_config(tmp_path, text + "\n" + table + "\n", out=tmp_path / "out")
         assert main(["benchmark", "--config", config]) == 1
         assert "configuration error: [" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "estimator, key",
+        [
+            ("faithfulness_correlation", "fc_subset_size"),
+            ("pixel_flipping", "pf_step_size"),
+            ("top_k_intersection", "topk_k"),
+        ],
+    )
+    def test_size_beyond_feature_count_is_config_error_before_training(
+        self, tmp_path, capsys, monkeypatch, estimator, key
+    ):
+        # QUICK_BENCH has 16 features; the check must not wait for a trained net
+        def no_training(*args, **kwargs):
+            raise AssertionError("the net was trained before the config was checked")
+
+        monkeypatch.setattr(runner, "build_net", no_training)
+        text = QUICK_BENCH.replace("use = [sparseness, complexity]", f"use = [sparseness, {estimator}]")
+        text += f"\n[estimators.{estimator}]\n{key} = 100\n"
+        config = write_config(tmp_path, text, out=tmp_path / "out")
+        assert main(["benchmark", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: [estimators.{estimator}]" in err
+        assert f"{key} 100 outside [1, 16]" in err
 
     def test_parallel_jobs_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out"))

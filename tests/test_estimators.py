@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xaimeta.errors import ConfigError
 from xaimeta.estimators import (
@@ -53,9 +55,8 @@ def two_layer_net(rng, d=4, h=6, c=3):
 def make_ctx(net, x, label=0, values=None, explainer=None, mask=None, seed=0, bounds=(0.0, 1.0)):
     x = np.asarray(x, dtype=float)
     if explainer is not None and values is None:
-        attribution = explainer(net, x, label)
-    else:
-        attribution = Attribution(np.asarray(values, dtype=float), "test")
+        values = explainer(net, x[None, :], label)[0]
+    attribution = Attribution(np.asarray(values, dtype=float), "test")
     return EvalContext(
         net=net,
         x=x,
@@ -71,14 +72,14 @@ def make_ctx(net, x, label=0, values=None, explainer=None, mask=None, seed=0, bo
 def constant_explainer(values):
     values = np.asarray(values, dtype=float)
 
-    def fn(net, x, label):
-        return Attribution(values.copy(), "constant")
+    def fn(net, X, labels):
+        return np.tile(values, (len(X), 1))
 
     return fn
 
 
-def identity_explainer(net, x, label):
-    return Attribution(np.asarray(x, dtype=float).copy(), "identity")
+def identity_explainer(net, X, labels):
+    return np.array(X, dtype=float)
 
 
 class TestFaithfulnessCorrelation:
@@ -189,7 +190,7 @@ class TestMaxSensitivity:
         delta = oracle_rng.uniform(-0.2, 0.2, size=4)
         x_pert = np.clip(x + delta, 0.0, 1.0)
         expected = np.linalg.norm(
-            explainer(net, x, 0).values - explainer(net, x_pert, 0).values
+            explainer(net, x[None, :], 0)[0] - explainer(net, x_pert[None, :], 0)[0]
         ) / np.linalg.norm(x)
         assert est.value == pytest.approx(expected, abs=1e-12)
 
@@ -198,6 +199,24 @@ class TestMaxSensitivity:
         net = two_layer_net(rng)
         ctx = make_ctx(net, np.zeros(4), explainer=constant_explainer(np.ones(4)))
         assert evaluate_max_sensitivity(ctx, CFG).undefined
+
+
+def local_lipschitz_oracle(ctx, cfg):
+    """The draw-by-draw loop: one explainer call per accepted draw, degenerate ones redrawn."""
+    rng = derive_rng("lle", ctx.seed)
+    lo, hi = ctx.dataset_bounds
+    radius = cfg.radius(ctx.dataset_bounds)
+    worst, accepted, attempts = 0.0, 0, 0
+    while accepted < cfg.robustness_runs and attempts < 1000 * cfg.robustness_runs:
+        attempts += 1
+        x_pert = np.clip(ctx.x + rng.uniform(-radius, radius, size=ctx.x.size), lo, hi)
+        dist = float(np.linalg.norm(x_pert - ctx.x))
+        if dist < 1e-12:
+            continue
+        other = ctx.explainer(ctx.net, x_pert[None, :], ctx.label)[0]
+        worst = max(worst, float(np.linalg.norm(ctx.attribution.values - other)) / dist)
+        accepted += 1
+    return None if accepted == 0 else worst
 
 
 class TestLocalLipschitz:
@@ -223,7 +242,7 @@ class TestLocalLipschitz:
         est = evaluate_local_lipschitz(ctx, cfg)
 
         oracle_rng = derive_rng("lle", 23)
-        base = explainer(net, x, 0).values
+        base = explainer(net, x[None, :], 0)[0]
         worst = 0.0
         for _ in range(3):
             delta = oracle_rng.uniform(-0.15, 0.15, size=4)
@@ -231,9 +250,31 @@ class TestLocalLipschitz:
             eff = x_pert - x
             worst = max(
                 worst,
-                np.linalg.norm(base - explainer(net, x_pert, 0).values) / np.linalg.norm(eff),
+                np.linalg.norm(base - explainer(net, x_pert[None, :], 0)[0]) / np.linalg.norm(eff),
             )
         assert est.value == pytest.approx(worst, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        corner=st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=2),
+        runs=st.integers(1, 6),
+        radius=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_degenerate_draws_match_per_draw_oracle(self, d, corner, runs, radius, seed):
+        # x on a bound: a draw pointing outward on every feature clips to x
+        # itself (probability 2^-d), and radius 0 makes every draw degenerate
+        net = two_layer_net(np.random.default_rng(seed % 1000), d=d)
+        explainer = build_explainer("gradient", ExplainerConfig())
+        ctx = make_ctx(net, corner[:d], explainer=explainer, seed=seed)
+        cfg = EstimatorConfig(robustness_runs=runs, robustness_radius=radius)
+        est = evaluate_local_lipschitz(ctx, cfg)
+        expected = local_lipschitz_oracle(ctx, cfg)
+        if expected is None:
+            assert est.undefined
+        else:
+            assert est.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestModelParameterRandomisation:
@@ -248,8 +289,8 @@ class TestModelParameterRandomisation:
     def test_noise_explainer_near_zero_at_784(self):
         noise_rng = np.random.default_rng(12)
 
-        def noise_explainer(net, x, label):
-            return Attribution(noise_rng.normal(size=784), "noise")
+        def noise_explainer(net, X, labels):
+            return noise_rng.normal(size=(len(X), 784))
 
         net = linear_net(np.ones((2, 784)))
         x = np.full(784, 0.5)
@@ -273,7 +314,7 @@ class TestModelParameterRandomisation:
         b = oracle_rng.normal(pooled.mean(), pooled.std(), size=layer.bias.shape)
         randomized = linear_net(W, b)
         expected = spearman(
-            explainer(net, x, 0).values, explainer(randomized, x, 0).values
+            explainer(net, x[None, :], 0)[0], explainer(randomized, x[None, :], 0)[0]
         )
         assert est.value == pytest.approx(expected, abs=1e-12)
 

@@ -1,15 +1,18 @@
-"""Golden numbers of a small two-test meta-evaluation.
+"""Golden numbers of a small two-test meta-evaluation and of a small sanity run.
 
 Rerunning with the same seed and getting the same bytes shows determinism,
 not correctness: a change that shifted every score would pass it.  This test
 pins the trained weights and every per-iteration MetaVector of a small
 config with both perturbation tests to 1e-12, so numeric drift fails here.
+It also pins the per-iteration MetaVectors of `run_sanity` at N=256, K=2
+and two iterations; its synthetic explainers never touch the net, so
+batching the explain stage must leave them unchanged.
 A change that alters the numbers on purpose (batching ulp drift, a new seed
 path) regenerates the values below and says so in CHANGES.md; the
 perturbation-blind adversary's [1, 0, 1, 0] is exact and never regenerated.
 
 To regenerate, print `get_weights(setup.net).tolist()` and, per cell,
-`[v.entries().tolist() for v in cell.per_iteration]` for the run below.
+`[v.entries().tolist() for v in cell.per_iteration]` for the runs below.
 """
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ import pytest
 from xaimeta.consistency import run_meta_evaluation
 from xaimeta.net import get_weights
 from xaimeta.runconfig import config_from_tables, parse_tables
-from xaimeta.runner import build_setup
+from xaimeta.runner import build_setup, run_sanity
 
 CONFIG = """
 [dataset]
@@ -186,3 +189,59 @@ def test_blind_adversary_is_exact(golden_run):
         for vector in (*cell.per_iteration, cell.mean):
             assert vector.entries().tolist() == [1.0, 0.0, 1.0, 0.0]
             assert vector.mc == 0.5
+
+
+SANITY_CONFIG = """
+[dataset]
+kind = blobs
+samples = 256
+features = 8
+classes = 6
+spread = 0.04
+
+[model]
+hidden = [16]
+epochs = 20
+
+[run]
+tests = [ipt, mpt]
+master_seed = 42
+
+[methods]
+use = [synthetic_flat, synthetic_input, synthetic_negative, synthetic_noise]
+
+[estimators]
+use = [adversarial_deterministic, adversarial_distribution_shift]
+"""
+
+# run_sanity(k=2, iterations=2): (estimator, test) -> per iteration
+# [iac_nr, iac_ar (reverse-scored), iec_nr, iec_ar]
+SANITY_CELLS = {
+    ("adversarial_deterministic", "ipt"): [
+        [1.0, 0.0, 1.0, 0.0],
+        [1.0, 0.0, 1.0, 0.0],
+    ],
+    ("adversarial_deterministic", "mpt"): [
+        [1.0, 0.0, 1.0, 0.0],
+        [1.0, 0.0, 1.0, 0.0],
+    ],
+    ("adversarial_distribution_shift", "ipt"): [
+        [9.697251331543774e-44, 1.0, 0.2724609375, 0.0],
+        [9.697251331543774e-44, 1.0, 0.2431640625, 0.0],
+    ],
+    ("adversarial_distribution_shift", "mpt"): [
+        [9.697251331543774e-44, 1.0, 0.251953125, 0.0],
+        [9.697251331543774e-44, 1.0, 0.240234375, 0.0],
+    ],
+}
+
+
+def test_sanity_meta_vectors():
+    outcome = run_sanity(config_from_tables(parse_tables(SANITY_CONFIG)), k=2, iterations=2)
+    assert set(outcome.results) == set(SANITY_CELLS)
+    for key, expected in SANITY_CELLS.items():
+        vectors = outcome.results[key].per_iteration
+        got = np.array([v.entries() for v in vectors])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=str(key))
+        mcs = [v.mc for v in vectors]
+        np.testing.assert_allclose(mcs, np.mean(expected, axis=1), rtol=0, atol=1e-12)

@@ -7,7 +7,7 @@ from xaimeta.estimators import (
     EvalContext,
     make_scorer,
 )
-from xaimeta.explain import ExplainerConfig, build_explainer
+from xaimeta.explain import Attribution, ExplainerConfig, build_explainer
 from xaimeta.net import dense, make_net, predict_labels, train_tiny
 from xaimeta.perturb import (
     PerturbSpec,
@@ -194,13 +194,28 @@ class TestCollect:
         labels = predict_labels(net, X4)
         for method_id, explainer in methods:
             matrix = result.per_method[method_id]
+            # collect explains the unperturbed rows in one call, then each
+            # payload column's compliant rows in one call; replay those calls
+            base = explainer(net, X4, labels)
+            cases = [
+                [
+                    ipt_sample(net, X4[i], spec, derive_seed(spec.seed, "ipt", k, i), (0.0, 1.0))
+                    for i in range(4)
+                ]
+                for k in range(2)
+            ]
+            columns = []
+            for k in range(2):
+                rows = [i for i in range(4) if cases[k][i].compliant]
+                payloads = np.array([cases[k][i].payload for i in rows])
+                columns.append(dict(zip(rows, explainer(net, payloads, labels[rows]) if rows else [])))
             for i in range(4):
                 seed_ij = derive_seed(spec.seed, "est", i, method_id)
                 ctx = EvalContext(
                     net=net,
                     x=X4[i],
                     label=int(labels[i]),
-                    attribution=explainer(net, X4[i], int(labels[i])),
+                    attribution=Attribution(base[i], method_id),
                     explainer=explainer,
                     dataset_bounds=(0.0, 1.0),
                     seed=seed_ij,
@@ -209,9 +224,7 @@ class TestCollect:
                 expected = evaluate_faithfulness_correlation(ctx, cfg)
                 assert matrix.unperturbed[i] == expected.value
                 for k in range(2):
-                    case = ipt_sample(
-                        net, X4[i], spec, derive_seed(spec.seed, "ipt", k, i), (0.0, 1.0)
-                    )
+                    case = cases[k][i]
                     assert case.compliant == result.compliant[i, k]
                     if not case.compliant:
                         continue
@@ -219,7 +232,7 @@ class TestCollect:
                         net=net,
                         x=case.payload,
                         label=int(labels[i]),
-                        attribution=explainer(net, case.payload, int(labels[i])),
+                        attribution=Attribution(columns[k][i], method_id),
                         explainer=explainer,
                         dataset_bounds=(0.0, 1.0),
                         seed=seed_ij,

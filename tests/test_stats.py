@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xaimeta.stats import (
     average_ranks,
@@ -170,6 +172,35 @@ class TestRanks:
 
     def test_average_ranks_ties(self):
         assert average_ranks([10.0, 10.0, 3.0]).tolist() == [2.5, 2.5, 1.0]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_average_ranks_match_tie_loop(self, values):
+        # ties (including -0.0 == 0.0) and n = 1 against the tie-walking loop
+        assert average_ranks(values).tobytes() == average_ranks_loop(values).tobytes()
+
+
+def average_ranks_loop(values):
+    """The tie-walking loop that average_ranks vectorises, kept as its oracle."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 class TestTrapezoidAuc:
