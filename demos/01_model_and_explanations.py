@@ -8,15 +8,15 @@ import numpy as np
 
 from xaimeta.dataio import synth_blobs
 from xaimeta.explain import ExplainerConfig, METHODS, normalize
-from xaimeta.net import accuracy, forward, predict_labels, train_tiny
+from xaimeta.net import accuracy, logits_batch, predict_labels, softmax, train_tiny
 
 dataset = synth_blobs(n=200, d=8, classes=4, seed=7)
 net = train_tiny((16,), dataset.inputs, dataset.labels, epochs=20, seed=7)
 print(f"trained 8-16-4 net, training accuracy {accuracy(net, dataset.inputs, dataset.labels):.3f}")
 
-x = dataset.inputs[0]
-pred = forward(net, x)
-print(f"\nsample 0: predicted class {pred.label}, probs {np.round(pred.probs, 3)}")
+# the net takes (B, D) batches; a single sample is a batch of one row
+logits = logits_batch(net, dataset.inputs[:1])[0]
+print(f"\nsample 0: predicted class {int(np.argmax(logits))}, probs {np.round(softmax(logits), 3)}")
 
 cfg = ExplainerConfig(ig_steps=64, occlusion_patch=2, shap_samples=20, seed=1)
 # every method is batch-first: (net, X of shape (B, D), per-row labels) -> (B, D)

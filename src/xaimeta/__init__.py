@@ -22,9 +22,9 @@ from .errors import (
     PerturbationInfeasibleError,
     TrainingDivergedError,
 )
-from .estimators import Estimate, EstimatorConfig, EvalContext, make_scorer
-from .explain import Attribution, ExplainerConfig, build_explainer, normalize
-from .net import Net, forward, get_weights, input_gradient, set_weights, train_tiny
+from .estimators import EstimatorConfig, EvalContext, make_scorer
+from .explain import ExplainerConfig, build_explainer, normalize
+from .net import Net, get_weights, set_weights, train_tiny
 from .perturb import EstimateMatrix, PerturbSpec, collect, input_spec, ipt_sample, model_spec, mpt_sample
 from .runconfig import RunConfig, load_config
 from .runner import run_benchmark, run_convergence, run_hpo, run_sanity, run_train

@@ -2,19 +2,19 @@
 
 Twelve estimators across five families (faithfulness, robustness,
 randomisation, complexity, localisation) plus two adversarial estimators
-used to sanity-check the meta-evaluation itself.  Every estimator returns an
-Estimate that is either finite or explicitly flagged undefined; NaN never
-leaks into aggregation.  Estimators are pure given (ctx, cfg) -- all
-randomness flows from ctx.seed.
+used to sanity-check the meta-evaluation itself.  Every estimator returns a
+float; NaN means the estimate is undefined for that sample, and
+`perturb.collect` keeps undefined estimates out of aggregation.  Estimators
+are pure given (ctx, cfg) -- all randomness flows from ctx.seed.
 """
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import stats
 from .errors import ConfigError
-from .explain import Attribution
 from .net import Layer, Net, dense_layer_indices, logits_batch, replace_layer, softmax
 from .seeding import derive_rng
 
@@ -26,32 +26,27 @@ LOWER_BETTER = "lower_better"
 class EvalContext:
     """Everything a quality estimator may look at for one sample.
 
+    `x` is the (D,) float input and `attribution` its (D,) explanation row;
     `explainer` is the (normalized) batch explanation function,
-    explainer(net, X, labels) -> (B, D), whose row for `x` is `attribution`;
-    robustness and randomisation estimators re-invoke it.
-    `dataset_mean` feeds the "mean" baseline strategy; `sample_index` keys
-    the deterministic adversarial estimator.
+    explainer(net, X, labels) -> (B, D), that produced it, and robustness
+    and randomisation estimators re-invoke it.  `mask` is a (D,) bool row
+    marking at least one feature (`perturb.collect` checks its masks once
+    per call).  `is_perturbed` says whether `x` or `net` carries a
+    perturbation payload.  `dataset_mean` feeds the "mean" baseline
+    strategy; `sample_index` keys the deterministic adversarial estimator.
     """
 
     net: Net
     x: np.ndarray
     label: int
-    attribution: Attribution
+    attribution: np.ndarray
     explainer: object
     dataset_bounds: tuple
     mask: np.ndarray | None = None
     dataset_mean: float | None = None
     seed: int = 0
     sample_index: int = 0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.attribution.values.shape != self.x.shape:
-            raise ValueError("attribution length does not match input length")
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask).astype(bool)
-            if self.mask.shape != self.x.shape or not self.mask.any():
-                raise ValueError("mask must match the input and mark at least one feature")
+    is_perturbed: bool = False
 
 
 @dataclass(frozen=True)
@@ -110,25 +105,6 @@ def _default_block(d: int) -> int:
     return max(1, min(d, int(round(2 * math.sqrt(d)))))
 
 
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    estimator_id: str
-    direction: str
-    undefined: bool = False
-
-
-def _estimate(estimator_id, value, cfg=None):
-    direction = None
-    if cfg is not None and cfg.direction is not None:
-        direction = cfg.direction
-    if direction is None:
-        direction = DIRECTIONS[estimator_id]
-    if value is None or not np.isfinite(value):
-        return Estimate(math.nan, estimator_id, direction, undefined=True)
-    return Estimate(float(value), estimator_id, direction)
-
-
 def _baseline_values(kind, indices, ctx, rng):
     lo, hi = ctx.dataset_bounds
     if kind == "black":
@@ -142,7 +118,7 @@ def _baseline_values(kind, indices, ctx, rng):
 # --- faithfulness -----------------------------------------------------------
 
 
-def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Pearson correlation between subset attribution sums and logit drops.
 
     Random feature subsets (without replacement within a subset) are replaced
@@ -159,14 +135,14 @@ def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) ->
     for r in range(cfg.fc_runs):
         subsets[r] = rng.choice(d, size=size, replace=False)
         fills[r] = _baseline_values(cfg.fc_baseline, subsets[r], ctx, rng)
-    attr_sums = ctx.attribution.values[subsets].sum(axis=1)
+    attr_sums = ctx.attribution[subsets].sum(axis=1)
     masked = np.repeat(ctx.x[None, :], cfg.fc_runs, axis=0)
     np.put_along_axis(masked, subsets, fills, axis=1)
     drops = base_logit - logits_batch(ctx.net, masked)[:, ctx.label]
-    return _estimate("faithfulness_correlation", stats.pearson(attr_sums, drops), cfg)
+    return stats.pearson(attr_sums, drops)
 
 
-def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Area under the predicted-class probability curve while flipping.
 
     Features are replaced by the baseline in blocks of cfg.pf_step_size, most
@@ -176,7 +152,7 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
     rng = derive_rng("pf", ctx.seed)
     d = ctx.x.size
     step = cfg.step_size(d)
-    order = np.argsort(-ctx.attribution.values, kind="stable")
+    order = np.argsort(-ctx.attribution, kind="stable")
     starts = range(0, d, step)
     # row 0 is the input, row j the input after the first j blocks flipped
     curve = np.repeat(ctx.x[None, :], len(starts) + 1, axis=0)
@@ -185,7 +161,7 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
         curve[j:, block] = _baseline_values(cfg.pf_baseline, block, ctx, rng)
     xs = [0.0] + [min(start + step, d) / d for start in starts]
     ys = softmax(logits_batch(ctx.net, curve))[:, ctx.label]
-    return _estimate("pixel_flipping", stats.trapezoid_auc(xs, ys), cfg)
+    return stats.trapezoid_auc(xs, ys)
 
 
 # --- robustness -------------------------------------------------------------
@@ -205,20 +181,19 @@ def _row_norms(A) -> np.ndarray:
     return np.sqrt((A[:, None, :] @ A[:, :, None]).ravel())
 
 
-def evaluate_max_sensitivity(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_max_sensitivity(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Largest explanation change over random in-ball input perturbations,
     relative to the input norm.  Undefined for a zero input."""
     x_norm = float(np.linalg.norm(ctx.x))
     if x_norm == 0.0:
-        return _estimate("max_sensitivity", None, cfg)
+        return math.nan
     rng = derive_rng("ms", ctx.seed)
     x_pert, _ = _perturbed_inputs(ctx, cfg, rng, cfg.robustness_runs)
     others = ctx.explainer(ctx.net, x_pert, ctx.label)
-    worst = float(np.max(_row_norms(ctx.attribution.values - others) / x_norm))
-    return _estimate("max_sensitivity", worst, cfg)
+    return float(np.max(_row_norms(ctx.attribution - others) / x_norm))
 
 
-def evaluate_local_lipschitz(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_local_lipschitz(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Largest explanation-change to input-change ratio over random draws.
 
     The denominator uses the effective (post-clip) displacement; degenerate
@@ -238,16 +213,16 @@ def evaluate_local_lipschitz(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate
         kept_dists.append(dists[keep])
         accepted += int(keep.sum())
     if accepted == 0:
-        return _estimate("local_lipschitz", None, cfg)
+        return math.nan
     others = ctx.explainer(ctx.net, np.concatenate(kept_inputs), ctx.label)
-    ratios = _row_norms(ctx.attribution.values - others) / np.concatenate(kept_dists)
-    return _estimate("local_lipschitz", float(np.max(ratios)), cfg)
+    ratios = _row_norms(ctx.attribution - others) / np.concatenate(kept_dists)
+    return float(np.max(ratios))
 
 
 # --- randomisation ----------------------------------------------------------
 
 
-def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Mean rank correlation between the explanation and re-explanations of
     nets with one dense layer re-randomised at a time.
 
@@ -256,7 +231,7 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
     whose correlation is undefined (constant map) are skipped; if every
     layer is skipped the estimate is undefined.
     """
-    base = ctx.attribution.values
+    base = ctx.attribution
     correlations = []
     for v, layer_index in enumerate(dense_layer_indices(ctx.net)):
         layer = ctx.net.layers[layer_index]
@@ -274,11 +249,11 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
         if not math.isnan(rho):
             correlations.append(rho)
     if not correlations:
-        return _estimate("model_parameter_randomisation", None, cfg)
-    return _estimate("model_parameter_randomisation", float(np.mean(correlations)), cfg)
+        return math.nan
+    return float(np.mean(correlations))
 
 
-def evaluate_random_logit(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_random_logit(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Rank correlation between the explanation for the predicted class and
     the explanation for a randomly drawn other class."""
     if ctx.net.num_classes < 2:
@@ -287,32 +262,32 @@ def evaluate_random_logit(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
     others = [c for c in range(ctx.net.num_classes) if c != ctx.label]
     y_other = int(rng.choice(others))
     other = ctx.explainer(ctx.net, ctx.x[None, :], y_other)[0]
-    return _estimate("random_logit", stats.spearman(ctx.attribution.values, other), cfg)
+    return stats.spearman(ctx.attribution, other)
 
 
 # --- complexity -------------------------------------------------------------
 
 
-def evaluate_sparseness(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_sparseness(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Gini index of the absolute attribution; undefined for an all-zero map."""
-    v = np.sort(np.abs(ctx.attribution.values))
+    v = np.sort(np.abs(ctx.attribution))
     total = v.sum()
     if total == 0.0:
-        return _estimate("sparseness", None, cfg)
+        return math.nan
     d = v.size
     i = np.arange(1, d + 1)
-    return _estimate("sparseness", float(((2 * i - d - 1) * v).sum() / (d * total)), cfg)
+    return float(((2 * i - d - 1) * v).sum() / (d * total))
 
 
-def evaluate_complexity(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_complexity(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Shannon entropy of the normalized absolute attribution (0 ln 0 := 0)."""
-    v = np.abs(ctx.attribution.values)
+    v = np.abs(ctx.attribution)
     total = v.sum()
     if total == 0.0:
-        return _estimate("complexity", None, cfg)
+        return math.nan
     p = v / total
     nonzero = p[p > 0]
-    return _estimate("complexity", float(-(nonzero * np.log(nonzero)).sum()), cfg)
+    return float(-(nonzero * np.log(nonzero)).sum())
 
 
 # --- localisation -----------------------------------------------------------
@@ -328,43 +303,43 @@ def _top_indices(values, k):
     return np.argsort(-values, kind="stable")[:k]
 
 
-def evaluate_pointing_game(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_pointing_game(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """1 when the maximally attributed feature lies inside the mask.
 
     Works on absolute attributions; ties break on the lowest index.
     """
     mask = _require_mask(ctx, "pointing_game")
-    hit = bool(mask[int(np.argmax(np.abs(ctx.attribution.values)))])
-    return _estimate("pointing_game", 1.0 if hit else 0.0, cfg)
+    hit = bool(mask[int(np.argmax(np.abs(ctx.attribution)))])
+    return 1.0 if hit else 0.0
 
 
-def evaluate_relevance_mass_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_relevance_mass_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Fraction of absolute attribution mass inside the mask."""
     mask = _require_mask(ctx, "relevance_mass_accuracy")
-    v = np.abs(ctx.attribution.values)
+    v = np.abs(ctx.attribution)
     total = v.sum()
     if total == 0.0:
-        return _estimate("relevance_mass_accuracy", None, cfg)
-    return _estimate("relevance_mass_accuracy", float(v[mask].sum() / total), cfg)
+        return math.nan
+    return float(v[mask].sum() / total)
 
 
-def evaluate_top_k_intersection(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_top_k_intersection(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Fraction of the K highest absolute attributions inside the mask;
     K defaults to the mask cardinality."""
     mask = _require_mask(ctx, "top_k_intersection")
     k = cfg.topk_k if cfg.topk_k is not None else int(mask.sum())
     if not 1 <= k <= ctx.x.size:
         raise ConfigError(f"topk_k {k} outside [1, {ctx.x.size}]")
-    top = _top_indices(np.abs(ctx.attribution.values), k)
-    return _estimate("top_k_intersection", float(mask[top].sum() / k), cfg)
+    top = _top_indices(np.abs(ctx.attribution), k)
+    return float(mask[top].sum() / k)
 
 
-def evaluate_relevance_rank_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> Estimate:
+def evaluate_relevance_rank_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Fraction of the |mask| highest absolute attributions inside the mask."""
     mask = _require_mask(ctx, "relevance_rank_accuracy")
     m = int(mask.sum())
-    top = _top_indices(np.abs(ctx.attribution.values), m)
-    return _estimate("relevance_rank_accuracy", float(mask[top].sum() / m), cfg)
+    top = _top_indices(np.abs(ctx.attribution), m)
+    return float(mask[top].sum() / m)
 
 
 # --- adversarial sanity estimators ------------------------------------------
@@ -382,24 +357,24 @@ class DeterministicAdversaryState:
         self.values = derive_rng("psi_eq", self.seed).uniform(0.0, 1.0, size=self.n_samples)
 
 
-def adversarial_deterministic(ctx: EvalContext, state: DeterministicAdversaryState) -> Estimate:
+def adversarial_deterministic(ctx: EvalContext, state: DeterministicAdversaryState) -> float:
     """Perturbation-blind estimator: the same fixed draw for a sample index,
     whether or not the inputs were perturbed."""
-    return _estimate("adversarial_deterministic", float(state.values[ctx.sample_index]))
+    return float(state.values[ctx.sample_index])
 
 
-def adversarial_distribution_shift(ctx: EvalContext, is_perturbed: bool) -> Estimate:
+def adversarial_distribution_shift(ctx: EvalContext) -> float:
     """Estimator that deliberately answers from different distributions.
 
     Unperturbed calls draw from N(mu, 1) with mu uniform in [-100000, -1];
-    any perturbed call draws with mu uniform in [0, 1].
+    any perturbed call (`ctx.is_perturbed`) draws with mu uniform in [0, 1].
     """
-    rng = derive_rng("psi_neq", ctx.seed, int(is_perturbed))
-    if is_perturbed:
+    rng = derive_rng("psi_neq", ctx.seed, int(ctx.is_perturbed))
+    if ctx.is_perturbed:
         mu = rng.uniform(0.0, 1.0)
     else:
         mu = rng.uniform(-100000.0, -1.0)
-    return _estimate("adversarial_distribution_shift", float(rng.normal(mu, 1.0)))
+    return float(rng.normal(mu, 1.0))
 
 
 # --- registry ---------------------------------------------------------------
@@ -465,26 +440,25 @@ ADVERSARIAL_IDS = ("adversarial_deterministic", "adversarial_distribution_shift"
 
 @dataclass
 class Scorer:
-    """Pipeline-facing estimator: id, direction, and a uniform call shape."""
+    """Pipeline-facing estimator: id, direction, and call(ctx) -> float (NaN: undefined)."""
 
     estimator_id: str
     direction: str
     _call: object
 
-    def __call__(self, ctx: EvalContext, is_perturbed: bool) -> Estimate:
-        return self._call(ctx, is_perturbed)
+    def __call__(self, ctx: EvalContext) -> float:
+        return self._call(ctx)
 
 
 def make_scorer(estimator_id: str, cfg: EstimatorConfig, n_samples: int = 0, state_seed: int = 0):
     """Build a Scorer; adversarial estimators get their state wired in here."""
     if estimator_id == "adversarial_deterministic":
         state = DeterministicAdversaryState(n_samples=n_samples, seed=state_seed)
-        call = lambda ctx, is_perturbed: adversarial_deterministic(ctx, state)
+        call = partial(adversarial_deterministic, state=state)
     elif estimator_id == "adversarial_distribution_shift":
         call = adversarial_distribution_shift
     elif estimator_id in ESTIMATOR_FUNCTIONS:
-        fn = ESTIMATOR_FUNCTIONS[estimator_id]
-        call = lambda ctx, is_perturbed: fn(ctx, cfg)
+        call = partial(ESTIMATOR_FUNCTIONS[estimator_id], cfg=cfg)
     else:
         raise ConfigError(f"unknown estimator {estimator_id!r}")
     direction = cfg.direction if cfg.direction is not None else DIRECTIONS[estimator_id]

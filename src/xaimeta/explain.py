@@ -21,14 +21,6 @@ _CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
-class Attribution:
-    """One sample's explanation, as an estimator sees it."""
-
-    values: np.ndarray
-    method_id: str
-
-
-@dataclass(frozen=True)
 class ExplainerConfig:
     ig_steps: int = 32
     ig_baseline: float = 0.0
@@ -200,5 +192,4 @@ def build_explainer(method_id: str, cfg: ExplainerConfig):
     def explainer(net, X, labels):
         return normalize(fn(net, X, labels, cfg))
 
-    explainer.method_id = method_id
     return explainer

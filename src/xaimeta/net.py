@@ -27,13 +27,6 @@ class Net:
     num_classes: int
 
 
-@dataclass(frozen=True)
-class Prediction:
-    logits: np.ndarray
-    probs: np.ndarray
-    label: int
-
-
 def dense(weights, bias) -> Layer:
     weights = np.asarray(weights, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -79,13 +72,6 @@ def _check_batch(net: Net, X) -> np.ndarray:
     return A
 
 
-def _as_row(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"input must be a vector, got shape {x.shape}")
-    return x[None, :]
-
-
 def _activations(layers, A) -> list:
     """Forward pass through `layers`: each layer's input, then the logits."""
     acts = [A]
@@ -108,13 +94,6 @@ def softmax(logits) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward(net: Net, x) -> Prediction:
-    """Deterministic forward pass; probs are softmax over the logits."""
-    logits = logits_batch(net, _as_row(x))[0]
-    probs = softmax(logits)
-    return Prediction(logits=logits, probs=probs, label=int(np.argmax(logits)))
 
 
 def predict_labels(net: Net, X) -> np.ndarray:
@@ -141,10 +120,6 @@ def input_gradient_batch(net: Net, X, class_index) -> np.ndarray:
         else:
             G = G * (activations[i] > 0.0)
     return G
-
-
-def input_gradient(net: Net, x, class_index: int) -> np.ndarray:
-    return input_gradient_batch(net, _as_row(x), class_index)[0]
 
 
 def get_weights(net: Net) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import MetaEvaluationError, PerturbationInfeasibleError
 from .estimators import EvalContext
-from .explain import Attribution
 from .net import Net, get_weights, predict_labels, set_weights
 from .seeding import derive_seed
 
@@ -194,28 +193,41 @@ def collect(
 
     `methods` is a sequence of (method_id, explainer) pairs, each explainer
     a batch callable(net, X, labels) -> (B, D); `scorer` is an
-    estimators.Scorer.  Payload draws are shared across methods; every
-    stochastic choice derives from spec.seed, so results are independent of
-    execution schedule.  Aborts when more than `max_dropped_fraction` of
-    samples end up without a single retained draw, or when more than
-    `max_undefined_fraction` of all estimates are undefined.
+    estimators.Scorer, called once per estimate, whose non-finite results
+    count as undefined.  `masks`, when given, is an (N, D) array whose every
+    row marks at least one feature.  Payload draws are shared across
+    methods; every stochastic choice derives from spec.seed, so results are
+    independent of execution schedule.  Aborts when more than
+    `max_dropped_fraction` of samples end up without a single retained
+    draw, or when more than `max_undefined_fraction` of all estimates are
+    undefined.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if K < 1 or n < 2:
         raise ValueError("collect needs K >= 1 and at least two samples")
+    if masks is not None:
+        masks = np.asarray(masks).astype(bool)
+        if masks.shape != X.shape or not masks.any(axis=1).all():
+            raise ValueError("masks must be (N, D) and mark at least one feature per row")
+    bounds = tuple(bounds)
     labels = predict_labels(net, X)
 
-    def context(i, x_i, net_i, seed):
-        return dict(
-            net=net_i,
-            x=x_i,
-            label=int(labels[i]),
-            dataset_bounds=tuple(bounds),
-            mask=None if masks is None else masks[i],
-            dataset_mean=dataset_mean,
-            seed=seed,
-            sample_index=i,
+    def score(i, net_i, x_i, attribution, explainer, seed, is_perturbed):
+        return scorer(
+            EvalContext(
+                net=net_i,
+                x=x_i,
+                label=int(labels[i]),
+                attribution=attribution,
+                explainer=explainer,
+                dataset_bounds=bounds,
+                mask=None if masks is None else masks[i],
+                dataset_mean=dataset_mean,
+                seed=seed,
+                sample_index=i,
+                is_perturbed=is_perturbed,
+            )
         )
 
     # payload draws, shared by all methods
@@ -252,45 +264,27 @@ def collect(
                 columns[k, rows] = explainer(net, payload_inputs[rows, k], labels[rows])
             else:
                 columns[k, rows] = explainer(payload_nets[k], X[rows], labels[rows])
-        unperturbed = np.full(n, np.nan)
-        unperturbed_ok = np.zeros(n, dtype=bool)
+        unperturbed = np.empty(n)
         perturbed = np.full((n, K), np.nan)
-        retained = np.zeros((n, K), dtype=bool)
         for i in range(n):
             # one estimator seed per (sample, method): the estimator's own
             # sampling stays fixed so that only the perturbed space varies
             seed_ij = derive_seed(spec.seed, "est", i, method_id)
-            ctx = EvalContext(
-                attribution=Attribution(base[i], method_id),
-                explainer=explainer,
-                **context(i, X[i], net, seed_ij),
-            )
-            est = scorer(ctx, False)
-            total += 1
-            if est.undefined:
-                undefined += 1
-            else:
-                unperturbed[i] = est.value
-                unperturbed_ok[i] = True
-            for k in range(K):
-                if not compliant[i, k]:
-                    continue
+            unperturbed[i] = score(i, net, X[i], base[i], explainer, seed_ij, False)
+            for k in np.flatnonzero(compliant[i]):
                 if spec.space == INPUT_SPACE:
                     x_i, net_i = payload_inputs[i, k], net
                 else:
                     x_i, net_i = X[i], payload_nets[k]
-                ctx = EvalContext(
-                    attribution=Attribution(columns[k, i], method_id),
-                    explainer=explainer,
-                    **context(i, x_i, net_i, seed_ij),
-                )
-                est = scorer(ctx, True)
-                total += 1
-                if est.undefined:
-                    undefined += 1
-                else:
-                    perturbed[i, k] = est.value
-                    retained[i, k] = True
+                perturbed[i, k] = score(i, net_i, x_i, columns[k, i], explainer, seed_ij, True)
+        # non-compliant entries are still NaN, so they are never retained
+        unperturbed_ok = np.isfinite(unperturbed)
+        retained = np.isfinite(perturbed)
+        unperturbed[~unperturbed_ok] = np.nan
+        perturbed[~retained] = np.nan
+        scored = n + int(compliant.sum())
+        total += scored
+        undefined += scored - int(unperturbed_ok.sum()) - int(retained.sum())
         per_method[method_id] = EstimateMatrix(unperturbed, unperturbed_ok, perturbed, retained)
 
     dropped = [

@@ -24,7 +24,7 @@ from xaimeta.estimators import (
     evaluate_top_k_intersection,
 )
 from xaimeta.explain import ExplainerConfig, explain_integrated_gradients
-from xaimeta.net import dense, forward, input_gradient, make_net, relu
+from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net, relu
 from xaimeta.runconfig import config_from_tables, parse_tables
 from xaimeta.runner import run_benchmark, run_sanity
 from xaimeta.stats import average_ranks, wilcoxon_signed_rank
@@ -197,14 +197,14 @@ class TestCriterion3Gradients:
             )
             x = rng.normal(size=d)
             label = int(rng.integers(c))
-            g = input_gradient(net, x, label)
+            g = input_gradient_batch(net, x[None, :], label)[0]
             fd = np.zeros(d)
             for i in range(d):
                 hi, lo = x.copy(), x.copy()
                 hi[i] += h
                 lo[i] -= h
                 fd[i] = (
-                    forward(net, hi).logits[label] - forward(net, lo).logits[label]
+                    logits_batch(net, hi[None, :])[0, label] - logits_batch(net, lo[None, :])[0, label]
                 ) / (2 * h)
             if np.linalg.norm(fd) < 1e-6:
                 continue
@@ -231,7 +231,7 @@ class TestCriterion3Gradients:
                 ]
             )
             x = rng.normal(size=5)
-            gap = forward(net, x).logits[1] - forward(net, np.zeros(5)).logits[1]
+            gap = logits_batch(net, x[None, :])[0, 1] - logits_batch(net, np.zeros((1, 5)))[0, 1]
             if abs(gap) < 1e-3:
                 continue
             a = explain_integrated_gradients(net, x[None, :], 1, cfg)[0]
@@ -245,36 +245,36 @@ class TestCriterion4EstimatorIdentities:
         cfg = EstimatorConfig()
         checks = []
         checks.append(
-            evaluate_sparseness(bare_ctx([0.4] * 6), cfg).value == pytest.approx(0.0, abs=1e-12)
+            evaluate_sparseness(bare_ctx([0.4] * 6), cfg) == pytest.approx(0.0, abs=1e-12)
         )
         checks.append(
-            evaluate_sparseness(bare_ctx([0.0, 0.0, 0.0, 1.0]), cfg).value
+            evaluate_sparseness(bare_ctx([0.0, 0.0, 0.0, 1.0]), cfg)
             == pytest.approx(0.75, abs=1e-12)
         )
         checks.append(
-            evaluate_complexity(bare_ctx([1.0] * 4), cfg).value
+            evaluate_complexity(bare_ctx([1.0] * 4), cfg)
             == pytest.approx(math.log(4), abs=1e-12)
         )
         checks.append(
-            evaluate_complexity(bare_ctx([0.0, 3.0, 0.0]), cfg).value
+            evaluate_complexity(bare_ctx([0.0, 3.0, 0.0]), cfg)
             == pytest.approx(0.0, abs=1e-12)
         )
         mask = np.array([False, True, False, False])
-        checks.append(evaluate_pointing_game(bare_ctx([0.1, 0.9, 0.2, 0.0], mask), cfg).value == 1.0)
-        checks.append(evaluate_pointing_game(bare_ctx([0.9, 0.1, 0.2, 0.0], mask), cfg).value == 0.0)
+        checks.append(evaluate_pointing_game(bare_ctx([0.1, 0.9, 0.2, 0.0], mask), cfg) == 1.0)
+        checks.append(evaluate_pointing_game(bare_ctx([0.9, 0.1, 0.2, 0.0], mask), cfg) == 0.0)
         mask2 = np.array([True, True, False, False])
         checks.append(
-            evaluate_relevance_mass_accuracy(bare_ctx([2.0, 1.0, 1.0, 0.0], mask2), cfg).value
+            evaluate_relevance_mass_accuracy(bare_ctx([2.0, 1.0, 1.0, 0.0], mask2), cfg)
             == pytest.approx(0.75, abs=1e-12)
         )
         checks.append(
             evaluate_top_k_intersection(
                 bare_ctx([5.0, 4.0, 1.0, 0.0], mask2), EstimatorConfig(topk_k=2)
-            ).value
+            )
             == 1.0
         )
         checks.append(
-            evaluate_relevance_rank_accuracy(bare_ctx([5.0, 4.0, 1.0, 0.0], mask2), cfg).value
+            evaluate_relevance_rank_accuracy(bare_ctx([5.0, 4.0, 1.0, 0.0], mask2), cfg)
             == 1.0
         )
         # constant-probability model: AUC equals that probability exactly
@@ -283,7 +283,7 @@ class TestCriterion4EstimatorIdentities:
 
         ctx = make_ctx(net, np.linspace(0.1, 0.9, 8), values=np.arange(8.0))
         auc = evaluate_pixel_flipping(ctx, EstimatorConfig(pf_step_size=2, pf_baseline="black"))
-        checks.append(auc.value == pytest.approx(0.5, abs=1e-12))
+        checks.append(auc == pytest.approx(0.5, abs=1e-12))
         ok = all(bool(c) for c in checks)
         announce(4, ok, f"{len(checks)} estimator identities")
         assert ok

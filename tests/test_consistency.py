@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xaimeta.consistency import (
     BenchmarkSetup,
@@ -118,6 +121,43 @@ class TestMetaVector:
             e = rng.uniform(size=4)
             v = meta_vector(e[0], e[1], e[2], e[3])
             assert v.mc == pytest.approx(float(np.mean(v.entries())), abs=1e-12)
+
+
+@st.composite
+def score_matrices(draw):
+    """Unperturbed, minor-perturbed and disruptive (N, L) score matrices."""
+    shape = (draw(st.integers(2, 8)), draw(st.integers(2, 4)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return tuple(draw(arrays(np.float64, shape, elements=finite)) for _ in range(3))
+
+
+def _monotone_examples():
+    # the inputs of the IEC invariance tests above, transformed as they are there
+    rng = np.random.default_rng(2)
+    q, qm = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    rng = np.random.default_rng(3)
+    qd = rng.normal(size=(5, 3))
+    return [(np.exp(q), np.exp(qm), np.exp(qd)), (2.5 * q + 7, 2.5 * qm + 7, 2.5 * qd + 7)]
+
+
+class TestCriteriaProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(score_matrices(), st.booleans())
+    @example(_monotone_examples()[0], False)
+    @example(_monotone_examples()[1], True)
+    @example((np.full((4, 3), 0.5),) * 3, False)
+    def test_entries_and_mc_in_unit_interval(self, matrices, lower_better):
+        # method 0's unperturbed scores against the L columns as K draws
+        q, qm, qd = matrices
+        retained = np.ones(qm.shape, dtype=bool)
+        v = meta_vector(
+            iac(q[:, 0], qm, retained),
+            iac(q[:, 0], qd, retained),
+            iec_minor(q, qm),
+            iec_disruptive(q, qd, lower_better),
+        )
+        assert all(0.0 <= e <= 1.0 for e in v.entries()), v
+        assert 0.0 <= v.mc <= 1.0
 
 
 def multiclass_blobs(n=48, d=8, classes=6, seed=0):

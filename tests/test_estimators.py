@@ -28,8 +28,8 @@ from xaimeta.estimators import (
     evaluate_top_k_intersection,
     make_scorer,
 )
-from xaimeta.explain import Attribution, ExplainerConfig, build_explainer
-from xaimeta.net import dense, forward, make_net, relu
+from xaimeta.explain import ExplainerConfig, build_explainer
+from xaimeta.net import dense, logits_batch, make_net, relu, softmax
 from xaimeta.seeding import derive_rng
 from xaimeta.stats import spearman
 
@@ -56,12 +56,11 @@ def make_ctx(net, x, label=0, values=None, explainer=None, mask=None, seed=0, bo
     x = np.asarray(x, dtype=float)
     if explainer is not None and values is None:
         values = explainer(net, x[None, :], label)[0]
-    attribution = Attribution(np.asarray(values, dtype=float), "test")
     return EvalContext(
         net=net,
         x=x,
         label=label,
-        attribution=attribution,
+        attribution=np.asarray(values, dtype=float),
         explainer=explainer,
         dataset_bounds=bounds,
         mask=mask,
@@ -93,7 +92,7 @@ class TestFaithfulnessCorrelation:
         ctx = make_ctx(self.sum_net(), x, values=x, bounds=(0.0, 1.0))
         cfg = EstimatorConfig(fc_subset_size=2, fc_runs=30, fc_baseline="black")
         est = evaluate_faithfulness_correlation(ctx, cfg)
-        assert est.value == pytest.approx(1.0, abs=1e-12)
+        assert est == pytest.approx(1.0, abs=1e-12)
 
     def test_anti_aligned_attribution(self):
         rng = np.random.default_rng(1)
@@ -101,13 +100,13 @@ class TestFaithfulnessCorrelation:
         ctx = make_ctx(self.sum_net(), x, values=-x)
         cfg = EstimatorConfig(fc_subset_size=2, fc_runs=30, fc_baseline="black")
         est = evaluate_faithfulness_correlation(ctx, cfg)
-        assert est.value == pytest.approx(-1.0, abs=1e-12)
+        assert est == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_model_undefined(self):
         net = linear_net(np.zeros((2, 4)))
         ctx = make_ctx(net, [0.1, 0.2, 0.3, 0.4], values=[1.0, 2.0, 3.0, 4.0])
         est = evaluate_faithfulness_correlation(ctx, EstimatorConfig(fc_subset_size=2))
-        assert est.undefined
+        assert math.isnan(est)
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(2)
@@ -120,7 +119,7 @@ class TestFaithfulnessCorrelation:
         b = evaluate_faithfulness_correlation(
             make_ctx(net, x, explainer=explainer, seed=5), CFG
         )
-        assert a.value == b.value
+        assert a == b
 
 
 class TestPixelFlipping:
@@ -129,7 +128,7 @@ class TestPixelFlipping:
         x = np.linspace(0.1, 0.8, 8)
         ctx = make_ctx(net, x, values=np.arange(8.0))
         est = evaluate_pixel_flipping(ctx, EstimatorConfig(pf_step_size=2, pf_baseline="black"))
-        assert est.value == pytest.approx(0.5, abs=1e-12)
+        assert est == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_recomputed_curve(self):
         # brute-force oracle: replay the flips and integrate independently
@@ -143,15 +142,15 @@ class TestPixelFlipping:
 
         order = np.argsort(-values, kind="stable")
         flipped = x.copy()
-        xs, ys = [0.0], [forward(net, x).probs[0]]
+        xs, ys = [0.0], [softmax(logits_batch(net, x[None, :])[0])[0]]
         for start in range(0, 6, 2):
             flipped[order[start : start + 2]] = 0.0
             xs.append((start + 2) / 6)
-            ys.append(forward(net, flipped).probs[0])
+            ys.append(softmax(logits_batch(net, flipped[None, :])[0])[0])
         auc = 0.0
         for i in range(len(xs) - 1):
             auc += (ys[i] + ys[i + 1]) / 2 * (xs[i + 1] - xs[i])
-        assert est.value == pytest.approx(auc, abs=1e-12)
+        assert est == pytest.approx(auc, abs=1e-12)
 
     def test_auc_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -160,7 +159,7 @@ class TestPixelFlipping:
             x = rng.uniform(size=5)
             ctx = make_ctx(net, x, values=rng.normal(size=5), seed=int(rng.integers(1e6)))
             est = evaluate_pixel_flipping(ctx, EstimatorConfig(pf_step_size=2))
-            assert 0.0 <= est.value <= 1.0
+            assert 0.0 <= est <= 1.0
 
 
 class TestMaxSensitivity:
@@ -169,13 +168,13 @@ class TestMaxSensitivity:
         net = two_layer_net(rng)
         explainer = constant_explainer([1.0, 2.0, 3.0, 4.0])
         ctx = make_ctx(net, rng.uniform(size=4), explainer=explainer)
-        assert evaluate_max_sensitivity(ctx, CFG).value == 0.0
+        assert evaluate_max_sensitivity(ctx, CFG) == 0.0
 
     def test_gradient_of_linear_model_is_zero(self):
         net = linear_net([[1.0, -2.0, 0.5], [0.0, 1.0, 0.0]])
         explainer = build_explainer("gradient", ExplainerConfig())
         ctx = make_ctx(net, [0.5, 0.5, 0.5], explainer=explainer)
-        assert evaluate_max_sensitivity(ctx, CFG).value == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_max_sensitivity(ctx, CFG) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_run_matches_direct_recomputation(self):
         rng = np.random.default_rng(6)
@@ -192,13 +191,13 @@ class TestMaxSensitivity:
         expected = np.linalg.norm(
             explainer(net, x[None, :], 0)[0] - explainer(net, x_pert[None, :], 0)[0]
         ) / np.linalg.norm(x)
-        assert est.value == pytest.approx(expected, abs=1e-12)
+        assert est == pytest.approx(expected, abs=1e-12)
 
     def test_zero_input_undefined(self):
         rng = np.random.default_rng(7)
         net = two_layer_net(rng)
         ctx = make_ctx(net, np.zeros(4), explainer=constant_explainer(np.ones(4)))
-        assert evaluate_max_sensitivity(ctx, CFG).undefined
+        assert math.isnan(evaluate_max_sensitivity(ctx, CFG))
 
 
 def local_lipschitz_oracle(ctx, cfg):
@@ -214,7 +213,7 @@ def local_lipschitz_oracle(ctx, cfg):
         if dist < 1e-12:
             continue
         other = ctx.explainer(ctx.net, x_pert[None, :], ctx.label)[0]
-        worst = max(worst, float(np.linalg.norm(ctx.attribution.values - other)) / dist)
+        worst = max(worst, float(np.linalg.norm(ctx.attribution - other)) / dist)
         accepted += 1
     return None if accepted == 0 else worst
 
@@ -224,13 +223,13 @@ class TestLocalLipschitz:
         rng = np.random.default_rng(8)
         net = two_layer_net(rng)
         ctx = make_ctx(net, rng.uniform(size=4), explainer=constant_explainer(np.ones(4)))
-        assert evaluate_local_lipschitz(ctx, CFG).value == 0.0
+        assert evaluate_local_lipschitz(ctx, CFG) == 0.0
 
     def test_identity_explainer_ratio_is_one(self):
         rng = np.random.default_rng(9)
         net = two_layer_net(rng)
         ctx = make_ctx(net, rng.uniform(0.3, 0.7, size=4), explainer=identity_explainer)
-        assert evaluate_local_lipschitz(ctx, CFG).value == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_local_lipschitz(ctx, CFG) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_per_draw_oracle(self):
         rng = np.random.default_rng(10)
@@ -252,7 +251,7 @@ class TestLocalLipschitz:
                 worst,
                 np.linalg.norm(base - explainer(net, x_pert[None, :], 0)[0]) / np.linalg.norm(eff),
             )
-        assert est.value == pytest.approx(worst, abs=1e-12)
+        assert est == pytest.approx(worst, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -272,9 +271,9 @@ class TestLocalLipschitz:
         est = evaluate_local_lipschitz(ctx, cfg)
         expected = local_lipschitz_oracle(ctx, cfg)
         if expected is None:
-            assert est.undefined
+            assert math.isnan(est)
         else:
-            assert est.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert est == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestModelParameterRandomisation:
@@ -282,7 +281,7 @@ class TestModelParameterRandomisation:
         rng = np.random.default_rng(11)
         net = two_layer_net(rng)
         ctx = make_ctx(net, rng.uniform(size=4), explainer=constant_explainer([1.0, 3.0, 2.0, 4.0]))
-        assert evaluate_model_parameter_randomisation(ctx, CFG).value == pytest.approx(
+        assert evaluate_model_parameter_randomisation(ctx, CFG) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -297,7 +296,7 @@ class TestModelParameterRandomisation:
         scores = []
         for seed in range(10):
             ctx = make_ctx(net, x, explainer=noise_explainer, seed=seed)
-            scores.append(abs(evaluate_model_parameter_randomisation(ctx, CFG).value))
+            scores.append(abs(evaluate_model_parameter_randomisation(ctx, CFG)))
         assert float(np.mean(scores)) <= 0.1
 
     def test_one_layer_net_is_single_correlation(self):
@@ -316,7 +315,7 @@ class TestModelParameterRandomisation:
         expected = spearman(
             explainer(net, x[None, :], 0)[0], explainer(randomized, x[None, :], 0)[0]
         )
-        assert est.value == pytest.approx(expected, abs=1e-12)
+        assert est == pytest.approx(expected, abs=1e-12)
 
 
 class TestRandomLogit:
@@ -324,7 +323,7 @@ class TestRandomLogit:
         rng = np.random.default_rng(13)
         net = two_layer_net(rng)
         ctx = make_ctx(net, rng.uniform(size=4), explainer=constant_explainer([1.0, 3.0, 2.0, 0.0]))
-        assert evaluate_random_logit(ctx, CFG).value == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_random_logit(ctx, CFG) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_weight_rows(self):
         # gradient rows [1, 0, -1] and [1, 2, 1]: rank vectors [3,2,1] and
@@ -334,7 +333,7 @@ class TestRandomLogit:
         x = np.array([0.5, 0.5, 0.5])
         ctx = make_ctx(net, x, label=0, explainer=explainer, seed=3)
         est = evaluate_random_logit(ctx, CFG)
-        assert est.value == pytest.approx(0.0, abs=1e-12)
+        assert est == pytest.approx(0.0, abs=1e-12)
 
     def test_two_classes_forces_other(self):
         net = linear_net([[1.0, 2.0], [2.0, 1.0]])
@@ -342,7 +341,7 @@ class TestRandomLogit:
         ctx = make_ctx(net, [0.5, 0.5], label=0, explainer=explainer, seed=4)
         est = evaluate_random_logit(ctx, CFG)
         expected = spearman(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
-        assert est.value == pytest.approx(expected, abs=1e-12)
+        assert est == pytest.approx(expected, abs=1e-12)
 
     def test_one_class_raises(self):
         net = make_net([dense(np.ones((1, 2)), np.zeros(1))])
@@ -359,10 +358,10 @@ def bare_ctx(values, mask=None):
 
 class TestSparseness:
     def test_uniform_is_zero(self):
-        assert evaluate_sparseness(bare_ctx([0.3] * 5), CFG).value == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_sparseness(bare_ctx([0.3] * 5), CFG) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_hot_hand_value(self):
-        assert evaluate_sparseness(bare_ctx([0.0, 0.0, 0.0, 1.0]), CFG).value == pytest.approx(
+        assert evaluate_sparseness(bare_ctx([0.0, 0.0, 0.0, 1.0]), CFG) == pytest.approx(
             0.75, abs=1e-12
         )
 
@@ -370,91 +369,91 @@ class TestSparseness:
         rng = np.random.default_rng(14)
         for _ in range(20):
             v = rng.normal(size=6)
-            a = evaluate_sparseness(bare_ctx(v), CFG).value
-            b = evaluate_sparseness(bare_ctx(7.3 * v), CFG).value
+            a = evaluate_sparseness(bare_ctx(v), CFG)
+            b = evaluate_sparseness(bare_ctx(7.3 * v), CFG)
             assert a == pytest.approx(b, abs=1e-12)
             assert 0.0 <= a < 1.0
 
     def test_all_zero_undefined(self):
-        assert evaluate_sparseness(bare_ctx([0.0, 0.0, 0.0]), CFG).undefined
+        assert math.isnan(evaluate_sparseness(bare_ctx([0.0, 0.0, 0.0]), CFG))
 
 
 class TestComplexity:
     def test_uniform_is_log_d(self):
         est = evaluate_complexity(bare_ctx([0.25] * 4), CFG)
-        assert est.value == pytest.approx(math.log(4), abs=1e-12)
+        assert est == pytest.approx(math.log(4), abs=1e-12)
 
     def test_one_hot_is_zero(self):
-        assert evaluate_complexity(bare_ctx([0.0, 5.0, 0.0]), CFG).value == pytest.approx(
+        assert evaluate_complexity(bare_ctx([0.0, 5.0, 0.0]), CFG) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_two_equal_mass_hand_value(self):
         est = evaluate_complexity(bare_ctx([0.5, 0.5, 0.0, 0.0]), CFG)
-        assert est.value == pytest.approx(math.log(2), abs=1e-12)
+        assert est == pytest.approx(math.log(2), abs=1e-12)
 
     def test_bounds_and_scale_invariance(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             v = rng.normal(size=6)
-            a = evaluate_complexity(bare_ctx(v), CFG).value
+            a = evaluate_complexity(bare_ctx(v), CFG)
             assert 0.0 <= a <= math.log(6) + 1e-12
-            assert a == pytest.approx(evaluate_complexity(bare_ctx(2.5 * v), CFG).value, abs=1e-12)
+            assert a == pytest.approx(evaluate_complexity(bare_ctx(2.5 * v), CFG), abs=1e-12)
 
     def test_all_zero_undefined(self):
-        assert evaluate_complexity(bare_ctx([0.0, 0.0]), CFG).undefined
+        assert math.isnan(evaluate_complexity(bare_ctx([0.0, 0.0]), CFG))
 
 
 class TestLocalisation:
     def test_pointing_game_hit_and_miss(self):
         mask = np.array([False, False, True, False])
-        assert evaluate_pointing_game(bare_ctx([0.1, 0.2, 0.9, 0.0], mask), CFG).value == 1.0
+        assert evaluate_pointing_game(bare_ctx([0.1, 0.2, 0.9, 0.0], mask), CFG) == 1.0
         mask2 = np.array([True, False, False, False])
-        assert evaluate_pointing_game(bare_ctx([0.1, 0.2, 0.9, 0.0], mask2), CFG).value == 0.0
+        assert evaluate_pointing_game(bare_ctx([0.1, 0.2, 0.9, 0.0], mask2), CFG) == 0.0
 
     def test_pointing_game_tie_breaks_low_index(self):
         values = np.zeros(6)
         values[1] = values[5] = 1.0
         mask = np.zeros(6, dtype=bool)
         mask[5] = True
-        assert evaluate_pointing_game(bare_ctx(values, mask), CFG).value == 0.0
+        assert evaluate_pointing_game(bare_ctx(values, mask), CFG) == 0.0
 
     def test_rma_hand_values(self):
         mask_all = np.array([True, True, False])
         assert evaluate_relevance_mass_accuracy(
             bare_ctx([1.0, 2.0, 0.0], mask_all), CFG
-        ).value == pytest.approx(1.0, abs=1e-12)
+        ) == pytest.approx(1.0, abs=1e-12)
         mask_last = np.array([False, False, True])
         assert evaluate_relevance_mass_accuracy(
             bare_ctx([1.0, 1.0, 2.0], mask_last), CFG
-        ).value == pytest.approx(0.5, abs=1e-12)
+        ) == pytest.approx(0.5, abs=1e-12)
         mask_first = np.array([True, False, False])
         assert evaluate_relevance_mass_accuracy(
             bare_ctx([0.0, 1.0, 2.0], mask_first), CFG
-        ).value == 0.0
+        ) == 0.0
 
     def test_rma_zero_mass_undefined(self):
         mask = np.array([True, False, False])
-        assert evaluate_relevance_mass_accuracy(bare_ctx([0.0, 0.0, 0.0], mask), CFG).undefined
+        assert math.isnan(evaluate_relevance_mass_accuracy(bare_ctx([0.0, 0.0, 0.0], mask), CFG))
 
     def test_top_k_intersection(self):
         mask = np.array([True, True, False, False])
         ctx = bare_ctx([5.0, 4.0, 1.0, 0.0], mask)
-        assert evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=2)).value == 1.0
+        assert evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=2)) == 1.0
         ctx2 = bare_ctx([5.0, 0.0, 4.0, 0.0], mask)
-        assert evaluate_top_k_intersection(ctx2, EstimatorConfig(topk_k=2)).value == 0.5
+        assert evaluate_top_k_intersection(ctx2, EstimatorConfig(topk_k=2)) == 0.5
         # K = D reduces to |mask| / D
-        assert evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=4)).value == 0.5
+        assert evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=4)) == 0.5
 
     def test_rra_hand_values(self):
         mask = np.array([True, False, True, False])
         exact = bare_ctx([3.0, 0.0, 2.0, 0.0], mask)
-        assert evaluate_relevance_rank_accuracy(exact, CFG).value == 1.0
+        assert evaluate_relevance_rank_accuracy(exact, CFG) == 1.0
         disjoint = bare_ctx([0.0, 3.0, 0.0, 2.0], mask)
-        assert evaluate_relevance_rank_accuracy(disjoint, CFG).value == 0.0
+        assert evaluate_relevance_rank_accuracy(disjoint, CFG) == 0.0
         mask3 = np.array([True, True, True, False, False])
         two_hits = bare_ctx([5.0, 4.0, 0.0, 3.0, 0.0], mask3)
-        assert evaluate_relevance_rank_accuracy(two_hits, CFG).value == pytest.approx(
+        assert evaluate_relevance_rank_accuracy(two_hits, CFG) == pytest.approx(
             2.0 / 3.0, abs=1e-12
         )
 
@@ -470,7 +469,7 @@ class TestLocalisation:
             ):
                 a = fn(bare_ctx(v, mask), CFG)
                 b = fn(bare_ctx(4.2 * v, mask), CFG)
-                assert a.value == pytest.approx(b.value, abs=1e-12)
+                assert a == pytest.approx(b, abs=1e-12)
 
     def test_missing_mask_raises(self):
         with pytest.raises(ConfigError):
@@ -484,7 +483,7 @@ class TestAdversarialEstimators:
         ctx.sample_index = 4
         a = adversarial_deterministic(ctx, state)
         b = adversarial_deterministic(ctx, state)
-        assert a.value == b.value
+        assert a == b
         assert (state.values >= 0).all() and (state.values <= 1).all()
 
     def test_distribution_shift_unperturbed_far_negative(self):
@@ -492,15 +491,16 @@ class TestAdversarialEstimators:
         draws = []
         for seed in range(1000):
             ctx.seed = seed
-            draws.append(adversarial_distribution_shift(ctx, False).value)
+            draws.append(adversarial_distribution_shift(ctx))
         assert np.mean(np.asarray(draws) < -0.5) >= 0.99
 
     def test_distribution_shift_perturbed_near_zero(self):
         ctx = bare_ctx([1.0, 2.0])
+        ctx.is_perturbed = True
         draws = []
         for seed in range(1000):
             ctx.seed = seed
-            draws.append(adversarial_distribution_shift(ctx, True).value)
+            draws.append(adversarial_distribution_shift(ctx))
         assert -1.0 <= np.mean(draws) <= 2.0
 
 
@@ -541,10 +541,10 @@ class TestRegistry:
             fn = ESTIMATOR_FUNCTIONS[estimator_id]
             a = fn(make_ctx(net, x, explainer=explainer, seed=55), CFG)
             b = fn(make_ctx(net, x, explainer=explainer, seed=55), CFG)
-            assert a.value == b.value, estimator_id
+            assert a == b, estimator_id
 
     def test_no_nan_without_flag(self):
-        # undefined estimates are flagged, defined ones are finite
+        # an estimate is a float: finite, or NaN when undefined
         rng = np.random.default_rng(17)
         net = two_layer_net(rng)
         x = rng.uniform(size=4)
@@ -553,4 +553,4 @@ class TestRegistry:
         for estimator_id, fn in ESTIMATOR_FUNCTIONS.items():
             ctx = make_ctx(net, x, explainer=explainer, mask=mask, seed=9)
             est = fn(ctx, CFG)
-            assert est.undefined or np.isfinite(est.value), estimator_id
+            assert isinstance(est, float) and not math.isinf(est), estimator_id

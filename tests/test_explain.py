@@ -18,7 +18,7 @@ from xaimeta.explain import (
     explain_saliency,
     normalize,
 )
-from xaimeta.net import dense, forward, input_gradient, make_net, relu
+from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net, relu
 
 
 def random_net(rng, input_dim=4, hidden=6, num_classes=3):
@@ -67,7 +67,7 @@ class TestGradientFamily:
         net = random_net(rng)
         x = rng.normal(size=4)
         a = explain_input_x_gradient(net, x[None, :], 2)[0]
-        assert np.allclose(a, x * input_gradient(net, x, 2), atol=1e-15)
+        assert np.allclose(a, x * input_gradient_batch(net, x[None, :], 2)[0], atol=1e-15)
 
     def test_input_x_gradient_zero_input(self):
         rng = np.random.default_rng(2)
@@ -107,7 +107,7 @@ class TestIntegratedGradients:
             )
             x = rng.normal(size=4)
             a = explain_integrated_gradients(net, x[None, :], 0, cfg)[0]
-            gap = forward(net, x).logits[0] - forward(net, np.zeros(4)).logits[0]
+            gap = logits_batch(net, x[None, :])[0, 0] - logits_batch(net, np.zeros((1, 4)))[0, 0]
             if abs(gap) < 1e-3:
                 continue
             assert abs(a.sum() - gap) / abs(gap) <= 1e-3
@@ -121,7 +121,7 @@ class TestIntegratedGradients:
         for _ in range(30):
             net = random_net(rng)
             x = rng.normal(size=4)
-            gap = forward(net, x).logits[0] - forward(net, np.zeros(4)).logits[0]
+            gap = logits_batch(net, x[None, :])[0, 0] - logits_batch(net, np.zeros((1, 4)))[0, 0]
             e_lo = abs(
                 explain_integrated_gradients(net, x[None, :], 0, ExplainerConfig(ig_steps=8)).sum()
                 - gap

@@ -6,13 +6,16 @@ pins the trained weights and every per-iteration MetaVector of a small
 config with both perturbation tests to 1e-12, so numeric drift fails here.
 It also pins the per-iteration MetaVectors of `run_sanity` at N=256, K=2
 and two iterations; its synthetic explainers never touch the net, so
-batching the explain stage must leave them unchanged.
+batching the explain stage must leave them unchanged.  Last, it pins every
+cell of the desk benchmark config (N=16, D=64, K=3, one iteration, all
+eleven estimators) at one master seed.
 A change that alters the numbers on purpose (batching ulp drift, a new seed
 path) regenerates the values below and says so in CHANGES.md; the
 perturbation-blind adversary's [1, 0, 1, 0] is exact and never regenerated.
 
 To regenerate, print `get_weights(setup.net).tolist()` and, per cell,
-`[v.entries().tolist() for v in cell.per_iteration]` for the runs below.
+`[v.entries().tolist() for v in cell.per_iteration]` for the runs below
+(print floats with `repr`, so the exactly pinned desk cells round-trip).
 """
 import numpy as np
 import pytest
@@ -245,3 +248,86 @@ def test_sanity_meta_vectors():
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=str(key))
         mcs = [v.mc for v in vectors]
         np.testing.assert_allclose(mcs, np.mean(expected, axis=1), rtol=0, atol=1e-12)
+
+
+DESK_CONFIG = """
+[dataset]
+kind = blobs
+samples = 16
+features = 64
+classes = 6
+spread = 0.06
+mask = threshold
+mask_quantile = 0.75
+
+[model]
+hidden = [24]
+epochs = 20
+
+[run]
+tests = [ipt, mpt]
+k = 3
+iterations = 1
+master_seed = 7000
+
+[methods]
+use = [gradient, saliency, input_x_gradient, integrated_gradients, occlusion, gradient_shap]
+
+[methods.integrated_gradients]
+ig_steps = 32
+
+[methods.gradient_shap]
+shap_samples = 5
+
+[estimators]
+use = [faithfulness_correlation, pixel_flipping, max_sensitivity, local_lipschitz, model_parameter_randomisation, random_logit, sparseness, complexity, pointing_game, relevance_mass_accuracy, adversarial_deterministic]
+
+[estimators.faithfulness_correlation]
+fc_runs = 50
+
+[perturb.ipt.disruptive]
+alpha = -1.0
+beta = 1.0
+"""
+
+# The desk benchmark config (N=16, D=64, K=3, one iteration) at master seed
+# 7000: (estimator, test) -> [iac_nr, iac_ar (reverse-scored), iec_nr, iec_ar].
+# Estimators that draw no random numbers of their own are pinned exactly;
+# the rest to 1e-12.
+DESK_CELLS = {
+    ("adversarial_deterministic", "ipt"): [1.0, 0.0, 1.0, 0.0],
+    ("adversarial_deterministic", "mpt"): [1.0, 0.0, 1.0, 0.0],
+    ("complexity", "ipt"): [0.7983788384331598, 0.7667321099175347, 0.9791666666666666, 0.4166666666666667],
+    ("complexity", "mpt"): [0.4506717258029514, 0.7984212239583334, 1.0, 0.22916666666666666],
+    ("faithfulness_correlation", "ipt"): [0.5499369303385416, 0.9273935953776041, 1.0, 0.3541666666666667],
+    ("faithfulness_correlation", "mpt"): [0.407318115234375, 0.5404324001736112, 0.9791666666666666, 0.5625],
+    ("local_lipschitz", "ipt"): [0.45639546712239576, 0.606653849283854, 1.0, 0.375],
+    ("local_lipschitz", "mpt"): [0.46234809027777785, 0.757171630859375, 1.0, 0.8020833333333334],
+    ("max_sensitivity", "ipt"): [0.5262993706597222, 0.8977118598090278, 0.9791666666666666, 0.1875],
+    ("max_sensitivity", "mpt"): [0.3535732693142361, 0.8737640380859375, 1.0, 0.90625],
+    ("model_parameter_randomisation", "ipt"): [0.8121812608506945, 0.47341579861111105, 1.0, 0.4583333333333333],
+    ("model_parameter_randomisation", "mpt"): [0.5370466444227431, 0.5974002414279513, 1.0, 0.4583333333333333],
+    ("pixel_flipping", "ipt"): [0.4969753689236111, 0.9925689697265625, 0.9166666666666666, 0.03125],
+    ("pixel_flipping", "mpt"): [0.45502387152777773, 0.9996744791666666, 0.9479166666666666, 0.010416666666666666],
+    ("pointing_game", "ipt"): [1.0, 0.7715928819444444, 1.0, 0.6458333333333334],
+    ("pointing_game", "mpt"): [1.0, 0.7798529730902778, 1.0, 0.6666666666666666],
+    ("random_logit", "ipt"): [0.7724117702907987, 0.3923967149522569, 0.9791666666666666, 0.5],
+    ("random_logit", "mpt"): [0.6481814914279515, 0.8675740559895834, 1.0, 0.7916666666666666],
+    ("relevance_mass_accuracy", "ipt"): [0.7394866943359375, 0.8048146565755209, 1.0, 0.8125],
+    ("relevance_mass_accuracy", "mpt"): [0.20952351888020837, 0.8877902560763888, 1.0, 0.90625],
+    ("sparseness", "ipt"): [0.7860158284505209, 0.8828514946831597, 0.9791666666666666, 0.3020833333333333],
+    ("sparseness", "mpt"): [0.3077036539713542, 0.7048780653211806, 1.0, 0.21875],
+}
+DESK_EXACT = {"sparseness", "complexity", "pointing_game", "relevance_mass_accuracy", "adversarial_deterministic"}
+
+
+def test_desk_meta_vectors():
+    setup = build_setup(config_from_tables(parse_tables(DESK_CONFIG)))
+    results = run_meta_evaluation(setup)
+    assert set(results) == set(DESK_CELLS)
+    for key, expected in DESK_CELLS.items():
+        (vector,) = results[key].per_iteration
+        if key[0] in DESK_EXACT:
+            assert vector.entries().tolist() == expected, key
+        else:
+            np.testing.assert_allclose(vector.entries(), expected, rtol=0, atol=1e-12, err_msg=str(key))

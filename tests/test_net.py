@@ -5,16 +5,15 @@ from xaimeta.net import (
     Net,
     accuracy,
     dense,
-    forward,
     get_weights,
     init_net,
-    input_gradient,
     input_gradient_batch,
     logits_batch,
     make_net,
     predict_labels,
     relu,
     set_weights,
+    softmax,
     train_tiny,
 )
 
@@ -32,6 +31,14 @@ def random_net(rng, input_dim=None, hidden=None, num_classes=None):
     )
 
 
+def row_logits(net, x):
+    return logits_batch(net, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def row_gradient(net, x, class_index):
+    return input_gradient_batch(net, np.asarray(x, dtype=float)[None, :], class_index)[0]
+
+
 def finite_difference_gradient(net, x, class_index, h=1e-4):
     """Central differences of the class logit, the independent oracle."""
     g = np.zeros_like(x)
@@ -40,23 +47,19 @@ def finite_difference_gradient(net, x, class_index, h=1e-4):
         lo = x.copy()
         hi[i] += h
         lo[i] -= h
-        g[i] = (forward(net, hi).logits[class_index] - forward(net, lo).logits[class_index]) / (
-            2 * h
-        )
+        g[i] = (row_logits(net, hi)[class_index] - row_logits(net, lo)[class_index]) / (2 * h)
     return g
 
 
 class TestForward:
     def test_identity_single_layer(self):
         net = make_net([dense(np.eye(2), np.zeros(2))])
-        pred = forward(net, [1.0, 2.0])
-        assert pred.logits.tolist() == [1.0, 2.0]
-        assert pred.label == 1
+        assert row_logits(net, [1.0, 2.0]).tolist() == [1.0, 2.0]
+        assert predict_labels(net, np.array([[1.0, 2.0]])).tolist() == [1]
 
     def test_symmetric_logits_give_half_probs(self):
         net = make_net([dense(np.zeros((2, 2)), np.zeros(2))])
-        pred = forward(net, [3.0, -1.0])
-        assert pred.probs.tolist() == [0.5, 0.5]
+        assert softmax(row_logits(net, [3.0, -1.0])).tolist() == [0.5, 0.5]
 
     def test_two_layer_hand_composition(self):
         # W1 = [[1,0],[0,-1]], relu, W2 = [[1,1]] on x = [2,3]:
@@ -69,33 +72,33 @@ class TestForward:
                 dense([[1.0, 1.0], [0.0, 0.0]], [0.0, 0.0]),
             ]
         )
-        pred = forward(net, [2.0, 3.0])
-        assert pred.logits[0] == 2.0
-        assert pred.label == 0
+        assert row_logits(net, [2.0, 3.0])[0] == 2.0
+        assert predict_labels(net, np.array([[2.0, 3.0]])).tolist() == [0]
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             net = random_net(rng)
             x = rng.normal(size=net.input_dim) * 10
-            pred = forward(net, x)
-            assert abs(pred.probs.sum() - 1.0) < 1e-9
-            assert (pred.probs > 0).all()
-            assert pred.label == int(np.argmax(pred.logits))
+            logits = row_logits(net, x)
+            probs = softmax(logits)
+            assert abs(probs.sum() - 1.0) < 1e-9
+            assert (probs > 0).all()
+            assert predict_labels(net, x[None, :])[0] == int(np.argmax(logits))
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(2)
         net = random_net(rng)
         x = rng.normal(size=net.input_dim)
-        a = forward(net, x)
-        b = forward(net, x)
-        assert np.array_equal(a.logits, b.logits)
-        assert np.array_equal(a.probs, b.probs)
+        a = row_logits(net, x)
+        b = row_logits(net, x)
+        assert np.array_equal(a, b)
+        assert np.array_equal(softmax(a), softmax(b))
 
     def test_shape_mismatch_raises(self):
         net = make_net([dense(np.eye(2), np.zeros(2))])
         with pytest.raises(ValueError):
-            forward(net, [1.0, 2.0, 3.0])
+            logits_batch(net, np.array([[1.0, 2.0, 3.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_raise(self, bad):
@@ -105,8 +108,6 @@ class TestForward:
             lambda: logits_batch(net, X),
             lambda: predict_labels(net, X),
             lambda: input_gradient_batch(net, X, 0),
-            lambda: forward(net, X[1]),
-            lambda: input_gradient(net, X[1], 0),
         ):
             with pytest.raises(ValueError, match="finite"):
                 call()
@@ -125,7 +126,7 @@ class TestInputGradient:
     def test_linear_model_gradient_is_weight_row(self):
         W = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
         net = make_net([dense(W, np.zeros(2))])
-        g = input_gradient(net, [0.3, 0.4, 0.5], 1)
+        g = row_gradient(net, [0.3, 0.4, 0.5], 1)
         assert np.array_equal(g, W[1])
 
     def test_dead_relu_blocks_gradient(self):
@@ -137,7 +138,7 @@ class TestInputGradient:
                 dense([[1.0, 1.0], [0.0, 0.0]], [0.0, 0.0]),
             ]
         )
-        g = input_gradient(net, [1.0, 2.0], 0)
+        g = row_gradient(net, [1.0, 2.0], 0)
         assert g[0] == 0.0
         assert g[1] == 1.0
 
@@ -148,7 +149,7 @@ class TestInputGradient:
             net = random_net(rng)
             x = rng.normal(size=net.input_dim)
             c = int(rng.integers(net.num_classes))
-            g = input_gradient(net, x, c)
+            g = row_gradient(net, x, c)
             g_fd = finite_difference_gradient(net, x, c)
             scale = max(np.linalg.norm(g_fd), 1e-8)
             if np.linalg.norm(g_fd) < 1e-6:
@@ -159,7 +160,7 @@ class TestInputGradient:
     def test_class_out_of_range(self):
         net = make_net([dense(np.eye(2), np.zeros(2))])
         with pytest.raises(IndexError):
-            input_gradient(net, [1.0, 1.0], 2)
+            row_gradient(net, [1.0, 1.0], 2)
 
 
 class TestWeightVector:
@@ -180,14 +181,14 @@ class TestWeightVector:
         net0 = set_weights(net, np.zeros_like(get_weights(net)))
         for _ in range(5):
             x = rng.normal(size=net.input_dim)
-            assert np.array_equal(forward(net0, x).logits, np.zeros(net.num_classes))
+            assert np.array_equal(row_logits(net0, x), np.zeros(net.num_classes))
 
     def test_unit_scale_preserves_predictions(self):
         rng = np.random.default_rng(5)
         net = random_net(rng)
         net1 = set_weights(net, get_weights(net) * 1.0)
         x = rng.normal(size=net.input_dim)
-        assert forward(net, x).label == forward(net1, x).label
+        assert predict_labels(net, x[None, :])[0] == predict_labels(net1, x[None, :])[0]
 
     def test_non_finite_parameters_rejected(self):
         net = make_net([dense(np.eye(2), np.zeros(2))])

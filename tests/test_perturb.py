@@ -5,9 +5,10 @@ from xaimeta.errors import PerturbationInfeasibleError
 from xaimeta.estimators import (
     EstimatorConfig,
     EvalContext,
+    Scorer,
     make_scorer,
 )
-from xaimeta.explain import Attribution, ExplainerConfig, build_explainer
+from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import dense, make_net, predict_labels, train_tiny
 from xaimeta.perturb import (
     PerturbSpec,
@@ -215,14 +216,14 @@ class TestCollect:
                     net=net,
                     x=X4[i],
                     label=int(labels[i]),
-                    attribution=Attribution(base[i], method_id),
+                    attribution=base[i],
                     explainer=explainer,
                     dataset_bounds=(0.0, 1.0),
                     seed=seed_ij,
                     sample_index=i,
                 )
                 expected = evaluate_faithfulness_correlation(ctx, cfg)
-                assert matrix.unperturbed[i] == expected.value
+                assert matrix.unperturbed[i] == expected
                 for k in range(2):
                     case = cases[k][i]
                     assert case.compliant == result.compliant[i, k]
@@ -232,14 +233,15 @@ class TestCollect:
                         net=net,
                         x=case.payload,
                         label=int(labels[i]),
-                        attribution=Attribution(columns[k][i], method_id),
+                        attribution=columns[k][i],
                         explainer=explainer,
                         dataset_bounds=(0.0, 1.0),
                         seed=seed_ij,
                         sample_index=i,
+                        is_perturbed=True,
                     )
                     expected = evaluate_faithfulness_correlation(ctx, cfg)
-                    assert matrix.perturbed[i, k] == expected.value
+                    assert matrix.perturbed[i, k] == expected
 
     def test_collect_deterministic(self, trained):
         net, X = trained
@@ -260,3 +262,41 @@ class TestCollect:
         for matrix in result.per_method.values():
             assert np.isfinite(matrix.perturbed[matrix.retained]).all()
             assert np.isnan(matrix.perturbed[~matrix.retained]).all()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda masks: masks[:, :1],  # wrong width
+            lambda masks: masks[:-1],  # fewer rows than samples
+            lambda masks: np.vstack([masks[:-1], np.zeros((1, masks.shape[1]), dtype=bool)]),
+        ],
+        ids=["wrong_width", "wrong_rows", "all_false_row"],
+    )
+    def test_bad_masks_rejected_before_scoring(self, trained, bad):
+        net, X = trained
+        calls = []
+        counted = Scorer("pointing_game", "higher_better", calls.append)
+        masks = bad(np.ones((6, X.shape[1]), dtype=bool))
+        with pytest.raises(ValueError, match="masks"):
+            collect(
+                net, X[:6], simple_methods(), counted, input_spec("minor", seed=6), K=1,
+                bounds=(0.0, 1.0), masks=masks,
+            )
+        assert calls == []
+
+    def test_masks_cast_to_bool_rows(self, trained):
+        net, X = trained
+        seen = []
+        scorer = make_scorer("pointing_game", EstimatorConfig())
+
+        def record(ctx):
+            seen.append(ctx.mask)
+            return scorer(ctx)
+
+        masks = [[1, 0]] * 6  # int lists, not a bool array
+        counted = Scorer(scorer.estimator_id, scorer.direction, record)
+        collect(
+            net, X[:6], simple_methods(), counted, input_spec("minor", seed=6), K=1,
+            bounds=(0.0, 1.0), masks=masks,
+        )
+        assert seen and all(m.dtype == bool and m.tolist() == [True, False] for m in seen)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xaimeta.stats import (
+    EXACT_LIMIT,
     average_ranks,
     pearson,
     rank_descending,
@@ -150,6 +151,50 @@ class TestCorrelation:
             base = spearman(a, b)
             assert spearman(np.exp(a), b) == pytest.approx(base, abs=1e-12)
             assert spearman(a, 3.0 * b + 2.0) == pytest.approx(base, abs=1e-12)
+
+
+class TestScipyOracle:
+    """Cross-checks against scipy.stats, an optional test-only dependency."""
+
+    def test_wilcoxon_exact_regime(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(2, EXACT_LIMIT + 1))
+            a, b = rng.normal(size=n), rng.normal(size=n)
+            expected = scipy_stats.wilcoxon(a, b, method="exact").pvalue
+            assert wilcoxon_signed_rank(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_wilcoxon_approx_regime_with_ties_and_zeros(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(42)
+        checked = 0
+        while checked < 300:
+            n = int(rng.integers(EXACT_LIMIT + 1, 80))
+            # one decimal place makes tied differences common; equal pairs give zeros
+            a = np.round(rng.normal(size=n), 1)
+            b = np.round(rng.normal(size=n), 1)
+            zeros = int(rng.integers(0, 6))
+            b[:zeros] = a[:zeros]
+            if np.count_nonzero(a - b) <= EXACT_LIMIT:
+                continue  # the implementation would switch to the exact regime
+            expected = scipy_stats.wilcoxon(a, b, method="approx", correction=True).pvalue
+            assert wilcoxon_signed_rank(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+            checked += 1
+
+    def test_spearman_on_tie_heavy_vectors(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(43)
+        checked = 0
+        while checked < 300:
+            n = int(rng.integers(3, 30))
+            a = rng.integers(0, 4, size=n).astype(float)
+            b = rng.integers(0, 3, size=n).astype(float)
+            if np.ptp(a) == 0 or np.ptp(b) == 0:
+                continue  # constant input: both sides are undefined
+            expected = scipy_stats.spearmanr(a, b).statistic
+            assert spearman(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+            checked += 1
 
 
 class TestRanks:
