@@ -54,8 +54,9 @@ class EstimatorConfig:
     """Estimator hyperparameters; None means "derive the default from D".
 
     Subset and step sizes default to 2*sqrt(D) features; the robustness
-    radius defaults to a tenth of the dataset range; top-k defaults to the
-    mask cardinality.
+    radius defaults to a tenth of the dataset range, and a radius that is set
+    must be finite and positive; top-k defaults to the mask cardinality.
+    Faithfulness correlation needs fc_runs >= 2 runs to correlate.
     """
 
     fc_subset_size: int | None = None
@@ -69,8 +70,14 @@ class EstimatorConfig:
     direction: str | None = None  # override of the registry direction
 
     def __post_init__(self):
-        if self.fc_runs < 1 or self.robustness_runs < 1:
-            raise ValueError("run counts must be >= 1")
+        if self.robustness_runs < 1:
+            raise ValueError("robustness_runs must be >= 1")
+        if self.fc_runs < 2:
+            raise ValueError("fc_runs must be >= 2: a correlation needs two runs")
+        if self.robustness_radius is not None and not (
+            math.isfinite(self.robustness_radius) and self.robustness_radius > 0
+        ):
+            raise ValueError(f"robustness_radius {self.robustness_radius} must be finite and > 0")
         for name in ("fc_baseline", "pf_baseline"):
             if getattr(self, name) not in ("black", "uniform", "mean"):
                 raise ValueError(f"{name} must be one of black/uniform/mean")
@@ -105,14 +112,14 @@ def _default_block(d: int) -> int:
     return max(1, min(d, int(round(2 * math.sqrt(d)))))
 
 
-def _baseline_values(kind, indices, ctx, rng):
+def _baseline_values(kind, shape, ctx, rng):
     lo, hi = ctx.dataset_bounds
     if kind == "black":
-        return np.full(len(indices), lo)
+        return np.full(shape, lo)
     if kind == "mean":
         mean = ctx.dataset_mean if ctx.dataset_mean is not None else float(ctx.x.mean())
-        return np.full(len(indices), mean)
-    return rng.uniform(lo, hi, size=len(indices))
+        return np.full(shape, mean)
+    return rng.uniform(lo, hi, size=shape)
 
 
 # --- faithfulness -----------------------------------------------------------
@@ -124,22 +131,24 @@ def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) ->
     Random feature subsets (without replacement within a subset) are replaced
     by the configured baseline; the correlation is taken over cfg.fc_runs
     subsets.  Undefined when either series has zero variance.
+
+    The "fc" stream is drawn twice: `random((fc_runs, D))` keys, whose
+    row-wise argsort keeps its first `size` columns as run r's subset (a
+    uniform subset without replacement), then the `(fc_runs, size)` baseline
+    fills.  One forward pass scores `fc_runs + 1` rows: row 0 is the input,
+    whose logit is the base of every drop, and row r + 1 the input with
+    subset r replaced.
     """
     rng = derive_rng("fc", ctx.seed)
     d = ctx.x.size
     size = cfg.subset_size(d)
-    base_logit = logits_batch(ctx.net, ctx.x[None, :])[0, ctx.label]
-    subsets = np.empty((cfg.fc_runs, size), dtype=np.int64)
-    fills = np.empty((cfg.fc_runs, size))
-    # choice and uniform draws interleave on one stream, so draw run by run
-    for r in range(cfg.fc_runs):
-        subsets[r] = rng.choice(d, size=size, replace=False)
-        fills[r] = _baseline_values(cfg.fc_baseline, subsets[r], ctx, rng)
+    subsets = np.argsort(rng.random((cfg.fc_runs, d)), axis=1)[:, :size]
+    fills = _baseline_values(cfg.fc_baseline, subsets.shape, ctx, rng)
     attr_sums = ctx.attribution[subsets].sum(axis=1)
-    masked = np.repeat(ctx.x[None, :], cfg.fc_runs, axis=0)
-    np.put_along_axis(masked, subsets, fills, axis=1)
-    drops = base_logit - logits_batch(ctx.net, masked)[:, ctx.label]
-    return stats.pearson(attr_sums, drops)
+    masked = np.repeat(ctx.x[None, :], cfg.fc_runs + 1, axis=0)
+    np.put_along_axis(masked[1:], subsets, fills, axis=1)
+    logits = logits_batch(ctx.net, masked)[:, ctx.label]
+    return stats.pearson(attr_sums, logits[0] - logits[1:])
 
 
 def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> float:
@@ -158,7 +167,7 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     curve = np.repeat(ctx.x[None, :], len(starts) + 1, axis=0)
     for j, start in enumerate(starts, start=1):
         block = order[start : start + step]
-        curve[j:, block] = _baseline_values(cfg.pf_baseline, block, ctx, rng)
+        curve[j:, block] = _baseline_values(cfg.pf_baseline, len(block), ctx, rng)
     xs = [0.0] + [min(start + step, d) / d for start in starts]
     ys = softmax(logits_batch(ctx.net, curve))[:, ctx.label]
     return stats.trapezoid_auc(xs, ys)

@@ -142,6 +142,31 @@ class TestBenchmarkCommand:
         assert f"configuration error: [estimators.{estimator}]" in err
         assert f"{key} 100 outside [1, 16]" in err
 
+    @pytest.mark.parametrize(
+        "estimator, setting",
+        [
+            ("faithfulness_correlation", "fc_runs = 1"),
+            ("max_sensitivity", "robustness_radius = 0.0"),
+            ("max_sensitivity", "robustness_radius = -0.1"),
+        ],
+        ids=["fc_runs_1", "radius_zero", "radius_negative"],
+    )
+    def test_degenerate_estimator_setting_is_config_error_before_training(
+        self, tmp_path, capsys, monkeypatch, estimator, setting
+    ):
+        # each of these used to train the net and then exit 2 mid-run
+        def no_training(*args, **kwargs):
+            raise AssertionError("the net was trained before the config was checked")
+
+        monkeypatch.setattr(runner, "build_net", no_training)
+        text = QUICK_BENCH.replace("use = [sparseness, complexity]", f"use = [sparseness, {estimator}]")
+        text += f"\n[estimators.{estimator}]\n{setting}\n"
+        config = write_config(tmp_path, text, out=tmp_path / "out")
+        assert main(["benchmark", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: [estimators.{estimator}]" in err
+        assert setting.split(" = ")[0] in err
+
     def test_parallel_jobs_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out"))
         with pytest.raises(ValueError, match="jobs"):

@@ -53,6 +53,31 @@ class TestIac:
             iac(u, p, retained)
 
 
+@st.composite
+def monotone_images(draw):
+    """(A, B, f(A), f(B)) for two (N, L) score matrices and one strictly
+    increasing map f, drawn over the distinct values of both matrices."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(2, 4)))
+    # a few shared values next to arbitrary ones, so rows carry exact ties
+    values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5]), st.floats(-1e6, 1e6))
+    a, b = (draw(arrays(np.float64, shape, elements=values)) for _ in range(2))
+    distinct = np.unique(np.concatenate([a.ravel(), b.ravel()]))
+    steps = draw(arrays(np.float64, distinct.size, elements=st.floats(1e-3, 1e3)))
+    image = draw(st.floats(-1e6, 1e6)) + np.cumsum(steps)
+
+    def f(m):
+        return image[np.searchsorted(distinct, m)]
+
+    return a, b, f(a), f(b)
+
+
+def _mapped_draws(seed, f):
+    # two fixed (5, 3) normal matrices and their images under f
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    return a, b, f(a), f(b)
+
+
 class TestIecMinor:
     def test_identical_matrices_give_one(self):
         rng = np.random.default_rng(1)
@@ -63,14 +88,13 @@ class TestIecMinor:
         q = np.array([[3.0, 2.0, 1.0]])
         assert iec_minor(q, q[:, ::-1]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_invariant_under_shared_monotone_transform(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            q = rng.normal(size=(5, 3))
-            qm = rng.normal(size=(5, 3))
-            base = iec_minor(q, qm)
-            assert iec_minor(np.exp(q), np.exp(qm)) == pytest.approx(base, abs=1e-12)
-            assert iec_minor(3 * q + 1, 3 * qm + 1) == pytest.approx(base, abs=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(monotone_images())
+    @example(_mapped_draws(2, np.exp))
+    @example(_mapped_draws(2, lambda a: 3 * a + 1))
+    def test_invariant_under_shared_monotone_transform(self, case):
+        q, qm, fq, fqm = case
+        assert iec_minor(fq, fqm) == iec_minor(q, qm)
 
     def test_needs_two_methods(self):
         with pytest.raises(ValueError):
@@ -93,13 +117,13 @@ class TestIecDisruptive:
         assert iec_disruptive(q, q.copy(), lower_better=False) == 0.0
         assert iec_disruptive(q, q.copy(), lower_better=True) == 0.0
 
-    def test_invariant_under_shared_positive_affine(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            q = rng.normal(size=(5, 3))
-            qd = rng.normal(size=(5, 3))
-            base = iec_disruptive(q, qd)
-            assert iec_disruptive(2.5 * q + 7, 2.5 * qd + 7) == base
+    @settings(max_examples=200, deadline=None)
+    @given(monotone_images(), st.booleans())
+    @example(_mapped_draws(3, lambda a: 2.5 * a + 7), False)
+    @example(_mapped_draws(3, lambda a: 2.5 * a + 7), True)
+    def test_invariant_under_shared_monotone_transform(self, case, lower_better):
+        q, qd, fq, fqd = case
+        assert iec_disruptive(fq, fqd, lower_better) == iec_disruptive(q, qd, lower_better)
 
 
 class TestMetaVector:

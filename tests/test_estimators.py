@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xaimeta.estimators as estimators_module
 from xaimeta.errors import ConfigError
 from xaimeta.estimators import (
     DIRECTIONS,
@@ -34,6 +35,21 @@ from xaimeta.seeding import derive_rng
 from xaimeta.stats import spearman
 
 CFG = EstimatorConfig()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"fc_runs": 1},
+        {"robustness_radius": 0.0},
+        {"robustness_radius": -0.1},
+        {"robustness_radius": math.inf},
+        {"robustness_radius": math.nan},
+    ],
+)
+def test_config_rejects_degenerate_run_counts_and_radii(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        EstimatorConfig(**kwargs)
 
 
 def linear_net(W, bias=None):
@@ -120,6 +136,91 @@ class TestFaithfulnessCorrelation:
             make_ctx(net, x, explainer=explainer, seed=5), CFG
         )
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_matches_replayed_draw_oracle(self, seed):
+        # replay the documented draw: (runs, d) keys -> row-wise argsort ->
+        # first `size` columns, then one (runs, size) fill call; the base
+        # logit and every masked row get a forward pass of their own
+        rng = np.random.default_rng(seed)
+        net = two_layer_net(rng, d=8)
+        x = rng.uniform(size=8)
+        values = rng.normal(size=8)
+        cfg = EstimatorConfig(fc_subset_size=3, fc_runs=12)
+        est = evaluate_faithfulness_correlation(make_ctx(net, x, values=values, seed=seed), cfg)
+
+        oracle_rng = derive_rng("fc", seed)
+        keys = oracle_rng.random((12, 8))
+        fills = oracle_rng.uniform(0.0, 1.0, size=(12, 3))
+        base = logits_batch(net, x[None, :])[0, 0]
+        sums, drops = [], []
+        for r in range(12):
+            subset = np.argsort(keys[r])[:3]
+            masked = x.copy()
+            masked[subset] = fills[r]
+            sums.append(values[subset].sum())
+            drops.append(base - logits_batch(net, masked[None, :])[0, 0])
+        assert est == pytest.approx(np.corrcoef(sums, drops)[0, 1], abs=1e-12)
+
+    @staticmethod
+    def below_bounds_ctx(d, seed, bounds=(0.0, 1.0)):
+        # x lies below the dataset bounds, so every fill differs from the
+        # feature it replaces and the changed entries are exactly the subset
+        net = linear_net(np.ones((2, d)))
+        x = np.full(d, bounds[0] - 1.0)
+        return make_ctx(net, x, values=np.arange(d, dtype=float), seed=seed, bounds=bounds)
+
+    @staticmethod
+    def replaced(ctx, cfg):
+        """The (runs, D) mask of replaced features and the masked rows, from
+        the one batch the estimator scores (row 0 is the input itself)."""
+        batches = []
+
+        def spy(net, X):
+            batches.append(np.array(X))
+            return logits_batch(net, X)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators_module, "logits_batch", spy)
+            evaluate_faithfulness_correlation(ctx, cfg)
+        (batch,) = batches
+        assert batch.shape == (cfg.fc_runs + 1, ctx.x.size)
+        assert np.array_equal(batch[0], ctx.x)
+        return batch[1:] != ctx.x, batch[1:]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d_size=st.integers(1, 40).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+        runs=st.integers(2, 60),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_subsets_distinct_and_fills_in_bounds(self, d_size, runs, lo, width, seed):
+        d, size = d_size
+        ctx = self.below_bounds_ctx(d, seed, bounds=(lo, lo + width))
+        changed, rows = self.replaced(ctx, EstimatorConfig(fc_subset_size=size, fc_runs=runs))
+        # each row replaces exactly `size` distinct features of [0, d)
+        assert (changed.sum(axis=1) == size).all()
+        fills = rows[changed]
+        assert ((fills >= lo) & (fills <= lo + width)).all()
+
+    def test_inclusion_rate_is_uniform(self):
+        d, size, runs = 10, 3, 4000
+        ctx = self.below_bounds_ctx(d, seed=11)
+        changed, _ = self.replaced(ctx, EstimatorConfig(fc_subset_size=size, fc_runs=runs))
+        p = size / d
+        stderr = math.sqrt(p * (1 - p) / runs)
+        assert np.all(np.abs(changed.mean(axis=0) - p) < 5 * stderr)
+
+    @pytest.mark.parametrize("baseline, fill", [("black", 0.0), ("mean", 0.4)])
+    def test_black_and_mean_fills_are_constant(self, baseline, fill):
+        ctx = self.below_bounds_ctx(12, seed=3)
+        ctx.dataset_mean = 0.4
+        cfg = EstimatorConfig(fc_subset_size=4, fc_runs=20, fc_baseline=baseline)
+        changed, rows = self.replaced(ctx, cfg)
+        assert (changed.sum(axis=1) == 4).all()
+        assert (rows[changed] == fill).all()
 
 
 class TestPixelFlipping:
@@ -258,12 +359,13 @@ class TestLocalLipschitz:
         d=st.integers(1, 2),
         corner=st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=2),
         runs=st.integers(1, 6),
-        radius=st.sampled_from([0.0, 0.05, 0.3]),
+        radius=st.sampled_from([1e-14, 0.05, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_degenerate_draws_match_per_draw_oracle(self, d, corner, runs, radius, seed):
         # x on a bound: a draw pointing outward on every feature clips to x
-        # itself (probability 2^-d), and radius 0 makes every draw degenerate
+        # itself (probability 2^-d), and radius 1e-14 makes every draw
+        # degenerate (radius 0 is a config error)
         net = two_layer_net(np.random.default_rng(seed % 1000), d=d)
         explainer = build_explainer("gradient", ExplainerConfig())
         ctx = make_ctx(net, corner[:d], explainer=explainer, seed=seed)

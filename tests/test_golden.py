@@ -121,12 +121,12 @@ CELLS = {('adversarial_deterministic', 'ipt'): [
         [1.0, 0.0, 1.0, 0.0],
     ],
     ('faithfulness_correlation', 'ipt'): [
-        [0.3281758626302083, 0.7864176432291666, 1.0, 0.2916666666666667],
-        [0.5092112223307291, 0.5765279134114583, 1.0, 0.3541666666666667],
+        [0.6585845947265625, 0.6880544026692708, 1.0, 0.4166666666666667],
+        [0.5380350748697916, 0.5377553304036458, 1.0, 0.3125],
     ],
     ('faithfulness_correlation', 'mpt'): [
-        [0.485107421875, 0.3059844970703125, 0.9583333333333334, 0.5416666666666666],
-        [0.3070576985677083, 0.3824310302734375, 1.0, 0.5],
+        [0.5292205810546875, 0.512542724609375, 1.0, 0.4583333333333333],
+        [0.68408203125, 0.36644999186197913, 1.0, 0.4791666666666667],
     ],
     ('max_sensitivity', 'ipt'): [
         [0.3416239420572917, 0.5921529134114583, 1.0, 0.3958333333333333],
@@ -299,8 +299,8 @@ DESK_CELLS = {
     ("adversarial_deterministic", "mpt"): [1.0, 0.0, 1.0, 0.0],
     ("complexity", "ipt"): [0.7983788384331598, 0.7667321099175347, 0.9791666666666666, 0.4166666666666667],
     ("complexity", "mpt"): [0.4506717258029514, 0.7984212239583334, 1.0, 0.22916666666666666],
-    ("faithfulness_correlation", "ipt"): [0.5499369303385416, 0.9273935953776041, 1.0, 0.3541666666666667],
-    ("faithfulness_correlation", "mpt"): [0.407318115234375, 0.5404324001736112, 0.9791666666666666, 0.5625],
+    ("faithfulness_correlation", "ipt"): [0.567840576171875, 0.9368913438585069, 1.0, 0.3229166666666667],
+    ("faithfulness_correlation", "mpt"): [0.4041612413194445, 0.5306667751736112, 1.0, 0.625],
     ("local_lipschitz", "ipt"): [0.45639546712239576, 0.606653849283854, 1.0, 0.375],
     ("local_lipschitz", "mpt"): [0.46234809027777785, 0.757171630859375, 1.0, 0.8020833333333334],
     ("max_sensitivity", "ipt"): [0.5262993706597222, 0.8977118598090278, 0.9791666666666666, 0.1875],
