@@ -25,7 +25,7 @@ from .errors import (
 from .estimators import EstimatorConfig, EvalContext, make_scorer
 from .explain import ExplainerConfig, build_explainer, normalize
 from .net import Net, get_weights, set_weights, train_tiny
-from .perturb import EstimateMatrix, PerturbSpec, collect, input_spec, ipt_sample, model_spec, mpt_sample
+from .perturb import EstimateMatrix, PerturbSpec, collect, ipt_sample, mpt_sample, perturb_spec
 from .runconfig import RunConfig, load_config
 from .runner import run_benchmark, run_convergence, run_hpo, run_sanity, run_train
 

@@ -18,11 +18,18 @@ from . import stats
 from .errors import MetaEvaluationError
 from .estimators import LOWER_BETTER, EstimatorConfig, make_scorer
 from .net import Net
-from .perturb import DISRUPTIVE, MINOR, CollectResult, collect, input_spec, model_spec
+from .perturb import (
+    DEFAULT_WINDOWS,
+    DISRUPTIVE,
+    IPT,
+    MINOR,
+    MPT,
+    CollectResult,
+    collect,
+    perturb_spec,
+)
 from .seeding import derive_seed
 
-IPT = "ipt"
-MPT = "mpt"
 CRITERIA = ("iac_nr", "iac_ar", "iec_nr", "iec_ar")
 
 
@@ -51,21 +58,19 @@ def meta_vector(iac_nr, iac_ar_raw, iec_nr, iec_ar, test="", estimator_id="") ->
     return MetaVector(*entries, mc=float(np.mean(entries)), test=test, estimator_id=estimator_id)
 
 
-def iac(unperturbed, perturbed, retained, unperturbed_ok=None) -> float:
+def iac(unperturbed, perturbed) -> float:
     """Mean two-sided Wilcoxon p-value between the unperturbed scores and
-    each perturbed column, over retained pairs only.
+    each perturbed column, over the pairs where both scores are finite.
 
     Columns with fewer than two usable pairs are skipped; if every column is
     degenerate the criterion is undefined and the run errors out.
     """
     unperturbed = np.asarray(unperturbed, dtype=np.float64)
     perturbed = np.asarray(perturbed, dtype=np.float64)
-    retained = np.asarray(retained, dtype=bool)
-    if unperturbed_ok is None:
-        unperturbed_ok = np.ones(unperturbed.size, dtype=bool)
+    usable = np.isfinite(perturbed) & np.isfinite(unperturbed)[:, None]
     ps = []
     for k in range(perturbed.shape[1]):
-        pairs = retained[:, k] & unperturbed_ok
+        pairs = usable[:, k]
         if pairs.sum() < 2:
             continue
         ps.append(stats.wilcoxon_signed_rank(unperturbed[pairs], perturbed[pairs, k]))
@@ -107,16 +112,16 @@ def ranking_matrices(result: CollectResult):
     Perturbed scores are averaged over retained draws; samples without a
     full row across methods (dropped) are excluded from both matrices.
     """
-    method_ids = list(result.per_method)
-    n = result.per_method[method_ids[0]].unperturbed.size
-    keep = [i for i in range(n) if i not in set(result.dropped)]
-    qbar = np.empty((len(keep), len(method_ids)))
+    matrices = list(result.per_method.values())
+    dropped = set(result.dropped)
+    keep = [i for i in range(matrices[0].unperturbed.size) if i not in dropped]
+    qbar = np.empty((len(keep), len(matrices)))
     qbar_prime = np.empty_like(qbar)
-    for j, method_id in enumerate(method_ids):
-        matrix = result.per_method[method_id]
+    for j, matrix in enumerate(matrices):
+        qbar[:, j] = matrix.unperturbed[keep]
+        retained = np.isfinite(matrix.perturbed)
         for row, i in enumerate(keep):
-            qbar[row, j] = matrix.unperturbed[i]
-            draws = matrix.perturbed[i, matrix.retained[i]]
+            draws = matrix.perturbed[i, retained[i]]
             # the mean of identical draws is that value exactly; bypassing
             # the float division keeps strict tie comparisons honest
             qbar_prime[row, j] = draws[0] if (draws == draws[0]).all() else draws.mean()
@@ -124,11 +129,7 @@ def ranking_matrices(result: CollectResult):
 
 
 def iac_over_methods(result: CollectResult) -> float:
-    values = [
-        iac(m.unperturbed, m.perturbed, m.retained, m.unperturbed_ok)
-        for m in result.per_method.values()
-    ]
-    return float(np.mean(values))
+    return float(np.mean([iac(m.unperturbed, m.perturbed) for m in result.per_method.values()]))
 
 
 @dataclass
@@ -146,7 +147,8 @@ class BenchmarkSetup:
     master_seed: int = 0
     dataset_mean: float | None = None
     masks: np.ndarray | None = None
-    perturb_templates: dict = field(default_factory=dict)  # (test, strength) -> PerturbSpec
+    # (test, strength) -> PerturbSpec; missing keys get perturb_spec's defaults
+    perturb_templates: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.methods) < 2:
@@ -156,14 +158,10 @@ class BenchmarkSetup:
         for test in self.tests:
             if test not in (IPT, MPT):
                 raise MetaEvaluationError(f"unknown test type {test!r}")
-        defaults = {
-            (IPT, MINOR): input_spec(MINOR),
-            (IPT, DISRUPTIVE): input_spec(DISRUPTIVE),
-            (MPT, MINOR): model_spec(MINOR),
-            (MPT, DISRUPTIVE): model_spec(DISRUPTIVE),
+        self.perturb_templates = {
+            **{key: perturb_spec(*key) for key in DEFAULT_WINDOWS},
+            **self.perturb_templates,
         }
-        defaults.update(self.perturb_templates)
-        self.perturb_templates = defaults
 
 
 @dataclass

@@ -444,9 +444,6 @@ NEEDS_MASK = {
     "relevance_rank_accuracy",
 }
 
-ADVERSARIAL_IDS = ("adversarial_deterministic", "adversarial_distribution_shift")
-
-
 @dataclass
 class Scorer:
     """Pipeline-facing estimator: id, direction, and call(ctx) -> float (NaN: undefined)."""

@@ -1,13 +1,14 @@
 """Validity-checked perturbations and perturbed-estimate collection.
 
-Two perturbation spaces are supported: additive uniform noise on inputs
-(clipped to the dataset bounds) and multiplicative Gaussian noise on all
-model parameters.  A perturbation is *minor* when the predicted label
+Two tests are supported: IPT, additive uniform noise on inputs (clipped to
+the dataset bounds), and MPT, multiplicative Gaussian noise on all model
+parameters.  A perturbation is *minor* when the predicted label
 survives it and *disruptive* when the label changes; payloads are resampled
 until they comply or a cap is reached.  `collect` gathers the N x K matrix
 of perturbed quality estimates per explanation method that the consistency
 criteria consume.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,65 +18,67 @@ from .estimators import EvalContext
 from .net import Net, get_weights, predict_labels, set_weights
 from .seeding import derive_seed
 
-INPUT_SPACE = "input"
-MODEL_SPACE = "model"
+IPT = "ipt"
+MPT = "mpt"
 MINOR = "minor"
 DISRUPTIVE = "disruptive"
 
-# noise defaults per failure mode
-IPT_NOISE = {MINOR: (-0.001, 0.001), DISRUPTIVE: (0.0, 1.0)}
-MPT_SIGMA = {MINOR: 0.001, DISRUPTIVE: 2.0}
+# the default settings of each test at each strength: IPT's U(alpha, beta)
+# input noise; MPT's N(mu, sigma^2) weight noise and the fraction of samples
+# a drawn model must keep compliant
+DEFAULT_WINDOWS = {
+    (IPT, MINOR): {"alpha": -0.001, "beta": 0.001},
+    (IPT, DISRUPTIVE): {"alpha": 0.0, "beta": 1.0},
+    (MPT, MINOR): {"sigma": 0.001, "mu": 1.0, "min_retained_fraction": 0.8},
+    (MPT, DISRUPTIVE): {"sigma": 2.0, "mu": 1.0, "min_retained_fraction": 0.8},
+}
+WINDOW_KEYS = {key for window in DEFAULT_WINDOWS.values() for key in window}
 
 
 @dataclass(frozen=True)
 class PerturbSpec:
-    space: str
+    """One test at one strength; build it with `perturb_spec`.
+
+    The window keys of the other test are None: they have no effect.
+    """
+
+    test: str
     strength: str
-    ipt_alpha: float = -0.001
-    ipt_beta: float = 0.001
-    mpt_sigma: float = 0.001
-    mpt_mu: float = 1.0
+    alpha: float | None = None
+    beta: float | None = None
+    sigma: float | None = None
+    mu: float | None = None
     max_resamples: int = 100
-    min_retained_fraction: float = 0.8
+    min_retained_fraction: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.space not in (INPUT_SPACE, MODEL_SPACE):
-            raise ValueError(f"unknown perturbation space {self.space!r}")
-        if self.strength not in (MINOR, DISRUPTIVE):
-            raise ValueError(f"unknown perturbation strength {self.strength!r}")
-        if self.ipt_alpha > self.ipt_beta:
-            raise ValueError("ipt_alpha must not exceed ipt_beta")
-        if self.mpt_sigma < 0:
-            raise ValueError("mpt_sigma must be nonnegative")
-        if self.max_resamples < 1:
-            raise ValueError("max_resamples must be >= 1")
-        if not 0 < self.min_retained_fraction <= 1:
-            raise ValueError("min_retained_fraction must lie in (0, 1]")
+        window = DEFAULT_WINDOWS.get((self.test, self.strength))
+        if window is None:
+            raise ValueError(f"unknown perturbation {self.test!r}/{self.strength!r}")
+        for key in sorted(WINDOW_KEYS - set(window)):
+            if getattr(self, key) is not None:
+                raise ValueError(f"{key} has no effect on {self.test} perturbations")
+        unset = [key for key in window if getattr(self, key) is None]
+        if unset:
+            raise ValueError(f"{self.test}/{self.strength} needs {', '.join(unset)}")
+        n = self.max_resamples
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"max_resamples must be an integer >= 1, got {n!r}")
+        if self.test == IPT:
+            if self.alpha > self.beta:
+                raise ValueError("alpha must not exceed beta")
+        else:
+            if self.sigma < 0:
+                raise ValueError("sigma must be nonnegative")
+            if not 0 < self.min_retained_fraction <= 1:
+                raise ValueError("min_retained_fraction must lie in (0, 1]")
 
 
-def input_spec(strength: str, seed: int = 0, alpha=None, beta=None, **kwargs) -> PerturbSpec:
-    """IPT spec with the default noise window for the given strength."""
-    a, b = IPT_NOISE[strength]
-    return PerturbSpec(
-        INPUT_SPACE,
-        strength,
-        ipt_alpha=a if alpha is None else alpha,
-        ipt_beta=b if beta is None else beta,
-        seed=seed,
-        **kwargs,
-    )
-
-
-def model_spec(strength: str, seed: int = 0, sigma=None, **kwargs) -> PerturbSpec:
-    """MPT spec with the default noise scale for the given strength."""
-    return PerturbSpec(
-        MODEL_SPACE,
-        strength,
-        mpt_sigma=MPT_SIGMA[strength] if sigma is None else sigma,
-        seed=seed,
-        **kwargs,
-    )
+def perturb_spec(test: str, strength: str, **overrides) -> PerturbSpec:
+    """The DEFAULT_WINDOWS settings of (test, strength), then `overrides`."""
+    window = DEFAULT_WINDOWS.get((test, strength), {})
+    return PerturbSpec(test, strength, **{**window, **overrides})
 
 
 @dataclass
@@ -85,10 +88,11 @@ class PerturbedCase:
     attempts: int
 
 
-def _complies(strength: str, original_label: int, new_label: int) -> bool:
+def _complies(strength: str, original, new):
+    """Whether the new labels (a label or an array of them) satisfy `strength`."""
     if strength == MINOR:
-        return new_label == original_label
-    return new_label != original_label
+        return new == original
+    return new != original
 
 
 def ipt_sample(net: Net, x, spec: PerturbSpec, draw_seed: int, bounds) -> PerturbedCase:
@@ -104,7 +108,7 @@ def ipt_sample(net: Net, x, spec: PerturbSpec, draw_seed: int, bounds) -> Pertur
     original = int(predict_labels(net, x[None, :])[0])
     x_hat = x
     for attempt in range(1, spec.max_resamples + 1):
-        delta = rng.uniform(spec.ipt_alpha, spec.ipt_beta, size=x.size)
+        delta = rng.uniform(spec.alpha, spec.beta, size=x.size)
         x_hat = np.clip(x + delta, lo, hi)
         if _complies(spec.strength, original, int(predict_labels(net, x_hat[None, :])[0])):
             return PerturbedCase(x_hat, True, attempt)
@@ -114,7 +118,7 @@ def ipt_sample(net: Net, x, spec: PerturbSpec, draw_seed: int, bounds) -> Pertur
 def mpt_draw(net: Net, spec: PerturbSpec, draw_seed: int) -> Net:
     """One multiplicative Gaussian draw over every dense parameter."""
     w = get_weights(net)
-    nu = np.random.default_rng(draw_seed).normal(spec.mpt_mu, spec.mpt_sigma, size=w.size)
+    nu = np.random.default_rng(draw_seed).normal(spec.mu, spec.sigma, size=w.size)
     return set_weights(net, w * nu)
 
 
@@ -137,10 +141,7 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int):
     for attempt in range(1, spec.max_resamples + 1):
         net_hat = mpt_draw(net, spec, derive_seed(draw_seed, "redraw", attempt))
         new_labels = predict_labels(net_hat, X)
-        if spec.strength == MINOR:
-            compliant = new_labels == original
-        else:
-            compliant = new_labels != original
+        compliant = _complies(spec.strength, original, new_labels)
         fraction = float(compliant.mean())
         if best is None or fraction > best[2]:
             best = (net_hat, compliant, fraction)
@@ -149,26 +150,30 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int):
     if spec.strength == DISRUPTIVE and best[2] > 0.0:
         return best[0], best[1], spec.max_resamples
     raise PerturbationInfeasibleError(
-        f"{spec.strength} model perturbation (sigma={spec.mpt_sigma}) reached "
+        f"{spec.strength} model perturbation (sigma={spec.sigma}) reached "
         f"compliance {best[2]:.3f} after {spec.max_resamples} redraws",
         achieved_fraction=best[2],
     )
 
 
+# collect aborts when more than this share of samples ends up without a
+# single retained draw, or of all estimates is undefined
+MAX_DROPPED_FRACTION = 0.2
+MAX_UNDEFINED_FRACTION = 0.1
+
+
 @dataclass
 class EstimateMatrix:
-    """Unperturbed scores and the N x K perturbed-score table for one method."""
+    """Scores for one method; NaN marks an estimate that is missing (the
+    payload did not comply) or undefined."""
 
     unperturbed: np.ndarray  # (N,)
-    unperturbed_ok: np.ndarray  # (N,) bool, estimate defined
     perturbed: np.ndarray  # (N, K)
-    retained: np.ndarray  # (N, K) bool, payload compliant and estimate defined
 
 
 @dataclass
 class CollectResult:
     per_method: dict  # method_id -> EstimateMatrix
-    labels: np.ndarray  # predicted labels the explanations target
     compliant: np.ndarray  # (N, K) payload compliance, shared across methods
     dropped: list  # sample indices unusable for ranking criteria
     undefined_count: int
@@ -186,8 +191,6 @@ def collect(
     bounds,
     dataset_mean: float | None = None,
     masks=None,
-    max_dropped_fraction: float = 0.2,
-    max_undefined_fraction: float = 0.1,
 ) -> CollectResult:
     """Gather unperturbed and K perturbed estimates per (sample, method).
 
@@ -195,12 +198,13 @@ def collect(
     a batch callable(net, X, labels) -> (B, D); `scorer` is an
     estimators.Scorer, called once per estimate, whose non-finite results
     count as undefined.  `masks`, when given, is an (N, D) array whose every
-    row marks at least one feature.  Payload draws are shared across
-    methods; every stochastic choice derives from spec.seed, so results are
+    row marks at least one feature.  Payload column k is one (net, inputs)
+    pair: under IPT the unperturbed net and the k-th perturbed rows, under
+    MPT the k-th drawn net and X.  Payload draws are shared across methods;
+    every stochastic choice derives from spec.seed, so results are
     independent of execution schedule.  Aborts when more than
-    `max_dropped_fraction` of samples end up without a single retained
-    draw, or when more than `max_undefined_fraction` of all estimates are
-    undefined.
+    MAX_DROPPED_FRACTION of samples end up without a single retained draw,
+    or when more than MAX_UNDEFINED_FRACTION of all estimates are undefined.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -233,23 +237,26 @@ def collect(
     # payload draws, shared by all methods
     compliant = np.zeros((n, K), dtype=bool)
     attempts = np.zeros((n, K))
-    payload_inputs = np.empty((n, K, X.shape[1])) if spec.space == INPUT_SPACE else None
-    payload_nets = [] if spec.space == MODEL_SPACE else None
+    nets, inputs = [], []
     for k in range(K):
-        if spec.space == INPUT_SPACE:
-            for i in range(n):
-                case = ipt_sample(net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), bounds)
-                payload_inputs[i, k] = case.payload
-                compliant[i, k] = case.compliant
-                attempts[i, k] = case.attempts
+        if spec.test == IPT:
+            cases = [
+                ipt_sample(net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), bounds)
+                for i in range(n)
+            ]
+            nets.append(net)
+            inputs.append(np.array([case.payload for case in cases]))
+            compliant[:, k] = [case.compliant for case in cases]
+            attempts[:, k] = [case.attempts for case in cases]
         else:
-            net_hat, mask_k, used = mpt_sample(net, X, spec, derive_seed(spec.seed, "mpt", k))
-            payload_nets.append(net_hat)
-            compliant[:, k] = mask_k
-            attempts[:, k] = used
+            draw_seed = derive_seed(spec.seed, "mpt", k)
+            net_hat, compliant[:, k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed)
+            nets.append(net_hat)
+            inputs.append(X)
 
     undefined = 0
     total = 0
+    usable = np.ones(n, dtype=bool)
     per_method = {}
     for method_id, explainer in methods:
         # one explainer call for the unperturbed rows, then one per payload
@@ -258,12 +265,8 @@ def collect(
         columns = np.empty((K, *X.shape))
         for k in range(K):
             rows = compliant[:, k]
-            if not rows.any():
-                continue
-            if spec.space == INPUT_SPACE:
-                columns[k, rows] = explainer(net, payload_inputs[rows, k], labels[rows])
-            else:
-                columns[k, rows] = explainer(payload_nets[k], X[rows], labels[rows])
+            if rows.any():
+                columns[k, rows] = explainer(nets[k], inputs[k][rows], labels[rows])
         unperturbed = np.empty(n)
         perturbed = np.full((n, K), np.nan)
         for i in range(n):
@@ -272,42 +275,33 @@ def collect(
             seed_ij = derive_seed(spec.seed, "est", i, method_id)
             unperturbed[i] = score(i, net, X[i], base[i], explainer, seed_ij, False)
             for k in np.flatnonzero(compliant[i]):
-                if spec.space == INPUT_SPACE:
-                    x_i, net_i = payload_inputs[i, k], net
-                else:
-                    x_i, net_i = X[i], payload_nets[k]
-                perturbed[i, k] = score(i, net_i, x_i, columns[k, i], explainer, seed_ij, True)
+                x_k = inputs[k][i]
+                perturbed[i, k] = score(i, nets[k], x_k, columns[k, i], explainer, seed_ij, True)
         # non-compliant entries are still NaN, so they are never retained
-        unperturbed_ok = np.isfinite(unperturbed)
+        defined = np.isfinite(unperturbed)
         retained = np.isfinite(perturbed)
-        unperturbed[~unperturbed_ok] = np.nan
+        unperturbed[~defined] = np.nan
         perturbed[~retained] = np.nan
         scored = n + int(compliant.sum())
         total += scored
-        undefined += scored - int(unperturbed_ok.sum()) - int(retained.sum())
-        per_method[method_id] = EstimateMatrix(unperturbed, unperturbed_ok, perturbed, retained)
+        undefined += scored - int(defined.sum()) - int(retained.sum())
+        usable &= defined & retained.any(axis=1)
+        per_method[method_id] = EstimateMatrix(unperturbed, perturbed)
 
-    dropped = [
-        i
-        for i in range(n)
-        if any(
-            not m.unperturbed_ok[i] or not m.retained[i].any() for m in per_method.values()
-        )
-    ]
-    if len(dropped) > max_dropped_fraction * n:
+    dropped = np.flatnonzero(~usable).tolist()
+    if len(dropped) > MAX_DROPPED_FRACTION * n:
         raise MetaEvaluationError(
             f"{len(dropped)}/{n} samples without usable estimates under "
-            f"{spec.space}/{spec.strength} (cap {max_dropped_fraction:.0%}); "
+            f"{spec.test}/{spec.strength} (cap {MAX_DROPPED_FRACTION:.0%}); "
             f"mean compliance {compliant.mean():.3f}"
         )
-    if total and undefined > max_undefined_fraction * total:
+    if total and undefined > MAX_UNDEFINED_FRACTION * total:
         raise MetaEvaluationError(
             f"{undefined}/{total} estimates undefined for {scorer.estimator_id} "
-            f"(cap {max_undefined_fraction:.0%})"
+            f"(cap {MAX_UNDEFINED_FRACTION:.0%})"
         )
     return CollectResult(
         per_method=per_method,
-        labels=labels,
         compliant=compliant,
         dropped=dropped,
         undefined_count=undefined,

@@ -6,12 +6,12 @@ strings, or flat `[a, b, c]` lists.  `#` starts a comment.  Parsing is
 strict: unknown keys are named, all missing required keys are reported at
 once, and load -> serialize -> load is the identity.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .estimators import DIRECTIONS, EstimatorConfig
 from .explain import ALL_METHODS, ExplainerConfig
-from .perturb import PerturbSpec, input_spec, model_spec
+from .perturb import DEFAULT_WINDOWS, PerturbSpec, perturb_spec
 
 # --- generic table text format ---------------------------------------------
 
@@ -136,9 +136,8 @@ DATASET_KEYS = {
 }
 MODEL_KEYS = {"path", "hidden", "epochs", "learning_rate", "momentum", "batch_size"}
 RUN_KEYS = {"tests", "k", "iterations", "sample_count", "master_seed", "output"}
-PERTURB_KEYS = {"alpha", "beta", "sigma", "mu", "max_resamples", "min_retained_fraction"}
+PERTURB_KEYS = set(PerturbSpec.__dataclass_fields__) - {"test", "strength", "seed"}
 HPO_KEYS = {"estimator", "axes"}
-CONVERGENCE_KEYS: set = set()
 
 EXPLAINER_FIELDS = set(ExplainerConfig.__dataclass_fields__) - {"seed"}
 ESTIMATOR_FIELDS = set(EstimatorConfig.__dataclass_fields__)
@@ -163,11 +162,8 @@ class RunConfig:
     output: str = "out"
     hpo: dict = field(default_factory=dict)
 
-    def estimator_config(self, estimator_id: str, extra: dict | None = None) -> EstimatorConfig:
-        kwargs = dict(self.estimator_overrides.get(estimator_id, {}))
-        if extra:
-            kwargs.update(extra)
-        return EstimatorConfig(**kwargs)
+    def estimator_config(self, estimator_id: str) -> EstimatorConfig:
+        return EstimatorConfig(**self.estimator_overrides.get(estimator_id, {}))
 
     def explainer_config(self, method_id: str, seed: int) -> ExplainerConfig:
         kwargs = dict(self.method_overrides.get(method_id, {}))
@@ -175,21 +171,28 @@ class RunConfig:
             kwargs["shap_bounds"] = tuple(kwargs["shap_bounds"])
         return ExplainerConfig(seed=seed, **kwargs)
 
-    def perturb_spec(self, test: str, strength: str) -> PerturbSpec:
-        """The [perturb.<test>.<strength>] overrides applied to the default spec."""
-        overrides = self.perturb[(test, strength)]
-        common = {}
-        if "max_resamples" in overrides:
-            common["max_resamples"] = int(overrides["max_resamples"])
-        if "min_retained_fraction" in overrides:
-            common["min_retained_fraction"] = overrides["min_retained_fraction"]
-        if test == "ipt":
-            return input_spec(
-                strength, alpha=overrides.get("alpha"), beta=overrides.get("beta"), **common
-            )
-        if "mu" in overrides:
-            common["mpt_mu"] = float(overrides["mu"])
-        return model_spec(strength, sigma=overrides.get("sigma"), **common)
+    def hpo_trials(self) -> list:
+        """The [hpo] grid as (cell, RunConfig of that cell's one estimator) pairs.
+
+        A cell maps each [hpo.axes] axis to one of its values, plus the
+        estimator; the trial merges the cell into that estimator's settings.
+        """
+        axes = dict(self.hpo["axes"])
+        estimators = axes.pop("estimator", [self.hpo.get("estimator")])
+        cells = [{}]
+        for axis, values in axes.items():
+            cells = [dict(cell, **{axis: value}) for cell in cells for value in values]
+        trials = []
+        for estimator in estimators:
+            settings = self.estimator_overrides.get(estimator, {})
+            for cell in cells:
+                trial = replace(
+                    self,
+                    estimators=[estimator],
+                    estimator_overrides={estimator: {**settings, **cell}},
+                )
+                trials.append((dict(cell, estimator=estimator), trial))
+        return trials
 
 
 def _check_keys(table: dict, allowed: set, where: str, errors: list):
@@ -257,6 +260,9 @@ def config_from_tables(tables: dict) -> RunConfig:
 
     run = dict(tables.get("run", {}))
     _check_keys(run, RUN_KEYS, "run", errors)
+    for key in ("k", "iterations", "sample_count", "master_seed"):
+        if key in run and (not isinstance(run[key], int) or isinstance(run[key], bool)):
+            errors.append(f"[run] {key} must be an integer, got {run[key]!r}")
     tests = run.get("tests", ["ipt", "mpt"])
     if isinstance(tests, str):
         tests = [tests]
@@ -268,23 +274,34 @@ def config_from_tables(tables: dict) -> RunConfig:
 
     perturb = {}
     for test_name, strengths in tables.get("perturb", {}).items():
-        if test_name not in ("ipt", "mpt"):
-            errors.append(f"unknown table [perturb.{test_name}]")
-            continue
         if not isinstance(strengths, dict):
             errors.append(f"unknown key perturb.{test_name}")
             continue
         for strength, sub in strengths.items():
-            if strength not in ("minor", "disruptive") or not isinstance(sub, dict):
+            if (test_name, strength) not in DEFAULT_WINDOWS or not isinstance(sub, dict):
                 errors.append(f"unknown table [perturb.{test_name}.{strength}]")
                 continue
             _check_keys(sub, PERTURB_KEYS, f"perturb.{test_name}.{strength}", errors)
             perturb[(test_name, strength)] = sub
 
+    _check_keys(tables.get("convergence", {}), set(), "convergence", errors)
+
     hpo = dict(tables.get("hpo", {}))
     _check_keys(hpo, HPO_KEYS, "hpo", errors)
-    if "axes" in hpo and not isinstance(hpo["axes"], dict):
+    axes = hpo.get("axes", {})
+    if not isinstance(axes, dict):
         errors.append("hpo.axes must be a table")
+    elif axes:
+        for axis, values in axes.items():
+            if axis not in ESTIMATOR_FIELDS | {"estimator"}:
+                errors.append(f"[hpo.axes] {axis!r} is not an estimator setting")
+            elif not isinstance(values, list) or not values:
+                errors.append(f"[hpo.axes] {axis} must be a non-empty list")
+        searched = axes.get("estimator", [hpo["estimator"]] if "estimator" in hpo else None)
+        if searched is None:
+            errors.append("[hpo] estimator is required unless [hpo.axes] has one")
+        elif isinstance(searched, list):
+            _validate_listing(searched, DIRECTIONS, "[hpo]", errors)
 
     if errors:
         raise ConfigError("; ".join(errors))
@@ -298,15 +315,17 @@ def config_from_tables(tables: dict) -> RunConfig:
         estimator_overrides=estimator_overrides,
         tests=list(tests),
         perturb=perturb,
-        k=int(run.get("k", 5)),
-        iterations=int(run.get("iterations", 3)),
+        k=run.get("k", 5),
+        iterations=run.get("iterations", 3),
         sample_count=run.get("sample_count"),
-        master_seed=int(run.get("master_seed", 0)),
+        master_seed=run.get("master_seed", 0),
         output=str(run.get("output", "out")),
         hpo=hpo,
     )
     if config.k < 1 or config.iterations < 1:
         raise ConfigError("[run] k and iterations must be >= 1")
+    if config.sample_count is not None and config.sample_count < 2:
+        raise ConfigError("[run] sample_count must be >= 2")
     if len(config.methods) < 2:
         raise ConfigError("[methods] use must list at least two methods")
     # constructing the per-method/estimator configs and the perturbation
@@ -318,9 +337,9 @@ def config_from_tables(tables: dict) -> RunConfig:
         for estimator_id in config.estimators:
             where = f"[estimators.{estimator_id}]"
             config.estimator_config(estimator_id)
-        for test, strength in config.perturb:
+        for (test, strength), sub in config.perturb.items():
             where = f"[perturb.{test}.{strength}]"
-            config.perturb_spec(test, strength)
+            perturb_spec(test, strength, **sub)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return config

@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .estimators import CATEGORIES, NEEDS_MASK
 from .explain import build_explainer
 from .net import accuracy, train_tiny
+from .perturb import perturb_spec
 from .report import mc_bar, write_report
 from .runconfig import RunConfig, config_to_tables
 from .seeding import derive_rng, derive_seed
@@ -99,9 +100,9 @@ def build_net(config: RunConfig, dataset: Dataset):
     )
 
 
-def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> BenchmarkSetup:
-    dataset = dataset if dataset is not None else build_dataset(config)
-    # what the dataset decides about the estimator configs is checked before any training
+def _checked_estimators(config: RunConfig, dataset: Dataset) -> list:
+    """[(estimator_id, EstimatorConfig)], checked against what the dataset decides
+    (masks, feature count); callers run this before any training."""
     if dataset.masks is None and any(e in NEEDS_MASK for e in config.estimators):
         needing = sorted(set(config.estimators) & NEEDS_MASK)
         raise ConfigError(f"estimators {needing} need [dataset] mask != none")
@@ -111,6 +112,12 @@ def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> Benchma
             cfg.check_features(dataset.inputs.shape[1])
         except ValueError as exc:
             raise ConfigError(f"[estimators.{estimator_id}]: {exc}") from exc
+    return estimators
+
+
+def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> BenchmarkSetup:
+    dataset = dataset if dataset is not None else build_dataset(config)
+    estimators = _checked_estimators(config, dataset)
     net = net if net is not None else build_net(config, dataset)
     methods = []
     for method_id in config.methods:
@@ -132,7 +139,7 @@ def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> Benchma
         master_seed=config.master_seed,
         dataset_mean=dataset.mean,
         masks=dataset.masks,
-        perturb_templates={key: config.perturb_spec(*key) for key in config.perturb},
+        perturb_templates={key: perturb_spec(*key, **sub) for key, sub in config.perturb.items()},
     )
 
 
@@ -231,43 +238,26 @@ def run_hpo(config: RunConfig):
     axis may replace the fixed estimator id.  Returns the ranked cells,
     best first.
     """
-    if "axes" not in config.hpo or not config.hpo["axes"]:
+    if not config.hpo.get("axes"):
         raise ConfigError("[hpo.axes] must declare at least one axis")
-    axes = dict(config.hpo["axes"])
-    estimator_axis = axes.pop("estimator", None)
-    if estimator_axis is None:
-        if "estimator" not in config.hpo:
-            raise ConfigError("[hpo] estimator is required unless axes include one")
-        estimator_axis = [config.hpo["estimator"]]
-
-    cells = [{}]
-    for axis, values in axes.items():
-        if not isinstance(values, list):
-            raise ConfigError(f"hpo axis {axis!r} must be a list")
-        cells = [dict(cell, **{axis: value}) for cell in cells for value in values]
-    cells = [dict(cell, estimator=estimator) for estimator in estimator_axis for cell in cells]
-
+    trials = config.hpo_trials()
     dataset = build_dataset(config)
+    checked = []
+    for cell, trial in trials:
+        try:
+            checked.append(_checked_estimators(trial, dataset))
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"[hpo] cell {cell}: {exc}") from exc
     net = build_net(config, dataset)
+    # the cells differ only in their estimator: one setup serves them all
+    setup = build_setup(replace(config, estimators=[]), dataset=dataset, net=net)
     ranked = []
-    for index, cell in enumerate(cells):
-        assignment = {k: v for k, v in cell.items() if k != "estimator"}
-        trial = replace(
-            config,
-            estimators=[cell["estimator"]],
-            estimator_overrides={
-                cell["estimator"]: {
-                    **config.estimator_overrides.get(cell["estimator"], {}),
-                    **assignment,
-                }
-            },
-        )
-        setup = build_setup(trial, dataset=dataset, net=net)
-        results = run_meta_evaluation(setup)
+    for index, ((cell, _), estimators) in enumerate(zip(trials, checked)):
+        results = run_meta_evaluation(replace(setup, estimators=estimators))
         score = mc_bar(results, cell["estimator"])
-        vectors = {test: results[(cell["estimator"], test)].mean for test in trial.tests}
+        vectors = {test: results[(cell["estimator"], test)].mean for test in config.tests}
         ranked.append({"cell": cell, "mc": score, "vectors": vectors})
-        log(f"hpo cell {index + 1}/{len(cells)}: {cell} -> MC {score:.4f}")
+        log(f"hpo cell {index + 1}/{len(trials)}: {cell} -> MC {score:.4f}")
     ranked.sort(key=lambda row: (-row["mc"], repr(sorted(row["cell"].items()))))
     return ranked
 

@@ -173,6 +173,67 @@ class TestBenchmarkCommand:
             run_benchmark(config, jobs=2)
 
 
+HPO_BENCH = QUICK_BENCH + "\n[hpo]\nestimator = sparseness\n"
+
+
+class TestConfigErrorsBeforeTraining:
+    # each of these used to exit 0 with the setting ignored or truncated, or
+    # to exit 2, most of them after training
+    @pytest.mark.parametrize(
+        "verb, assignment, named",
+        [
+            ("benchmark", "perturb.mpt.minor.alpha=5", "[perturb.mpt.minor]: alpha has no effect"),
+            ("benchmark", "perturb.ipt.minor.sigma=5", "[perturb.ipt.minor]: sigma has no effect"),
+            (
+                "benchmark",
+                "perturb.ipt.disruptive.min_retained_fraction=0.5",
+                "[perturb.ipt.disruptive]: min_retained_fraction has no effect",
+            ),
+            ("benchmark", "perturb.mpt.minor.max_resamples=2.5", "[perturb.mpt.minor]: max_resamples"),
+            ("benchmark", "perturb.mpt.minor.max_resamples=true", "[perturb.mpt.minor]: max_resamples"),
+            ("hpo", "hpo.axes.fc_runs=[]", "[hpo.axes] fc_runs must be a non-empty list"),
+            ("hpo", "hpo.axes.fc_runz=[3]", "[hpo.axes] 'fc_runz' is not an estimator setting"),
+            ("hpo", "hpo.axes.fc_runs=[1, 10]", "fc_runs must be >= 2"),
+            ("hpo", "hpo.axes.estimator=[sparseness, nonsense]", "unknown name 'nonsense' in [hpo]"),
+            ("hpo", "hpo.axes.fc_subset_size=[4, 100]", "fc_subset_size 100 outside [1, 16]"),
+            ("benchmark", "run.sample_count=1", "[run] sample_count must be >= 2"),
+            ("benchmark", "run.sample_count=abc", "[run] sample_count must be an integer"),
+            ("benchmark", "run.k=2.5", "[run] k must be an integer"),
+            ("benchmark", "run.k=true", "[run] k must be an integer"),
+            ("benchmark", "run.iterations=1.5", "[run] iterations must be an integer"),
+            ("convergence", "convergence.foo=1", "unknown key convergence.foo"),
+        ],
+        ids=[
+            "mpt_alpha",
+            "ipt_sigma",
+            "ipt_min_retained_fraction",
+            "fractional_max_resamples",
+            "boolean_max_resamples",
+            "empty_hpo_axis",
+            "unknown_hpo_axis",
+            "invalid_hpo_value",
+            "unknown_hpo_estimator",
+            "hpo_size_beyond_feature_count",
+            "one_sample",
+            "non_numeric_sample_count",
+            "fractional_k",
+            "boolean_k",
+            "fractional_iterations",
+            "convergence_key",
+        ],
+    )
+    def test_exits_one_naming_the_setting(self, tmp_path, capsys, monkeypatch, verb, assignment, named):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the net was trained before the config was checked")
+
+        monkeypatch.setattr(runner, "build_net", no_training)
+        config = write_config(tmp_path, HPO_BENCH, out=tmp_path / "out")
+        assert main([verb, "--config", config, "--set", assignment]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: " in err
+        assert named in err
+
+
 class TestSanityCommand:
     def test_quick_sanity_blind_adversary_exact(self, tmp_path):
         # the tight distribution-shift windows need the full sanity scale;

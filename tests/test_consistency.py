@@ -17,40 +17,66 @@ from xaimeta.errors import MetaEvaluationError
 from xaimeta.estimators import EstimatorConfig
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import train_tiny
-from xaimeta.perturb import model_spec
+from xaimeta.perturb import DEFAULT_WINDOWS, perturb_spec
+from xaimeta.stats import wilcoxon_signed_rank
 
 
 class TestIac:
     def test_identical_columns_give_one(self):
         u = np.array([0.1, 0.5, 0.9, 0.3])
         p = np.column_stack([u, u])
-        assert iac(u, p, np.ones((4, 2), dtype=bool)) == 1.0
+        assert iac(u, p) == 1.0
 
     def test_large_shift_small_p(self):
         rng = np.random.default_rng(0)
         u = rng.normal(size=30)
         p = (u + 1000.0)[:, None]
-        assert iac(u, p, np.ones((30, 1), dtype=bool)) < 1e-3
+        assert iac(u, p) < 1e-3
 
     def test_mean_of_column_p_values(self):
         # column 1 identical (p = 1.0); column 2 leaves differences [1, 2]
         # whose exact two-sided p is 0.5 -> IAC = 0.75
         u = np.array([1.0, 1.0])
         p = np.column_stack([u, np.array([0.0, -1.0])])
-        assert iac(u, p, np.ones((2, 2), dtype=bool)) == pytest.approx(0.75, abs=1e-12)
+        assert iac(u, p) == pytest.approx(0.75, abs=1e-12)
 
     def test_unretained_pairs_excluded(self):
+        # the excluded pair's perturbed score is marked NaN
         u = np.array([1.0, 2.0, 3.0, 100.0])
+        p = np.column_stack([np.array([1.0, 2.0, 3.0, np.nan])])
+        assert iac(u, p) == 1.0
+
+    def test_undefined_unperturbed_score_excludes_its_row(self):
+        u = np.array([1.0, 2.0, 3.0, np.nan])
         p = np.column_stack([np.array([1.0, 2.0, 3.0, -50.0])])
-        retained = np.array([[True], [True], [True], [False]])
-        assert iac(u, p, retained) == 1.0
+        assert iac(u, p) == 1.0
 
     def test_all_columns_degenerate_errors(self):
         u = np.array([1.0, 2.0])
-        p = np.ones((2, 1))
-        retained = np.zeros((2, 1), dtype=bool)
+        p = np.full((2, 1), np.nan)
         with pytest.raises(MetaEvaluationError):
-            iac(u, p, retained)
+            iac(u, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nan_marked_tables_equal_finite_pairs(self, data):
+        # oracle: one Wilcoxon p per column over the pairs left finite,
+        # columns with fewer than two such pairs skipped
+        n, k = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 4))
+        finite = st.floats(-1e6, 1e6)
+        u = data.draw(arrays(np.float64, n, elements=finite))
+        p = data.draw(arrays(np.float64, (n, k), elements=st.one_of(finite, st.just(np.nan))))
+        u[data.draw(arrays(bool, n))] = np.nan
+        ps = []
+        for column in p.T:
+            pairs = [(a, b) for a, b in zip(u, column) if np.isfinite(a) and np.isfinite(b)]
+            if len(pairs) >= 2:
+                ps.append(wilcoxon_signed_rank(*map(np.array, zip(*pairs))))
+        if not ps:
+            with pytest.raises(MetaEvaluationError):
+                iac(u, p)
+        else:
+            assert iac(u, p) == float(np.mean(ps))
 
 
 @st.composite
@@ -173,10 +199,9 @@ class TestCriteriaProperties:
     def test_entries_and_mc_in_unit_interval(self, matrices, lower_better):
         # method 0's unperturbed scores against the L columns as K draws
         q, qm, qd = matrices
-        retained = np.ones(qm.shape, dtype=bool)
         v = meta_vector(
-            iac(q[:, 0], qm, retained),
-            iac(q[:, 0], qd, retained),
+            iac(q[:, 0], qm),
+            iac(q[:, 0], qd),
             iec_minor(q, qm),
             iec_disruptive(q, qd, lower_better),
         )
@@ -262,10 +287,25 @@ class TestEndToEnd:
             iterations=1,
             master_seed=5,
             dataset_mean=small_setup.dataset_mean,
-            perturb_templates={("mpt", "minor"): model_spec("minor", sigma=0.0)},
+            perturb_templates={("mpt", "minor"): perturb_spec("mpt", "minor", sigma=0.0)},
         )
         cell = evaluate_cell(setup, "sparseness", EstimatorConfig(), "mpt")
         assert cell.mean.iac_nr == 1.0
+
+    def test_one_template_fills_in_the_other_three(self, small_setup):
+        custom = perturb_spec("mpt", "minor", sigma=0.0)
+        setup = BenchmarkSetup(
+            net=small_setup.net,
+            inputs=small_setup.inputs,
+            bounds=small_setup.bounds,
+            methods=small_setup.methods,
+            estimators=[],
+            tests=["mpt"],
+            perturb_templates={("mpt", "minor"): custom},
+        )
+        assert set(setup.perturb_templates) == set(DEFAULT_WINDOWS)
+        for key, spec in setup.perturb_templates.items():
+            assert spec == (custom if key == ("mpt", "minor") else perturb_spec(*key))
 
     def test_run_meta_evaluation_shape_and_determinism(self, small_setup):
         setup = BenchmarkSetup(

@@ -11,13 +11,13 @@ from xaimeta.estimators import (
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import dense, make_net, predict_labels, train_tiny
 from xaimeta.perturb import (
+    DEFAULT_WINDOWS,
     PerturbSpec,
     collect,
-    input_spec,
     ipt_sample,
-    model_spec,
     mpt_draw,
     mpt_sample,
+    perturb_spec,
 )
 from xaimeta.seeding import derive_seed
 
@@ -44,38 +44,88 @@ def trained():
     return net, X
 
 
+class TestPerturbSpec:
+    def test_default_windows(self):
+        for strength, window in (("minor", (-0.001, 0.001)), ("disruptive", (0.0, 1.0))):
+            spec = perturb_spec("ipt", strength)
+            assert spec == PerturbSpec("ipt", strength, alpha=window[0], beta=window[1])
+            assert spec.sigma is None and spec.mu is None and spec.min_retained_fraction is None
+        for strength, sigma in (("minor", 0.001), ("disruptive", 2.0)):
+            spec = perturb_spec("mpt", strength)
+            assert (spec.sigma, spec.mu, spec.min_retained_fraction) == (sigma, 1.0, 0.8)
+            assert spec.alpha is None and spec.beta is None
+        for key in DEFAULT_WINDOWS:
+            spec = perturb_spec(*key)
+            assert (spec.test, spec.strength, spec.max_resamples, spec.seed) == (*key, 100, 0)
+
+    def test_overrides_replace_defaults(self):
+        spec = perturb_spec("ipt", "disruptive", alpha=-1.0, max_resamples=7, seed=3)
+        assert (spec.alpha, spec.beta, spec.max_resamples, spec.seed) == (-1.0, 1.0, 7, 3)
+        spec = perturb_spec("mpt", "minor", sigma=0.0, mu=2.0, min_retained_fraction=0.5)
+        assert (spec.sigma, spec.mu, spec.min_retained_fraction) == (0.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "test, strength, overrides, message",
+        [
+            ("mpt", "minor", {"alpha": 5}, "alpha has no effect on mpt"),
+            ("mpt", "disruptive", {"beta": 5}, "beta has no effect on mpt"),
+            ("ipt", "minor", {"sigma": 5}, "sigma has no effect on ipt"),
+            ("ipt", "minor", {"min_retained_fraction": 0.5}, "min_retained_fraction has no effect"),
+            ("ipt", "minor", {"max_resamples": 2.5}, "max_resamples must be an integer"),
+            ("ipt", "minor", {"max_resamples": True}, "max_resamples must be an integer"),
+            ("ipt", "minor", {"alpha": 1.0, "beta": 0.0}, "alpha must not exceed beta"),
+            ("mpt", "minor", {"sigma": -1.0}, "sigma must be nonnegative"),
+            ("mpt", "minor", {"min_retained_fraction": 0.0}, "min_retained_fraction"),
+            ("ipt", "moderate", {}, "unknown perturbation"),
+            ("input", "minor", {}, "unknown perturbation"),
+        ],
+    )
+    def test_bad_settings_rejected(self, test, strength, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            perturb_spec(test, strength, **overrides)
+
+    def test_numpy_integer_resamples_accepted(self):
+        assert perturb_spec("mpt", "minor", max_resamples=np.int64(3)).max_resamples == 3
+
+    def test_direct_construction_names_the_unset_window(self):
+        with pytest.raises(ValueError, match="ipt/minor needs alpha, beta"):
+            PerturbSpec("ipt", "minor")
+        with pytest.raises(ValueError, match="mpt/disruptive needs min_retained_fraction"):
+            PerturbSpec("mpt", "disruptive", sigma=2.0, mu=1.0)
+
+
 class TestIptSample:
     def test_zero_window_minor_complies_immediately(self, trained):
         net, X = trained
-        spec = input_spec("minor", alpha=0.0, beta=0.0)
+        spec = perturb_spec("ipt", "minor", alpha=0.0, beta=0.0)
         case = ipt_sample(net, X[0], spec, draw_seed=1, bounds=(0.0, 1.0))
         assert case.compliant and case.attempts == 1
         assert np.array_equal(case.payload, X[0])
 
     def test_disruptive_threshold_crossing(self):
         net = threshold_net()
-        spec = input_spec("disruptive", alpha=0.0, beta=1.0)
+        spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=1.0)
         case = ipt_sample(net, np.array([0.1]), spec, draw_seed=2, bounds=(0.0, 1.0))
         assert case.compliant
         assert case.payload[0] > 0.5
 
     def test_clipping_to_bounds(self):
         net = threshold_net()
-        spec = input_spec("minor", alpha=0.2, beta=0.2)
+        spec = perturb_spec("ipt", "minor", alpha=0.2, beta=0.2)
         case = ipt_sample(net, np.array([0.9]), spec, draw_seed=3, bounds=(0.0, 1.0))
         assert case.payload[0] == 1.0
 
     def test_noncompliance_is_data_not_error(self):
         net = threshold_net()
         # zero noise can never flip the label
-        spec = input_spec("disruptive", alpha=0.0, beta=0.0, max_resamples=5)
+        spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=0.0, max_resamples=5)
         case = ipt_sample(net, np.array([0.1]), spec, draw_seed=4, bounds=(0.0, 1.0))
         assert not case.compliant
         assert case.attempts == 5
 
     def test_minor_payloads_keep_label(self, trained):
         net, X = trained
-        spec = input_spec("minor")
+        spec = perturb_spec("ipt", "minor")
         for i in range(10):
             case = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0))
             if case.compliant:
@@ -89,10 +139,11 @@ class TestIptSample:
         net, X = trained
         original = predict_labels(net, X)
         for i in range(12):
-            minor = ipt_sample(net, X[i], input_spec("minor"), draw_seed=i, bounds=(0.0, 1.0))
+            spec = perturb_spec("ipt", "minor")
+            minor = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0))
             if minor.compliant:
                 assert predict_labels(net, minor.payload[None, :])[0] == original[i]
-            spec = input_spec("disruptive", alpha=-1.0, beta=1.0)
+            spec = perturb_spec("ipt", "disruptive", alpha=-1.0, beta=1.0)
             disruptive = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0))
             if disruptive.compliant:
                 assert predict_labels(net, disruptive.payload[None, :])[0] != original[i]
@@ -100,8 +151,8 @@ class TestIptSample:
     def test_compliance_monotone_in_max_resamples(self, trained):
         net, X = trained
         for i in range(8):
-            small = input_spec("disruptive", max_resamples=3)
-            large = input_spec("disruptive", max_resamples=30)
+            small = perturb_spec("ipt", "disruptive", max_resamples=3)
+            large = perturb_spec("ipt", "disruptive", max_resamples=30)
             a = ipt_sample(net, X[i], small, draw_seed=i, bounds=(0.0, 1.0))
             b = ipt_sample(net, X[i], large, draw_seed=i, bounds=(0.0, 1.0))
             if a.compliant:
@@ -112,7 +163,7 @@ class TestIptSample:
 class TestMptSample:
     def test_sigma_zero_minor_keeps_model(self, trained):
         net, X = trained
-        spec = model_spec("minor", sigma=0.0)
+        spec = perturb_spec("mpt", "minor", sigma=0.0)
         net_hat, compliant, attempts = mpt_sample(net, X, spec, draw_seed=1)
         assert compliant.all() and attempts == 1
         from xaimeta.net import get_weights
@@ -121,7 +172,7 @@ class TestMptSample:
 
     def test_sigma_zero_disruptive_infeasible(self, trained):
         net, X = trained
-        spec = model_spec("disruptive", sigma=0.0, max_resamples=4)
+        spec = perturb_spec("mpt", "disruptive", sigma=0.0, max_resamples=4)
         with pytest.raises(PerturbationInfeasibleError):
             mpt_sample(net, X, spec, draw_seed=2)
 
@@ -135,7 +186,7 @@ class TestMptSample:
         )
         y = np.repeat(np.arange(6), 20)
         net = train_tiny((16,), X, y, epochs=8, seed=2)
-        spec = model_spec("disruptive", sigma=100.0)
+        spec = perturb_spec("mpt", "disruptive", sigma=100.0)
         _, compliant, _ = mpt_sample(net, X, spec, draw_seed=3)
         assert compliant.mean() >= 0.8
 
@@ -143,7 +194,7 @@ class TestMptSample:
         net, _ = trained
         from xaimeta.net import get_weights
 
-        spec = model_spec("minor", sigma=0.5)
+        spec = perturb_spec("mpt", "minor", sigma=0.5)
         net_hat = mpt_draw(net, spec, draw_seed=7)
         w, w_hat = get_weights(net), get_weights(net_hat)
         nu = np.random.default_rng(7).normal(1.0, 0.5, size=w.size)
@@ -161,21 +212,21 @@ def simple_methods():
 class TestCollect:
     def test_sigma_zero_mpt_equals_unperturbed_column(self, trained):
         net, X = trained
-        spec = model_spec("minor", sigma=0.0, seed=1)
+        spec = perturb_spec("mpt", "minor", sigma=0.0, seed=1)
         scorer = make_scorer("sparseness", EstimatorConfig())
         result = collect(net, X[:8], simple_methods(), scorer, spec, K=1, bounds=(0.0, 1.0))
         for matrix in result.per_method.values():
-            assert matrix.retained.all()
+            assert np.isfinite(matrix.perturbed).all()
             assert np.allclose(matrix.perturbed[:, 0], matrix.unperturbed, atol=1e-15)
 
     def test_deterministic_adversary_blind_to_perturbation(self, trained):
         net, X = trained
-        spec = input_spec("minor", seed=2)
+        spec = perturb_spec("ipt", "minor", seed=2)
         scorer = make_scorer("adversarial_deterministic", EstimatorConfig(), n_samples=8, state_seed=9)
         result = collect(net, X[:8], simple_methods(), scorer, spec, K=3, bounds=(0.0, 1.0))
         for matrix in result.per_method.values():
             for k in range(3):
-                retained = matrix.retained[:, k]
+                retained = np.isfinite(matrix.perturbed[:, k])
                 assert np.array_equal(
                     matrix.perturbed[retained, k], matrix.unperturbed[retained]
                 )
@@ -184,7 +235,7 @@ class TestCollect:
         # brute-force oracle: recompute every cell with direct calls
         net, X = trained
         X4 = X[:4]
-        spec = input_spec("minor", seed=5)
+        spec = perturb_spec("ipt", "minor", seed=5)
         cfg = EstimatorConfig(fc_runs=10, fc_subset_size=1)
         scorer = make_scorer("faithfulness_correlation", cfg)
         methods = simple_methods()
@@ -245,7 +296,7 @@ class TestCollect:
 
     def test_collect_deterministic(self, trained):
         net, X = trained
-        spec = model_spec("minor", seed=3)
+        spec = perturb_spec("mpt", "minor", seed=3)
         scorer = make_scorer("complexity", EstimatorConfig())
         a = collect(net, X[:6], simple_methods(), scorer, spec, K=2, bounds=(0.0, 1.0))
         b = collect(net, X[:6], simple_methods(), scorer, spec, K=2, bounds=(0.0, 1.0))
@@ -256,12 +307,12 @@ class TestCollect:
 
     def test_retained_never_enters_with_nan(self, trained):
         net, X = trained
-        spec = input_spec("disruptive", seed=4, max_resamples=10)
+        spec = perturb_spec("ipt", "disruptive", seed=4, max_resamples=10)
         scorer = make_scorer("sparseness", EstimatorConfig())
         result = collect(net, X[:10], simple_methods(), scorer, spec, K=2, bounds=(0.0, 1.0))
         for matrix in result.per_method.values():
-            assert np.isfinite(matrix.perturbed[matrix.retained]).all()
-            assert np.isnan(matrix.perturbed[~matrix.retained]).all()
+            assert np.isnan(matrix.perturbed[~result.compliant]).all()
+            assert np.isfinite(matrix.perturbed[result.compliant]).all()
 
     @pytest.mark.parametrize(
         "bad",
@@ -279,7 +330,7 @@ class TestCollect:
         masks = bad(np.ones((6, X.shape[1]), dtype=bool))
         with pytest.raises(ValueError, match="masks"):
             collect(
-                net, X[:6], simple_methods(), counted, input_spec("minor", seed=6), K=1,
+                net, X[:6], simple_methods(), counted, perturb_spec("ipt", "minor", seed=6), K=1,
                 bounds=(0.0, 1.0), masks=masks,
             )
         assert calls == []
@@ -296,7 +347,7 @@ class TestCollect:
         masks = [[1, 0]] * 6  # int lists, not a bool array
         counted = Scorer(scorer.estimator_id, scorer.direction, record)
         collect(
-            net, X[:6], simple_methods(), counted, input_spec("minor", seed=6), K=1,
+            net, X[:6], simple_methods(), counted, perturb_spec("ipt", "minor", seed=6), K=1,
             bounds=(0.0, 1.0), masks=masks,
         )
         assert seen and all(m.dtype == bool and m.tolist() == [True, False] for m in seen)

@@ -120,6 +120,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="run.turbo"):
             config_from_tables(tables)
 
+    def test_hpo_grid_leaves_the_estimator_listing_alone(self):
+        text = BASE + "\n[hpo]\nestimator = complexity\n[hpo.axes]\ndirection = [lower_better, higher_better]\n"
+        config = config_from_tables(parse_tables(text))
+        assert config.estimators == ["sparseness", "complexity"]
+        trials = config.hpo_trials()
+        assert [cell for cell, _ in trials] == [
+            {"direction": "lower_better", "estimator": "complexity"},
+            {"direction": "higher_better", "estimator": "complexity"},
+        ]
+        assert [trial.estimator_config("complexity").direction for _, trial in trials] == [
+            "lower_better",
+            "higher_better",
+        ]
+
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(BASE)
