@@ -1,13 +1,14 @@
-"""Score one explanation with every quality estimator.
+"""Score one explanation with every estimator in the table.
 
 Each estimator maps (model, input, label, attribution) to a single float;
 NaN means the estimate is undefined for that sample.  Directions differ: for some lower is better, which matters later when the
-disruption criterion compares perturbed against unperturbed scores.
+disruption criterion compares perturbed against unperturbed scores.  The two
+adversarial rows are the sanity checks of the meta-evaluation itself.
 """
 import math
 
 from xaimeta.dataio import make_masks, synth_blobs
-from xaimeta.estimators import DIRECTIONS, ESTIMATOR_FUNCTIONS, EstimatorConfig, EvalContext
+from xaimeta.estimators import ESTIMATORS, EstimatorConfig, EvalContext
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import predict_labels, train_tiny
 
@@ -30,12 +31,11 @@ ctx = EvalContext(
     mask=dataset.masks[0],
     dataset_mean=dataset.mean,
     seed=11,
-    sample_index=0,
 )
 
 cfg = EstimatorConfig(fc_runs=50)
-print(f"{'estimator':34s} {'direction':14s} value")
-for name, evaluate in ESTIMATOR_FUNCTIONS.items():
-    estimate = evaluate(ctx, cfg)
+print(f"{'estimator':34s} {'family':14s} {'direction':14s} value")
+for name, row in ESTIMATORS.items():
+    estimate = row.evaluate(ctx, cfg)
     value = "undefined" if math.isnan(estimate) else f"{estimate:.4f}"
-    print(f"{name:34s} {DIRECTIONS[name]:14s} {value}")
+    print(f"{name:34s} {row.category:14s} {row.direction:14s} {value}")

@@ -42,20 +42,18 @@ class MetaVector:
     iec_nr: float
     iec_ar: float
     mc: float
-    test: str
-    estimator_id: str
 
     def entries(self) -> np.ndarray:
         return np.array([self.iac_nr, self.iac_ar, self.iec_nr, self.iec_ar])
 
 
-def meta_vector(iac_nr, iac_ar_raw, iec_nr, iec_ar, test="", estimator_id="") -> MetaVector:
+def meta_vector(iac_nr, iac_ar_raw, iec_nr, iec_ar) -> MetaVector:
     """Assemble the 4-entry record; the AR p-value enters as 1 - p."""
     entries = [float(iac_nr), 1.0 - float(iac_ar_raw), float(iec_nr), float(iec_ar)]
     for value in entries:
         if not -1e-12 <= value <= 1 + 1e-12:
             raise MetaEvaluationError(f"criterion outside [0, 1]: {entries}")
-    return MetaVector(*entries, mc=float(np.mean(entries)), test=test, estimator_id=estimator_id)
+    return MetaVector(*entries, mc=float(np.mean(entries)))
 
 
 def iac(unperturbed, perturbed) -> float:
@@ -180,12 +178,9 @@ def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> C
     """Run `iterations` independent repetitions of one estimator x test."""
     vectors = []
     diagnostics = {"dropped": [], "undefined": [], "total": [], "mean_attempts": []}
-    n = setup.inputs.shape[0]
     for iteration in range(setup.iterations):
         cell_seed = derive_seed(setup.master_seed, test, estimator_id, iteration)
-        scorer = make_scorer(
-            estimator_id, cfg, n_samples=n, state_seed=derive_seed(cell_seed, "adv")
-        )
+        scorer = make_scorer(estimator_id, cfg)
         collects = {}
         for strength in (MINOR, DISRUPTIVE):
             spec = replace(
@@ -213,8 +208,6 @@ def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> C
                 iac_ar_raw,
                 iec_minor(qbar_nr, qbar_m),
                 iec_disruptive(qbar_ar, qbar_d, scorer.direction == LOWER_BETTER),
-                test=test,
-                estimator_id=estimator_id,
             )
         )
         for strength in (MINOR, DISRUPTIVE):
@@ -226,21 +219,19 @@ def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> C
     return CellResult(
         estimator_id=estimator_id,
         test=test,
-        mean=_mean_vector(vectors, test, estimator_id),
+        mean=_mean_vector(vectors),
         std=_std_entries(vectors),
         per_iteration=vectors,
         diagnostics=diagnostics,
     )
 
 
-def _mean_vector(vectors, test, estimator_id) -> MetaVector:
+def _mean_vector(vectors) -> MetaVector:
     entries = np.array([v.entries() for v in vectors])
     means = entries.mean(axis=0)
     return MetaVector(
         *(float(v) for v in means),
         mc=float(np.mean([v.mc for v in vectors])),
-        test=test,
-        estimator_id=estimator_id,
     )
 
 

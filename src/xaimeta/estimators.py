@@ -5,10 +5,11 @@ randomisation, complexity, localisation) plus two adversarial estimators
 used to sanity-check the meta-evaluation itself.  Every estimator returns a
 float; NaN means the estimate is undefined for that sample, and
 `perturb.collect` keeps undefined estimates out of aggregation.  Estimators
-are pure given (ctx, cfg) -- all randomness flows from ctx.seed.
+are pure given (ctx, cfg) -- all randomness flows from ctx.seed.  `ESTIMATORS`
+is the one table of them: evaluate, direction, family and mask need per id.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -33,7 +34,7 @@ class EvalContext:
     marking at least one feature (`perturb.collect` checks its masks once
     per call).  `is_perturbed` says whether `x` or `net` carries a
     perturbation payload.  `dataset_mean` feeds the "mean" baseline
-    strategy; `sample_index` keys the deterministic adversarial estimator.
+    strategy.
     """
 
     net: Net
@@ -45,7 +46,6 @@ class EvalContext:
     mask: np.ndarray | None = None
     dataset_mean: float | None = None
     seed: int = 0
-    sample_index: int = 0
     is_perturbed: bool = False
 
 
@@ -354,25 +354,14 @@ def evaluate_relevance_rank_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> 
 # --- adversarial sanity estimators ------------------------------------------
 
 
-@dataclass
-class DeterministicAdversaryState:
-    """Per-sample uniform draws that Psi= returns no matter what it is shown."""
-
-    n_samples: int
-    seed: int
-    values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.values = derive_rng("psi_eq", self.seed).uniform(0.0, 1.0, size=self.n_samples)
+def adversarial_deterministic(ctx: EvalContext, cfg: EstimatorConfig) -> float:
+    """Perturbation-blind estimator: a uniform [0, 1) value read from the top
+    53 bits of the 64-bit estimator seed, which `perturb.collect` shares
+    between a sample's unperturbed and perturbed calls."""
+    return (ctx.seed >> 11) * 2.0**-53
 
 
-def adversarial_deterministic(ctx: EvalContext, state: DeterministicAdversaryState) -> float:
-    """Perturbation-blind estimator: the same fixed draw for a sample index,
-    whether or not the inputs were perturbed."""
-    return float(state.values[ctx.sample_index])
-
-
-def adversarial_distribution_shift(ctx: EvalContext) -> float:
+def adversarial_distribution_shift(ctx: EvalContext, cfg: EstimatorConfig) -> float:
     """Estimator that deliberately answers from different distributions.
 
     Unperturbed calls draw from N(mu, 1) with mu uniform in [-100000, -1];
@@ -386,63 +375,50 @@ def adversarial_distribution_shift(ctx: EvalContext) -> float:
     return float(rng.normal(mu, 1.0))
 
 
-# --- registry ---------------------------------------------------------------
+# --- the estimator table ----------------------------------------------------
 
-DIRECTIONS = {
-    "faithfulness_correlation": HIGHER_BETTER,
-    "pixel_flipping": LOWER_BETTER,
-    "max_sensitivity": LOWER_BETTER,
-    "local_lipschitz": LOWER_BETTER,
-    "model_parameter_randomisation": LOWER_BETTER,
-    "random_logit": LOWER_BETTER,
-    "sparseness": HIGHER_BETTER,
-    "complexity": LOWER_BETTER,
-    "pointing_game": HIGHER_BETTER,
-    "relevance_mass_accuracy": HIGHER_BETTER,
-    "top_k_intersection": HIGHER_BETTER,
-    "relevance_rank_accuracy": HIGHER_BETTER,
-    "adversarial_deterministic": HIGHER_BETTER,
-    "adversarial_distribution_shift": HIGHER_BETTER,
+
+@dataclass(frozen=True)
+class Estimator:
+    """One row of the estimator table: evaluate(ctx, cfg) -> float, the
+    direction in which a score is better, the family, and whether the
+    estimator reads a ground-truth mask."""
+
+    evaluate: object
+    direction: str
+    category: str
+    needs_mask: bool = False
+
+
+ESTIMATORS = {
+    "faithfulness_correlation": Estimator(
+        evaluate_faithfulness_correlation, HIGHER_BETTER, "faithfulness"
+    ),
+    "pixel_flipping": Estimator(evaluate_pixel_flipping, LOWER_BETTER, "faithfulness"),
+    "max_sensitivity": Estimator(evaluate_max_sensitivity, LOWER_BETTER, "robustness"),
+    "local_lipschitz": Estimator(evaluate_local_lipschitz, LOWER_BETTER, "robustness"),
+    "model_parameter_randomisation": Estimator(
+        evaluate_model_parameter_randomisation, LOWER_BETTER, "randomisation"
+    ),
+    "random_logit": Estimator(evaluate_random_logit, LOWER_BETTER, "randomisation"),
+    "sparseness": Estimator(evaluate_sparseness, HIGHER_BETTER, "complexity"),
+    "complexity": Estimator(evaluate_complexity, LOWER_BETTER, "complexity"),
+    "pointing_game": Estimator(evaluate_pointing_game, HIGHER_BETTER, "localisation", True),
+    "relevance_mass_accuracy": Estimator(
+        evaluate_relevance_mass_accuracy, HIGHER_BETTER, "localisation", True
+    ),
+    "top_k_intersection": Estimator(
+        evaluate_top_k_intersection, HIGHER_BETTER, "localisation", True
+    ),
+    "relevance_rank_accuracy": Estimator(
+        evaluate_relevance_rank_accuracy, HIGHER_BETTER, "localisation", True
+    ),
+    "adversarial_deterministic": Estimator(adversarial_deterministic, HIGHER_BETTER, "adversarial"),
+    "adversarial_distribution_shift": Estimator(
+        adversarial_distribution_shift, HIGHER_BETTER, "adversarial"
+    ),
 }
 
-ESTIMATOR_FUNCTIONS = {
-    "faithfulness_correlation": evaluate_faithfulness_correlation,
-    "pixel_flipping": evaluate_pixel_flipping,
-    "max_sensitivity": evaluate_max_sensitivity,
-    "local_lipschitz": evaluate_local_lipschitz,
-    "model_parameter_randomisation": evaluate_model_parameter_randomisation,
-    "random_logit": evaluate_random_logit,
-    "sparseness": evaluate_sparseness,
-    "complexity": evaluate_complexity,
-    "pointing_game": evaluate_pointing_game,
-    "relevance_mass_accuracy": evaluate_relevance_mass_accuracy,
-    "top_k_intersection": evaluate_top_k_intersection,
-    "relevance_rank_accuracy": evaluate_relevance_rank_accuracy,
-}
-
-CATEGORIES = {
-    "faithfulness_correlation": "faithfulness",
-    "pixel_flipping": "faithfulness",
-    "max_sensitivity": "robustness",
-    "local_lipschitz": "robustness",
-    "model_parameter_randomisation": "randomisation",
-    "random_logit": "randomisation",
-    "sparseness": "complexity",
-    "complexity": "complexity",
-    "pointing_game": "localisation",
-    "relevance_mass_accuracy": "localisation",
-    "top_k_intersection": "localisation",
-    "relevance_rank_accuracy": "localisation",
-    "adversarial_deterministic": "adversarial",
-    "adversarial_distribution_shift": "adversarial",
-}
-
-NEEDS_MASK = {
-    "pointing_game",
-    "relevance_mass_accuracy",
-    "top_k_intersection",
-    "relevance_rank_accuracy",
-}
 
 @dataclass
 class Scorer:
@@ -456,16 +432,11 @@ class Scorer:
         return self._call(ctx)
 
 
-def make_scorer(estimator_id: str, cfg: EstimatorConfig, n_samples: int = 0, state_seed: int = 0):
-    """Build a Scorer; adversarial estimators get their state wired in here."""
-    if estimator_id == "adversarial_deterministic":
-        state = DeterministicAdversaryState(n_samples=n_samples, seed=state_seed)
-        call = partial(adversarial_deterministic, state=state)
-    elif estimator_id == "adversarial_distribution_shift":
-        call = adversarial_distribution_shift
-    elif estimator_id in ESTIMATOR_FUNCTIONS:
-        call = partial(ESTIMATOR_FUNCTIONS[estimator_id], cfg=cfg)
-    else:
+def make_scorer(estimator_id: str, cfg: EstimatorConfig) -> Scorer:
+    """The table row of `estimator_id` bound to `cfg`; cfg.direction, when
+    set, overrides the row's direction."""
+    if estimator_id not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator_id!r}")
-    direction = cfg.direction if cfg.direction is not None else DIRECTIONS[estimator_id]
-    return Scorer(estimator_id, direction, call)
+    entry = ESTIMATORS[estimator_id]
+    direction = cfg.direction if cfg.direction is not None else entry.direction
+    return Scorer(estimator_id, direction, partial(entry.evaluate, cfg=cfg))

@@ -229,7 +229,6 @@ def collect(
                 mask=None if masks is None else masks[i],
                 dataset_mean=dataset_mean,
                 seed=seed,
-                sample_index=i,
                 is_perturbed=is_perturbed,
             )
         )

@@ -9,7 +9,7 @@ once, and load -> serialize -> load is the identity.
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .estimators import DIRECTIONS, EstimatorConfig
+from .estimators import ESTIMATORS, EstimatorConfig
 from .explain import ALL_METHODS, ExplainerConfig
 from .perturb import DEFAULT_WINDOWS, PerturbSpec, perturb_spec
 
@@ -121,20 +121,36 @@ def apply_overrides(tables: dict, assignments) -> dict:
 
 # --- the benchmark schema ---------------------------------------------------
 
+# key -> type of its value; a float key takes integers too, and (int,) is
+# one integer or a list of them
 DATASET_KEYS = {
-    "kind",
-    "samples",
-    "features",
-    "classes",
-    "spread",
-    "seed",
-    "images",
-    "labels",
-    "mask",
-    "mask_fraction",
-    "mask_quantile",
+    "kind": str,
+    "samples": int,
+    "features": int,
+    "classes": int,
+    "spread": float,
+    "seed": int,
+    "images": str,
+    "labels": str,
+    "mask": str,
+    "mask_fraction": float,
+    "mask_quantile": float,
 }
-MODEL_KEYS = {"path", "hidden", "epochs", "learning_rate", "momentum", "batch_size"}
+MODEL_KEYS = {
+    "path": str,
+    "hidden": (int,),
+    "epochs": int,
+    "learning_rate": float,
+    "momentum": float,
+    "batch_size": int,
+}
+TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    (int,): "an integer or a list of integers",
+}
+
 RUN_KEYS = {"tests", "k", "iterations", "sample_count", "master_seed", "output"}
 PERTURB_KEYS = set(PerturbSpec.__dataclass_fields__) - {"test", "strength", "seed"}
 HPO_KEYS = {"estimator", "axes"}
@@ -195,10 +211,22 @@ class RunConfig:
         return trials
 
 
-def _check_keys(table: dict, allowed: set, where: str, errors: list):
+def _reads_as(kind, value) -> bool:
+    if isinstance(kind, tuple):
+        values = value if isinstance(value, list) else [value]
+        return all(_reads_as(kind[0], v) for v in values)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_keys(table: dict, allowed, where: str, errors: list):
+    """Name unknown keys and, where `allowed` maps keys to types, values of another type."""
     for key, value in table.items():
         if key not in allowed:
             errors.append(f"unknown key {where}.{key}")
+        elif isinstance(allowed, dict) and not _reads_as(allowed[key], value):
+            errors.append(f"[{where}] {key} must be {TYPE_NAMES[allowed[key]]}, got {value!r}")
 
 
 def _validate_listing(names, known, where, errors):
@@ -255,8 +283,8 @@ def config_from_tables(tables: dict) -> RunConfig:
             continue
         _check_keys(sub, ESTIMATOR_FIELDS, f"estimators.{name}", errors)
         estimator_overrides[name] = sub
-    _validate_listing(estimators, DIRECTIONS, "[estimators] use", errors)
-    _validate_listing(estimator_overrides, DIRECTIONS, "[estimators.*]", errors)
+    _validate_listing(estimators, ESTIMATORS, "[estimators] use", errors)
+    _validate_listing(estimator_overrides, ESTIMATORS, "[estimators.*]", errors)
 
     run = dict(tables.get("run", {}))
     _check_keys(run, RUN_KEYS, "run", errors)
@@ -268,6 +296,8 @@ def config_from_tables(tables: dict) -> RunConfig:
         tests = [tests]
     if tests == ["both"]:
         tests = ["ipt", "mpt"]
+    if not tests:
+        errors.append("[run] tests must name at least one test")
     for test in tests:
         if test not in ("ipt", "mpt"):
             errors.append(f"unknown test {test!r} in [run] tests")
@@ -301,7 +331,7 @@ def config_from_tables(tables: dict) -> RunConfig:
         if searched is None:
             errors.append("[hpo] estimator is required unless [hpo.axes] has one")
         elif isinstance(searched, list):
-            _validate_listing(searched, DIRECTIONS, "[hpo]", errors)
+            _validate_listing(searched, ESTIMATORS, "[hpo]", errors)
 
     if errors:
         raise ConfigError("; ".join(errors))

@@ -15,7 +15,7 @@ from .consistency import BenchmarkSetup, run_meta_evaluation
 from .dataio import Dataset, load_idx, make_masks, save_model, synth_blobs
 from .dataio import load_model as load_model_file
 from .errors import ConfigError
-from .estimators import CATEGORIES, NEEDS_MASK
+from .estimators import ESTIMATORS
 from .explain import build_explainer
 from .net import accuracy, train_tiny
 from .perturb import perturb_spec
@@ -103,8 +103,8 @@ def build_net(config: RunConfig, dataset: Dataset):
 def _checked_estimators(config: RunConfig, dataset: Dataset) -> list:
     """[(estimator_id, EstimatorConfig)], checked against what the dataset decides
     (masks, feature count); callers run this before any training."""
-    if dataset.masks is None and any(e in NEEDS_MASK for e in config.estimators):
-        needing = sorted(set(config.estimators) & NEEDS_MASK)
+    needing = sorted({e for e in config.estimators if ESTIMATORS[e].needs_mask})
+    if dataset.masks is None and needing:
         raise ConfigError(f"estimators {needing} need [dataset] mask != none")
     estimators = [(e, config.estimator_config(e)) for e in config.estimators]
     for estimator_id, cfg in estimators:
@@ -284,7 +284,7 @@ def run_convergence(config: RunConfig):
                 {
                     "pair": (first, second),
                     "correlation": float(np.mean(correlations)),
-                    "within_category": CATEGORIES[first] == CATEGORIES[second],
+                    "within_category": ESTIMATORS[first].category == ESTIMATORS[second].category,
                 }
             )
     within = [p["correlation"] for p in pairs if p["within_category"]]

@@ -12,8 +12,8 @@ import pytest
 
 from xaimeta.consistency import iec_disruptive, iec_minor, meta_vector
 from xaimeta.estimators import (
+    ESTIMATORS,
     LOWER_BETTER,
-    DIRECTIONS,
     EstimatorConfig,
     evaluate_complexity,
     evaluate_pixel_flipping,
@@ -376,7 +376,7 @@ class TestCriterion7MetaAlgebra:
                 assert iec_minor(transform(q), transform(qm)) == pytest.approx(base, abs=1e-12)
 
     def test_inversion_rule_for_all_lower_better_estimators(self, announce):
-        lower = sorted(e for e, d in DIRECTIONS.items() if d == LOWER_BETTER)
+        lower = sorted(e for e, row in ESTIMATORS.items() if row.direction == LOWER_BETTER)
         assert lower == [
             "complexity",
             "local_lipschitz",
@@ -389,7 +389,7 @@ class TestCriterion7MetaAlgebra:
         q = rng.uniform(size=(5, 3))
         worse = q + rng.uniform(0.1, 0.5, size=(5, 3))  # strictly higher
         for estimator_id in lower:
-            inverted = DIRECTIONS[estimator_id] == LOWER_BETTER
+            inverted = ESTIMATORS[estimator_id].direction == LOWER_BETTER
             assert iec_disruptive(q, worse, lower_better=inverted) == 1.0
             assert iec_disruptive(q, worse, lower_better=not inverted) == 0.0
         announce(7, True, "MC extremes, rank invariance, inversion rule for all 6 lower-better ids")

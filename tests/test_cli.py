@@ -202,6 +202,11 @@ class TestConfigErrorsBeforeTraining:
             ("benchmark", "run.k=true", "[run] k must be an integer"),
             ("benchmark", "run.iterations=1.5", "[run] iterations must be an integer"),
             ("convergence", "convergence.foo=1", "unknown key convergence.foo"),
+            ("benchmark", "run.tests=[]", "[run] tests must name at least one test"),
+            ("benchmark", "dataset.samples=abc", "[dataset] samples must be an integer, got 'abc'"),
+            ("sanity", "dataset.spread=wide", "[dataset] spread must be a number, got 'wide'"),
+            ("benchmark", "model.epochs=abc", "[model] epochs must be an integer, got 'abc'"),
+            ("train", "model.hidden=[a]", "[model] hidden must be an integer or a list of integers"),
         ],
         ids=[
             "mpt_alpha",
@@ -220,6 +225,11 @@ class TestConfigErrorsBeforeTraining:
             "boolean_k",
             "fractional_iterations",
             "convergence_key",
+            "empty_tests",
+            "non_numeric_samples",
+            "non_numeric_spread",
+            "non_numeric_epochs",
+            "non_numeric_hidden",
         ],
     )
     def test_exits_one_naming_the_setting(self, tmp_path, capsys, monkeypatch, verb, assignment, named):

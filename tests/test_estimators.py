@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +9,7 @@ from hypothesis import strategies as st
 import xaimeta.estimators as estimators_module
 from xaimeta.errors import ConfigError
 from xaimeta.estimators import (
-    DIRECTIONS,
-    ESTIMATOR_FUNCTIONS,
-    DeterministicAdversaryState,
+    ESTIMATORS,
     EstimatorConfig,
     EvalContext,
     adversarial_deterministic,
@@ -31,7 +30,7 @@ from xaimeta.estimators import (
 )
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import dense, logits_batch, make_net, relu, softmax
-from xaimeta.seeding import derive_rng
+from xaimeta.seeding import derive_rng, derive_seed
 from xaimeta.stats import spearman
 
 CFG = EstimatorConfig()
@@ -579,21 +578,34 @@ class TestLocalisation:
 
 
 class TestAdversarialEstimators:
-    def test_deterministic_repeats_per_sample(self):
-        state = DeterministicAdversaryState(n_samples=10, seed=3)
-        ctx = bare_ctx([1.0, 2.0])
-        ctx.sample_index = 4
-        a = adversarial_deterministic(ctx, state)
-        b = adversarial_deterministic(ctx, state)
-        assert a == b
-        assert (state.values >= 0).all() and (state.values <= 1).all()
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_deterministic_repeats_per_sample(self, seed):
+        # the value depends on the seed alone, not on what the call is shown
+        plain = bare_ctx([1.0, 2.0])
+        plain.seed = seed
+        perturbed = bare_ctx([-3.0, 0.5])
+        perturbed.x = perturbed.x + 0.25
+        perturbed.seed = seed
+        perturbed.is_perturbed = True
+        a = adversarial_deterministic(plain, CFG)
+        assert isinstance(a, float) and 0.0 <= a < 1.0
+        assert adversarial_deterministic(perturbed, CFG) == a
+
+    def test_deterministic_is_uniform_over_derived_seeds(self):
+        ctx = bare_ctx([1.0])
+        values = []
+        for seed in range(2000):
+            ctx.seed = derive_seed("est", seed)
+            values.append(adversarial_deterministic(ctx, CFG))
+        counts, _ = np.histogram(values, bins=4, range=(0.0, 1.0))
+        assert counts.min() > 400
 
     def test_distribution_shift_unperturbed_far_negative(self):
         ctx = bare_ctx([1.0, 2.0])
         draws = []
         for seed in range(1000):
             ctx.seed = seed
-            draws.append(adversarial_distribution_shift(ctx))
+            draws.append(adversarial_distribution_shift(ctx, CFG))
         assert np.mean(np.asarray(draws) < -0.5) >= 0.99
 
     def test_distribution_shift_perturbed_near_zero(self):
@@ -602,7 +614,7 @@ class TestAdversarialEstimators:
         draws = []
         for seed in range(1000):
             ctx.seed = seed
-            draws.append(adversarial_distribution_shift(ctx))
+            draws.append(adversarial_distribution_shift(ctx, CFG))
         assert -1.0 <= np.mean(draws) <= 2.0
 
 
@@ -616,13 +628,36 @@ class TestRegistry:
             "random_logit",
             "complexity",
         }
-        for estimator_id, direction in DIRECTIONS.items():
+        for estimator_id, row in ESTIMATORS.items():
             expected = "lower_better" if estimator_id in lower else "higher_better"
-            assert direction == expected
+            assert row.direction == expected, estimator_id
 
     def test_every_estimator_has_direction(self):
-        for estimator_id in ESTIMATOR_FUNCTIONS:
-            assert estimator_id in DIRECTIONS
+        # the scorer takes the row's direction unless cfg.direction overrides it
+        override = EstimatorConfig(direction="higher_better")
+        for estimator_id, row in ESTIMATORS.items():
+            assert make_scorer(estimator_id, CFG).direction == row.direction
+            assert make_scorer(estimator_id, override).direction == "higher_better"
+
+    def test_needs_mask_exactly_for_localisation(self):
+        needing = {e for e, row in ESTIMATORS.items() if row.needs_mask}
+        assert needing == {
+            "pointing_game",
+            "relevance_mass_accuracy",
+            "top_k_intersection",
+            "relevance_rank_accuracy",
+        }
+        assert needing == {e for e, row in ESTIMATORS.items() if row.category == "localisation"}
+
+    def test_every_estimator_has_a_category(self):
+        assert Counter(row.category for row in ESTIMATORS.values()) == {
+            "faithfulness": 2,
+            "robustness": 2,
+            "randomisation": 2,
+            "complexity": 2,
+            "localisation": 4,
+            "adversarial": 2,
+        }
 
     def test_make_scorer_unknown_id(self):
         with pytest.raises(ConfigError):
@@ -640,7 +675,7 @@ class TestRegistry:
             "model_parameter_randomisation",
             "random_logit",
         ):
-            fn = ESTIMATOR_FUNCTIONS[estimator_id]
+            fn = ESTIMATORS[estimator_id].evaluate
             a = fn(make_ctx(net, x, explainer=explainer, seed=55), CFG)
             b = fn(make_ctx(net, x, explainer=explainer, seed=55), CFG)
             assert a == b, estimator_id
@@ -652,7 +687,8 @@ class TestRegistry:
         x = rng.uniform(size=4)
         explainer = build_explainer("gradient", ExplainerConfig())
         mask = np.array([True, False, True, False])
-        for estimator_id, fn in ESTIMATOR_FUNCTIONS.items():
+        assert len(ESTIMATORS) == 14
+        for estimator_id, row in ESTIMATORS.items():
             ctx = make_ctx(net, x, explainer=explainer, mask=mask, seed=9)
-            est = fn(ctx, CFG)
+            est = row.evaluate(ctx, CFG)
             assert isinstance(est, float) and not math.isinf(est), estimator_id

@@ -219,14 +219,17 @@ class TestCollect:
             assert np.isfinite(matrix.perturbed).all()
             assert np.allclose(matrix.perturbed[:, 0], matrix.unperturbed, atol=1e-15)
 
-    def test_deterministic_adversary_blind_to_perturbation(self, trained):
+    @pytest.mark.parametrize("test", ["ipt", "mpt"])
+    def test_deterministic_adversary_blind_to_perturbation(self, trained, test):
         net, X = trained
-        spec = perturb_spec("ipt", "minor", seed=2)
-        scorer = make_scorer("adversarial_deterministic", EstimatorConfig(), n_samples=8, state_seed=9)
+        spec = perturb_spec(test, "minor", seed=2)
+        scorer = make_scorer("adversarial_deterministic", EstimatorConfig())
         result = collect(net, X[:8], simple_methods(), scorer, spec, K=3, bounds=(0.0, 1.0))
+        assert result.compliant.any()
         for matrix in result.per_method.values():
             for k in range(3):
                 retained = np.isfinite(matrix.perturbed[:, k])
+                assert np.array_equal(retained, result.compliant[:, k])
                 assert np.array_equal(
                     matrix.perturbed[retained, k], matrix.unperturbed[retained]
                 )
@@ -271,7 +274,6 @@ class TestCollect:
                     explainer=explainer,
                     dataset_bounds=(0.0, 1.0),
                     seed=seed_ij,
-                    sample_index=i,
                 )
                 expected = evaluate_faithfulness_correlation(ctx, cfg)
                 assert matrix.unperturbed[i] == expected
@@ -288,7 +290,6 @@ class TestCollect:
                         explainer=explainer,
                         dataset_bounds=(0.0, 1.0),
                         seed=seed_ij,
-                        sample_index=i,
                         is_perturbed=True,
                     )
                     expected = evaluate_faithfulness_correlation(ctx, cfg)

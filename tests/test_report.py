@@ -5,7 +5,7 @@ from xaimeta.report import write_report
 
 
 def adversarial_cell(test):
-    vector = MetaVector(1.0, 0.0, 1.0, 0.0, mc=0.5, test=test, estimator_id="adversarial_deterministic")
+    vector = MetaVector(1.0, 0.0, 1.0, 0.0, mc=0.5)
     return CellResult(
         estimator_id="adversarial_deterministic",
         test=test,
