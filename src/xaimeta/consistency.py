@@ -84,11 +84,7 @@ def iec_minor(qbar, qbar_m) -> float:
     qbar_m = np.asarray(qbar_m, dtype=np.float64)
     if qbar.shape != qbar_m.shape or qbar.ndim != 2 or qbar.shape[1] < 2:
         raise ValueError("IEC needs matching (N, L) matrices with L >= 2")
-    agree = 0
-    for i in range(qbar.shape[0]):
-        agree += int(
-            np.sum(stats.rank_descending(qbar[i]) == stats.rank_descending(qbar_m[i]))
-        )
+    agree = int(np.sum(stats.rank_descending(qbar) == stats.rank_descending(qbar_m)))
     return agree / qbar.size
 
 
@@ -117,12 +113,14 @@ def ranking_matrices(result: CollectResult):
     qbar_prime = np.empty_like(qbar)
     for j, matrix in enumerate(matrices):
         qbar[:, j] = matrix.unperturbed[keep]
-        retained = np.isfinite(matrix.perturbed)
-        for row, i in enumerate(keep):
-            draws = matrix.perturbed[i, retained[i]]
-            # the mean of identical draws is that value exactly; bypassing
-            # the float division keeps strict tie comparisons honest
-            qbar_prime[row, j] = draws[0] if (draws == draws[0]).all() else draws.mean()
+        draws = matrix.perturbed[keep]
+        retained = np.isfinite(draws)
+        means = stats.masked_row_sums(draws, retained) / retained.sum(axis=1)
+        # the mean of identical draws is that value exactly; bypassing
+        # the float division keeps strict tie comparisons honest
+        first = draws[np.arange(len(keep)), np.argmax(retained, axis=1)]
+        identical = ((draws == first[:, None]) | ~retained).all(axis=1)
+        qbar_prime[:, j] = np.where(identical, first, means)
     return qbar, qbar_prime
 
 

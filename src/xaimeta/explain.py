@@ -44,15 +44,16 @@ def _batch(X, labels):
     return X, np.broadcast_to(np.asarray(labels, dtype=np.int64), (X.shape[0],))
 
 
-def _chunks(n_rows: int, row_elements: int):
-    """Slices over n_rows rows that each expand to row_elements floats."""
+def row_chunks(n_rows: int, row_elements: int):
+    """Slices over n_rows rows that each expand to row_elements floats, at
+    most _CHUNK_ELEMENTS floats per slice (at least one row)."""
     step = max(1, _CHUNK_ELEMENTS // row_elements)
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _gradients(net: Net, X, labels) -> np.ndarray:
     out = np.empty_like(X)
-    for rows in _chunks(X.shape[0], X.shape[1]):
+    for rows in row_chunks(X.shape[0], X.shape[1]):
         out[rows] = input_gradient_batch(net, X[rows], labels[rows])
     return out
 
@@ -77,7 +78,7 @@ def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> n
     steps = cfg.ig_steps
     alphas = (np.arange(steps) + 0.5) / steps
     out = np.empty_like(X)
-    for rows in _chunks(X.shape[0], steps * d):
+    for rows in row_chunks(X.shape[0], steps * d):
         span = X[rows] - cfg.ig_baseline
         points = cfg.ig_baseline + alphas[None, :, None] * span[:, None, :]
         grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], steps))
@@ -99,7 +100,7 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     # copy 0 is the input itself, copy j > 0 has block j - 1 occluded
     occluded = np.arange(-1, n_blocks)[:, None] == block_of[None, :]
     out = np.empty_like(X)
-    for rows in _chunks(X.shape[0], (n_blocks + 1) * d):
+    for rows in row_chunks(X.shape[0], (n_blocks + 1) * d):
         copies = np.where(occluded, cfg.occlusion_baseline, X[rows][:, None, :])
         logits = logits_batch(net, copies.reshape(-1, d)).reshape(copies.shape[0], n_blocks + 1, -1)
         scores = np.take_along_axis(logits, labels[rows][:, None, None], axis=2)[:, :, 0]
@@ -126,7 +127,7 @@ def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarr
     baselines = baselines + rng.normal(0.0, cfg.shap_noise_std, size=baselines.shape)
     ts = rng.uniform(0.0, 1.0, size=samples)
     out = np.empty_like(X)
-    for rows in _chunks(X.shape[0], samples * d):
+    for rows in row_chunks(X.shape[0], samples * d):
         span = X[rows][:, None, :] - baselines[None, :, :]
         points = baselines + ts[:, None] * span
         grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], samples))

@@ -196,11 +196,12 @@ def collect(
 
     `methods` is a sequence of (method_id, explainer) pairs, each explainer
     a batch callable(net, X, labels) -> (B, D); `scorer` is an
-    estimators.Scorer, called once per estimate, whose non-finite results
-    count as undefined.  `masks`, when given, is an (N, D) array whose every
-    row marks at least one feature.  Payload column k is one (net, inputs)
-    pair: under IPT the unperturbed net and the k-th perturbed rows, under
-    MPT the k-th drawn net and X.  Payload draws are shared across methods;
+    estimators.Scorer, called per method once on the N unperturbed rows and
+    once per non-empty payload column on its compliant rows; its
+    non-finite results count as undefined.  `masks`, when given, is an
+    (N, D) array whose every row marks at least one feature.  Payload
+    column k is one (net, inputs) pair: under IPT the unperturbed net and
+    the k-th perturbed rows, under MPT the k-th drawn net and X.  Payload draws are shared across methods;
     every stochastic choice derives from spec.seed, so results are
     independent of execution schedule.  Aborts when more than
     MAX_DROPPED_FRACTION of samples end up without a single retained draw,
@@ -216,22 +217,6 @@ def collect(
             raise ValueError("masks must be (N, D) and mark at least one feature per row")
     bounds = tuple(bounds)
     labels = predict_labels(net, X)
-
-    def score(i, net_i, x_i, attribution, explainer, seed, is_perturbed):
-        return scorer(
-            EvalContext(
-                net=net_i,
-                x=x_i,
-                label=int(labels[i]),
-                attribution=attribution,
-                explainer=explainer,
-                dataset_bounds=bounds,
-                mask=None if masks is None else masks[i],
-                dataset_mean=dataset_mean,
-                seed=seed,
-                is_perturbed=is_perturbed,
-            )
-        )
 
     # payload draws, shared by all methods
     compliant = np.zeros((n, K), dtype=bool)
@@ -258,24 +243,36 @@ def collect(
     usable = np.ones(n, dtype=bool)
     per_method = {}
     for method_id, explainer in methods:
-        # one explainer call for the unperturbed rows, then one per payload
-        # column over its compliant rows; each call sees at most n rows
-        base = explainer(net, X, labels)
-        columns = np.empty((K, *X.shape))
+        # one estimator seed per (sample, method): the estimator's own
+        # sampling stays fixed so that only the perturbed space varies
+        seeds = np.array(
+            [derive_seed(spec.seed, "est", i, method_id) for i in range(n)], dtype=np.uint64
+        )
+
+        def score(net_k, rows, X_k, is_perturbed):
+            """Explain and score the given rows under one (net, inputs) pair."""
+            ctx = EvalContext(
+                net=net_k,
+                X=X_k,
+                labels=labels[rows],
+                attributions=explainer(net_k, X_k, labels[rows]),
+                explainer=explainer,
+                dataset_bounds=bounds,
+                seeds=seeds[rows],
+                masks=None if masks is None else masks[rows],
+                dataset_mean=dataset_mean,
+                is_perturbed=is_perturbed,
+            )
+            return np.asarray(scorer(ctx), dtype=np.float64)
+
+        # the N unperturbed rows, then each non-empty payload column over
+        # its compliant rows: one explainer and one scorer call apiece
+        unperturbed = score(net, np.ones(n, dtype=bool), X, False)
+        perturbed = np.full((n, K), np.nan)
         for k in range(K):
             rows = compliant[:, k]
             if rows.any():
-                columns[k, rows] = explainer(nets[k], inputs[k][rows], labels[rows])
-        unperturbed = np.empty(n)
-        perturbed = np.full((n, K), np.nan)
-        for i in range(n):
-            # one estimator seed per (sample, method): the estimator's own
-            # sampling stays fixed so that only the perturbed space varies
-            seed_ij = derive_seed(spec.seed, "est", i, method_id)
-            unperturbed[i] = score(i, net, X[i], base[i], explainer, seed_ij, False)
-            for k in np.flatnonzero(compliant[i]):
-                x_k = inputs[k][i]
-                perturbed[i, k] = score(i, nets[k], x_k, columns[k, i], explainer, seed_ij, True)
+                perturbed[rows, k] = score(nets[k], rows, inputs[k][rows], True)
         # non-compliant entries are still NaN, so they are never retained
         defined = np.isfinite(unperturbed)
         retained = np.isfinite(perturbed)

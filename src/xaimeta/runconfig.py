@@ -144,6 +144,8 @@ MODEL_KEYS = {
     "momentum": float,
     "batch_size": int,
 }
+# the least value a synthetic dataset can be built and meta-evaluated with
+DATASET_MINIMUMS = {"samples": 2, "features": 1, "classes": 2}
 TYPE_NAMES = {
     int: "an integer",
     float: "a number",
@@ -258,6 +260,10 @@ def config_from_tables(tables: dict) -> RunConfig:
 
     dataset = dict(tables.get("dataset", {}))
     _check_keys(dataset, DATASET_KEYS, "dataset", errors)
+    for key, least in DATASET_MINIMUMS.items():
+        value = dataset.get(key)
+        if _reads_as(int, value) and value < least:
+            errors.append(f"[dataset] {key} must be >= {least}, got {value!r}")
 
     model = dict(tables.get("model", {}))
     _check_keys(model, MODEL_KEYS, "model", errors)

@@ -2,9 +2,13 @@
 
 Everything the consistency criteria need lives here: a two-sided Wilcoxon
 signed-rank test (exact for small samples, normal approximation beyond),
-Pearson and Spearman correlation, descending integer ranks and trapezoid
-area under a curve.  No scipy dependency; degenerate inputs return NaN
-("undefined") rather than raising, except where noted.
+Pearson and Spearman correlation, descending integer ranks, trapezoid area
+under a curve and masked row sums.  No scipy dependency; degenerate inputs
+return NaN ("undefined") rather than raising, except where noted.
+
+Ranks, correlations, areas and masked sums work along the last axis: row i
+of a stacked input gives bit for bit what the 1-D call on that row gives,
+and a 1-D input gives a plain float where the result is a scalar.
 """
 import math
 
@@ -15,44 +19,60 @@ import numpy as np
 EXACT_LIMIT = 25
 
 
-def _as_1d_pair(a, b):
+def _as_pair(a, b, rows=False):
+    """Validated float64 paired samples: 1-D, or with `rows` stacked along the last axis."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
+    if a.ndim != 1 and not (rows and a.ndim > 1):
         raise ValueError("paired samples must be one-dimensional")
     if a.shape != b.shape:
-        raise ValueError(f"paired samples differ in length: {a.size} vs {b.size}")
-    if a.size < 2:
+        raise ValueError(f"paired samples differ in shape: {a.shape} vs {b.shape}")
+    if a.shape[-1] < 2:
         raise ValueError("paired samples need length >= 2")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("paired samples must be finite")
     return a, b
 
 
+def _row_dots(a, b) -> np.ndarray:
+    # one dot product per row, as `a @ b` computes it for a single pair of vectors
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _scalar_if_1d(values, ndim):
+    return float(values) if ndim == 1 else values
+
+
 def average_ranks(values) -> np.ndarray:
-    """Ascending ranks 1..n with ties assigned their average rank."""
+    """Ascending ranks 1..n along the last axis, ties assigned their average rank."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    # tie groups are runs of equal sorted values; group [i, j] gets 0.5 * (i + j) + 1
-    n = values.size
-    boundary = np.ones(n + 1, dtype=bool)
-    boundary[1:n] = ordered[1:] != ordered[:-1]
-    edges = np.flatnonzero(boundary)  # group starts, then n
-    starts, sizes = edges[:-1], np.diff(edges)
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1.0, sizes)
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    # tie groups are runs of equal sorted values; group [i, j) gets 0.5 * (i + j - 1) + 1
+    n = values.shape[-1]
+    position = np.arange(n)
+    new_group = np.ones(values.shape, dtype=bool)
+    new_group[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends_group = np.ones(values.shape, dtype=bool)
+    ends_group[..., :-1] = new_group[..., 1:]
+    starts = np.maximum.accumulate(np.where(new_group, position, 0), axis=-1)
+    ends = np.flip(
+        np.minimum.accumulate(np.flip(np.where(ends_group, position + 1, n), axis=-1), axis=-1),
+        axis=-1,
+    )
+    ranks = np.empty_like(values)
+    np.put_along_axis(ranks, order, 0.5 * (starts + ends - 1) + 1.0, axis=-1)
     return ranks
 
 
 def rank_descending(values) -> np.ndarray:
-    """Integer ranks with 1 for the largest value; ties break on lowest index."""
+    """Integer ranks along the last axis, 1 for the largest value; ties break on lowest index."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("rank_descending expects a nonempty 1-D vector")
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[order] = np.arange(1, values.size + 1)
+    if values.ndim == 0 or values.shape[-1] == 0:
+        raise ValueError("rank_descending expects nonempty rows")
+    order = np.argsort(-values, axis=-1, kind="stable")
+    ranks = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[-1] + 1), axis=-1)
     return ranks
 
 
@@ -100,7 +120,7 @@ def wilcoxon_signed_rank(a, b) -> float:
     all 2^m sign assignments; beyond that a normal approximation with tie and
     continuity corrections is used.
     """
-    a, b = _as_1d_pair(a, b)
+    a, b = _as_pair(a, b)
     diffs = a - b
     diffs = diffs[diffs != 0.0]
     m = diffs.size
@@ -113,29 +133,46 @@ def wilcoxon_signed_rank(a, b) -> float:
     return _wilcoxon_approx_p(w_plus, ranks)
 
 
-def pearson(a, b) -> float:
-    """Product-moment correlation; NaN when either side has zero variance."""
-    a, b = _as_1d_pair(a, b)
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = math.sqrt(float(ac @ ac) * float(bc @ bc))
-    if denom == 0.0:
-        return math.nan
-    return float(np.clip((ac @ bc) / denom, -1.0, 1.0))
+def pearson(a, b):
+    """Product-moment correlation along the last axis; NaN where either side
+    has zero variance."""
+    a, b = _as_pair(a, b, rows=True)
+    ac = a - a.mean(axis=-1, keepdims=True)
+    bc = b - b.mean(axis=-1, keepdims=True)
+    denom = np.sqrt(_row_dots(ac, ac) * _row_dots(bc, bc))
+    r = np.divide(_row_dots(ac, bc), denom, out=np.full(denom.shape, np.nan), where=denom != 0.0)
+    return _scalar_if_1d(np.clip(r, -1.0, 1.0), a.ndim)
 
 
-def spearman(a, b) -> float:
-    """Pearson correlation of average ranks; NaN for constant input."""
-    a, b = _as_1d_pair(a, b)
+def spearman(a, b):
+    """Pearson correlation of average ranks along the last axis; NaN for constant input."""
+    a, b = _as_pair(a, b, rows=True)
     return pearson(average_ranks(a), average_ranks(b))
 
 
-def trapezoid_auc(xs, ys) -> float:
-    """Trapezoid-rule area under (xs, ys); xs must be strictly increasing."""
+def trapezoid_auc(xs, ys):
+    """Trapezoid-rule area under (xs, ys) along the last axis of ys; xs must
+    be strictly increasing."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValueError("trapezoid_auc expects equal-length 1-D vectors, length >= 2")
+    if xs.ndim != 1 or ys.ndim < 1 or ys.shape[-1] != xs.size or xs.size < 2:
+        raise ValueError("trapezoid_auc expects 1-D xs and rows of ys of its length, length >= 2")
     if not (np.diff(xs) > 0).all():
         raise ValueError("xs must be strictly increasing")
-    return float(((ys[:-1] + ys[1:]) / 2.0 * np.diff(xs)).sum())
+    area = ((ys[..., :-1] + ys[..., 1:]) / 2.0 * np.diff(xs)).sum(axis=-1)
+    return _scalar_if_1d(area, ys.ndim)
+
+
+def masked_row_sums(values, keep) -> np.ndarray:
+    """Sum of each row's `keep` entries of a (B, n) array, rounded as the
+    1-D sum of that row's selection `values[b][keep[b]]` rounds it (numpy
+    sums pairwise, so adding the skipped entries as zeros would not)."""
+    values = np.asarray(values, dtype=np.float64)
+    keep = np.asarray(keep, dtype=bool)
+    counts = keep.sum(axis=1)
+    sums = np.zeros(values.shape[0])
+    # rows that keep the same number of entries sum as one (rows, count) block
+    for count in np.unique(counts[counts > 0]):
+        rows = counts == count
+        sums[rows] = values[rows][keep[rows]].reshape(-1, count).sum(axis=1)
+    return sums

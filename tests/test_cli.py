@@ -207,6 +207,9 @@ class TestConfigErrorsBeforeTraining:
             ("sanity", "dataset.spread=wide", "[dataset] spread must be a number, got 'wide'"),
             ("benchmark", "model.epochs=abc", "[model] epochs must be an integer, got 'abc'"),
             ("train", "model.hidden=[a]", "[model] hidden must be an integer or a list of integers"),
+            ("benchmark", "dataset.samples=1", "[dataset] samples must be >= 2, got 1"),
+            ("benchmark", "dataset.features=0", "[dataset] features must be >= 1, got 0"),
+            ("benchmark", "dataset.classes=1", "[dataset] classes must be >= 2, got 1"),
         ],
         ids=[
             "mpt_alpha",
@@ -230,6 +233,9 @@ class TestConfigErrorsBeforeTraining:
             "non_numeric_spread",
             "non_numeric_epochs",
             "non_numeric_hidden",
+            "one_dataset_sample",
+            "no_features",
+            "one_class",
         ],
     )
     def test_exits_one_naming_the_setting(self, tmp_path, capsys, monkeypatch, verb, assignment, named):

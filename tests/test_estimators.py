@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,30 +9,40 @@ from hypothesis import strategies as st
 
 import xaimeta.estimators as estimators_module
 from xaimeta.errors import ConfigError
-from xaimeta.estimators import (
-    ESTIMATORS,
-    EstimatorConfig,
-    EvalContext,
-    adversarial_deterministic,
-    adversarial_distribution_shift,
-    evaluate_complexity,
-    evaluate_faithfulness_correlation,
-    evaluate_local_lipschitz,
-    evaluate_max_sensitivity,
-    evaluate_model_parameter_randomisation,
-    evaluate_pixel_flipping,
-    evaluate_pointing_game,
-    evaluate_random_logit,
-    evaluate_relevance_mass_accuracy,
-    evaluate_relevance_rank_accuracy,
-    evaluate_sparseness,
-    evaluate_top_k_intersection,
-    make_scorer,
-)
+from xaimeta.estimators import ESTIMATORS, EstimatorConfig, EvalContext, make_scorer
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import dense, logits_batch, make_net, relu, softmax
 from xaimeta.seeding import derive_rng, derive_seed
 from xaimeta.stats import spearman
+
+
+def one_row(evaluate):
+    """`evaluate` on a one-row context, as the float of its one row."""
+
+    def call(ctx, cfg):
+        (estimate,) = evaluate(ctx, cfg)
+        return float(estimate)
+
+    return call
+
+
+# the estimators as the single-sample tests below call them
+adversarial_deterministic = one_row(estimators_module.adversarial_deterministic)
+adversarial_distribution_shift = one_row(estimators_module.adversarial_distribution_shift)
+evaluate_complexity = one_row(estimators_module.evaluate_complexity)
+evaluate_faithfulness_correlation = one_row(estimators_module.evaluate_faithfulness_correlation)
+evaluate_local_lipschitz = one_row(estimators_module.evaluate_local_lipschitz)
+evaluate_max_sensitivity = one_row(estimators_module.evaluate_max_sensitivity)
+evaluate_model_parameter_randomisation = one_row(
+    estimators_module.evaluate_model_parameter_randomisation
+)
+evaluate_pixel_flipping = one_row(estimators_module.evaluate_pixel_flipping)
+evaluate_pointing_game = one_row(estimators_module.evaluate_pointing_game)
+evaluate_random_logit = one_row(estimators_module.evaluate_random_logit)
+evaluate_relevance_mass_accuracy = one_row(estimators_module.evaluate_relevance_mass_accuracy)
+evaluate_relevance_rank_accuracy = one_row(estimators_module.evaluate_relevance_rank_accuracy)
+evaluate_sparseness = one_row(estimators_module.evaluate_sparseness)
+evaluate_top_k_intersection = one_row(estimators_module.evaluate_top_k_intersection)
 
 CFG = EstimatorConfig()
 
@@ -68,18 +79,20 @@ def two_layer_net(rng, d=4, h=6, c=3):
 
 
 def make_ctx(net, x, label=0, values=None, explainer=None, mask=None, seed=0, bounds=(0.0, 1.0)):
-    x = np.asarray(x, dtype=float)
+    """A one-row batch context for the sample x."""
+    X = np.asarray(x, dtype=float)[None, :]
+    labels = np.array([label])
     if explainer is not None and values is None:
-        values = explainer(net, x[None, :], label)[0]
+        values = explainer(net, X, labels)[0]
     return EvalContext(
         net=net,
-        x=x,
-        label=label,
-        attribution=np.asarray(values, dtype=float),
+        X=X,
+        labels=labels,
+        attributions=np.asarray(values, dtype=float)[None, :],
         explainer=explainer,
         dataset_bounds=bounds,
-        mask=mask,
-        seed=seed,
+        seeds=[seed],
+        masks=None if mask is None else np.asarray(mask)[None, :],
     )
 
 
@@ -183,9 +196,10 @@ class TestFaithfulnessCorrelation:
             mp.setattr(estimators_module, "logits_batch", spy)
             evaluate_faithfulness_correlation(ctx, cfg)
         (batch,) = batches
-        assert batch.shape == (cfg.fc_runs + 1, ctx.x.size)
-        assert np.array_equal(batch[0], ctx.x)
-        return batch[1:] != ctx.x, batch[1:]
+        x = ctx.X[0]
+        assert batch.shape == (cfg.fc_runs + 1, x.size)
+        assert np.array_equal(batch[0], x)
+        return batch[1:] != x, batch[1:]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -302,18 +316,19 @@ class TestMaxSensitivity:
 
 def local_lipschitz_oracle(ctx, cfg):
     """The draw-by-draw loop: one explainer call per accepted draw, degenerate ones redrawn."""
-    rng = derive_rng("lle", ctx.seed)
+    rng = derive_rng("lle", ctx.seeds[0])
+    x, attribution = ctx.X[0], ctx.attributions[0]
     lo, hi = ctx.dataset_bounds
     radius = cfg.radius(ctx.dataset_bounds)
     worst, accepted, attempts = 0.0, 0, 0
     while accepted < cfg.robustness_runs and attempts < 1000 * cfg.robustness_runs:
         attempts += 1
-        x_pert = np.clip(ctx.x + rng.uniform(-radius, radius, size=ctx.x.size), lo, hi)
-        dist = float(np.linalg.norm(x_pert - ctx.x))
+        x_pert = np.clip(x + rng.uniform(-radius, radius, size=x.size), lo, hi)
+        dist = float(np.linalg.norm(x_pert - x))
         if dist < 1e-12:
             continue
-        other = ctx.explainer(ctx.net, x_pert[None, :], ctx.label)[0]
-        worst = max(worst, float(np.linalg.norm(ctx.attribution - other)) / dist)
+        other = ctx.explainer(ctx.net, x_pert[None, :], ctx.labels[0])[0]
+        worst = max(worst, float(np.linalg.norm(attribution - other)) / dist)
         accepted += 1
     return None if accepted == 0 else worst
 
@@ -533,6 +548,42 @@ class TestLocalisation:
             bare_ctx([0.0, 1.0, 2.0], mask_first), CFG
         ) == 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(1, 20).flatmap(
+            lambda d: st.lists(
+                st.tuples(
+                    st.lists(ATTRIBUTION_VALUES, min_size=d, max_size=d),
+                    st.lists(st.booleans(), min_size=d, max_size=d),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_rma_rounds_as_the_one_dimensional_masked_sum(self, rows):
+        # the mass inside the mask is summed over the masked entries alone,
+        # as `v[mask].sum()` sums them, not as a sum with zeros left in
+        values = np.array([v for v, _ in rows])
+        masks = np.array([m for _, m in rows])
+        masks[:, 0] = True
+        ctx = EvalContext(
+            net=linear_net(np.ones((2, values.shape[1]))),
+            X=np.full(values.shape, 0.5),
+            labels=np.zeros(len(values), dtype=int),
+            attributions=values,
+            explainer=None,
+            dataset_bounds=(0.0, 1.0),
+            seeds=np.zeros(len(values), dtype=np.uint64),
+            masks=masks,
+        )
+        expected = [
+            np.abs(v)[m].sum() / np.abs(v).sum() if np.abs(v).sum() else math.nan
+            for v, m in zip(values, masks)
+        ]
+        est = estimators_module.evaluate_relevance_mass_accuracy(ctx, CFG)
+        assert est.tobytes() == np.array(expected).tobytes()
+
     def test_rma_zero_mass_undefined(self):
         mask = np.array([True, False, False])
         assert math.isnan(evaluate_relevance_mass_accuracy(bare_ctx([0.0, 0.0, 0.0], mask), CFG))
@@ -582,10 +633,10 @@ class TestAdversarialEstimators:
     def test_deterministic_repeats_per_sample(self, seed):
         # the value depends on the seed alone, not on what the call is shown
         plain = bare_ctx([1.0, 2.0])
-        plain.seed = seed
+        plain.seeds = [seed]
         perturbed = bare_ctx([-3.0, 0.5])
-        perturbed.x = perturbed.x + 0.25
-        perturbed.seed = seed
+        perturbed.X = perturbed.X + 0.25
+        perturbed.seeds = [seed]
         perturbed.is_perturbed = True
         a = adversarial_deterministic(plain, CFG)
         assert isinstance(a, float) and 0.0 <= a < 1.0
@@ -595,7 +646,7 @@ class TestAdversarialEstimators:
         ctx = bare_ctx([1.0])
         values = []
         for seed in range(2000):
-            ctx.seed = derive_seed("est", seed)
+            ctx.seeds = [derive_seed("est", seed)]
             values.append(adversarial_deterministic(ctx, CFG))
         counts, _ = np.histogram(values, bins=4, range=(0.0, 1.0))
         assert counts.min() > 400
@@ -604,7 +655,7 @@ class TestAdversarialEstimators:
         ctx = bare_ctx([1.0, 2.0])
         draws = []
         for seed in range(1000):
-            ctx.seed = seed
+            ctx.seeds = [seed]
             draws.append(adversarial_distribution_shift(ctx, CFG))
         assert np.mean(np.asarray(draws) < -0.5) >= 0.99
 
@@ -613,7 +664,7 @@ class TestAdversarialEstimators:
         ctx.is_perturbed = True
         draws = []
         for seed in range(1000):
-            ctx.seed = seed
+            ctx.seeds = [seed]
             draws.append(adversarial_distribution_shift(ctx, CFG))
         assert -1.0 <= np.mean(draws) <= 2.0
 
@@ -675,13 +726,13 @@ class TestRegistry:
             "model_parameter_randomisation",
             "random_logit",
         ):
-            fn = ESTIMATORS[estimator_id].evaluate
+            fn = one_row(ESTIMATORS[estimator_id].evaluate)
             a = fn(make_ctx(net, x, explainer=explainer, seed=55), CFG)
             b = fn(make_ctx(net, x, explainer=explainer, seed=55), CFG)
             assert a == b, estimator_id
 
     def test_no_nan_without_flag(self):
-        # an estimate is a float: finite, or NaN when undefined
+        # an estimate is a float64 per row: finite, or NaN when undefined
         rng = np.random.default_rng(17)
         net = two_layer_net(rng)
         x = rng.uniform(size=4)
@@ -691,4 +742,90 @@ class TestRegistry:
         for estimator_id, row in ESTIMATORS.items():
             ctx = make_ctx(net, x, explainer=explainer, mask=mask, seed=9)
             est = row.evaluate(ctx, CFG)
-            assert isinstance(est, float) and not math.isinf(est), estimator_id
+            assert est.dtype == np.float64 and est.shape == (1,), estimator_id
+            assert not np.isinf(est).any(), estimator_id
+
+
+# --- the batch contract -----------------------------------------------------
+
+
+def exact_net(d, classes=3):
+    # integer weights on inputs k/8 keep every logit exact, so no row's
+    # logits depend on how the matrix product splits its batch
+    rng = np.random.default_rng(d)
+    return make_net(
+        [
+            dense(rng.integers(-3, 4, size=(5, d)).astype(float), rng.integers(-2, 3, size=5)),
+            relu(),
+            dense(rng.integers(-3, 4, size=(classes, 5)).astype(float), np.zeros(classes)),
+        ]
+    )
+
+
+def rows_of(ctx, index):
+    """The context of the rows `index` of ctx, in that order."""
+    return replace(
+        ctx,
+        X=ctx.X[index],
+        labels=ctx.labels[index],
+        attributions=ctx.attributions[index],
+        seeds=ctx.seeds[index],
+        masks=ctx.masks[index],
+    )
+
+
+ATTRIBUTION_VALUES = st.one_of(
+    st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0]), st.floats(-4.0, 4.0, allow_subnormal=False)
+)
+
+
+@st.composite
+def batch_contexts(draw):
+    """A context of 1-6 rows with tied and signed-zero attributions, seeds,
+    masks and a BLAS-free explainer, plus a permutation of its rows."""
+    b = draw(st.integers(1, 6))
+    d = draw(st.integers(2, 8))
+
+    def matrix(elements):
+        return draw(st.lists(st.lists(elements, min_size=d, max_size=d), min_size=b, max_size=b))
+
+    X = np.array(matrix(st.integers(0, 8).map(lambda v: v / 8.0)))
+    attributions = np.array(matrix(ATTRIBUTION_VALUES), dtype=float)
+    masks = np.array(matrix(st.booleans()), dtype=bool)
+    masks[np.arange(b), draw(st.lists(st.integers(0, d - 1), min_size=b, max_size=b))] = True
+    explainer = draw(
+        st.sampled_from([constant_explainer(attributions[0]), identity_explainer])
+    )
+    ctx = EvalContext(
+        net=exact_net(d),
+        X=X,
+        labels=np.array(draw(st.lists(st.integers(0, 2), min_size=b, max_size=b))),
+        attributions=attributions,
+        explainer=explainer,
+        dataset_bounds=(0.0, 1.0),
+        seeds=np.array(
+            draw(st.lists(st.integers(0, 2**64 - 1), min_size=b, max_size=b)), dtype=np.uint64
+        ),
+        masks=masks,
+        is_perturbed=draw(st.booleans()),
+    )
+    return ctx, draw(st.permutations(range(b)))
+
+
+# black baselines keep the faithfulness inputs on the exact grid
+BATCH_CFG = EstimatorConfig(fc_runs=4, fc_baseline="black", pf_baseline="black", robustness_runs=3)
+
+
+@pytest.mark.parametrize("estimator_id", sorted(ESTIMATORS))
+@settings(max_examples=25, deadline=None)
+@given(case=batch_contexts())
+def test_batch_is_its_rows_in_order(estimator_id, case):
+    # a row's estimate is the same alone or in a batch, bit for bit, and
+    # permuting the rows permutes the estimates
+    ctx, perm = case
+    evaluate = ESTIMATORS[estimator_id].evaluate
+    batch = evaluate(ctx, BATCH_CFG)
+    assert batch.dtype == np.float64 and batch.shape == (len(ctx.seeds),)
+    rows = np.concatenate([evaluate(rows_of(ctx, [b]), BATCH_CFG) for b in range(len(ctx.seeds))])
+    assert batch.tobytes() == rows.tobytes()
+    assert evaluate(rows_of(ctx, perm), BATCH_CFG).tobytes() == batch[perm].tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xaimeta.errors import PerturbationInfeasibleError
+from xaimeta.errors import MetaEvaluationError, PerturbationInfeasibleError
 from xaimeta.estimators import (
     EstimatorConfig,
     EvalContext,
@@ -268,14 +268,14 @@ class TestCollect:
                 seed_ij = derive_seed(spec.seed, "est", i, method_id)
                 ctx = EvalContext(
                     net=net,
-                    x=X4[i],
-                    label=int(labels[i]),
-                    attribution=base[i],
+                    X=X4[i : i + 1],
+                    labels=labels[i : i + 1],
+                    attributions=base[i : i + 1],
                     explainer=explainer,
                     dataset_bounds=(0.0, 1.0),
-                    seed=seed_ij,
+                    seeds=[seed_ij],
                 )
-                expected = evaluate_faithfulness_correlation(ctx, cfg)
+                (expected,) = evaluate_faithfulness_correlation(ctx, cfg)
                 assert matrix.unperturbed[i] == expected
                 for k in range(2):
                     case = cases[k][i]
@@ -284,16 +284,68 @@ class TestCollect:
                         continue
                     ctx = EvalContext(
                         net=net,
-                        x=case.payload,
-                        label=int(labels[i]),
-                        attribution=columns[k][i],
+                        X=case.payload[None, :],
+                        labels=labels[i : i + 1],
+                        attributions=columns[k][i][None, :],
                         explainer=explainer,
                         dataset_bounds=(0.0, 1.0),
-                        seed=seed_ij,
+                        seeds=[seed_ij],
                         is_perturbed=True,
                     )
-                    expected = evaluate_faithfulness_correlation(ctx, cfg)
+                    (expected,) = evaluate_faithfulness_correlation(ctx, cfg)
                     assert matrix.perturbed[i, k] == expected
+
+    @staticmethod
+    def counted_collect(net, X, estimator_id, spec, K):
+        """collect with counters: per scorer call, the rows it scored and the
+        explainer calls made inside it."""
+        scorer = make_scorer(estimator_id, EstimatorConfig(robustness_runs=2))
+        calls = []  # [rows, explainer calls] per scorer call
+        inside = []
+
+        def count(explainer):
+            def counted(net, X, labels):
+                if inside:
+                    calls[-1][1] += 1
+                return explainer(net, X, labels)
+
+            return counted
+
+        def scoring(ctx):
+            calls.append([len(ctx.seeds), 0])
+            inside.append(True)
+            try:
+                return scorer(ctx)
+            finally:
+                inside.pop()
+
+        methods = [(method_id, count(explainer)) for method_id, explainer in simple_methods()]
+        counted = Scorer(scorer.estimator_id, scorer.direction, scoring)
+        return calls, lambda: collect(net, X, methods, counted, spec, K=K, bounds=(0.0, 1.0))
+
+    @pytest.mark.parametrize("test", ["ipt", "mpt"])
+    @pytest.mark.parametrize("estimator_id", ["max_sensitivity", "local_lipschitz", "random_logit"])
+    def test_one_scorer_call_per_column_one_explainer_call_per_scorer_call(
+        self, trained, test, estimator_id
+    ):
+        net, X = trained
+        spec = perturb_spec(test, "minor", seed=7)
+        calls, run = self.counted_collect(net, X[:8], estimator_id, spec, K=3)
+        result = run()
+        columns = result.compliant.sum(axis=0)
+        expected_rows = [8, *columns[columns > 0].tolist()]
+        assert [rows for rows, _ in calls] == expected_rows * len(result.per_method)
+        assert [explained for _, explained in calls] == [1] * len(calls)
+
+    def test_empty_columns_are_not_scored(self, trained):
+        # zero input noise never changes a label, so no disruptive payload
+        # complies and only the unperturbed rows are scored
+        net, X = trained
+        spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=0.0, max_resamples=1, seed=8)
+        calls, run = self.counted_collect(net, X[:8], "max_sensitivity", spec, K=3)
+        with pytest.raises(MetaEvaluationError, match="without usable estimates"):
+            run()
+        assert calls == [[8, 1]] * len(simple_methods())
 
     def test_collect_deterministic(self, trained):
         net, X = trained
@@ -342,7 +394,7 @@ class TestCollect:
         scorer = make_scorer("pointing_game", EstimatorConfig())
 
         def record(ctx):
-            seen.append(ctx.mask)
+            seen.extend(ctx.masks)
             return scorer(ctx)
 
         masks = [[1, 0]] * 6  # int lists, not a bool array

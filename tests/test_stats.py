@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xaimeta.stats import (
     EXACT_LIMIT,
     average_ranks,
+    masked_row_sums,
     pearson,
     rank_descending,
     spearman,
@@ -264,3 +265,86 @@ class TestTrapezoidAuc:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             trapezoid_auc([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+
+
+def pearson_dot_oracle(a, b):
+    """The 1-D product-moment formula on plain dot products, as a scalar."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ac = a - a.mean()
+    bc = b - b.mean()
+    denom = math.sqrt(float(ac @ ac) * float(bc @ bc))
+    if denom == 0.0:
+        return math.nan
+    return float(np.clip((ac @ bc) / denom, -1.0, 1.0))
+
+
+TIED_VALUES = st.one_of(
+    st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0]), st.floats(-1e6, 1e6, allow_nan=False)
+)
+
+
+def row_pairs(min_size=2):
+    """Two equal-shape (B, n) lists of rows with ties, signed zeros and constant rows."""
+    return st.tuples(st.integers(1, 5), st.integers(min_size, 12)).flatmap(
+        lambda shape: st.tuples(
+            *[
+                st.lists(
+                    st.one_of(
+                        st.lists(TIED_VALUES, min_size=shape[1], max_size=shape[1]),
+                        TIED_VALUES.map(lambda v, n=shape[1]: [v] * n),  # a constant row
+                    ),
+                    min_size=shape[0],
+                    max_size=shape[0],
+                )
+                for _ in range(2)
+            ]
+        )
+    )
+
+
+class TestRowWise:
+    """Stacked rows give bit for bit what the 1-D call on each row gives."""
+
+    @settings(max_examples=200)
+    @given(pair=row_pairs())
+    @example(pair=([[1.0, 1.0, 1.0], [-0.0, 0.0, 1.0]], [[1.0, 2.0, 3.0], [0.0, -0.0, 2.0]]))
+    def test_correlations_match_row_loop(self, pair):
+        a, b = (np.array(side) for side in pair)
+        for fn in (pearson, spearman):
+            looped = np.array([fn(a[i], b[i]) for i in range(len(a))])
+            assert fn(a, b).tobytes() == looped.tobytes(), fn.__name__
+        looped = np.array([pearson_dot_oracle(a[i], b[i]) for i in range(len(a))])
+        assert pearson(a, b).tobytes() == looped.tobytes()
+
+    def test_constant_rows_are_nan(self):
+        r = pearson([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
+        assert math.isnan(r[0]) and r[1] == pearson([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+        assert np.isnan(spearman([[-0.0, 0.0], [1.0, 2.0]], [[1.0, 2.0], [3.0, 3.0]])).all()
+
+    @settings(max_examples=200)
+    @given(pair=row_pairs(min_size=1))
+    def test_ranks_match_row_loop(self, pair):
+        values = np.array(pair[0])
+        for fn in (average_ranks, rank_descending):
+            looped = np.array([fn(row) for row in values])
+            assert fn(values).tobytes() == looped.tobytes(), fn.__name__
+        assert average_ranks(values).tobytes() == np.array(
+            [average_ranks_loop(row) for row in values]
+        ).tobytes()
+
+    @settings(max_examples=200)
+    @given(pair=row_pairs())
+    def test_areas_and_masked_sums_match_row_loop(self, pair):
+        ys, selector = (np.array(side) for side in pair)
+        xs = np.cumsum(np.arange(1.0, ys.shape[1] + 1.0)) / 7.0
+        looped = np.array([trapezoid_auc(xs, row) for row in ys])
+        assert trapezoid_auc(xs, ys).tobytes() == looped.tobytes()
+        keep = selector > 0.0
+        looped = np.array([row[k].sum() for row, k in zip(ys, keep)])
+        assert masked_row_sums(ys, keep).tobytes() == looped.tobytes()
+
+    def test_one_dimensional_results_stay_scalars(self):
+        assert isinstance(pearson([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]), float)
+        assert isinstance(spearman([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]), float)
+        assert isinstance(trapezoid_auc([0.0, 1.0], [0.0, 1.0]), float)
