@@ -15,7 +15,9 @@ x = dataset.inputs[0]
 label = predict_labels(net, x[None, :])[0]
 print(f"sample 0 predicted class: {label}")
 
-minor = ipt_sample(net, x, perturb_spec("ipt", "minor"), draw_seed=1, bounds=dataset.bounds)
+minor = ipt_sample(
+    net, x, perturb_spec("ipt", "minor"), draw_seed=1, bounds=dataset.bounds, label=label
+)
 print(
     f"\nminor input noise (U(-0.001, 0.001)): compliant={minor.compliant} "
     f"after {minor.attempts} attempt(s); label stays "
@@ -25,7 +27,7 @@ print(
 # a symmetric window suits dense blob data; one-sided noise can strand
 # samples whose upward neighbourhood belongs to their own class
 spec = perturb_spec("ipt", "disruptive", alpha=-1.0, beta=1.0)
-disruptive = ipt_sample(net, x, spec, draw_seed=1, bounds=dataset.bounds)
+disruptive = ipt_sample(net, x, spec, draw_seed=1, bounds=dataset.bounds, label=label)
 new_label = predict_labels(net, disruptive.payload[None, :])[0]
 outcome = f"label flips to {new_label}" if disruptive.compliant else "no accepted draw"
 print(
@@ -33,8 +35,9 @@ print(
     f"after {disruptive.attempts} attempt(s); {outcome}"
 )
 
+labels = predict_labels(net, dataset.inputs)
 net_minor, kept, attempts = mpt_sample(
-    net, dataset.inputs, perturb_spec("mpt", "minor"), draw_seed=2
+    net, dataset.inputs, perturb_spec("mpt", "minor"), draw_seed=2, labels=labels
 )
 print(
     f"\nminor weight noise (nu ~ N(1, 0.001^2)): labels preserved for "
@@ -42,7 +45,7 @@ print(
 )
 
 net_bad, flipped, attempts = mpt_sample(
-    net, dataset.inputs, perturb_spec("mpt", "disruptive"), draw_seed=2
+    net, dataset.inputs, perturb_spec("mpt", "disruptive"), draw_seed=2, labels=labels
 )
 print(
     f"disruptive weight noise (nu ~ N(1, 2^2)): labels changed for "

@@ -44,7 +44,7 @@ class MetaVector:
     mc: float
 
     def entries(self) -> np.ndarray:
-        return np.array([self.iac_nr, self.iac_ar, self.iec_nr, self.iec_ar])
+        return np.array([getattr(self, name) for name in CRITERIA])
 
 
 def meta_vector(iac_nr, iac_ar_raw, iec_nr, iec_ar) -> MetaVector:
@@ -234,17 +234,11 @@ def _mean_vector(vectors) -> MetaVector:
 
 
 def _std_entries(vectors) -> dict:
-    entries = np.array([v.entries() for v in vectors])
-    mcs = np.array([v.mc for v in vectors])
+    """Per-criterion and MC standard deviation over iterations (0.0 for one)."""
     ddof = 1 if len(vectors) > 1 else 0
-    stds = entries.std(axis=0, ddof=ddof) if len(vectors) > 1 else np.zeros(4)
-    return {
-        "iac_nr": float(stds[0]),
-        "iac_ar": float(stds[1]),
-        "iec_nr": float(stds[2]),
-        "iec_ar": float(stds[3]),
-        "mc": float(mcs.std(ddof=ddof)) if len(vectors) > 1 else 0.0,
-    }
+    stds = np.array([v.entries() for v in vectors]).std(axis=0, ddof=ddof)
+    mc = np.std([v.mc for v in vectors], ddof=ddof)
+    return {**dict(zip(CRITERIA, map(float, stds))), "mc": float(mc)}
 
 
 def run_meta_evaluation(setup: BenchmarkSetup) -> dict:

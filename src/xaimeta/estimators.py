@@ -73,7 +73,6 @@ class EstimatorConfig:
     robustness_runs: int = 10
     robustness_radius: float | None = None
     topk_k: int | None = None
-    direction: str | None = None  # override of the registry direction
 
     def __post_init__(self):
         if self.robustness_runs < 1:
@@ -494,10 +493,8 @@ class Scorer:
 
 
 def make_scorer(estimator_id: str, cfg: EstimatorConfig) -> Scorer:
-    """The table row of `estimator_id` bound to `cfg`; cfg.direction, when
-    set, overrides the row's direction."""
+    """The table row of `estimator_id` bound to `cfg`."""
     if estimator_id not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator_id!r}")
     entry = ESTIMATORS[estimator_id]
-    direction = cfg.direction if cfg.direction is not None else entry.direction
-    return Scorer(estimator_id, direction, partial(entry.evaluate, cfg=cfg))
+    return Scorer(estimator_id, entry.direction, partial(entry.evaluate, cfg=cfg))

@@ -95,8 +95,9 @@ def _complies(strength: str, original, new):
     return new != original
 
 
-def ipt_sample(net: Net, x, spec: PerturbSpec, draw_seed: int, bounds) -> PerturbedCase:
-    """Draw additive uniform noise until the strength definition holds.
+def ipt_sample(net: Net, x, spec: PerturbSpec, draw_seed: int, bounds, label) -> PerturbedCase:
+    """Draw additive uniform noise until the strength definition holds
+    against `label`, the net's label of x.
 
     The perturbed input is clipped to the dataset bounds elementwise.  After
     spec.max_resamples failed attempts the last draw is returned with
@@ -105,7 +106,7 @@ def ipt_sample(net: Net, x, spec: PerturbSpec, draw_seed: int, bounds) -> Pertur
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(draw_seed)
     lo, hi = bounds
-    original = int(predict_labels(net, x[None, :])[0])
+    original = int(label)
     x_hat = x
     for attempt in range(1, spec.max_resamples + 1):
         delta = rng.uniform(spec.alpha, spec.beta, size=x.size)
@@ -122,8 +123,9 @@ def mpt_draw(net: Net, spec: PerturbSpec, draw_seed: int) -> Net:
     return set_weights(net, w * nu)
 
 
-def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int):
-    """Draw a perturbed model and evaluate per-sample compliance against it.
+def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
+    """Draw a perturbed model and evaluate per-sample compliance against it;
+    `labels` are the net's labels of X.
 
     One model draw serves all samples; samples whose label does not behave
     as the strength demands are simply marked non-compliant.  The model is
@@ -136,12 +138,11 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int):
     Returns (perturbed net, per-sample compliance mask, attempts used).
     """
     X = np.asarray(X, dtype=np.float64)
-    original = predict_labels(net, X)
     best = None
     for attempt in range(1, spec.max_resamples + 1):
         net_hat = mpt_draw(net, spec, derive_seed(draw_seed, "redraw", attempt))
         new_labels = predict_labels(net_hat, X)
-        compliant = _complies(spec.strength, original, new_labels)
+        compliant = _complies(spec.strength, labels, new_labels)
         fraction = float(compliant.mean())
         if best is None or fraction > best[2]:
             best = (net_hat, compliant, fraction)
@@ -225,7 +226,7 @@ def collect(
     for k in range(K):
         if spec.test == IPT:
             cases = [
-                ipt_sample(net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), bounds)
+                ipt_sample(net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), bounds, labels[i])
                 for i in range(n)
             ]
             nets.append(net)
@@ -234,7 +235,7 @@ def collect(
             attempts[:, k] = [case.attempts for case in cases]
         else:
             draw_seed = derive_seed(spec.seed, "mpt", k)
-            net_hat, compliant[:, k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed)
+            net_hat, compliant[:, k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
             nets.append(net_hat)
             inputs.append(X)
 

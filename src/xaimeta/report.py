@@ -14,6 +14,7 @@ iec_ar -> -y).
 """
 import json
 import os
+from dataclasses import asdict
 
 SUMMARY_COLUMNS = ("estimator", "test", "mc_bar", "mc", "iac_nr", "iac_ar", "iec_nr", "iec_ar")
 AREA_VERTICES = (
@@ -22,16 +23,6 @@ AREA_VERTICES = (
     ("iac_ar", lambda v: (-v, 0.0)),
     ("iec_ar", lambda v: (0.0, -v)),
 )
-
-
-def _vector_dict(vector) -> dict:
-    return {
-        "iac_nr": vector.iac_nr,
-        "iac_ar": vector.iac_ar,
-        "iec_nr": vector.iec_nr,
-        "iec_ar": vector.iec_ar,
-        "mc": vector.mc,
-    }
 
 
 def results_payload(results: dict, config_echo: dict, master_seed: int) -> dict:
@@ -43,9 +34,9 @@ def results_payload(results: dict, config_echo: dict, master_seed: int) -> dict:
             {
                 "estimator": estimator_id,
                 "test": test,
-                "mean": _vector_dict(cell.mean),
+                "mean": asdict(cell.mean),
                 "std": dict(sorted(cell.std.items())),
-                "iterations": [_vector_dict(v) for v in cell.per_iteration],
+                "iterations": [asdict(v) for v in cell.per_iteration],
                 "diagnostics": {
                     "dropped_samples": cell.diagnostics["dropped"],
                     "undefined_estimates": cell.diagnostics["undefined"],

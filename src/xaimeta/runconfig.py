@@ -6,12 +6,14 @@ strings, or flat `[a, b, c]` lists.  `#` starts a comment.  Parsing is
 strict: unknown keys are named, all missing required keys are reported at
 once, and load -> serialize -> load is the identity.
 """
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from types import UnionType
+from typing import get_args, get_origin
 
 from .errors import ConfigError
 from .estimators import ESTIMATORS, EstimatorConfig
 from .explain import ALL_METHODS, ExplainerConfig
-from .perturb import DEFAULT_WINDOWS, PerturbSpec, perturb_spec
+from .perturb import DISRUPTIVE, IPT, MINOR, MPT, PerturbSpec, perturb_spec
 
 # --- generic table text format ---------------------------------------------
 
@@ -41,7 +43,8 @@ def _format_scalar(value) -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     text = str(value)
-    return f'"{text}"' if (" " in text or "," in text or text == "") else text
+    quoted = " " in text or "," in text or text == "" or _parse_scalar(text) != text
+    return f'"{text}"' if quoted else text
 
 
 def parse_tables(text: str) -> dict:
@@ -121,58 +124,85 @@ def apply_overrides(tables: dict, assignments) -> dict:
 
 # --- the benchmark schema ---------------------------------------------------
 
-# key -> type of its value; a float key takes integers too, and (int,) is
-# one integer or a list of them
-DATASET_KEYS = {
-    "kind": str,
-    "samples": int,
-    "features": int,
-    "classes": int,
-    "spread": float,
-    "seed": int,
-    "images": str,
-    "labels": str,
-    "mask": str,
-    "mask_fraction": float,
-    "mask_quantile": float,
+
+def _kind(annotation):
+    """The config kind of a dataclass field: `X | None` reads as X, a tuple as a list of numbers."""
+    if isinstance(annotation, UnionType):
+        annotation = get_args(annotation)[0]
+    return list[float] if annotation is tuple else annotation
+
+
+def _field_kinds(cls, *internal) -> dict:
+    return {f.name: _kind(f.type) for f in fields(cls) if f.name not in internal}
+
+
+EXPLAINER_KEYS = _field_kinds(ExplainerConfig, "seed")
+ESTIMATOR_KEYS = _field_kinds(EstimatorConfig)
+PERTURB_KEYS = _field_kinds(PerturbSpec, "test", "strength", "seed")
+HPO_AXES = {**ESTIMATOR_KEYS, "estimator": str}
+
+# table -> {key: kind}; a kind is a type (a number takes integers too),
+# `X | Y`, `list[X]`, a (kind, least value) pair, or the map of a sub-table
+SCHEMA = {
+    "dataset": {
+        "kind": str,
+        "samples": (int, 2),
+        "features": (int, 1),
+        "classes": (int, 2),
+        "spread": float,
+        "seed": int,
+        "images": str,
+        "labels": str,
+        "mask": str,
+        "mask_fraction": float,
+        "mask_quantile": float,
+    },
+    "model": {
+        "path": str,
+        "hidden": int | list[int],
+        "epochs": int,
+        "learning_rate": float,
+        "momentum": float,
+        "batch_size": int,
+    },
+    "run": {
+        "tests": str | list[str],
+        "k": (int, 1),
+        "iterations": (int, 1),
+        "sample_count": (int, 2),
+        "master_seed": int,
+        "output": str,
+    },
+    "methods": {"use": list[str], **dict.fromkeys(ALL_METHODS, EXPLAINER_KEYS)},
+    "estimators": {"use": list[str], **dict.fromkeys(ESTIMATORS, ESTIMATOR_KEYS)},
+    "perturb": dict.fromkeys((IPT, MPT), dict.fromkeys((MINOR, DISRUPTIVE), PERTURB_KEYS)),
+    "hpo": {"estimator": str, "axes": dict},
 }
-MODEL_KEYS = {
-    "path": str,
-    "hidden": (int,),
-    "epochs": int,
-    "learning_rate": float,
-    "momentum": float,
-    "batch_size": int,
-}
-# the least value a synthetic dataset can be built and meta-evaluated with
-DATASET_MINIMUMS = {"samples": 2, "features": 1, "classes": 2}
 TYPE_NAMES = {
     int: "an integer",
     float: "a number",
     str: "a string",
-    (int,): "an integer or a list of integers",
+    dict: "a table",
+    list[str]: "a list of strings",
+    list[float]: "a list of numbers",
+    int | list[int]: "an integer or a list of integers",
+    str | list[str]: "a string or a list of strings",
 }
-
-RUN_KEYS = {"tests", "k", "iterations", "sample_count", "master_seed", "output"}
-PERTURB_KEYS = set(PerturbSpec.__dataclass_fields__) - {"test", "strength", "seed"}
-HPO_KEYS = {"estimator", "axes"}
-
-EXPLAINER_FIELDS = set(ExplainerConfig.__dataclass_fields__) - {"seed"}
-ESTIMATOR_FIELDS = set(EstimatorConfig.__dataclass_fields__)
-
 REQUIRED = [("dataset", "kind"), ("methods", "use"), ("estimators", "use")]
 
 
 @dataclass
 class RunConfig:
+    """A checked run configuration; its defaults are the only [run] defaults."""
+
     dataset: dict
     model: dict
     methods: list
     method_overrides: dict
     estimators: list
     estimator_overrides: dict
-    tests: list
     perturb: dict  # (test, strength) -> dict of overrides
+    tests: list = field(default_factory=lambda: [IPT, MPT])
     k: int = 5
     iterations: int = 3
     sample_count: int | None = None
@@ -214,21 +244,35 @@ class RunConfig:
 
 
 def _reads_as(kind, value) -> bool:
-    if isinstance(kind, tuple):
-        values = value if isinstance(value, list) else [value]
-        return all(_reads_as(kind[0], v) for v in values)
+    if isinstance(kind, UnionType):
+        return any(_reads_as(k, value) for k in get_args(kind))
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_reads_as(get_args(kind)[0], v) for v in value)
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_keys(table: dict, allowed, where: str, errors: list):
-    """Name unknown keys and, where `allowed` maps keys to types, values of another type."""
+def _check_keys(table: dict, schema: dict, path: str, errors: list):
+    """Name the unknown keys of `table`, its values of another kind and those
+    below their least value, descending into the sub-tables of `schema`."""
     for key, value in table.items():
-        if key not in allowed:
-            errors.append(f"unknown key {where}.{key}")
-        elif isinstance(allowed, dict) and not _reads_as(allowed[key], value):
-            errors.append(f"[{where}] {key} must be {TYPE_NAMES[allowed[key]]}, got {value!r}")
+        name = f"{path}.{key}" if path else key
+        kind = schema.get(key)
+        kind, least = kind if isinstance(kind, tuple) else (kind, None)
+        if kind is None and isinstance(value, dict):
+            errors.append(f"unknown table [{name}]")
+        elif kind is None:
+            errors.append(f"unknown key {name}")
+        elif isinstance(kind, dict):
+            if isinstance(value, dict):
+                _check_keys(value, kind, name, errors)
+            else:
+                errors.append(f"{name} must be a table")
+        elif not _reads_as(kind, value):
+            errors.append(f"[{path}] {key} must be {TYPE_NAMES[kind]}, got {value!r}")
+        elif least is not None and value < least:
+            errors.append(f"[{path}] {key} must be >= {least}, got {value!r}")
 
 
 def _validate_listing(names, known, where, errors):
@@ -237,131 +281,66 @@ def _validate_listing(names, known, where, errors):
             errors.append(f"unknown name {name!r} in {where}")
 
 
+def _raise_if(errors):
+    if errors:
+        raise ConfigError("; ".join(errors))
+
+
 def config_from_tables(tables: dict) -> RunConfig:
     """Validate parsed tables against the schema and build a RunConfig."""
     errors = []
-    known_sections = {
-        "dataset",
-        "model",
-        "run",
-        "methods",
-        "estimators",
-        "perturb",
-        "hpo",
-        "convergence",
-    }
-    for section in tables:
-        if section not in known_sections:
-            errors.append(f"unknown table [{section}]")
-
+    _check_keys(tables, SCHEMA, "", errors)
+    _raise_if(errors)
     missing = [f"[{s}] {k}" for s, k in REQUIRED if k not in tables.get(s, {})]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    dataset = dict(tables.get("dataset", {}))
-    _check_keys(dataset, DATASET_KEYS, "dataset", errors)
-    for key, least in DATASET_MINIMUMS.items():
-        value = dataset.get(key)
-        if _reads_as(int, value) and value < least:
-            errors.append(f"[dataset] {key} must be >= {least}, got {value!r}")
-
-    model = dict(tables.get("model", {}))
-    _check_keys(model, MODEL_KEYS, "model", errors)
-
-    methods_table = dict(tables.get("methods", {}))
-    methods = list(methods_table.pop("use", []))
-    method_overrides = {}
-    for name, sub in list(methods_table.items()):
-        if not isinstance(sub, dict):
-            errors.append(f"unknown key methods.{name}")
-            continue
-        _check_keys(sub, EXPLAINER_FIELDS, f"methods.{name}", errors)
-        method_overrides[name] = sub
-    _validate_listing(methods, ALL_METHODS, "[methods] use", errors)
-    _validate_listing(method_overrides, ALL_METHODS, "[methods.*]", errors)
-
-    estimators_table = dict(tables.get("estimators", {}))
-    estimators = list(estimators_table.pop("use", []))
-    estimator_overrides = {}
-    for name, sub in list(estimators_table.items()):
-        if not isinstance(sub, dict):
-            errors.append(f"unknown key estimators.{name}")
-            continue
-        _check_keys(sub, ESTIMATOR_FIELDS, f"estimators.{name}", errors)
-        estimator_overrides[name] = sub
-    _validate_listing(estimators, ESTIMATORS, "[estimators] use", errors)
-    _validate_listing(estimator_overrides, ESTIMATORS, "[estimators.*]", errors)
+    methods = dict(tables["methods"])
+    estimators = dict(tables["estimators"])
+    _validate_listing(methods["use"], ALL_METHODS, "[methods] use", errors)
+    _validate_listing(estimators["use"], ESTIMATORS, "[estimators] use", errors)
 
     run = dict(tables.get("run", {}))
-    _check_keys(run, RUN_KEYS, "run", errors)
-    for key in ("k", "iterations", "sample_count", "master_seed"):
-        if key in run and (not isinstance(run[key], int) or isinstance(run[key], bool)):
-            errors.append(f"[run] {key} must be an integer, got {run[key]!r}")
-    tests = run.get("tests", ["ipt", "mpt"])
-    if isinstance(tests, str):
-        tests = [tests]
-    if tests == ["both"]:
-        tests = ["ipt", "mpt"]
-    if not tests:
-        errors.append("[run] tests must name at least one test")
-    for test in tests:
-        if test not in ("ipt", "mpt"):
-            errors.append(f"unknown test {test!r} in [run] tests")
-
-    perturb = {}
-    for test_name, strengths in tables.get("perturb", {}).items():
-        if not isinstance(strengths, dict):
-            errors.append(f"unknown key perturb.{test_name}")
-            continue
-        for strength, sub in strengths.items():
-            if (test_name, strength) not in DEFAULT_WINDOWS or not isinstance(sub, dict):
-                errors.append(f"unknown table [perturb.{test_name}.{strength}]")
-                continue
-            _check_keys(sub, PERTURB_KEYS, f"perturb.{test_name}.{strength}", errors)
-            perturb[(test_name, strength)] = sub
-
-    _check_keys(tables.get("convergence", {}), set(), "convergence", errors)
+    if "tests" in run:
+        tests = [run["tests"]] if isinstance(run["tests"], str) else list(run["tests"])
+        run["tests"] = [IPT, MPT] if tests == ["both"] else tests
+        if not tests:
+            errors.append("[run] tests must name at least one test")
+        _validate_listing(run["tests"], (IPT, MPT), "[run] tests", errors)
 
     hpo = dict(tables.get("hpo", {}))
-    _check_keys(hpo, HPO_KEYS, "hpo", errors)
     axes = hpo.get("axes", {})
-    if not isinstance(axes, dict):
-        errors.append("hpo.axes must be a table")
-    elif axes:
-        for axis, values in axes.items():
-            if axis not in ESTIMATOR_FIELDS | {"estimator"}:
-                errors.append(f"[hpo.axes] {axis!r} is not an estimator setting")
-            elif not isinstance(values, list) or not values:
-                errors.append(f"[hpo.axes] {axis} must be a non-empty list")
+    for axis, values in axes.items():
+        if axis not in HPO_AXES:
+            errors.append(f"[hpo.axes] {axis!r} is not an estimator setting")
+        elif not isinstance(values, list) or not values:
+            errors.append(f"[hpo.axes] {axis} must be a non-empty list")
+        else:
+            for value in values:
+                _check_keys({axis: value}, HPO_AXES, "hpo.axes", errors)
+    if axes:
         searched = axes.get("estimator", [hpo["estimator"]] if "estimator" in hpo else None)
         if searched is None:
             errors.append("[hpo] estimator is required unless [hpo.axes] has one")
         elif isinstance(searched, list):
             _validate_listing(searched, ESTIMATORS, "[hpo]", errors)
-
-    if errors:
-        raise ConfigError("; ".join(errors))
+    _raise_if(errors)
 
     config = RunConfig(
-        dataset=dataset,
-        model=model,
-        methods=methods,
-        method_overrides=method_overrides,
-        estimators=estimators,
-        estimator_overrides=estimator_overrides,
-        tests=list(tests),
-        perturb=perturb,
-        k=run.get("k", 5),
-        iterations=run.get("iterations", 3),
-        sample_count=run.get("sample_count"),
-        master_seed=run.get("master_seed", 0),
-        output=str(run.get("output", "out")),
+        dataset=dict(tables["dataset"]),
+        model=dict(tables.get("model", {})),
+        methods=list(methods.pop("use")),
+        method_overrides=methods,
+        estimators=list(estimators.pop("use")),
+        estimator_overrides=estimators,
+        perturb={
+            (test, strength): sub
+            for test, strengths in tables.get("perturb", {}).items()
+            for strength, sub in strengths.items()
+        },
         hpo=hpo,
+        **run,
     )
-    if config.k < 1 or config.iterations < 1:
-        raise ConfigError("[run] k and iterations must be >= 1")
-    if config.sample_count is not None and config.sample_count < 2:
-        raise ConfigError("[run] sample_count must be >= 2")
     if len(config.methods) < 2:
         raise ConfigError("[methods] use must list at least two methods")
     # constructing the per-method/estimator configs and the perturbation

@@ -45,6 +45,12 @@ def log(message):
     print(message, file=sys.stderr)
 
 
+def _given(table: dict, **keys) -> dict:
+    """{argument: table[key]} for each of `keys` that the table sets, so an
+    unset key keeps the callee's default."""
+    return {argument: table[key] for argument, key in keys.items() if key in table}
+
+
 def build_dataset(config: RunConfig) -> Dataset:
     spec = config.dataset
     kind = spec["kind"]
@@ -54,7 +60,7 @@ def build_dataset(config: RunConfig) -> Dataset:
             d=int(spec.get("features", 8)),
             classes=int(spec.get("classes", 6)),
             seed=int(spec.get("seed", derive_seed(config.master_seed, "dataset"))),
-            spread=float(spec.get("spread", 0.04)),
+            **_given(spec, spread="spread"),
         )
     elif kind == "idx":
         if "images" not in spec or "labels" not in spec:
@@ -73,10 +79,7 @@ def build_dataset(config: RunConfig) -> Dataset:
     policy = spec.get("mask", "none")
     if policy != "none":
         dataset.masks = make_masks(
-            dataset,
-            policy,
-            fraction=float(spec.get("mask_fraction", 0.25)),
-            quantile=float(spec.get("mask_quantile", 0.75)),
+            dataset, policy, **_given(spec, fraction="mask_fraction", quantile="mask_quantile")
         )
     return dataset
 
@@ -94,9 +97,7 @@ def build_net(config: RunConfig, dataset: Dataset):
         dataset.labels,
         epochs=int(spec.get("epochs", 20)),
         seed=derive_seed(config.master_seed, "train"),
-        learning_rate=float(spec.get("learning_rate", 0.001)),
-        momentum=float(spec.get("momentum", 0.9)),
-        batch_size=int(spec.get("batch_size", 1)),
+        **_given(spec, learning_rate="learning_rate", momentum="momentum", batch_size="batch_size"),
     )
 
 

@@ -121,7 +121,11 @@ def wilcoxon_signed_rank(a, b) -> float:
     continuity corrections is used.
     """
     a, b = _as_pair(a, b)
-    diffs = a - b
+    with np.errstate(over="ignore"):
+        diffs = a - b
+    if not np.isfinite(diffs).all():
+        # halving is exact for normal floats, so order, ties and signs survive
+        diffs = a / 2 - b / 2
     diffs = diffs[diffs != 0.0]
     m = diffs.size
     if m == 0:

@@ -6,6 +6,7 @@ pass/warn without gating.
 """
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,8 +329,8 @@ class TestCriterion5FullBenchmark:
             checks.append(mean.iec_ar == 0.0)
         # byte-identical reports for the same master seed
         identical = all(
-            open(desk_benchmark["paths_a"][name], "rb").read()
-            == open(desk_benchmark["paths_b"][name], "rb").read()
+            Path(desk_benchmark["paths_a"][name]).read_bytes()
+            == Path(desk_benchmark["paths_b"][name]).read_bytes()
             for name in ("results", "summary", "areagraph")
         )
         checks.append(identical)

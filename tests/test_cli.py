@@ -189,8 +189,16 @@ class TestConfigErrorsBeforeTraining:
                 "perturb.ipt.disruptive.min_retained_fraction=0.5",
                 "[perturb.ipt.disruptive]: min_retained_fraction has no effect",
             ),
-            ("benchmark", "perturb.mpt.minor.max_resamples=2.5", "[perturb.mpt.minor]: max_resamples"),
-            ("benchmark", "perturb.mpt.minor.max_resamples=true", "[perturb.mpt.minor]: max_resamples"),
+            (
+                "benchmark",
+                "perturb.mpt.minor.max_resamples=2.5",
+                "[perturb.mpt.minor] max_resamples must be an integer, got 2.5",
+            ),
+            (
+                "benchmark",
+                "perturb.mpt.minor.max_resamples=true",
+                "[perturb.mpt.minor] max_resamples must be an integer, got True",
+            ),
             ("hpo", "hpo.axes.fc_runs=[]", "[hpo.axes] fc_runs must be a non-empty list"),
             ("hpo", "hpo.axes.fc_runz=[3]", "[hpo.axes] 'fc_runz' is not an estimator setting"),
             ("hpo", "hpo.axes.fc_runs=[1, 10]", "fc_runs must be >= 2"),
@@ -201,7 +209,7 @@ class TestConfigErrorsBeforeTraining:
             ("benchmark", "run.k=2.5", "[run] k must be an integer"),
             ("benchmark", "run.k=true", "[run] k must be an integer"),
             ("benchmark", "run.iterations=1.5", "[run] iterations must be an integer"),
-            ("convergence", "convergence.foo=1", "unknown key convergence.foo"),
+            ("convergence", "convergence.foo=1", "unknown table [convergence]"),
             ("benchmark", "run.tests=[]", "[run] tests must name at least one test"),
             ("benchmark", "dataset.samples=abc", "[dataset] samples must be an integer, got 'abc'"),
             ("sanity", "dataset.spread=wide", "[dataset] spread must be a number, got 'wide'"),
@@ -210,6 +218,38 @@ class TestConfigErrorsBeforeTraining:
             ("benchmark", "dataset.samples=1", "[dataset] samples must be >= 2, got 1"),
             ("benchmark", "dataset.features=0", "[dataset] features must be >= 1, got 0"),
             ("benchmark", "dataset.classes=1", "[dataset] classes must be >= 2, got 1"),
+            (
+                "benchmark",
+                "estimators.faithfulness_correlation.fc_runs=2.5",
+                "[estimators.faithfulness_correlation] fc_runs must be an integer, got 2.5",
+            ),
+            (
+                "benchmark",
+                "estimators.max_sensitivity.robustness_runs=true",
+                "[estimators.max_sensitivity] robustness_runs must be an integer, got True",
+            ),
+            (
+                "benchmark",
+                "methods.integrated_gradients.ig_steps=2.5",
+                "[methods.integrated_gradients] ig_steps must be an integer, got 2.5",
+            ),
+            (
+                "benchmark",
+                "methods.occlusion.occlusion_patch=1.5",
+                "[methods.occlusion] occlusion_patch must be an integer, got 1.5",
+            ),
+            (
+                "benchmark",
+                "estimators.pixel_flipping.pf_step_size=true",
+                "[estimators.pixel_flipping] pf_step_size must be an integer, got True",
+            ),
+            (
+                "benchmark",
+                "estimators.sparseness.direction=sideways",
+                "unknown key estimators.sparseness.direction",
+            ),
+            ("hpo", "hpo.axes.fc_runs=[2.5]", "[hpo.axes] fc_runs must be an integer, got 2.5"),
+            ("benchmark", "run.k=0", "[run] k must be >= 1, got 0"),
         ],
         ids=[
             "mpt_alpha",
@@ -236,6 +276,14 @@ class TestConfigErrorsBeforeTraining:
             "one_dataset_sample",
             "no_features",
             "one_class",
+            "fractional_fc_runs",
+            "boolean_robustness_runs",
+            "fractional_ig_steps",
+            "fractional_occlusion_patch",
+            "boolean_pf_step_size",
+            "estimator_direction",
+            "fractional_hpo_axis_value",
+            "zero_k",
         ],
     )
     def test_exits_one_naming_the_setting(self, tmp_path, capsys, monkeypatch, verb, assignment, named):
@@ -316,11 +364,11 @@ class TestHpoCommand:
         assert best["fc_subset_size"] in (2, 4, 8, 12)
 
     def test_single_cell_grid_returns_it(self, tmp_path):
-        text = QUICK_BENCH + "\n[hpo]\nestimator = sparseness\n[hpo.axes]\ndirection = [higher_better]\n"
+        text = QUICK_BENCH + "\n[hpo]\nestimator = sparseness\n[hpo.axes]\nfc_baseline = [black]\n"
         config = load_config(write_config(tmp_path, text, out=tmp_path / "out"))
         ranked = run_hpo(config)
         assert len(ranked) == 1
-        assert ranked[0]["cell"] == {"direction": "higher_better", "estimator": "sparseness"}
+        assert ranked[0]["cell"] == {"fc_baseline": "black", "estimator": "sparseness"}
 
     def test_axes_required(self, tmp_path):
         text = QUICK_BENCH + "\n[hpo]\nestimator = sparseness\n"
@@ -328,7 +376,7 @@ class TestHpoCommand:
         assert main(["hpo", "--config", config]) == 1
 
     def test_cli_prints_ranked_table(self, tmp_path, capsys):
-        text = QUICK_BENCH + "\n[hpo]\nestimator = complexity\n[hpo.axes]\ndirection = [lower_better, higher_better]\n"
+        text = QUICK_BENCH + "\n[hpo]\nestimator = complexity\n[hpo.axes]\nfc_baseline = [black, mean]\n"
         config = write_config(tmp_path, text, out=tmp_path / "out")
         assert main(["hpo", "--config", config]) == 0
         printed = capsys.readouterr().out

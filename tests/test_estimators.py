@@ -684,11 +684,11 @@ class TestRegistry:
             assert row.direction == expected, estimator_id
 
     def test_every_estimator_has_direction(self):
-        # the scorer takes the row's direction unless cfg.direction overrides it
-        override = EstimatorConfig(direction="higher_better")
+        # the scorer takes the row's direction whatever the config
+        other = EstimatorConfig(fc_baseline="black")
         for estimator_id, row in ESTIMATORS.items():
             assert make_scorer(estimator_id, CFG).direction == row.direction
-            assert make_scorer(estimator_id, override).direction == "higher_better"
+            assert make_scorer(estimator_id, other).direction == row.direction
 
     def test_needs_mask_exactly_for_localisation(self):
         needing = {e for e, row in ESTIMATORS.items() if row.needs_mask}

@@ -27,6 +27,10 @@ def threshold_net():
     return make_net([dense([[0.0], [10.0]], [0.0, -5.0])])
 
 
+def own_label(net, x):
+    return predict_labels(net, np.asarray(x)[None, :])[0]
+
+
 def blobs(n=40, seed=0):
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -98,28 +102,29 @@ class TestIptSample:
     def test_zero_window_minor_complies_immediately(self, trained):
         net, X = trained
         spec = perturb_spec("ipt", "minor", alpha=0.0, beta=0.0)
-        case = ipt_sample(net, X[0], spec, draw_seed=1, bounds=(0.0, 1.0))
+        label = own_label(net, X[0])
+        case = ipt_sample(net, X[0], spec, draw_seed=1, bounds=(0.0, 1.0), label=label)
         assert case.compliant and case.attempts == 1
         assert np.array_equal(case.payload, X[0])
 
     def test_disruptive_threshold_crossing(self):
         net = threshold_net()
         spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=1.0)
-        case = ipt_sample(net, np.array([0.1]), spec, draw_seed=2, bounds=(0.0, 1.0))
+        case = ipt_sample(net, np.array([0.1]), spec, draw_seed=2, bounds=(0.0, 1.0), label=0)
         assert case.compliant
         assert case.payload[0] > 0.5
 
     def test_clipping_to_bounds(self):
         net = threshold_net()
         spec = perturb_spec("ipt", "minor", alpha=0.2, beta=0.2)
-        case = ipt_sample(net, np.array([0.9]), spec, draw_seed=3, bounds=(0.0, 1.0))
+        case = ipt_sample(net, np.array([0.9]), spec, draw_seed=3, bounds=(0.0, 1.0), label=1)
         assert case.payload[0] == 1.0
 
     def test_noncompliance_is_data_not_error(self):
         net = threshold_net()
         # zero noise can never flip the label
         spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=0.0, max_resamples=5)
-        case = ipt_sample(net, np.array([0.1]), spec, draw_seed=4, bounds=(0.0, 1.0))
+        case = ipt_sample(net, np.array([0.1]), spec, draw_seed=4, bounds=(0.0, 1.0), label=0)
         assert not case.compliant
         assert case.attempts == 5
 
@@ -127,7 +132,8 @@ class TestIptSample:
         net, X = trained
         spec = perturb_spec("ipt", "minor")
         for i in range(10):
-            case = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0))
+            label = own_label(net, X[i])
+            case = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0), label=label)
             if case.compliant:
                 assert (
                     predict_labels(net, case.payload[None, :])[0]
@@ -140,11 +146,13 @@ class TestIptSample:
         original = predict_labels(net, X)
         for i in range(12):
             spec = perturb_spec("ipt", "minor")
-            minor = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0))
+            minor = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0), label=original[i])
             if minor.compliant:
                 assert predict_labels(net, minor.payload[None, :])[0] == original[i]
             spec = perturb_spec("ipt", "disruptive", alpha=-1.0, beta=1.0)
-            disruptive = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0))
+            disruptive = ipt_sample(
+                net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0), label=original[i]
+            )
             if disruptive.compliant:
                 assert predict_labels(net, disruptive.payload[None, :])[0] != original[i]
 
@@ -153,8 +161,9 @@ class TestIptSample:
         for i in range(8):
             small = perturb_spec("ipt", "disruptive", max_resamples=3)
             large = perturb_spec("ipt", "disruptive", max_resamples=30)
-            a = ipt_sample(net, X[i], small, draw_seed=i, bounds=(0.0, 1.0))
-            b = ipt_sample(net, X[i], large, draw_seed=i, bounds=(0.0, 1.0))
+            label = own_label(net, X[i])
+            a = ipt_sample(net, X[i], small, draw_seed=i, bounds=(0.0, 1.0), label=label)
+            b = ipt_sample(net, X[i], large, draw_seed=i, bounds=(0.0, 1.0), label=label)
             if a.compliant:
                 assert b.compliant
                 assert np.array_equal(a.payload, b.payload)
@@ -164,7 +173,8 @@ class TestMptSample:
     def test_sigma_zero_minor_keeps_model(self, trained):
         net, X = trained
         spec = perturb_spec("mpt", "minor", sigma=0.0)
-        net_hat, compliant, attempts = mpt_sample(net, X, spec, draw_seed=1)
+        labels = predict_labels(net, X)
+        net_hat, compliant, attempts = mpt_sample(net, X, spec, draw_seed=1, labels=labels)
         assert compliant.all() and attempts == 1
         from xaimeta.net import get_weights
 
@@ -174,7 +184,7 @@ class TestMptSample:
         net, X = trained
         spec = perturb_spec("mpt", "disruptive", sigma=0.0, max_resamples=4)
         with pytest.raises(PerturbationInfeasibleError):
-            mpt_sample(net, X, spec, draw_seed=2)
+            mpt_sample(net, X, spec, draw_seed=2, labels=predict_labels(net, X))
 
     def test_huge_sigma_disrupts_most_samples(self):
         # needs several classes: a wildly randomised net collapses to one
@@ -187,7 +197,7 @@ class TestMptSample:
         y = np.repeat(np.arange(6), 20)
         net = train_tiny((16,), X, y, epochs=8, seed=2)
         spec = perturb_spec("mpt", "disruptive", sigma=100.0)
-        _, compliant, _ = mpt_sample(net, X, spec, draw_seed=3)
+        _, compliant, _ = mpt_sample(net, X, spec, draw_seed=3, labels=predict_labels(net, X))
         assert compliant.mean() >= 0.8
 
     def test_draw_is_multiplicative(self, trained):
@@ -254,7 +264,9 @@ class TestCollect:
             base = explainer(net, X4, labels)
             cases = [
                 [
-                    ipt_sample(net, X4[i], spec, derive_seed(spec.seed, "ipt", k, i), (0.0, 1.0))
+                    ipt_sample(
+                        net, X4[i], spec, derive_seed(spec.seed, "ipt", k, i), (0.0, 1.0), labels[i]
+                    )
                     for i in range(4)
                 ]
                 for k in range(2)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from xaimeta.consistency import CellResult, MetaVector
 from xaimeta.report import write_report
@@ -26,14 +27,14 @@ def fake_results():
 class TestWriteReport:
     def test_summary_row_reads_like_the_sanity_table(self, tmp_path):
         paths = write_report(fake_results(), {"run": {"k": 5}}, master_seed=7, out_dir=tmp_path)
-        lines = open(paths["summary"]).read().splitlines()
+        lines = Path(paths["summary"]).read_text().splitlines()
         assert lines[0] == "estimator,test,mc_bar,mc,iac_nr,iac_ar,iec_nr,iec_ar"
         assert lines[1] == "adversarial_deterministic,ipt,0.5,0.5,1.0,0.0,1.0,0.0"
         assert lines[2] == "adversarial_deterministic,mpt,0.5,0.5,1.0,0.0,1.0,0.0"
 
     def test_results_json_payload(self, tmp_path):
         paths = write_report(fake_results(), {"run": {"k": 5}}, master_seed=7, out_dir=tmp_path)
-        payload = json.load(open(paths["results"]))
+        payload = json.loads(Path(paths["results"]).read_text())
         assert payload["master_seed"] == 7
         assert payload["config"] == {"run": {"k": 5}}
         cell = payload["cells"][0]
@@ -43,7 +44,7 @@ class TestWriteReport:
 
     def test_areagraph_vertices(self, tmp_path):
         paths = write_report(fake_results(), {}, master_seed=0, out_dir=tmp_path)
-        lines = open(paths["areagraph"]).read().splitlines()
+        lines = Path(paths["areagraph"]).read_text().splitlines()
         assert lines[0] == "estimator,test,criterion,x,y"
         ipt_rows = [l for l in lines[1:] if ",ipt," in l]
         assert ipt_rows == [

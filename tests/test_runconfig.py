@@ -75,6 +75,14 @@ class TestConfig:
         again = config_from_tables(parse_tables(text))
         assert again == config
 
+    def test_numeric_output_must_be_quoted_and_round_trips(self):
+        with pytest.raises(ConfigError, match=r"\[run\] output must be a string, got 2024"):
+            config_from_tables(parse_tables(BASE.replace("output = out", "output = 2024")))
+        config = config_from_tables(parse_tables(BASE.replace("output = out", 'output = "2024"')))
+        text = serialize_tables(config_to_tables(config))
+        assert config.output == "2024"
+        assert config_from_tables(parse_tables(text)) == config
+
     def test_defaults(self):
         config = config_from_tables(parse_tables(BASE))
         assert config.k == 2 and config.iterations == 1
@@ -121,17 +129,17 @@ class TestConfig:
             config_from_tables(tables)
 
     def test_hpo_grid_leaves_the_estimator_listing_alone(self):
-        text = BASE + "\n[hpo]\nestimator = complexity\n[hpo.axes]\ndirection = [lower_better, higher_better]\n"
+        text = BASE + "\n[hpo]\nestimator = complexity\n[hpo.axes]\nfc_baseline = [black, mean]\n"
         config = config_from_tables(parse_tables(text))
         assert config.estimators == ["sparseness", "complexity"]
         trials = config.hpo_trials()
         assert [cell for cell, _ in trials] == [
-            {"direction": "lower_better", "estimator": "complexity"},
-            {"direction": "higher_better", "estimator": "complexity"},
+            {"fc_baseline": "black", "estimator": "complexity"},
+            {"fc_baseline": "mean", "estimator": "complexity"},
         ]
-        assert [trial.estimator_config("complexity").direction for _, trial in trials] == [
-            "lower_better",
-            "higher_better",
+        assert [trial.estimator_config("complexity").fc_baseline for _, trial in trials] == [
+            "black",
+            "mean",
         ]
 
     def test_load_config_from_file(self, tmp_path):

@@ -42,6 +42,17 @@ def wilcoxon_enumeration_oracle(a, b):
     return count / 2.0**m
 
 
+def scalable_pairs():
+    """Paired samples of 2-30 finite floats, each zero or at least 2**-1000 in
+    magnitude, so that halving them and scaling them by 2**-4 are exact."""
+    value = st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: x == 0.0 or abs(x) >= 2.0**-1000
+    )
+    return st.integers(2, 30).flatmap(
+        lambda m: st.tuples(*[st.lists(value, min_size=m, max_size=m)] * 2)
+    )
+
+
 class TestWilcoxon:
     def test_identical_samples_give_p_one(self):
         a = np.array([0.3, 1.2, -4.0, 2.2])
@@ -113,6 +124,16 @@ class TestWilcoxon:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [2.0])
+
+    @settings(max_examples=200)
+    @given(pair=scalable_pairs())
+    @example(pair=([1e308, -1e308, 5e307, 1.0, 2.0], [-1e308, 1e308, -1.6e308, 0.5, 3.0]))
+    def test_p_unchanged_by_power_of_two_scaling(self, pair):
+        # scaling by 2**-4 is exact for these floats, so it keeps the order,
+        # ties and signs of the differences; differences that overflow must
+        # not collapse into one tie
+        a, b = (np.array(side) for side in pair)
+        assert wilcoxon_signed_rank(a, b) == wilcoxon_signed_rank(a * 2.0**-4, b * 2.0**-4)
 
 
 class TestCorrelation:
