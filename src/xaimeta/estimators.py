@@ -289,25 +289,25 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
 
     Replacement parameters are drawn from a normal fitted to the original
     layer (its empirical mean and std, weights and bias pooled); every row
-    draws its own randomised net per layer, so each re-explanation is a
-    one-row call.  Layers whose correlation is undefined (constant map) are
-    skipped; if every layer is skipped the estimate is undefined.
+    draws its own randomised layer from its own stream, and the B draws of
+    a layer are stacked into one member layer (see `net`), so each layer
+    re-explains all rows in one explainer call, row b under its own draw.
+    Layers whose correlation is undefined (constant map) are skipped; if
+    every layer is skipped the estimate is undefined.
     """
     correlations = []
     for v, layer_index in enumerate(dense_layer_indices(ctx.net)):
         layer = ctx.net.layers[layer_index]
         pooled = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
         mu, sd = float(pooled.mean()), float(pooled.std())
-        others = np.empty_like(ctx.attributions)
-        for b, seed in enumerate(ctx.seeds):
+        weights = np.empty((len(ctx.seeds), *layer.weights.shape))
+        bias = np.empty((len(ctx.seeds), *layer.bias.shape))
+        for seed, member_weights, member_bias in zip(ctx.seeds, weights, bias):
             rng = derive_rng("mpr", seed, v)
-            new_layer = Layer(
-                "dense",
-                rng.normal(mu, sd, size=layer.weights.shape),
-                rng.normal(mu, sd, size=layer.bias.shape),
-            )
-            randomized = replace_layer(ctx.net, layer_index, new_layer)
-            others[b] = ctx.explainer(randomized, ctx.X[b : b + 1], ctx.labels[b])[0]
+            member_weights[...] = rng.normal(mu, sd, size=member_weights.shape)
+            member_bias[...] = rng.normal(mu, sd, size=member_bias.shape)
+        randomized = replace_layer(ctx.net, layer_index, Layer("dense", weights, bias))
+        others = ctx.explainer(randomized, ctx.X, ctx.labels)
         correlations.append(stats.spearman(ctx.attributions, others))
     correlations = np.stack(correlations, axis=1)
     defined = np.isfinite(correlations)

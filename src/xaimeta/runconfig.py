@@ -343,13 +343,14 @@ def config_from_tables(tables: dict) -> RunConfig:
     )
     if len(config.methods) < 2:
         raise ConfigError("[methods] use must list at least two methods")
-    # constructing the per-method/estimator configs and the perturbation
-    # specs surfaces bad values as configuration errors, before any work
+    # constructing the per-method/estimator configs (of every id listed or
+    # given a table) and the perturbation specs surfaces bad values as
+    # configuration errors, before any work
     try:
-        for method_id in config.methods:
+        for method_id in dict.fromkeys([*config.methods, *config.method_overrides]):
             where = f"[methods.{method_id}]"
             config.explainer_config(method_id, seed=0)
-        for estimator_id in config.estimators:
+        for estimator_id in dict.fromkeys([*config.estimators, *config.estimator_overrides]):
             where = f"[estimators.{estimator_id}]"
             config.estimator_config(estimator_id)
         for (test, strength), sub in config.perturb.items():

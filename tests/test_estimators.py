@@ -10,8 +10,19 @@ from hypothesis import strategies as st
 import xaimeta.estimators as estimators_module
 from xaimeta.errors import ConfigError
 from xaimeta.estimators import ESTIMATORS, EstimatorConfig, EvalContext, make_scorer
-from xaimeta.explain import ExplainerConfig, build_explainer
-from xaimeta.net import dense, logits_batch, make_net, relu, softmax
+from xaimeta import stats
+from xaimeta.explain import METHODS, ExplainerConfig, build_explainer
+from xaimeta.net import (
+    Layer,
+    dense,
+    dense_layer_indices,
+    init_net,
+    logits_batch,
+    make_net,
+    relu,
+    replace_layer,
+    softmax,
+)
 from xaimeta.seeding import derive_rng, derive_seed
 from xaimeta.stats import spearman
 
@@ -432,6 +443,109 @@ class TestModelParameterRandomisation:
             explainer(net, x[None, :], 0)[0], explainer(randomized, x[None, :], 0)[0]
         )
         assert est == pytest.approx(expected, abs=1e-12)
+
+
+def mpr_oracle_correlations(ctx):
+    """Model-parameter randomisation one row at a time: per (row, layer), the
+    row's own randomised net and a one-row re-explanation under it; the
+    (B, layers) rank correlations."""
+    correlations = []
+    for v, layer_index in enumerate(dense_layer_indices(ctx.net)):
+        layer = ctx.net.layers[layer_index]
+        pooled = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
+        mu, sd = float(pooled.mean()), float(pooled.std())
+        others = np.empty_like(ctx.attributions)
+        for b, seed in enumerate(ctx.seeds):
+            rng = derive_rng("mpr", seed, v)
+            new_layer = Layer(
+                "dense",
+                rng.normal(mu, sd, size=layer.weights.shape),
+                rng.normal(mu, sd, size=layer.bias.shape),
+            )
+            randomized = replace_layer(ctx.net, layer_index, new_layer)
+            others[b] = ctx.explainer(randomized, ctx.X[b : b + 1], ctx.labels[b])[0]
+        correlations.append(spearman(ctx.attributions, others))
+    return np.stack(correlations, axis=1)
+
+
+def mpr_oracle(ctx):
+    """The per-row oracle's estimates: the mean of each row's defined layers."""
+    correlations = mpr_oracle_correlations(ctx)
+    defined = np.isfinite(correlations)
+    return estimators_module._ratio_or_nan(
+        stats.masked_row_sums(correlations, defined), defined.sum(axis=1)
+    )
+
+
+def flat_where_first_feature_negative(explainer):
+    """`explainer` with every row whose first relevance is negative made
+    constant, so its rank correlation is undefined under some layers."""
+
+    def fn(net, X, labels):
+        maps = explainer(net, X, labels)
+        return np.where(maps[:, :1] < 0.0, 1.0, maps)
+
+    return fn
+
+
+class TestModelParameterRandomisationBatch:
+    """The stacked-member MPR equals the one-row-per-(row, layer) loop bit for bit."""
+
+    def batch_ctx(self, net, explainer, seed, b=6):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(b, net.input_dim))
+        X[::3] = 0.0  # zero rows: constant input_x_gradient maps
+        labels = rng.integers(0, net.num_classes, size=b)
+        return EvalContext(
+            net=net,
+            X=X,
+            labels=labels,
+            attributions=explainer(net, X, labels),
+            explainer=explainer,
+            dataset_bounds=(0.0, 1.0),
+            seeds=np.array([derive_seed(seed, "row", i) for i in range(b)], dtype=np.uint64),
+        )
+
+    @pytest.mark.parametrize("hidden", [(7,), (6, 5)])
+    @pytest.mark.parametrize("method_id", sorted(METHODS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_row_oracle(self, hidden, method_id, seed):
+        net = init_net(5, hidden, 3, seed=seed)
+        cfg = ExplainerConfig(ig_steps=6, occlusion_patch=2, shap_samples=3, seed=seed)
+        explainer = build_explainer(method_id, cfg)
+        ctx = self.batch_ctx(net, explainer, seed)
+        expected = mpr_oracle(ctx)
+        assert estimators_module.evaluate_model_parameter_randomisation(ctx, CFG).tobytes() == (
+            expected.tobytes()
+        )
+
+    @pytest.mark.parametrize("hidden", [(7,), (6, 5)])
+    def test_undefined_layers_match_the_oracle(self, hidden):
+        net = init_net(4, hidden, 3, seed=9)
+        gradient = build_explainer("gradient", ExplainerConfig())
+        explainer = flat_where_first_feature_negative(gradient)
+        ctx = self.batch_ctx(net, explainer, 9, b=12)
+        defined = np.isfinite(mpr_oracle_correlations(ctx)).sum(axis=1)
+        layers = len(dense_layer_indices(net))
+        # rows with no layer defined and rows with some but not all
+        assert (defined == 0).any() and ((0 < defined) & (defined < layers)).any()
+        expected = mpr_oracle(ctx)
+        assert estimators_module.evaluate_model_parameter_randomisation(ctx, CFG).tobytes() == (
+            expected.tobytes()
+        )
+
+    def test_one_explainer_call_per_dense_layer(self):
+        net = init_net(5, (6, 5), 3, seed=3)
+        explainer = build_explainer("integrated_gradients", ExplainerConfig(ig_steps=4))
+        calls = []
+
+        def counted(net, X, labels):
+            calls.append(len(X))
+            return explainer(net, X, labels)
+
+        ctx = replace(self.batch_ctx(net, explainer, 3, b=5), explainer=counted)
+        estimators_module.evaluate_model_parameter_randomisation(ctx, CFG)
+        assert calls == [5, 5, 5]
 
 
 class TestRandomLogit:

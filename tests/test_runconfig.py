@@ -142,6 +142,36 @@ class TestConfig:
             "mean",
         ]
 
+    @pytest.mark.parametrize(
+        "bounds", ["[0.5]", "[]", "[0.0, 0.5, 1.0]", "[1.0, 0.0]", "[0.0, inf]", "[nan, 1.0]"]
+    )
+    @pytest.mark.parametrize("use", ["[gradient, gradient_shap]", "[gradient, saliency]"])
+    def test_bad_shap_bounds_rejected_before_training(self, bounds, use):
+        text = BASE.replace("use = [gradient, saliency]", f"use = {use}")
+        text += f"\n[methods.gradient_shap]\nshap_bounds = {bounds}\n"
+        with pytest.raises(ConfigError, match=r"\[methods.gradient_shap\]: shap_bounds"):
+            config_from_tables(parse_tables(text))
+
+    def test_equal_shap_bounds_accepted(self):
+        text = BASE + "\n[methods.gradient_shap]\nshap_bounds = [0.5, 0.5]\n"
+        config = config_from_tables(parse_tables(text))
+        assert config.explainer_config("gradient_shap", seed=0).shap_bounds == (0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "old,new,table",
+        [
+            ("ig_steps = 16", "ig_steps = 0", "[methods.integrated_gradients]"),
+            ("fc_runs = 25", "fc_runs = 1", "[estimators.faithfulness_correlation]"),
+        ],
+    )
+    def test_tables_outside_use_are_checked(self, old, new, table):
+        # BASE lists neither integrated_gradients nor faithfulness_correlation in use
+        config = config_from_tables(parse_tables(BASE))
+        assert "integrated_gradients" not in config.methods
+        assert "faithfulness_correlation" not in config.estimators
+        with pytest.raises(ConfigError, match=table.replace("[", r"\[").replace("]", r"\]")):
+            config_from_tables(parse_tables(BASE.replace(old, new)))
+
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(BASE)
