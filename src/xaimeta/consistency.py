@@ -25,6 +25,7 @@ from .perturb import (
     MINOR,
     MPT,
     CollectResult,
+    PerturbedSpaces,
     collect,
     perturb_spec,
 )
@@ -159,6 +160,18 @@ class BenchmarkSetup:
             **self.perturb_templates,
         }
 
+    def perturbed_spaces(self) -> PerturbedSpaces:
+        """Fresh perturbed spaces over these inputs; one serves one run."""
+        return PerturbedSpaces(
+            self.net,
+            self.inputs,
+            self.methods,
+            self.K,
+            self.bounds,
+            dataset_mean=self.dataset_mean,
+            masks=self.masks,
+        )
+
 
 @dataclass
 class CellResult:
@@ -172,30 +185,29 @@ class CellResult:
     diagnostics: dict
 
 
-def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> CellResult:
-    """Run `iterations` independent repetitions of one estimator x test."""
+def evaluate_cell(
+    setup: BenchmarkSetup, estimator_id: str, cfg, test: str, spaces: PerturbedSpaces | None = None
+) -> CellResult:
+    """Run `iterations` independent repetitions of one estimator x test.
+
+    The payloads of iteration i at one strength come from the seed
+    (master_seed, test, i, strength) alone, and `spaces` (the run's, or a
+    fresh `setup.perturbed_spaces()`) draws and explains them once for every
+    cell that scores them.
+    """
+    if spaces is None:
+        spaces = setup.perturbed_spaces()
     vectors = []
     diagnostics = {"dropped": [], "undefined": [], "total": [], "mean_attempts": []}
     for iteration in range(setup.iterations):
-        cell_seed = derive_seed(setup.master_seed, test, estimator_id, iteration)
         scorer = make_scorer(estimator_id, cfg)
         collects = {}
         for strength in (MINOR, DISRUPTIVE):
             spec = replace(
                 setup.perturb_templates[(test, strength)],
-                seed=derive_seed(cell_seed, strength),
+                seed=derive_seed(setup.master_seed, test, iteration, strength),
             )
-            collects[strength] = collect(
-                setup.net,
-                setup.inputs,
-                setup.methods,
-                scorer,
-                spec,
-                setup.K,
-                setup.bounds,
-                dataset_mean=setup.dataset_mean,
-                masks=setup.masks,
-            )
+            collects[strength] = collect(spaces, scorer=scorer, spec=spec)
         iac_nr = iac_over_methods(collects[MINOR])
         iac_ar_raw = iac_over_methods(collects[DISRUPTIVE])
         qbar_nr, qbar_m = ranking_matrices(collects[MINOR])
@@ -244,11 +256,14 @@ def _std_entries(vectors) -> dict:
 def run_meta_evaluation(setup: BenchmarkSetup) -> dict:
     """Evaluate every estimator x test cell, keyed (estimator_id, test).
 
-    Each cell derives its own seeds, so its result does not depend on the
-    order in which cells run.
+    Payloads come from (master_seed, test, iteration, strength) only, and
+    every cell scores the same perturbed spaces, drawn and explained once
+    per run: these are common random numbers, so a cell does not depend on
+    which other estimators run or in which order cells run.
     """
+    spaces = setup.perturbed_spaces()
     return {
-        (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test)
+        (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test, spaces)
         for estimator_id, cfg in setup.estimators
         for test in setup.tests
     }

@@ -37,7 +37,7 @@ class EvalContext:
     (normalized) batch explanation function, explainer(net, X, labels) ->
     (B, D), that produced them, and robustness and randomisation estimators
     re-invoke it.  `masks` is a (B, D) bool array whose every row marks at
-    least one feature (`perturb.collect` checks its masks once per call).
+    least one feature (`perturb.PerturbedSpaces` checks the masks once per run).
     `seeds` holds one estimator seed per row.  `is_perturbed` says whether
     the inputs or `net` carry a perturbation payload.  `dataset_mean` feeds
     the "mean" baseline strategy.

@@ -13,7 +13,9 @@ layers serve every block).  An ordinary net is S = 1.  The forward and
 backward passes always run on the (S, M/S, .) view; `np.matmul` makes one
 BLAS call per member slice, with the shapes and strides of a call under
 that member alone, so a block's results are bit for bit those of the same
-rows under the member alone.
+rows under the member alone.  A one-row block is back-propagated as two
+copies of itself, so a row's input gradient does not depend on how many
+rows are explained with it.
 """
 from dataclasses import dataclass, replace
 
@@ -143,10 +145,23 @@ def input_gradient_batch(net: Net, X, class_index) -> np.ndarray:
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.kind == "dense":
-            G = G @ layer.weights
+            G = _rows_times(G, layer.weights)
         else:
             G = G * (activations[i] > 0.0)
     return G.reshape(rows, net.input_dim)
+
+
+def _rows_times(G, weights) -> np.ndarray:
+    """`G @ weights` for (S, m, out) row blocks, with each row's result
+    independent of m.
+
+    numpy hands a one-row block to BLAS gemv, which rounds differently from
+    the gemm that serves two or more rows (gemm rounds every row alike), so
+    a row's gradient would depend on whether it was explained alone.  A
+    one-row block is therefore multiplied as two copies of itself."""
+    if G.shape[-2] != 1:
+        return G @ weights
+    return (np.concatenate([G, G], axis=-2) @ weights)[..., :1, :]
 
 
 def get_weights(net: Net) -> np.ndarray:

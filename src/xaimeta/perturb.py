@@ -4,9 +4,11 @@ Two tests are supported: IPT, additive uniform noise on inputs (clipped to
 the dataset bounds), and MPT, multiplicative Gaussian noise on all model
 parameters.  A perturbation is *minor* when the predicted label
 survives it and *disruptive* when the label changes; payloads are resampled
-until they comply or a cap is reached.  `collect` gathers the N x K matrix
-of perturbed quality estimates per explanation method that the consistency
-criteria consume.
+until they comply or a cap is reached.  `PerturbedSpaces` draws each
+(test, strength, iteration) of payloads once per run and explains it once
+per method; `collect` scores such a space with one estimator, giving the
+N x K matrix of perturbed quality estimates per explanation method that the
+consistency criteria consume.
 """
 import numbers
 from dataclasses import dataclass
@@ -157,6 +159,111 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
     )
 
 
+@dataclass
+class PerturbedSpace:
+    """One (test, strength, iteration) of payloads and every method's
+    explanations of them: drawn and explained once, scored by every
+    estimator.  Its arrays are read-only, because every estimator sees them."""
+
+    compliant: np.ndarray  # (N, K) payload compliance, shared across methods
+    attempts: np.ndarray  # (N, K) draws used per payload
+    payloads: list  # column k: (net, inputs of its compliant rows)
+    seeds: dict  # method_id -> (N,) estimator seeds
+    attributions: dict  # method_id -> column k's (rows, D) explanations, None if empty
+
+
+class PerturbedSpaces:
+    """The N rows X of one run, labelled and explained once per method, and
+    their perturbed spaces, keyed by PerturbSpec and drawn on first use.
+
+    `methods` is a sequence of (method_id, explainer) pairs, each explainer a
+    batch callable(net, X, labels) -> (B, D).  `masks`, when given, is an
+    (N, D) array whose every row marks at least one feature.  A space
+    depends only on its spec (whose seed names the test, strength and
+    iteration), never on the estimators that score it, so one instance
+    serves every cell of a run; it holds every space it drew until it is
+    dropped.
+    """
+
+    def __init__(self, net: Net, X, methods, K: int, bounds, dataset_mean=None, masks=None):
+        X = np.asarray(X, dtype=np.float64)
+        if K < 1 or X.shape[0] < 2:
+            raise ValueError("perturbed spaces need K >= 1 and at least two samples")
+        if masks is not None:
+            masks = np.asarray(masks).astype(bool)
+            if masks.shape != X.shape or not masks.any(axis=1).all():
+                raise ValueError("masks must be (N, D) and mark at least one feature per row")
+        self.net = net
+        self.X = X
+        self.methods = list(methods)
+        self.K = K
+        self.bounds = tuple(bounds)
+        self.dataset_mean = dataset_mean
+        self.masks = masks
+        self.labels = predict_labels(net, X)
+        self.attributions = {
+            method_id: _read_only(explainer(net, X, self.labels))
+            for method_id, explainer in self.methods
+        }
+        self.drawn = {}  # PerturbSpec -> PerturbedSpace
+
+    def __getitem__(self, spec: PerturbSpec) -> PerturbedSpace:
+        space = self.drawn.get(spec)
+        if space is None:
+            space = self.drawn[spec] = draw_space(self, spec)
+        return space
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
+    """Draw the K payload columns of `spec` over the rows of `spaces`, then
+    explain each non-empty column once per method.
+
+    Under IPT column k holds the unperturbed net and the k-th perturbed rows,
+    under MPT the k-th drawn net and X; every stochastic choice derives from
+    spec.seed, so the space is independent of execution schedule.
+    """
+    net, X, labels, K = spaces.net, spaces.X, spaces.labels, spaces.K
+    n, d = X.shape
+    compliant = np.zeros((n, K), dtype=bool)
+    attempts = np.zeros((n, K))
+    payloads = []
+    for k in range(K):
+        if spec.test == IPT:
+            cases = [
+                ipt_sample(
+                    net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), spaces.bounds, labels[i]
+                )
+                for i in range(n)
+            ]
+            compliant[:, k] = [case.compliant for case in cases]
+            attempts[:, k] = [case.attempts for case in cases]
+            net_k = net
+            inputs = np.array([case.payload for case in cases if case.compliant]).reshape(-1, d)
+        else:
+            draw_seed = derive_seed(spec.seed, "mpt", k)
+            net_k, compliant[:, k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
+            inputs = X[compliant[:, k]]
+        payloads.append((net_k, _read_only(inputs)))
+    seeds, attributions = {}, {}
+    for method_id, explainer in spaces.methods:
+        # one estimator seed per (sample, method): the estimator's own
+        # sampling stays fixed so that only the perturbed space varies
+        row_seeds = [derive_seed(spec.seed, "est", i, method_id) for i in range(n)]
+        seeds[method_id] = _read_only(np.array(row_seeds, dtype=np.uint64))
+        attributions[method_id] = [
+            _read_only(explainer(net_k, inputs, labels[compliant[:, k]])) if len(inputs) else None
+            for k, (net_k, inputs) in enumerate(payloads)
+        ]
+    return PerturbedSpace(
+        _read_only(compliant), _read_only(attempts), payloads, seeds, attributions
+    )
+
+
 # collect aborts when more than this share of samples ends up without a
 # single retained draw, or of all estimates is undefined
 MAX_DROPPED_FRACTION = 0.2
@@ -182,98 +289,59 @@ class CollectResult:
     mean_attempts: float
 
 
-def collect(
-    net: Net,
-    X,
-    methods,
-    scorer,
-    spec: PerturbSpec,
-    K: int,
-    bounds,
-    dataset_mean: float | None = None,
-    masks=None,
-) -> CollectResult:
-    """Gather unperturbed and K perturbed estimates per (sample, method).
+def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectResult:
+    """Gather unperturbed and K perturbed estimates per (sample, method) on
+    the space `spec` names in `spaces`, drawing it on first use.
 
-    `methods` is a sequence of (method_id, explainer) pairs, each explainer
-    a batch callable(net, X, labels) -> (B, D); `scorer` is an
-    estimators.Scorer, called per method once on the N unperturbed rows and
-    once per non-empty payload column on its compliant rows; its
-    non-finite results count as undefined.  `masks`, when given, is an
-    (N, D) array whose every row marks at least one feature.  Payload
-    column k is one (net, inputs) pair: under IPT the unperturbed net and
-    the k-th perturbed rows, under MPT the k-th drawn net and X.  Payload draws are shared across methods;
-    every stochastic choice derives from spec.seed, so results are
-    independent of execution schedule.  Aborts when more than
-    MAX_DROPPED_FRACTION of samples end up without a single retained draw,
-    or when more than MAX_UNDEFINED_FRACTION of all estimates are undefined.
+    `scorer` is an estimators.Scorer, called per method once on the N
+    unperturbed rows and once per non-empty payload column on its compliant
+    rows, with the explanations the space already holds; its non-finite
+    results count as undefined.  Payloads, explanations and estimator seeds
+    are shared across methods and estimators, so the explainers run at most
+    1 + K times per method and space, whatever the number of estimators.
+    Aborts when more than MAX_DROPPED_FRACTION of samples end up without a
+    single retained draw, or when more than MAX_UNDEFINED_FRACTION of all
+    estimates are undefined.  `scorer` and `spec` are keyword-only because
+    bench/tracer.py reads them by name.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if K < 1 or n < 2:
-        raise ValueError("collect needs K >= 1 and at least two samples")
-    if masks is not None:
-        masks = np.asarray(masks).astype(bool)
-        if masks.shape != X.shape or not masks.any(axis=1).all():
-            raise ValueError("masks must be (N, D) and mark at least one feature per row")
-    bounds = tuple(bounds)
-    labels = predict_labels(net, X)
-
-    # payload draws, shared by all methods
-    compliant = np.zeros((n, K), dtype=bool)
-    attempts = np.zeros((n, K))
-    nets, inputs = [], []
-    for k in range(K):
-        if spec.test == IPT:
-            cases = [
-                ipt_sample(net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), bounds, labels[i])
-                for i in range(n)
-            ]
-            nets.append(net)
-            inputs.append(np.array([case.payload for case in cases]))
-            compliant[:, k] = [case.compliant for case in cases]
-            attempts[:, k] = [case.attempts for case in cases]
-        else:
-            draw_seed = derive_seed(spec.seed, "mpt", k)
-            net_hat, compliant[:, k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
-            nets.append(net_hat)
-            inputs.append(X)
+    space = spaces[spec]
+    labels, masks, compliant = spaces.labels, spaces.masks, space.compliant
+    n = labels.size
 
     undefined = 0
     total = 0
     usable = np.ones(n, dtype=bool)
     per_method = {}
-    for method_id, explainer in methods:
-        # one estimator seed per (sample, method): the estimator's own
-        # sampling stays fixed so that only the perturbed space varies
-        seeds = np.array(
-            [derive_seed(spec.seed, "est", i, method_id) for i in range(n)], dtype=np.uint64
-        )
+    for method_id, explainer in spaces.methods:
+        seeds = space.seeds[method_id]
 
-        def score(net_k, rows, X_k, is_perturbed):
-            """Explain and score the given rows under one (net, inputs) pair."""
+        def score(net_k, rows, X_k, attributions, is_perturbed):
+            """Score the given rows' explanations under one (net, inputs) pair."""
             ctx = EvalContext(
                 net=net_k,
                 X=X_k,
                 labels=labels[rows],
-                attributions=explainer(net_k, X_k, labels[rows]),
+                attributions=attributions,
                 explainer=explainer,
-                dataset_bounds=bounds,
+                dataset_bounds=spaces.bounds,
                 seeds=seeds[rows],
                 masks=None if masks is None else masks[rows],
-                dataset_mean=dataset_mean,
+                dataset_mean=spaces.dataset_mean,
                 is_perturbed=is_perturbed,
             )
             return np.asarray(scorer(ctx), dtype=np.float64)
 
         # the N unperturbed rows, then each non-empty payload column over
-        # its compliant rows: one explainer and one scorer call apiece
-        unperturbed = score(net, np.ones(n, dtype=bool), X, False)
-        perturbed = np.full((n, K), np.nan)
-        for k in range(K):
+        # its compliant rows: one scorer call apiece
+        unperturbed = score(
+            spaces.net, np.ones(n, dtype=bool), spaces.X, spaces.attributions[method_id], False
+        )
+        perturbed = np.full((n, spaces.K), np.nan)
+        for k, (net_k, inputs) in enumerate(space.payloads):
             rows = compliant[:, k]
             if rows.any():
-                perturbed[rows, k] = score(nets[k], rows, inputs[k][rows], True)
+                attributions = space.attributions[method_id][k]
+                perturbed[rows, k] = score(net_k, rows, inputs, attributions, True)
         # non-compliant entries are still NaN, so they are never retained
         defined = np.isfinite(unperturbed)
         retained = np.isfinite(perturbed)
@@ -303,5 +371,5 @@ def collect(
         dropped=dropped,
         undefined_count=undefined,
         total_count=total,
-        mean_attempts=float(attempts.mean()),
+        mean_attempts=float(space.attempts.mean()),
     )

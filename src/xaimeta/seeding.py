@@ -1,10 +1,10 @@
 """Deterministic seed derivation.
 
 Every stochastic step in the framework draws from a generator whose seed is
-derived from the master seed plus a label path (test type, estimator id,
-iteration, perturbation index, sample index, ...).  Derivation goes through
-blake2b so that results are independent of execution schedule and stable
-across processes.
+derived from the master seed plus a label path (test type, iteration,
+strength, perturbation index, sample index, method id, ...).  Derivation
+goes through blake2b so that results are independent of execution schedule
+and stable across processes.
 """
 import hashlib
 

@@ -1,9 +1,14 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from test_golden import CONFIG as GOLDEN_CONFIG
+from xaimeta import consistency, perturb
 from xaimeta.consistency import (
     BenchmarkSetup,
     evaluate_cell,
@@ -17,7 +22,9 @@ from xaimeta.errors import MetaEvaluationError
 from xaimeta.estimators import EstimatorConfig
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import train_tiny
-from xaimeta.perturb import DEFAULT_WINDOWS, perturb_spec
+from xaimeta.perturb import DEFAULT_WINDOWS, collect, perturb_spec
+from xaimeta.runconfig import config_from_tables, parse_tables
+from xaimeta.runner import build_setup
 from xaimeta.stats import wilcoxon_signed_rank
 
 
@@ -342,3 +349,100 @@ class TestEndToEnd:
                 estimators=[],
                 tests=["ipt"],
             )
+
+
+@pytest.fixture(scope="module")
+def golden_setup():
+    """The small two-test config of tests/test_golden.py: 6 estimators, K=2, 2 iterations."""
+    return build_setup(config_from_tables(parse_tables(GOLDEN_CONFIG)))
+
+
+def with_estimators(setup, estimator_ids):
+    """`setup` scoring these estimators, under their configs in `setup` or the defaults."""
+    configs = dict(setup.estimators)
+    return replace(setup, estimators=[(e, configs.get(e, EstimatorConfig())) for e in estimator_ids])
+
+
+def cell_state(cell):
+    """Everything a cell reports, compared with == so floats must match bit for bit."""
+    return cell.per_iteration, cell.mean, cell.std, cell.diagnostics
+
+
+class TestSharedSpaces:
+    """Payloads belong to (test, strength, iteration), not to the estimator."""
+
+    def test_cell_independent_of_the_other_estimators(self, golden_setup):
+        a, b, c = "faithfulness_correlation", "model_parameter_randomisation", "max_sensitivity"
+        trio = run_meta_evaluation(with_estimators(golden_setup, [a, b, c]))
+        alone = run_meta_evaluation(with_estimators(golden_setup, [c]))
+        cfg = dict(golden_setup.estimators)[c]
+        for test in golden_setup.tests:
+            standalone = evaluate_cell(golden_setup, c, cfg, test)
+            assert cell_state(trio[(c, test)]) == cell_state(alone[(c, test)])
+            assert cell_state(trio[(c, test)]) == cell_state(standalone)
+
+    def test_every_cell_of_a_test_sees_the_same_compliance(self, golden_setup):
+        results = run_meta_evaluation(golden_setup)
+        for test in golden_setup.tests:
+            cells = [cell for (_, t), cell in results.items() if t == test]
+            assert len(cells) == len(golden_setup.estimators)
+            for key in ("mean_attempts", "dropped"):
+                assert len({tuple(cell.diagnostics[key]) for cell in cells}) == 1, (test, key)
+
+    def test_estimator_order_changes_no_cell(self, golden_setup):
+        ids = [e for e, _ in golden_setup.estimators]
+        forward = run_meta_evaluation(golden_setup)
+        backward = run_meta_evaluation(with_estimators(golden_setup, ids[::-1]))
+        assert set(forward) == set(backward)
+        for key in forward:
+            assert cell_state(forward[key]) == cell_state(backward[key]), key
+
+    @staticmethod
+    def counted_run(setup, estimator_ids, monkeypatch):
+        """Run the estimators with every explainer call and payload draw counted.
+
+        Returns (explainer calls per method, ipt_sample calls, mpt_sample
+        calls, the run's PerturbedSpaces)."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("ipt_sample", "mpt_sample"):
+            monkeypatch.setattr(perturb, name, counted(name, getattr(perturb, name)))
+        seen = set()
+
+        def recording(spaces, **kwargs):
+            seen.add(spaces)
+            return collect(spaces, **kwargs)
+
+        monkeypatch.setattr(consistency, "collect", recording)
+        methods = [(m, counted(m, explainer)) for m, explainer in setup.methods]
+        run_meta_evaluation(replace(with_estimators(setup, estimator_ids), methods=methods))
+        monkeypatch.undo()
+        (spaces,) = seen
+        explained = {m: calls[m] for m, _ in methods}
+        return explained, calls["ipt_sample"], calls["mpt_sample"], spaces
+
+    def test_estimators_add_no_explainer_call_and_no_payload_draw(
+        self, golden_setup, monkeypatch
+    ):
+        # none of these three re-explains inside its scorer
+        one = self.counted_run(golden_setup, ["sparseness"], monkeypatch)
+        three = self.counted_run(
+            golden_setup, ["sparseness", "pointing_game", "adversarial_deterministic"], monkeypatch
+        )
+        assert one[:3] == three[:3]
+        explained, ipt_draws, mpt_draws, spaces = three
+        n, k = golden_setup.inputs.shape[0], golden_setup.K
+        # one space per (test, strength, iteration); ipt_sample draws one row
+        assert len(spaces.drawn) == len(golden_setup.tests) * 2 * golden_setup.iterations
+        assert ipt_draws == 2 * golden_setup.iterations * k * n
+        assert mpt_draws == 2 * golden_setup.iterations * k
+        # the unperturbed rows once per run, then each non-empty payload column once
+        columns = sum(int(space.compliant.any(axis=0).sum()) for space in spaces.drawn.values())
+        assert explained == {m: 1 + columns for m, _ in golden_setup.methods}

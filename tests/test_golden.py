@@ -121,44 +121,44 @@ CELLS = {('adversarial_deterministic', 'ipt'): [
         [1.0, 0.0, 1.0, 0.0],
     ],
     ('faithfulness_correlation', 'ipt'): [
-        [0.6585845947265625, 0.6880544026692708, 1.0, 0.4166666666666667],
-        [0.5380350748697916, 0.5377553304036458, 1.0, 0.3125],
+        [0.6235249837239584, 0.890289306640625, 1.0, 0.20833333333333334],
+        [0.4299723307291667, 0.7122446695963542, 1.0, 0.3125],
     ],
     ('faithfulness_correlation', 'mpt'): [
-        [0.5292205810546875, 0.512542724609375, 1.0, 0.4583333333333333],
-        [0.68408203125, 0.36644999186197913, 1.0, 0.4791666666666667],
+        [0.4204864501953125, 0.7123006184895833, 1.0, 0.6041666666666666],
+        [0.5075480143229166, 0.36036173502604163, 1.0, 0.4791666666666667],
     ],
     ('max_sensitivity', 'ipt'): [
-        [0.3416239420572917, 0.5921529134114583, 1.0, 0.3958333333333333],
-        [0.5061442057291666, 0.560882568359375, 0.9583333333333334, 0.4791666666666667],
+        [0.6322580973307291, 0.8137715657552084, 1.0, 0.3333333333333333],
+        [0.2867431640625, 0.5557708740234375, 1.0, 0.2916666666666667],
     ],
     ('max_sensitivity', 'mpt'): [
-        [0.4673411051432292, 0.6904500325520833, 1.0, 0.3541666666666667],
-        [0.2798360188802083, 0.306610107421875, 1.0, 0.5625],
+        [0.24289957682291666, 0.8279215494791666, 0.9166666666666666, 0.5833333333333334],
+        [0.3759256998697917, 0.5039011637369792, 0.9583333333333334, 0.625],
     ],
     ('model_parameter_randomisation', 'ipt'): [
-        [0.9166666666666666, 0.357879638671875, 1.0, 0.5208333333333334],
-        [0.9166666666666666, 0.43808492024739587, 1.0, 0.5625],
+        [0.9166666666666666, 0.4357147216796875, 1.0, 0.5],
+        [1.0, 0.6598002115885417, 1.0, 0.625],
     ],
     ('model_parameter_randomisation', 'mpt'): [
-        [0.9166666666666666, 0.48241678873697913, 1.0, 0.5416666666666666],
-        [0.9583333333333334, 0.6484731038411458, 1.0, 0.375],
+        [0.8958333333333334, 0.6991373697916667, 1.0, 0.5833333333333334],
+        [0.8333333333333334, 0.5141855875651042, 0.9583333333333334, 0.6041666666666666],
     ],
     ('pixel_flipping', 'ipt'): [
-        [0.16893513997395834, 0.9997609456380209, 0.9583333333333334, 0.0],
-        [0.7076212565104166, 0.946533203125, 1.0, 0.16666666666666666],
+        [0.743896484375, 0.9983978271484375, 0.9375, 0.0625],
+        [0.5140838623046875, 0.9977773030598959, 1.0, 0.10416666666666667],
     ],
     ('pixel_flipping', 'mpt'): [
-        [0.22960917154947916, 0.6191151936848958, 1.0, 0.0625],
-        [0.6391805013020834, 0.9937845865885416, 1.0, 0.0],
+        [0.16338602701822916, 0.6779378255208333, 1.0, 0.3333333333333333],
+        [0.0104217529296875, 0.9989064534505209, 1.0, 0.041666666666666664],
     ],
     ('pointing_game', 'ipt'): [
-        [1.0, 0.0625, 1.0, 0.10416666666666667],
-        [1.0, 0.296875, 1.0, 0.10416666666666667],
+        [1.0, 0.10416666666666663, 1.0, 0.08333333333333333],
+        [1.0, 0.23958333333333337, 1.0, 0.10416666666666667],
     ],
     ('pointing_game', 'mpt'): [
-        [1.0, 0.7333984375, 1.0, 0.10416666666666667],
-        [1.0, 0.5859375, 1.0, 0.08333333333333333],
+        [1.0, 0.36458333333333337, 1.0, 0.0625],
+        [1.0, 0.6298828125, 1.0, 0.08333333333333333],
     ],
 }
 
@@ -229,12 +229,12 @@ SANITY_CELLS = {
         [1.0, 0.0, 1.0, 0.0],
     ],
     ("adversarial_distribution_shift", "ipt"): [
-        [9.697251331543774e-44, 1.0, 0.2724609375, 0.0],
-        [9.697251331543774e-44, 1.0, 0.2431640625, 0.0],
+        [9.697251331543774e-44, 1.0, 0.2333984375, 0.0],
+        [9.697251331543774e-44, 1.0, 0.265625, 0.0],
     ],
     ("adversarial_distribution_shift", "mpt"): [
-        [9.697251331543774e-44, 1.0, 0.251953125, 0.0],
-        [9.697251331543774e-44, 1.0, 0.240234375, 0.0],
+        [9.697251331543774e-44, 1.0, 0.2841796875, 0.0],
+        [9.697251331543774e-44, 1.0, 0.2529296875, 0.0],
     ],
 }
 
@@ -297,26 +297,26 @@ beta = 1.0
 DESK_CELLS = {
     ("adversarial_deterministic", "ipt"): [1.0, 0.0, 1.0, 0.0],
     ("adversarial_deterministic", "mpt"): [1.0, 0.0, 1.0, 0.0],
-    ("complexity", "ipt"): [0.7983788384331598, 0.7667321099175347, 0.9791666666666666, 0.4166666666666667],
-    ("complexity", "mpt"): [0.4506717258029514, 0.7984212239583334, 1.0, 0.22916666666666666],
-    ("faithfulness_correlation", "ipt"): [0.567840576171875, 0.9368913438585069, 1.0, 0.3229166666666667],
-    ("faithfulness_correlation", "mpt"): [0.4041612413194445, 0.5306667751736112, 1.0, 0.625],
-    ("local_lipschitz", "ipt"): [0.45639546712239576, 0.606653849283854, 1.0, 0.375],
-    ("local_lipschitz", "mpt"): [0.46234809027777785, 0.757171630859375, 1.0, 0.8020833333333334],
-    ("max_sensitivity", "ipt"): [0.5262993706597222, 0.8977118598090278, 0.9791666666666666, 0.1875],
-    ("max_sensitivity", "mpt"): [0.3535732693142361, 0.8737640380859375, 1.0, 0.90625],
-    ("model_parameter_randomisation", "ipt"): [0.8121812608506945, 0.47341579861111105, 1.0, 0.4583333333333333],
-    ("model_parameter_randomisation", "mpt"): [0.5370466444227431, 0.5974002414279513, 1.0, 0.4583333333333333],
-    ("pixel_flipping", "ipt"): [0.4969753689236111, 0.9925689697265625, 0.9166666666666666, 0.03125],
-    ("pixel_flipping", "mpt"): [0.45502387152777773, 0.9996744791666666, 0.9479166666666666, 0.010416666666666666],
-    ("pointing_game", "ipt"): [1.0, 0.7715928819444444, 1.0, 0.6458333333333334],
-    ("pointing_game", "mpt"): [1.0, 0.7798529730902778, 1.0, 0.6666666666666666],
-    ("random_logit", "ipt"): [0.7724117702907987, 0.3923967149522569, 0.9791666666666666, 0.5],
-    ("random_logit", "mpt"): [0.6481814914279515, 0.8675740559895834, 1.0, 0.7916666666666666],
-    ("relevance_mass_accuracy", "ipt"): [0.7394866943359375, 0.8048146565755209, 1.0, 0.8125],
-    ("relevance_mass_accuracy", "mpt"): [0.20952351888020837, 0.8877902560763888, 1.0, 0.90625],
-    ("sparseness", "ipt"): [0.7860158284505209, 0.8828514946831597, 0.9791666666666666, 0.3020833333333333],
-    ("sparseness", "mpt"): [0.3077036539713542, 0.7048780653211806, 1.0, 0.21875],
+    ("complexity", "ipt"): [0.7789662679036459, 0.7850121392144097, 1.0, 0.3854166666666667],
+    ("complexity", "mpt"): [0.5835147433810765, 0.8344472249348959, 1.0, 0.2604166666666667],
+    ("faithfulness_correlation", "ipt"): [0.5653025309244791, 0.8957265218098959, 1.0, 0.2916666666666667],
+    ("faithfulness_correlation", "mpt"): [0.523713853624132, 0.5899437798394098, 1.0, 0.5104166666666666],
+    ("local_lipschitz", "ipt"): [0.4968617757161458, 0.5909288194444444, 1.0, 0.4791666666666667],
+    ("local_lipschitz", "mpt"): [0.43868679470486116, 0.9432305230034722, 0.9583333333333334, 0.8958333333333334],
+    ("max_sensitivity", "ipt"): [0.5471615261501735, 0.904083251953125, 0.9791666666666666, 0.17708333333333334],
+    ("max_sensitivity", "mpt"): [0.4719424777560764, 0.9511430528428819, 0.9791666666666666, 0.8854166666666666],
+    ("model_parameter_randomisation", "ipt"): [0.6749216715494791, 0.4487694634331597, 0.9791666666666666, 0.4270833333333333],
+    ("model_parameter_randomisation", "mpt"): [0.5478803846571181, 0.6805267333984375, 0.96875, 0.3541666666666667],
+    ("pixel_flipping", "ipt"): [0.4839952256944444, 0.9982757568359375, 0.9791666666666666, 0.020833333333333332],
+    ("pixel_flipping", "mpt"): [0.46379937065972227, 0.8763359917534722, 0.9791666666666666, 0.125],
+    ("pointing_game", "ipt"): [1.0, 0.5568576388888888, 1.0, 0.5729166666666666],
+    ("pointing_game", "mpt"): [1.0, 0.7625596788194444, 1.0, 0.5208333333333334],
+    ("random_logit", "ipt"): [0.794709947374132, 0.5772281222873263, 1.0, 0.5104166666666666],
+    ("random_logit", "mpt"): [0.6667734781901041, 0.6561533610026042, 1.0, 0.6770833333333334],
+    ("relevance_mass_accuracy", "ipt"): [0.6441429985894097, 0.7818688286675347, 0.9791666666666666, 0.8020833333333334],
+    ("relevance_mass_accuracy", "mpt"): [0.40290154351128477, 0.9536421034071181, 1.0, 0.8020833333333334],
+    ("sparseness", "ipt"): [0.7568155924479166, 0.7759382459852431, 1.0, 0.3854166666666667],
+    ("sparseness", "mpt"): [0.420835706922743, 0.8692033555772569, 0.9791666666666666, 0.2708333333333333],
 }
 DESK_EXACT = {"sparseness", "complexity", "pointing_game", "relevance_mass_accuracy", "adversarial_deterministic"}
 

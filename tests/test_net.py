@@ -159,6 +159,17 @@ class TestInputGradient:
             assert np.linalg.norm(g - g_fd) / scale <= 1e-4
             checked += 1
 
+    def test_a_rows_gradient_does_not_depend_on_its_batch(self):
+        rng = np.random.default_rng(43)
+        net = random_net(rng, input_dim=64, hidden=24, num_classes=6)
+        X = rng.uniform(size=(40, 64))
+        classes = rng.integers(0, 6, size=40)
+        full = input_gradient_batch(net, X, classes)
+        for rows in (1, 2, 3, 5, 17):
+            for start in (0, 7, 23):
+                block = slice(start, start + rows)
+                assert np.array_equal(input_gradient_batch(net, X[block], classes[block]), full[block])
+
     def test_class_out_of_range(self):
         net = make_net([dense(np.eye(2), np.zeros(2))])
         with pytest.raises(IndexError):
@@ -267,7 +278,12 @@ class TestMembers:
         classes = rng.integers(0, 4, size=rows)
         assert np.array_equal(logits_batch(net, X), plain_logits(net, X))
         grads = input_gradient_batch(net, X, classes)
-        assert np.array_equal(grads, plain_gradient(net, X, classes))
+        if rows == 1:
+            # a lone row is back-propagated as two copies of itself
+            expected = plain_gradient(net, np.repeat(X, 2, axis=0), np.repeat(classes, 2))[:1]
+        else:
+            expected = plain_gradient(net, X, classes)
+        assert np.array_equal(grads, expected)
 
     def test_rows_must_split_into_the_members(self):
         net, _ = stacked_net(np.random.default_rng(60), 3)

@@ -13,6 +13,7 @@ from xaimeta.net import dense, make_net, predict_labels, train_tiny
 from xaimeta.perturb import (
     DEFAULT_WINDOWS,
     PerturbSpec,
+    PerturbedSpaces,
     collect,
     ipt_sample,
     mpt_draw,
@@ -219,12 +220,19 @@ def simple_methods():
     ]
 
 
+def spaces(net, X, K, methods=None, masks=None):
+    """Perturbed spaces of X in [0, 1], by default under the two simple methods."""
+    return PerturbedSpaces(
+        net, X, methods or simple_methods(), K=K, bounds=(0.0, 1.0), masks=masks
+    )
+
+
 class TestCollect:
     def test_sigma_zero_mpt_equals_unperturbed_column(self, trained):
         net, X = trained
         spec = perturb_spec("mpt", "minor", sigma=0.0, seed=1)
         scorer = make_scorer("sparseness", EstimatorConfig())
-        result = collect(net, X[:8], simple_methods(), scorer, spec, K=1, bounds=(0.0, 1.0))
+        result = collect(spaces(net, X[:8], K=1), scorer=scorer, spec=spec)
         for matrix in result.per_method.values():
             assert np.isfinite(matrix.perturbed).all()
             assert np.allclose(matrix.perturbed[:, 0], matrix.unperturbed, atol=1e-15)
@@ -234,7 +242,7 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec(test, "minor", seed=2)
         scorer = make_scorer("adversarial_deterministic", EstimatorConfig())
-        result = collect(net, X[:8], simple_methods(), scorer, spec, K=3, bounds=(0.0, 1.0))
+        result = collect(spaces(net, X[:8], K=3), scorer=scorer, spec=spec)
         assert result.compliant.any()
         for matrix in result.per_method.values():
             for k in range(3):
@@ -252,14 +260,14 @@ class TestCollect:
         cfg = EstimatorConfig(fc_runs=10, fc_subset_size=1)
         scorer = make_scorer("faithfulness_correlation", cfg)
         methods = simple_methods()
-        result = collect(net, X4, methods, scorer, spec, K=2, bounds=(0.0, 1.0))
+        result = collect(spaces(net, X4, K=2, methods=methods), scorer=scorer, spec=spec)
 
         from xaimeta.estimators import evaluate_faithfulness_correlation
 
         labels = predict_labels(net, X4)
         for method_id, explainer in methods:
             matrix = result.per_method[method_id]
-            # collect explains the unperturbed rows in one call, then each
+            # the spaces explain the unperturbed rows in one call, then each
             # payload column's compliant rows in one call; replay those calls
             base = explainer(net, X4, labels)
             cases = [
@@ -333,7 +341,7 @@ class TestCollect:
 
         methods = [(method_id, count(explainer)) for method_id, explainer in simple_methods()]
         counted = Scorer(scorer.estimator_id, scorer.direction, scoring)
-        return calls, lambda: collect(net, X, methods, counted, spec, K=K, bounds=(0.0, 1.0))
+        return calls, lambda: collect(spaces(net, X, K=K, methods=methods), scorer=counted, spec=spec)
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     @pytest.mark.parametrize("estimator_id", ["max_sensitivity", "local_lipschitz", "random_logit"])
@@ -363,8 +371,8 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("mpt", "minor", seed=3)
         scorer = make_scorer("complexity", EstimatorConfig())
-        a = collect(net, X[:6], simple_methods(), scorer, spec, K=2, bounds=(0.0, 1.0))
-        b = collect(net, X[:6], simple_methods(), scorer, spec, K=2, bounds=(0.0, 1.0))
+        a = collect(spaces(net, X[:6], K=2), scorer=scorer, spec=spec)
+        b = collect(spaces(net, X[:6], K=2), scorer=scorer, spec=spec)
         for method_id in a.per_method:
             assert np.array_equal(
                 a.per_method[method_id].perturbed, b.per_method[method_id].perturbed, equal_nan=True
@@ -374,7 +382,7 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("ipt", "disruptive", seed=4, max_resamples=10)
         scorer = make_scorer("sparseness", EstimatorConfig())
-        result = collect(net, X[:10], simple_methods(), scorer, spec, K=2, bounds=(0.0, 1.0))
+        result = collect(spaces(net, X[:10], K=2), scorer=scorer, spec=spec)
         for matrix in result.per_method.values():
             assert np.isnan(matrix.perturbed[~result.compliant]).all()
             assert np.isfinite(matrix.perturbed[result.compliant]).all()
@@ -395,8 +403,9 @@ class TestCollect:
         masks = bad(np.ones((6, X.shape[1]), dtype=bool))
         with pytest.raises(ValueError, match="masks"):
             collect(
-                net, X[:6], simple_methods(), counted, perturb_spec("ipt", "minor", seed=6), K=1,
-                bounds=(0.0, 1.0), masks=masks,
+                spaces(net, X[:6], K=1, masks=masks),
+                scorer=counted,
+                spec=perturb_spec("ipt", "minor", seed=6),
             )
         assert calls == []
 
@@ -412,7 +421,8 @@ class TestCollect:
         masks = [[1, 0]] * 6  # int lists, not a bool array
         counted = Scorer(scorer.estimator_id, scorer.direction, record)
         collect(
-            net, X[:6], simple_methods(), counted, perturb_spec("ipt", "minor", seed=6), K=1,
-            bounds=(0.0, 1.0), masks=masks,
+            spaces(net, X[:6], K=1, masks=masks),
+            scorer=counted,
+            spec=perturb_spec("ipt", "minor", seed=6),
         )
         assert seen and all(m.dtype == bool and m.tolist() == [True, False] for m in seen)
