@@ -8,7 +8,9 @@ under minor noise the method ranking should be preserved, under disruption
 the unperturbed score should strictly beat the perturbed one (with the
 comparison inverted for lower-is-better estimators).  The four criteria,
 with the adversarial-reactivity IAC reverse-scored so that higher is always
-better, average into one meta-consistency (MC) score.
+better, average into one meta-consistency (MC) score.  A `BenchmarkSetup`
+holds a run's inputs, and one `perturb.PerturbedSpaces` of it serves every
+estimator x test cell scored against it.
 """
 from dataclasses import dataclass, field, replace
 
@@ -107,31 +109,30 @@ def ranking_matrices(result: CollectResult):
     Perturbed scores are averaged over retained draws; samples without a
     full row across methods (dropped) are excluded from both matrices.
     """
-    matrices = list(result.per_method.values())
-    dropped = set(result.dropped)
-    keep = [i for i in range(matrices[0].unperturbed.size) if i not in dropped]
-    qbar = np.empty((len(keep), len(matrices)))
-    qbar_prime = np.empty_like(qbar)
-    for j, matrix in enumerate(matrices):
-        qbar[:, j] = matrix.unperturbed[keep]
-        draws = matrix.perturbed[keep]
-        retained = np.isfinite(draws)
-        means = stats.masked_row_sums(draws, retained) / retained.sum(axis=1)
-        # the mean of identical draws is that value exactly; bypassing
-        # the float division keeps strict tie comparisons honest
-        first = draws[np.arange(len(keep)), np.argmax(retained, axis=1)]
-        identical = ((draws == first[:, None]) | ~retained).all(axis=1)
-        qbar_prime[:, j] = np.where(identical, first, means)
-    return qbar, qbar_prime
+    qbar = np.delete(result.unperturbed, result.dropped, axis=0)
+    draws = np.delete(result.perturbed, result.dropped, axis=0)
+    retained = np.isfinite(draws)
+    means = stats.masked_row_sums(draws, retained) / retained.sum(axis=-1)
+    # the mean of identical draws is that value exactly; bypassing the
+    # float division keeps strict tie comparisons honest
+    first = np.take_along_axis(draws, np.argmax(retained, axis=-1)[..., None], axis=-1)
+    identical = ((draws == first) | ~retained).all(axis=-1)
+    return qbar, np.where(identical, first[..., 0], means)
 
 
 def iac_over_methods(result: CollectResult) -> float:
-    return float(np.mean([iac(m.unperturbed, m.perturbed) for m in result.per_method.values()]))
+    methods = range(result.unperturbed.shape[1])
+    return float(np.mean([iac(result.unperturbed[:, j], result.perturbed[:, j]) for j in methods]))
 
 
 @dataclass
 class BenchmarkSetup:
-    """Materialized inputs of a meta-evaluation run."""
+    """Materialized inputs of a meta-evaluation run; `PerturbedSpaces(setup)`
+    draws and explains its perturbed spaces.
+
+    `masks`, when given, is cast to an (N, D) bool array whose every row
+    marks at least one feature.
+    """
 
     net: Net
     inputs: np.ndarray
@@ -155,22 +156,17 @@ class BenchmarkSetup:
         for test in self.tests:
             if test not in (IPT, MPT):
                 raise MetaEvaluationError(f"unknown test type {test!r}")
+        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        if self.inputs.shape[0] < 2:
+            raise ValueError("perturbed spaces need at least two samples")
+        if self.masks is not None:
+            self.masks = np.asarray(self.masks).astype(bool)
+            if self.masks.shape != self.inputs.shape or not self.masks.any(axis=1).all():
+                raise ValueError("masks must be (N, D) and mark at least one feature per row")
         self.perturb_templates = {
             **{key: perturb_spec(*key) for key in DEFAULT_WINDOWS},
             **self.perturb_templates,
         }
-
-    def perturbed_spaces(self) -> PerturbedSpaces:
-        """Fresh perturbed spaces over these inputs; one serves one run."""
-        return PerturbedSpaces(
-            self.net,
-            self.inputs,
-            self.methods,
-            self.K,
-            self.bounds,
-            dataset_mean=self.dataset_mean,
-            masks=self.masks,
-        )
 
 
 @dataclass
@@ -186,17 +182,15 @@ class CellResult:
 
 
 def evaluate_cell(
-    setup: BenchmarkSetup, estimator_id: str, cfg, test: str, spaces: PerturbedSpaces | None = None
+    setup: BenchmarkSetup, estimator_id: str, cfg, test: str, spaces: PerturbedSpaces
 ) -> CellResult:
     """Run `iterations` independent repetitions of one estimator x test.
 
     The payloads of iteration i at one strength come from the seed
-    (master_seed, test, i, strength) alone, and `spaces` (the run's, or a
-    fresh `setup.perturbed_spaces()`) draws and explains them once for every
+    (master_seed, test, i, strength) alone, and `spaces`, the
+    `PerturbedSpaces` of `setup`, draws and explains them once for every
     cell that scores them.
     """
-    if spaces is None:
-        spaces = setup.perturbed_spaces()
     vectors = []
     diagnostics = {"dropped": [], "undefined": [], "total": [], "mean_attempts": []}
     for iteration in range(setup.iterations):
@@ -261,7 +255,7 @@ def run_meta_evaluation(setup: BenchmarkSetup) -> dict:
     per run: these are common random numbers, so a cell does not depend on
     which other estimators run or in which order cells run.
     """
-    spaces = setup.perturbed_spaces()
+    spaces = PerturbedSpaces(setup)
     return {
         (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test, spaces)
         for estimator_id, cfg in setup.estimators

@@ -19,6 +19,7 @@ from .net import Layer, Net, get_weights, make_net, relu, set_weights
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MODEL_HEADER = "xaimeta-model v1"
+MASK_POLICIES = ("none", "center_box", "threshold")  # [dataset] mask
 
 
 @dataclass

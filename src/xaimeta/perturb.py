@@ -5,10 +5,11 @@ the dataset bounds), and MPT, multiplicative Gaussian noise on all model
 parameters.  A perturbation is *minor* when the predicted label
 survives it and *disruptive* when the label changes; payloads are resampled
 until they comply or a cap is reached.  `PerturbedSpaces` draws each
-(test, strength, iteration) of payloads once per run and explains it once
-per method; `collect` scores such a space with one estimator, giving the
-N x K matrix of perturbed quality estimates per explanation method that the
-consistency criteria consume.
+(test, strength, iteration) of payloads of a `consistency.BenchmarkSetup`
+once and explains it once per method; `collect` scores such a space with
+one estimator, giving the (N, L) unperturbed and (N, L, K) perturbed quality
+estimates over the L explanation methods that the consistency criteria
+consume.
 """
 import numbers
 from dataclasses import dataclass
@@ -173,37 +174,22 @@ class PerturbedSpace:
 
 
 class PerturbedSpaces:
-    """The N rows X of one run, labelled and explained once per method, and
-    their perturbed spaces, keyed by PerturbSpec and drawn on first use.
+    """The perturbed spaces of one `consistency.BenchmarkSetup`: its N input
+    rows labelled and explained once per method, and each space keyed by
+    PerturbSpec and drawn on first use.
 
-    `methods` is a sequence of (method_id, explainer) pairs, each explainer a
-    batch callable(net, X, labels) -> (B, D).  `masks`, when given, is an
-    (N, D) array whose every row marks at least one feature.  A space
-    depends only on its spec (whose seed names the test, strength and
-    iteration), never on the estimators that score it, so one instance
-    serves every cell of a run; it holds every space it drew until it is
-    dropped.
+    A space depends only on its spec (whose seed names the test, strength
+    and iteration), never on the estimators that score it, so one instance
+    serves every cell scored against the setup, a whole hpo grid included;
+    it holds every space it drew until it is dropped.
     """
 
-    def __init__(self, net: Net, X, methods, K: int, bounds, dataset_mean=None, masks=None):
-        X = np.asarray(X, dtype=np.float64)
-        if K < 1 or X.shape[0] < 2:
-            raise ValueError("perturbed spaces need K >= 1 and at least two samples")
-        if masks is not None:
-            masks = np.asarray(masks).astype(bool)
-            if masks.shape != X.shape or not masks.any(axis=1).all():
-                raise ValueError("masks must be (N, D) and mark at least one feature per row")
-        self.net = net
-        self.X = X
-        self.methods = list(methods)
-        self.K = K
-        self.bounds = tuple(bounds)
-        self.dataset_mean = dataset_mean
-        self.masks = masks
-        self.labels = predict_labels(net, X)
+    def __init__(self, setup):
+        self.setup = setup
+        self.labels = predict_labels(setup.net, setup.inputs)
         self.attributions = {
-            method_id: _read_only(explainer(net, X, self.labels))
-            for method_id, explainer in self.methods
+            method_id: _read_only(explainer(setup.net, setup.inputs, self.labels))
+            for method_id, explainer in setup.methods
         }
         self.drawn = {}  # PerturbSpec -> PerturbedSpace
 
@@ -220,14 +206,15 @@ def _read_only(array):
 
 
 def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
-    """Draw the K payload columns of `spec` over the rows of `spaces`, then
-    explain each non-empty column once per method.
+    """Draw the K payload columns of `spec` over the setup rows of `spaces`,
+    then explain each non-empty column once per method.
 
     Under IPT column k holds the unperturbed net and the k-th perturbed rows,
     under MPT the k-th drawn net and X; every stochastic choice derives from
     spec.seed, so the space is independent of execution schedule.
     """
-    net, X, labels, K = spaces.net, spaces.X, spaces.labels, spaces.K
+    setup, labels = spaces.setup, spaces.labels
+    net, X, K = setup.net, setup.inputs, setup.K
     n, d = X.shape
     compliant = np.zeros((n, K), dtype=bool)
     attempts = np.zeros((n, K))
@@ -236,7 +223,7 @@ def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
         if spec.test == IPT:
             cases = [
                 ipt_sample(
-                    net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), spaces.bounds, labels[i]
+                    net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), setup.bounds, labels[i]
                 )
                 for i in range(n)
             ]
@@ -250,7 +237,7 @@ def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
             inputs = X[compliant[:, k]]
         payloads.append((net_k, _read_only(inputs)))
     seeds, attributions = {}, {}
-    for method_id, explainer in spaces.methods:
+    for method_id, explainer in setup.methods:
         # one estimator seed per (sample, method): the estimator's own
         # sampling stays fixed so that only the perturbed space varies
         row_seeds = [derive_seed(spec.seed, "est", i, method_id) for i in range(n)]
@@ -271,17 +258,13 @@ MAX_UNDEFINED_FRACTION = 0.1
 
 
 @dataclass
-class EstimateMatrix:
-    """Scores for one method; NaN marks an estimate that is missing (the
-    payload did not comply) or undefined."""
-
-    unperturbed: np.ndarray  # (N,)
-    perturbed: np.ndarray  # (N, K)
-
-
-@dataclass
 class CollectResult:
-    per_method: dict  # method_id -> EstimateMatrix
+    """One estimator's scores on one space.  Method j of `setup.methods` is
+    column j; NaN marks an estimate that is missing (the payload did not
+    comply) or undefined."""
+
+    unperturbed: np.ndarray  # (N, L)
+    perturbed: np.ndarray  # (N, L, K)
     compliant: np.ndarray  # (N, K) payload compliance, shared across methods
     dropped: list  # sample indices unusable for ranking criteria
     undefined_count: int
@@ -305,14 +288,11 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     bench/tracer.py reads them by name.
     """
     space = spaces[spec]
-    labels, masks, compliant = spaces.labels, spaces.masks, space.compliant
-    n = labels.size
-
-    undefined = 0
-    total = 0
-    usable = np.ones(n, dtype=bool)
-    per_method = {}
-    for method_id, explainer in spaces.methods:
+    setup, labels, compliant = spaces.setup, spaces.labels, space.compliant
+    n, K = compliant.shape
+    unperturbed = np.empty((n, len(setup.methods)))
+    perturbed = np.full((n, len(setup.methods), K), np.nan)
+    for j, (method_id, explainer) in enumerate(setup.methods):
         seeds = space.seeds[method_id]
 
         def score(net_k, rows, X_k, attributions, is_perturbed):
@@ -323,35 +303,32 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
                 labels=labels[rows],
                 attributions=attributions,
                 explainer=explainer,
-                dataset_bounds=spaces.bounds,
+                dataset_bounds=setup.bounds,
                 seeds=seeds[rows],
-                masks=None if masks is None else masks[rows],
-                dataset_mean=spaces.dataset_mean,
+                masks=None if setup.masks is None else setup.masks[rows],
+                dataset_mean=setup.dataset_mean,
                 is_perturbed=is_perturbed,
             )
             return np.asarray(scorer(ctx), dtype=np.float64)
 
         # the N unperturbed rows, then each non-empty payload column over
         # its compliant rows: one scorer call apiece
-        unperturbed = score(
-            spaces.net, np.ones(n, dtype=bool), spaces.X, spaces.attributions[method_id], False
+        unperturbed[:, j] = score(
+            setup.net, np.ones(n, dtype=bool), setup.inputs, spaces.attributions[method_id], False
         )
-        perturbed = np.full((n, spaces.K), np.nan)
         for k, (net_k, inputs) in enumerate(space.payloads):
             rows = compliant[:, k]
             if rows.any():
                 attributions = space.attributions[method_id][k]
-                perturbed[rows, k] = score(net_k, rows, inputs, attributions, True)
-        # non-compliant entries are still NaN, so they are never retained
-        defined = np.isfinite(unperturbed)
-        retained = np.isfinite(perturbed)
-        unperturbed[~defined] = np.nan
-        perturbed[~retained] = np.nan
-        scored = n + int(compliant.sum())
-        total += scored
-        undefined += scored - int(defined.sum()) - int(retained.sum())
-        usable &= defined & retained.any(axis=1)
-        per_method[method_id] = EstimateMatrix(unperturbed, perturbed)
+                perturbed[rows, j, k] = score(net_k, rows, inputs, attributions, True)
+    # non-compliant entries are still NaN, so they are never retained
+    defined = np.isfinite(unperturbed)
+    retained = np.isfinite(perturbed)
+    unperturbed[~defined] = np.nan
+    perturbed[~retained] = np.nan
+    total = len(setup.methods) * (n + int(compliant.sum()))
+    undefined = total - int(defined.sum()) - int(retained.sum())
+    usable = (defined & retained.any(axis=2)).all(axis=1)
 
     dropped = np.flatnonzero(~usable).tolist()
     if len(dropped) > MAX_DROPPED_FRACTION * n:
@@ -366,7 +343,8 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
             f"(cap {MAX_UNDEFINED_FRACTION:.0%})"
         )
     return CollectResult(
-        per_method=per_method,
+        unperturbed=unperturbed,
+        perturbed=perturbed,
         compliant=compliant,
         dropped=dropped,
         undefined_count=undefined,

@@ -6,10 +6,11 @@ strings, or flat `[a, b, c]` lists.  `#` starts a comment.  Parsing is
 strict: unknown keys are named, all missing required keys are reported at
 once, and load -> serialize -> load is the identity.
 """
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from types import UnionType
 from typing import get_args, get_origin
 
+from .dataio import MASK_POLICIES
 from .errors import ConfigError
 from .estimators import ESTIMATORS, EstimatorConfig
 from .explain import ALL_METHODS, ExplainerConfig
@@ -35,6 +36,15 @@ def _parse_scalar(token: str):
     except ValueError:
         pass
     return token
+
+
+def _parse_value(text: str):
+    """A value: a flat `[a, b, c]` list of scalars or one scalar."""
+    text = text.strip()
+    if text.startswith("[") and text.endswith("]"):
+        inner = text[1:-1].strip()
+        return [_parse_scalar(t) for t in inner.split(",")] if inner else []
+    return _parse_scalar(text)
 
 
 def _format_scalar(value) -> str:
@@ -67,13 +77,7 @@ def parse_tables(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            current[key] = [_parse_scalar(t) for t in inner.split(",")] if inner else []
-        else:
-            current[key] = _parse_scalar(value)
+        current[key.strip()] = _parse_value(value)
     return tables
 
 
@@ -113,12 +117,7 @@ def apply_overrides(tables: dict, assignments) -> dict:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override {assignment!r}: {part!r} is not a table")
-        value = value.strip()
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            node[parts[-1]] = [_parse_scalar(t) for t in inner.split(",")] if inner else []
-        else:
-            node[parts[-1]] = _parse_scalar(value)
+        node[parts[-1]] = _parse_value(value)
     return tables
 
 
@@ -149,7 +148,7 @@ SCHEMA = {
         "samples": (int, 2),
         "features": (int, 1),
         "classes": (int, 2),
-        "spread": float,
+        "spread": (float, 0),
         "seed": int,
         "images": str,
         "labels": str,
@@ -189,6 +188,11 @@ TYPE_NAMES = {
     str | list[str]: "a string or a list of strings",
 }
 REQUIRED = [("dataset", "kind"), ("methods", "use"), ("estimators", "use")]
+# [dataset] mask settings -> (the values they take, a test of a value)
+MASK_SETTINGS = {
+    "mask_fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "mask_quantile": ("in [0, 1]", lambda v: 0 <= v <= 1),
+}
 
 
 @dataclass
@@ -220,27 +224,22 @@ class RunConfig:
         return ExplainerConfig(seed=seed, **kwargs)
 
     def hpo_trials(self) -> list:
-        """The [hpo] grid as (cell, RunConfig of that cell's one estimator) pairs.
+        """The [hpo] grid as (cell, estimator_id, settings) triples.
 
         A cell maps each [hpo.axes] axis to one of its values, plus the
-        estimator; the trial merges the cell into that estimator's settings.
+        estimator; its settings, the keywords of its EstimatorConfig, are
+        that estimator's [estimators.*] table with the cell's axes merged in.
         """
         axes = dict(self.hpo["axes"])
         estimators = axes.pop("estimator", [self.hpo.get("estimator")])
         cells = [{}]
         for axis, values in axes.items():
             cells = [dict(cell, **{axis: value}) for cell in cells for value in values]
-        trials = []
-        for estimator in estimators:
-            settings = self.estimator_overrides.get(estimator, {})
-            for cell in cells:
-                trial = replace(
-                    self,
-                    estimators=[estimator],
-                    estimator_overrides={estimator: {**settings, **cell}},
-                )
-                trials.append((dict(cell, estimator=estimator), trial))
-        return trials
+        return [
+            (dict(cell, estimator=e), e, {**self.estimator_overrides.get(e, {}), **cell})
+            for e in estimators
+            for cell in cells
+        ]
 
 
 def _reads_as(kind, value) -> bool:
@@ -271,7 +270,7 @@ def _check_keys(table: dict, schema: dict, path: str, errors: list):
                 errors.append(f"{name} must be a table")
         elif not _reads_as(kind, value):
             errors.append(f"[{path}] {key} must be {TYPE_NAMES[kind]}, got {value!r}")
-        elif least is not None and value < least:
+        elif least is not None and not value >= least:  # NaN fails as well
             errors.append(f"[{path}] {key} must be >= {least}, got {value!r}")
 
 
@@ -295,6 +294,14 @@ def config_from_tables(tables: dict) -> RunConfig:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
+    dataset = tables["dataset"]
+    if dataset.get("mask", "none") not in MASK_POLICIES:
+        errors.append(
+            f"[dataset] mask must be one of {', '.join(MASK_POLICIES)}, got {dataset['mask']!r}"
+        )
+    for key, (wanted, valid) in MASK_SETTINGS.items():
+        if key in dataset and not valid(dataset[key]):
+            errors.append(f"[dataset] {key} must be {wanted}, got {dataset[key]!r}")
     methods = dict(tables["methods"])
     estimators = dict(tables["estimators"])
     _validate_listing(methods["use"], ALL_METHODS, "[methods] use", errors)

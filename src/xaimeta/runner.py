@@ -11,14 +11,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import stats
-from .consistency import BenchmarkSetup, run_meta_evaluation
+from .consistency import BenchmarkSetup, evaluate_cell, run_meta_evaluation
 from .dataio import Dataset, load_idx, make_masks, save_model, synth_blobs
 from .dataio import load_model as load_model_file
 from .errors import ConfigError
-from .estimators import ESTIMATORS
+from .estimators import ESTIMATORS, EstimatorConfig
 from .explain import build_explainer
 from .net import accuracy, train_tiny
-from .perturb import perturb_spec
+from .perturb import PerturbedSpaces, perturb_spec
 from .report import mc_bar, write_report
 from .runconfig import RunConfig, config_to_tables
 from .seeding import derive_rng, derive_seed
@@ -101,13 +101,13 @@ def build_net(config: RunConfig, dataset: Dataset):
     )
 
 
-def _checked_estimators(config: RunConfig, dataset: Dataset) -> list:
-    """[(estimator_id, EstimatorConfig)], checked against what the dataset decides
-    (masks, feature count); callers run this before any training."""
-    needing = sorted({e for e in config.estimators if ESTIMATORS[e].needs_mask})
+def _checked_estimators(estimators: list, dataset: Dataset) -> list:
+    """The [(estimator_id, EstimatorConfig)] pairs, checked against what the
+    dataset decides (masks, feature count); callers run this before any
+    training."""
+    needing = sorted({e for e, _ in estimators if ESTIMATORS[e].needs_mask})
     if dataset.masks is None and needing:
         raise ConfigError(f"estimators {needing} need [dataset] mask != none")
-    estimators = [(e, config.estimator_config(e)) for e in config.estimators]
     for estimator_id, cfg in estimators:
         try:
             cfg.check_features(dataset.inputs.shape[1])
@@ -116,10 +116,12 @@ def _checked_estimators(config: RunConfig, dataset: Dataset) -> list:
     return estimators
 
 
-def build_setup(config: RunConfig, dataset: Dataset = None, net=None) -> BenchmarkSetup:
+def build_setup(config: RunConfig, dataset: Dataset = None) -> BenchmarkSetup:
     dataset = dataset if dataset is not None else build_dataset(config)
-    estimators = _checked_estimators(config, dataset)
-    net = net if net is not None else build_net(config, dataset)
+    estimators = _checked_estimators(
+        [(e, config.estimator_config(e)) for e in config.estimators], dataset
+    )
+    net = build_net(config, dataset)
     methods = []
     for method_id in config.methods:
         explainer_cfg = config.explainer_config(
@@ -236,27 +238,31 @@ def run_hpo(config: RunConfig):
     """Grid search over estimator-config axes ranked by meta-consistency.
 
     [hpo] names the estimator and [hpo.axes] the value lists; an `estimator`
-    axis may replace the fixed estimator id.  Returns the ranked cells,
-    best first.
+    axis may replace the fixed estimator id.  Every cell is scored against
+    one setup and one `PerturbedSpaces`, so each space is drawn and
+    explained once for the whole grid and the cells' scores are paired.
+    Returns the ranked cells, best first.
     """
     if not config.hpo.get("axes"):
         raise ConfigError("[hpo.axes] must declare at least one axis")
     trials = config.hpo_trials()
     dataset = build_dataset(config)
     checked = []
-    for cell, trial in trials:
+    for cell, estimator_id, settings in trials:
         try:
-            checked.append(_checked_estimators(trial, dataset))
+            checked += _checked_estimators([(estimator_id, EstimatorConfig(**settings))], dataset)
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"[hpo] cell {cell}: {exc}") from exc
-    net = build_net(config, dataset)
-    # the cells differ only in their estimator: one setup serves them all
-    setup = build_setup(replace(config, estimators=[]), dataset=dataset, net=net)
+    setup = build_setup(replace(config, estimators=[]), dataset=dataset)
+    spaces = PerturbedSpaces(setup)
     ranked = []
-    for index, ((cell, _), estimators) in enumerate(zip(trials, checked)):
-        results = run_meta_evaluation(replace(setup, estimators=estimators))
-        score = mc_bar(results, cell["estimator"])
-        vectors = {test: results[(cell["estimator"], test)].mean for test in config.tests}
+    for index, ((cell, _, _), (estimator_id, cfg)) in enumerate(zip(trials, checked)):
+        results = {
+            (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test, spaces)
+            for test in setup.tests
+        }
+        score = mc_bar(results, estimator_id)
+        vectors = {test: results[(estimator_id, test)].mean for test in setup.tests}
         ranked.append({"cell": cell, "mc": score, "vectors": vectors})
         log(f"hpo cell {index + 1}/{len(trials)}: {cell} -> MC {score:.4f}")
     ranked.sort(key=lambda row: (-row["mc"], repr(sorted(row["cell"].items()))))

@@ -168,13 +168,14 @@ def trapezoid_auc(xs, ys):
 
 
 def masked_row_sums(values, keep) -> np.ndarray:
-    """Sum of each row's `keep` entries of a (B, n) array, rounded as the
-    1-D sum of that row's selection `values[b][keep[b]]` rounds it (numpy
-    sums pairwise, so adding the skipped entries as zeros would not)."""
+    """Sum of the `keep` entries of each row (along the last axis) of `values`,
+    rounded as the 1-D sum of that row's selection `values[b][keep[b]]`
+    rounds it (numpy sums pairwise, so adding the skipped entries as zeros
+    would not)."""
     values = np.asarray(values, dtype=np.float64)
     keep = np.asarray(keep, dtype=bool)
-    counts = keep.sum(axis=1)
-    sums = np.zeros(values.shape[0])
+    counts = keep.sum(axis=-1)
+    sums = np.zeros(values.shape[:-1])
     # rows that keep the same number of entries sum as one (rows, count) block
     for count in np.unique(counts[counts > 0]):
         rows = counts == count

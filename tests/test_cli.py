@@ -1,8 +1,13 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from xaimeta import runner
+from xaimeta import perturb, runner
 from xaimeta.cli import main
+from xaimeta.consistency import run_meta_evaluation
+from xaimeta.report import mc_bar
 from xaimeta.runconfig import load_config
 from xaimeta.runner import run_benchmark, run_convergence, run_hpo, run_sanity
 from xaimeta.stats import spearman
@@ -250,6 +255,21 @@ class TestConfigErrorsBeforeTraining:
             ),
             ("hpo", "hpo.axes.fc_runs=[2.5]", "[hpo.axes] fc_runs must be an integer, got 2.5"),
             ("benchmark", "run.k=0", "[run] k must be >= 1, got 0"),
+            (
+                "benchmark",
+                "dataset.mask=bogus",
+                "[dataset] mask must be one of none, center_box, threshold, got 'bogus'",
+            ),
+            ("benchmark", "dataset.mask_quantile=1.5", "[dataset] mask_quantile must be in [0, 1]"),
+            (
+                "benchmark",
+                "dataset.mask_fraction=-0.5",
+                "[dataset] mask_fraction must be in (0, 1]",
+            ),
+            ("benchmark", "dataset.mask_fraction=1.5", "[dataset] mask_fraction must be in (0, 1]"),
+            ("benchmark", "dataset.mask_fraction=0", "[dataset] mask_fraction must be in (0, 1]"),
+            ("sanity", "dataset.spread=-0.1", "[dataset] spread must be >= 0, got -0.1"),
+            ("sanity", "dataset.spread=nan", "[dataset] spread must be >= 0, got nan"),
         ],
         ids=[
             "mpt_alpha",
@@ -284,6 +304,13 @@ class TestConfigErrorsBeforeTraining:
             "estimator_direction",
             "fractional_hpo_axis_value",
             "zero_k",
+            "unknown_mask_policy",
+            "mask_quantile_above_one",
+            "negative_mask_fraction",
+            "mask_fraction_above_one",
+            "zero_mask_fraction",
+            "negative_spread",
+            "nan_spread",
         ],
     )
     def test_exits_one_naming_the_setting(self, tmp_path, capsys, monkeypatch, verb, assignment, named):
@@ -369,6 +396,41 @@ class TestHpoCommand:
         ranked = run_hpo(config)
         assert len(ranked) == 1
         assert ranked[0]["cell"] == {"fc_baseline": "black", "estimator": "sparseness"}
+
+    def test_grid_draws_each_space_once_and_pairs_its_cells(self, tmp_path, monkeypatch):
+        # one setup and one set of perturbed spaces serve the whole grid, so
+        # three cells draw no more than one, and each cell scores exactly as
+        # a meta-evaluation of its one estimator config alone
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(perturb, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(perturb, name, wrapper)
+
+        counted("draw_space")
+        counted("ipt_sample")
+        grid = "\n[hpo]\nestimator = sparseness\n[hpo.axes]\nestimator = [{}]\n"
+        counts = []
+        for estimators in ("sparseness", "sparseness, complexity, pointing_game"):
+            text = QUICK_BENCH + grid.format(estimators)
+            config = load_config(write_config(tmp_path, text, out=tmp_path / "out"))
+            calls.clear()
+            ranked = run_hpo(config)
+            counts.append(dict(calls))
+        n, k = config.dataset["samples"], config.k
+        assert counts == [{"draw_space": 2, "ipt_sample": 2 * k * n}] * 2
+        assert 2 * k * n == 96
+        for row in ranked:
+            estimator_id = row["cell"]["estimator"]
+            setup = runner.build_setup(replace(config, estimators=[estimator_id]))
+            alone = run_meta_evaluation(setup)
+            assert row["mc"] == mc_bar(alone, estimator_id)
+            assert row["vectors"] == {t: alone[(estimator_id, t)].mean for t in config.tests}
 
     def test_axes_required(self, tmp_path):
         text = QUICK_BENCH + "\n[hpo]\nestimator = sparseness\n"

@@ -22,7 +22,7 @@ from xaimeta.errors import MetaEvaluationError
 from xaimeta.estimators import EstimatorConfig
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import train_tiny
-from xaimeta.perturb import DEFAULT_WINDOWS, collect, perturb_spec
+from xaimeta.perturb import DEFAULT_WINDOWS, PerturbedSpaces, collect, perturb_spec
 from xaimeta.runconfig import config_from_tables, parse_tables
 from xaimeta.runner import build_setup
 from xaimeta.stats import wilcoxon_signed_rank
@@ -264,7 +264,11 @@ class TestEndToEnd:
     def test_deterministic_adversary_exact_vector(self, small_setup):
         for test in ("ipt", "mpt"):
             cell = evaluate_cell(
-                small_setup, "adversarial_deterministic", EstimatorConfig(), test
+                small_setup,
+                "adversarial_deterministic",
+                EstimatorConfig(),
+                test,
+                PerturbedSpaces(small_setup),
             )
             assert cell.mean.iac_nr == 1.0
             assert cell.mean.iac_ar == 0.0
@@ -275,7 +279,11 @@ class TestEndToEnd:
 
     def test_distribution_shift_adversary(self, small_setup):
         cell = evaluate_cell(
-            small_setup, "adversarial_distribution_shift", EstimatorConfig(), "ipt"
+            small_setup,
+            "adversarial_distribution_shift",
+            EstimatorConfig(),
+            "ipt",
+            PerturbedSpaces(small_setup),
         )
         assert cell.mean.iac_nr <= 0.05
         assert cell.mean.iac_ar >= 0.95
@@ -296,7 +304,7 @@ class TestEndToEnd:
             dataset_mean=small_setup.dataset_mean,
             perturb_templates={("mpt", "minor"): perturb_spec("mpt", "minor", sigma=0.0)},
         )
-        cell = evaluate_cell(setup, "sparseness", EstimatorConfig(), "mpt")
+        cell = evaluate_cell(setup, "sparseness", EstimatorConfig(), "mpt", PerturbedSpaces(setup))
         assert cell.mean.iac_nr == 1.0
 
     def test_one_template_fills_in_the_other_three(self, small_setup):
@@ -350,6 +358,17 @@ class TestEndToEnd:
                 tests=["ipt"],
             )
 
+    def test_rejects_a_single_sample(self, small_setup):
+        with pytest.raises(ValueError, match="at least two samples"):
+            BenchmarkSetup(
+                net=small_setup.net,
+                inputs=small_setup.inputs[:1],
+                bounds=small_setup.bounds,
+                methods=small_setup.methods,
+                estimators=[],
+                tests=["ipt"],
+            )
+
 
 @pytest.fixture(scope="module")
 def golden_setup():
@@ -377,7 +396,7 @@ class TestSharedSpaces:
         alone = run_meta_evaluation(with_estimators(golden_setup, [c]))
         cfg = dict(golden_setup.estimators)[c]
         for test in golden_setup.tests:
-            standalone = evaluate_cell(golden_setup, c, cfg, test)
+            standalone = evaluate_cell(golden_setup, c, cfg, test, PerturbedSpaces(golden_setup))
             assert cell_state(trio[(c, test)]) == cell_state(alone[(c, test)])
             assert cell_state(trio[(c, test)]) == cell_state(standalone)
 

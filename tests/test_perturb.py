@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xaimeta.consistency import BenchmarkSetup
 from xaimeta.errors import MetaEvaluationError, PerturbationInfeasibleError
 from xaimeta.estimators import (
     EstimatorConfig,
@@ -222,9 +223,17 @@ def simple_methods():
 
 def spaces(net, X, K, methods=None, masks=None):
     """Perturbed spaces of X in [0, 1], by default under the two simple methods."""
-    return PerturbedSpaces(
-        net, X, methods or simple_methods(), K=K, bounds=(0.0, 1.0), masks=masks
+    setup = BenchmarkSetup(
+        net, X, (0.0, 1.0), methods or simple_methods(), estimators=[], tests=[], K=K, masks=masks
     )
+    return PerturbedSpaces(setup)
+
+
+def method_columns(result):
+    """Each method's (unperturbed (N,), perturbed (N, K)) scores: column j of a
+    collect result."""
+    methods = range(result.unperturbed.shape[1])
+    return [(result.unperturbed[:, j], result.perturbed[:, j]) for j in methods]
 
 
 class TestCollect:
@@ -233,9 +242,9 @@ class TestCollect:
         spec = perturb_spec("mpt", "minor", sigma=0.0, seed=1)
         scorer = make_scorer("sparseness", EstimatorConfig())
         result = collect(spaces(net, X[:8], K=1), scorer=scorer, spec=spec)
-        for matrix in result.per_method.values():
-            assert np.isfinite(matrix.perturbed).all()
-            assert np.allclose(matrix.perturbed[:, 0], matrix.unperturbed, atol=1e-15)
+        for unperturbed, perturbed in method_columns(result):
+            assert np.isfinite(perturbed).all()
+            assert np.allclose(perturbed[:, 0], unperturbed, atol=1e-15)
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     def test_deterministic_adversary_blind_to_perturbation(self, trained, test):
@@ -244,13 +253,11 @@ class TestCollect:
         scorer = make_scorer("adversarial_deterministic", EstimatorConfig())
         result = collect(spaces(net, X[:8], K=3), scorer=scorer, spec=spec)
         assert result.compliant.any()
-        for matrix in result.per_method.values():
+        for unperturbed, perturbed in method_columns(result):
             for k in range(3):
-                retained = np.isfinite(matrix.perturbed[:, k])
+                retained = np.isfinite(perturbed[:, k])
                 assert np.array_equal(retained, result.compliant[:, k])
-                assert np.array_equal(
-                    matrix.perturbed[retained, k], matrix.unperturbed[retained]
-                )
+                assert np.array_equal(perturbed[retained, k], unperturbed[retained])
 
     def test_matches_scratch_loop(self, trained):
         # brute-force oracle: recompute every cell with direct calls
@@ -265,8 +272,8 @@ class TestCollect:
         from xaimeta.estimators import evaluate_faithfulness_correlation
 
         labels = predict_labels(net, X4)
-        for method_id, explainer in methods:
-            matrix = result.per_method[method_id]
+        for (method_id, explainer), scores in zip(methods, method_columns(result)):
+            unperturbed, perturbed = scores
             # the spaces explain the unperturbed rows in one call, then each
             # payload column's compliant rows in one call; replay those calls
             base = explainer(net, X4, labels)
@@ -296,7 +303,7 @@ class TestCollect:
                     seeds=[seed_ij],
                 )
                 (expected,) = evaluate_faithfulness_correlation(ctx, cfg)
-                assert matrix.unperturbed[i] == expected
+                assert unperturbed[i] == expected
                 for k in range(2):
                     case = cases[k][i]
                     assert case.compliant == result.compliant[i, k]
@@ -313,7 +320,7 @@ class TestCollect:
                         is_perturbed=True,
                     )
                     (expected,) = evaluate_faithfulness_correlation(ctx, cfg)
-                    assert matrix.perturbed[i, k] == expected
+                    assert perturbed[i, k] == expected
 
     @staticmethod
     def counted_collect(net, X, estimator_id, spec, K):
@@ -354,7 +361,7 @@ class TestCollect:
         result = run()
         columns = result.compliant.sum(axis=0)
         expected_rows = [8, *columns[columns > 0].tolist()]
-        assert [rows for rows, _ in calls] == expected_rows * len(result.per_method)
+        assert [rows for rows, _ in calls] == expected_rows * len(method_columns(result))
         assert [explained for _, explained in calls] == [1] * len(calls)
 
     def test_empty_columns_are_not_scored(self, trained):
@@ -373,19 +380,18 @@ class TestCollect:
         scorer = make_scorer("complexity", EstimatorConfig())
         a = collect(spaces(net, X[:6], K=2), scorer=scorer, spec=spec)
         b = collect(spaces(net, X[:6], K=2), scorer=scorer, spec=spec)
-        for method_id in a.per_method:
-            assert np.array_equal(
-                a.per_method[method_id].perturbed, b.per_method[method_id].perturbed, equal_nan=True
-            )
+        pairs = zip(method_columns(a), method_columns(b), strict=True)
+        for (_, perturbed_a), (_, perturbed_b) in pairs:
+            assert np.array_equal(perturbed_a, perturbed_b, equal_nan=True)
 
     def test_retained_never_enters_with_nan(self, trained):
         net, X = trained
         spec = perturb_spec("ipt", "disruptive", seed=4, max_resamples=10)
         scorer = make_scorer("sparseness", EstimatorConfig())
         result = collect(spaces(net, X[:10], K=2), scorer=scorer, spec=spec)
-        for matrix in result.per_method.values():
-            assert np.isnan(matrix.perturbed[~result.compliant]).all()
-            assert np.isfinite(matrix.perturbed[result.compliant]).all()
+        for _, perturbed in method_columns(result):
+            assert np.isnan(perturbed[~result.compliant]).all()
+            assert np.isfinite(perturbed[result.compliant]).all()
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,6 +1,7 @@
 import pytest
 
 from xaimeta.errors import ConfigError
+from xaimeta.estimators import EstimatorConfig
 from xaimeta.runconfig import (
     apply_overrides,
     config_from_tables,
@@ -133,11 +134,11 @@ class TestConfig:
         config = config_from_tables(parse_tables(text))
         assert config.estimators == ["sparseness", "complexity"]
         trials = config.hpo_trials()
-        assert [cell for cell, _ in trials] == [
+        assert [cell for cell, _, _ in trials] == [
             {"fc_baseline": "black", "estimator": "complexity"},
             {"fc_baseline": "mean", "estimator": "complexity"},
         ]
-        assert [trial.estimator_config("complexity").fc_baseline for _, trial in trials] == [
+        assert [EstimatorConfig(**settings).fc_baseline for _, _, settings in trials] == [
             "black",
             "mean",
         ]
