@@ -16,10 +16,6 @@ class TrainingDivergedError(RuntimeError):
 class PerturbationInfeasibleError(RuntimeError):
     """A perturbation spec could not reach the required compliance level."""
 
-    def __init__(self, message, achieved_fraction=None):
-        super().__init__(message)
-        self.achieved_fraction = achieved_fraction
-
 
 class MetaEvaluationError(RuntimeError):
     """A consistency run had to abort (degenerate columns, excessive drops)."""

@@ -6,8 +6,10 @@ used to sanity-check the meta-evaluation itself.  Every estimator maps the
 B rows of an `EvalContext` to a (B,) float64 array; NaN means the estimate
 is undefined for that row, and `perturb.collect` keeps undefined estimates
 out of aggregation.  Estimators are pure given (ctx, cfg) -- all randomness
-flows from the per-row seeds, and row b draws from its own generator, so a
-row's draws do not depend on the other rows of its batch (its logits and
+flows from the per-row seeds, where row b draws from its own generator, and
+from the space seed, which every row of a perturbed space shares (model
+parameter randomisation draws its randomised layers from it).  A row's draws
+therefore do not depend on the other rows of its batch (its logits and
 gradients may, in the last bit, through the matrix products).
 `ESTIMATORS` is the one table of them: evaluate, direction, family and
 mask need per id.
@@ -38,9 +40,11 @@ class EvalContext:
     (B, D), that produced them, and robustness and randomisation estimators
     re-invoke it.  `masks` is a (B, D) bool array whose every row marks at
     least one feature (`consistency.BenchmarkSetup` checks the masks once).
-    `seeds` holds one estimator seed per row.  `is_perturbed` says whether
-    the inputs or `net` carry a perturbation payload.  `dataset_mean` feeds
-    the "mean" baseline strategy.
+    `seeds` holds one estimator seed per row, and `space_seed` the seed of
+    the perturbed space the rows belong to (`perturb.collect` passes the
+    spec's seed), from which draws shared by every row come.  `is_perturbed`
+    says whether the inputs or `net` carry a perturbation payload.
+    `dataset_mean` feeds the "mean" baseline strategy.
     """
 
     net: Net
@@ -53,6 +57,7 @@ class EvalContext:
     masks: np.ndarray | None = None
     dataset_mean: float | None = None
     is_perturbed: bool = False
+    space_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -288,24 +293,21 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
     nets with one dense layer re-randomised at a time.
 
     Replacement parameters are drawn from a normal fitted to the original
-    layer (its empirical mean and std, weights and bias pooled); every row
-    draws its own randomised layer from its own stream, and the B draws of
-    a layer are stacked into one member layer (see `net`), so each layer
-    re-explains all rows in one explainer call, row b under its own draw.
-    Layers whose correlation is undefined (constant map) are skipped; if
-    every layer is skipped the estimate is undefined.
+    layer (its empirical mean and std, weights and bias pooled), once per
+    layer from the space seed's "mpr" stream: as in the test of Adebayo et
+    al. (2018), every row of the batch meets the same randomised net, and
+    each layer re-explains all rows in one explainer call.  Layers whose
+    correlation is undefined (constant map) are skipped; if every layer is
+    skipped the estimate is undefined.
     """
     correlations = []
     for v, layer_index in enumerate(dense_layer_indices(ctx.net)):
         layer = ctx.net.layers[layer_index]
         pooled = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
         mu, sd = float(pooled.mean()), float(pooled.std())
-        weights = np.empty((len(ctx.seeds), *layer.weights.shape))
-        bias = np.empty((len(ctx.seeds), *layer.bias.shape))
-        for seed, member_weights, member_bias in zip(ctx.seeds, weights, bias):
-            rng = derive_rng("mpr", seed, v)
-            member_weights[...] = rng.normal(mu, sd, size=member_weights.shape)
-            member_bias[...] = rng.normal(mu, sd, size=member_bias.shape)
+        rng = derive_rng("mpr", ctx.space_seed, v)
+        weights = rng.normal(mu, sd, size=layer.weights.shape)
+        bias = rng.normal(mu, sd, size=layer.bias.shape)
         randomized = replace_layer(ctx.net, layer_index, Layer("dense", weights, bias))
         others = ctx.explainer(randomized, ctx.X, ctx.labels)
         correlations.append(stats.spearman(ctx.attributions, others))

@@ -7,17 +7,13 @@ normalization divides each row by its root mean square so that maps from
 different methods live on a comparable scale.  All methods are
 deterministic given their config (including its seed), and row i of a
 batch is the map of X[i] alone, up to floating-point rounding.
-
-A net that stacks B members (see `net`) explains a B-row batch, row i under
-member i: each row chunk hands the net the members of its rows, so row i's
-map is bit for bit that of a one-row call under member i alone.  An
-ordinary net (one member) serves every row.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, input_gradient_batch, logits_batch, select_members
+from .net import Net, input_gradient_batch, logits_batch
 from .seeding import derive_rng
 
 # Bound on the floats of expanded points (IG steps, SHAP samples, occluded
@@ -39,6 +35,11 @@ class ExplainerConfig:
     def __post_init__(self):
         if self.ig_steps < 1 or self.occlusion_patch < 1 or self.shap_samples < 1:
             raise ValueError("ig_steps, occlusion_patch and shap_samples must be >= 1")
+        for name in ("ig_baseline", "occlusion_baseline", "shap_noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.shap_noise_std < 0:
+            raise ValueError(f"shap_noise_std must be >= 0, got {self.shap_noise_std!r}")
         bounds = np.asarray(self.shap_bounds, dtype=np.float64)
         if bounds.shape != (2,) or not np.isfinite(bounds).all() or bounds[0] > bounds[1]:
             raise ValueError(
@@ -61,20 +62,10 @@ def row_chunks(n_rows: int, row_elements: int):
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def _chunk_net(net: Net, rows: slice, n_rows: int) -> Net:
-    """The net that explains `rows` of an n_rows batch: `net` itself when it
-    has one member, else the members of those rows (one member per row)."""
-    if net.members == 1:
-        return net
-    if net.members != n_rows:
-        raise ValueError(f"a net of {net.members} members explains as many rows, got {n_rows}")
-    return select_members(net, rows)
-
-
 def _gradients(net: Net, X, labels) -> np.ndarray:
     out = np.empty_like(X)
     for rows in row_chunks(X.shape[0], X.shape[1]):
-        out[rows] = input_gradient_batch(_chunk_net(net, rows, len(X)), X[rows], labels[rows])
+        out[rows] = input_gradient_batch(net, X[rows], labels[rows])
     return out
 
 
@@ -101,9 +92,7 @@ def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> n
     for rows in row_chunks(X.shape[0], steps * d):
         span = X[rows] - cfg.ig_baseline
         points = cfg.ig_baseline + alphas[None, :, None] * span[:, None, :]
-        grads = input_gradient_batch(
-            _chunk_net(net, rows, len(X)), points.reshape(-1, d), np.repeat(labels[rows], steps)
-        )
+        grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], steps))
         out[rows] = span * grads.reshape(-1, steps, d).mean(axis=1)
     return out
 
@@ -124,7 +113,7 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     out = np.empty_like(X)
     for rows in row_chunks(X.shape[0], (n_blocks + 1) * d):
         copies = np.where(occluded, cfg.occlusion_baseline, X[rows][:, None, :])
-        logits = logits_batch(_chunk_net(net, rows, len(X)), copies.reshape(-1, d))
+        logits = logits_batch(net, copies.reshape(-1, d))
         logits = logits.reshape(copies.shape[0], n_blocks + 1, -1)
         scores = np.take_along_axis(logits, labels[rows][:, None, None], axis=2)[:, :, 0]
         drops = scores[:, :1] - scores[:, 1:]
@@ -153,9 +142,7 @@ def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarr
     for rows in row_chunks(X.shape[0], samples * d):
         span = X[rows][:, None, :] - baselines[None, :, :]
         points = baselines + ts[:, None] * span
-        grads = input_gradient_batch(
-            _chunk_net(net, rows, len(X)), points.reshape(-1, d), np.repeat(labels[rows], samples)
-        )
+        grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], samples))
         out[rows] = (span * grads.reshape(-1, samples, d)).mean(axis=1)
     return out
 

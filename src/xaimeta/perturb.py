@@ -11,6 +11,7 @@ one estimator, giving the (N, L) unperturbed and (N, L, K) perturbed quality
 estimates over the L explanation methods that the consistency criteria
 consume.
 """
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -65,6 +66,10 @@ class PerturbSpec:
         unset = [key for key in window if getattr(self, key) is None]
         if unset:
             raise ValueError(f"{self.test}/{self.strength} needs {', '.join(unset)}")
+        for key in ("alpha", "beta", "sigma", "mu"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         n = self.max_resamples
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise ValueError(f"max_resamples must be an integer >= 1, got {n!r}")
@@ -155,8 +160,7 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
         return best[0], best[1], spec.max_resamples
     raise PerturbationInfeasibleError(
         f"{spec.strength} model perturbation (sigma={spec.sigma}) reached "
-        f"compliance {best[2]:.3f} after {spec.max_resamples} redraws",
-        achieved_fraction=best[2],
+        f"compliance {best[2]:.3f} after {spec.max_resamples} redraws"
     )
 
 
@@ -278,10 +282,11 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
 
     `scorer` is an estimators.Scorer, called per method once on the N
     unperturbed rows and once per non-empty payload column on its compliant
-    rows, with the explanations the space already holds; its non-finite
-    results count as undefined.  Payloads, explanations and estimator seeds
-    are shared across methods and estimators, so the explainers run at most
-    1 + K times per method and space, whatever the number of estimators.
+    rows, with the explanations the space already holds and spec.seed as
+    the space seed of every call; its non-finite results count as
+    undefined.  Payloads, explanations and estimator seeds are shared across
+    methods and estimators, so the explainers run at most 1 + K times per
+    method and space, whatever the number of estimators.
     Aborts when more than MAX_DROPPED_FRACTION of samples end up without a
     single retained draw, or when more than MAX_UNDEFINED_FRACTION of all
     estimates are undefined.  `scorer` and `spec` are keyword-only because
@@ -308,6 +313,7 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
                 masks=None if setup.masks is None else setup.masks[rows],
                 dataset_mean=setup.dataset_mean,
                 is_perturbed=is_perturbed,
+                space_seed=spec.seed,
             )
             return np.asarray(scorer(ctx), dtype=np.float64)
 

@@ -141,7 +141,8 @@ PERTURB_KEYS = _field_kinds(PerturbSpec, "test", "strength", "seed")
 HPO_AXES = {**ESTIMATOR_KEYS, "estimator": str}
 
 # table -> {key: kind}; a kind is a type (a number takes integers too),
-# `X | Y`, `list[X]`, a (kind, least value) pair, or the map of a sub-table
+# `X | Y`, `list[X]`, a (kind, least value) pair (the least value of every
+# entry of a list), or the map of a sub-table
 SCHEMA = {
     "dataset": {
         "kind": str,
@@ -158,11 +159,11 @@ SCHEMA = {
     },
     "model": {
         "path": str,
-        "hidden": int | list[int],
-        "epochs": int,
+        "hidden": (int | list[int], 1),
+        "epochs": (int, 0),
         "learning_rate": float,
         "momentum": float,
-        "batch_size": int,
+        "batch_size": (int, 1),
     },
     "run": {
         "tests": str | list[str],
@@ -254,7 +255,8 @@ def _reads_as(kind, value) -> bool:
 
 def _check_keys(table: dict, schema: dict, path: str, errors: list):
     """Name the unknown keys of `table`, its values of another kind and those
-    below their least value, descending into the sub-tables of `schema`."""
+    below their least value (a list with any entry below it), descending
+    into the sub-tables of `schema`."""
     for key, value in table.items():
         name = f"{path}.{key}" if path else key
         kind = schema.get(key)
@@ -270,8 +272,11 @@ def _check_keys(table: dict, schema: dict, path: str, errors: list):
                 errors.append(f"{name} must be a table")
         elif not _reads_as(kind, value):
             errors.append(f"[{path}] {key} must be {TYPE_NAMES[kind]}, got {value!r}")
-        elif least is not None and not value >= least:  # NaN fails as well
-            errors.append(f"[{path}] {key} must be >= {least}, got {value!r}")
+        elif least is not None and not all(
+            v >= least for v in (value if isinstance(value, list) else [value])
+        ):  # NaN fails as well
+            entries = " entries" if isinstance(value, list) else ""
+            errors.append(f"[{path}] {key}{entries} must be >= {least}, got {value!r}")
 
 
 def _validate_listing(names, known, where, errors):

@@ -270,6 +270,43 @@ class TestConfigErrorsBeforeTraining:
             ("benchmark", "dataset.mask_fraction=0", "[dataset] mask_fraction must be in (0, 1]"),
             ("sanity", "dataset.spread=-0.1", "[dataset] spread must be >= 0, got -0.1"),
             ("sanity", "dataset.spread=nan", "[dataset] spread must be >= 0, got nan"),
+            ("benchmark", "model.batch_size=-1", "[model] batch_size must be >= 1, got -1"),
+            ("benchmark", "model.epochs=-1", "[model] epochs must be >= 0, got -1"),
+            ("benchmark", "model.batch_size=0", "[model] batch_size must be >= 1, got 0"),
+            ("train", "model.hidden=[0]", "[model] hidden entries must be >= 1, got [0]"),
+            ("benchmark", "model.hidden=[-3]", "[model] hidden entries must be >= 1, got [-3]"),
+            ("benchmark", "perturb.ipt.minor.alpha=nan", "[perturb.ipt.minor]: alpha must be finite"),
+            (
+                "benchmark",
+                "perturb.ipt.disruptive.beta=inf",
+                "[perturb.ipt.disruptive]: beta must be finite",
+            ),
+            ("benchmark", "perturb.mpt.minor.sigma=nan", "[perturb.mpt.minor]: sigma must be finite"),
+            (
+                "benchmark",
+                "perturb.mpt.disruptive.mu=inf",
+                "[perturb.mpt.disruptive]: mu must be finite",
+            ),
+            (
+                "benchmark",
+                "methods.gradient_shap.shap_noise_std=-1",
+                "[methods.gradient_shap]: shap_noise_std must be >= 0",
+            ),
+            (
+                "benchmark",
+                "methods.gradient_shap.shap_noise_std=nan",
+                "[methods.gradient_shap]: shap_noise_std must be finite",
+            ),
+            (
+                "benchmark",
+                "methods.integrated_gradients.ig_baseline=nan",
+                "[methods.integrated_gradients]: ig_baseline must be finite",
+            ),
+            (
+                "benchmark",
+                "methods.occlusion.occlusion_baseline=inf",
+                "[methods.occlusion]: occlusion_baseline must be finite",
+            ),
         ],
         ids=[
             "mpt_alpha",
@@ -311,6 +348,19 @@ class TestConfigErrorsBeforeTraining:
             "zero_mask_fraction",
             "negative_spread",
             "nan_spread",
+            "negative_batch_size",
+            "negative_epochs",
+            "zero_batch_size",
+            "zero_hidden_width",
+            "negative_hidden_width",
+            "nan_ipt_alpha",
+            "infinite_ipt_beta",
+            "nan_mpt_sigma",
+            "infinite_mpt_mu",
+            "negative_shap_noise_std",
+            "nan_shap_noise_std",
+            "nan_ig_baseline",
+            "infinite_occlusion_baseline",
         ],
     )
     def test_exits_one_naming_the_setting(self, tmp_path, capsys, monkeypatch, verb, assignment, named):

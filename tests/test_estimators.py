@@ -430,7 +430,7 @@ class TestModelParameterRandomisation:
         net = linear_net([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
         explainer = build_explainer("gradient", ExplainerConfig())
         x = np.array([0.2, 0.4, 0.6])
-        ctx = make_ctx(net, x, explainer=explainer, seed=31)
+        ctx = replace(make_ctx(net, x, explainer=explainer), space_seed=31)
         est = evaluate_model_parameter_randomisation(ctx, CFG)
 
         layer = net.layers[0]
@@ -446,23 +446,23 @@ class TestModelParameterRandomisation:
 
 
 def mpr_oracle_correlations(ctx):
-    """Model-parameter randomisation one row at a time: per (row, layer), the
-    row's own randomised net and a one-row re-explanation under it; the
-    (B, layers) rank correlations."""
+    """Model-parameter randomisation one row at a time: per layer, one
+    randomised net drawn from the space seed, and a one-row re-explanation
+    of every row under it; the (B, layers) rank correlations."""
     correlations = []
     for v, layer_index in enumerate(dense_layer_indices(ctx.net)):
         layer = ctx.net.layers[layer_index]
         pooled = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
         mu, sd = float(pooled.mean()), float(pooled.std())
+        rng = derive_rng("mpr", ctx.space_seed, v)
+        new_layer = Layer(
+            "dense",
+            rng.normal(mu, sd, size=layer.weights.shape),
+            rng.normal(mu, sd, size=layer.bias.shape),
+        )
+        randomized = replace_layer(ctx.net, layer_index, new_layer)
         others = np.empty_like(ctx.attributions)
-        for b, seed in enumerate(ctx.seeds):
-            rng = derive_rng("mpr", seed, v)
-            new_layer = Layer(
-                "dense",
-                rng.normal(mu, sd, size=layer.weights.shape),
-                rng.normal(mu, sd, size=layer.bias.shape),
-            )
-            randomized = replace_layer(ctx.net, layer_index, new_layer)
+        for b in range(len(ctx.X)):
             others[b] = ctx.explainer(randomized, ctx.X[b : b + 1], ctx.labels[b])[0]
         correlations.append(spearman(ctx.attributions, others))
     return np.stack(correlations, axis=1)
@@ -489,7 +489,9 @@ def flat_where_first_feature_negative(explainer):
 
 
 class TestModelParameterRandomisationBatch:
-    """The stacked-member MPR equals the one-row-per-(row, layer) loop bit for bit."""
+    """The batch MPR equals the one-row-per-(row, layer) loop to the batch
+    contract's 1e-12: every row meets the same randomised net, but a row
+    explained in a batch may round differently from the row alone."""
 
     def batch_ctx(self, net, explainer, seed, b=6):
         rng = np.random.default_rng(seed)
@@ -504,6 +506,15 @@ class TestModelParameterRandomisationBatch:
             explainer=explainer,
             dataset_bounds=(0.0, 1.0),
             seeds=np.array([derive_seed(seed, "row", i) for i in range(b)], dtype=np.uint64),
+            space_seed=derive_seed(seed, "space"),
+        )
+
+    def assert_matches_the_oracle(self, ctx):
+        np.testing.assert_allclose(
+            estimators_module.evaluate_model_parameter_randomisation(ctx, CFG),
+            mpr_oracle(ctx),
+            rtol=0,
+            atol=1e-12,
         )
 
     @pytest.mark.parametrize("hidden", [(7,), (6, 5)])
@@ -513,11 +524,7 @@ class TestModelParameterRandomisationBatch:
         net = init_net(5, hidden, 3, seed=seed)
         cfg = ExplainerConfig(ig_steps=6, occlusion_patch=2, shap_samples=3, seed=seed)
         explainer = build_explainer(method_id, cfg)
-        ctx = self.batch_ctx(net, explainer, seed)
-        expected = mpr_oracle(ctx)
-        assert estimators_module.evaluate_model_parameter_randomisation(ctx, CFG).tobytes() == (
-            expected.tobytes()
-        )
+        self.assert_matches_the_oracle(self.batch_ctx(net, explainer, seed))
 
     @pytest.mark.parametrize("hidden", [(7,), (6, 5)])
     def test_undefined_layers_match_the_oracle(self, hidden):
@@ -529,10 +536,7 @@ class TestModelParameterRandomisationBatch:
         layers = len(dense_layer_indices(net))
         # rows with no layer defined and rows with some but not all
         assert (defined == 0).any() and ((0 < defined) & (defined < layers)).any()
-        expected = mpr_oracle(ctx)
-        assert estimators_module.evaluate_model_parameter_randomisation(ctx, CFG).tobytes() == (
-            expected.tobytes()
-        )
+        self.assert_matches_the_oracle(ctx)
 
     def test_one_explainer_call_per_dense_layer(self):
         net = init_net(5, (6, 5), 3, seed=3)
@@ -546,6 +550,19 @@ class TestModelParameterRandomisationBatch:
         ctx = replace(self.batch_ctx(net, explainer, 3, b=5), explainer=counted)
         estimators_module.evaluate_model_parameter_randomisation(ctx, CFG)
         assert calls == [5, 5, 5]
+
+    @pytest.mark.parametrize("method_id", ["gradient", "integrated_gradients"])
+    def test_the_space_seed_decides_the_draw_and_the_row_seeds_do_not(self, method_id):
+        net = init_net(5, (6, 5), 3, seed=4)
+        explainer = build_explainer(method_id, ExplainerConfig(ig_steps=4))
+        ctx = self.batch_ctx(net, explainer, 4)
+        evaluate = estimators_module.evaluate_model_parameter_randomisation
+        estimates = evaluate(ctx, CFG)
+        other_seeds = [derive_seed("other", i) for i in range(len(ctx.seeds))]
+        reseeded = replace(ctx, seeds=np.array(other_seeds, dtype=np.uint64))
+        assert evaluate(reseeded, CFG).tobytes() == estimates.tobytes()
+        respaced = replace(ctx, space_seed=ctx.space_seed + 1)
+        assert not np.array_equal(evaluate(respaced, CFG), estimates)
 
 
 class TestRandomLogit:

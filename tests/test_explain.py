@@ -19,15 +19,7 @@ from xaimeta.explain import (
     explain_saliency,
     normalize,
 )
-from xaimeta.net import (
-    dense,
-    input_gradient_batch,
-    logits_batch,
-    make_net,
-    relu,
-    replace_layer,
-    select_members,
-)
+from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net, relu
 
 
 def random_net(rng, input_dim=4, hidden=6, num_classes=3):
@@ -46,6 +38,25 @@ def linear_net(W):
 
 
 CFG = ExplainerConfig()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"ig_baseline": math.nan}, "ig_baseline must be finite"),
+        ({"occlusion_baseline": math.inf}, "occlusion_baseline must be finite"),
+        ({"shap_noise_std": math.nan}, "shap_noise_std must be finite"),
+        ({"shap_noise_std": math.inf}, "shap_noise_std must be finite"),
+        ({"shap_noise_std": -1.0}, "shap_noise_std must be >= 0"),
+    ],
+)
+def test_config_rejects_non_finite_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExplainerConfig(**kwargs)
+
+
+def test_config_accepts_zero_shap_noise():
+    assert ExplainerConfig(shap_noise_std=0.0).shap_noise_std == 0.0
 
 
 class TestGradientFamily:
@@ -352,75 +363,3 @@ class TestBatchContract:
         for method_id in ALL_METHODS:
             with pytest.raises(ValueError):
                 build_explainer(method_id, BATCH_CFG)(net, np.zeros(4), 0)
-
-
-def member_net(rng, members, stack, input_dim, hidden=6, num_classes=3):
-    """A relu net whose dense layers listed in `stack` hold one member per row."""
-    net = random_net(rng, input_dim=input_dim, hidden=hidden, num_classes=num_classes)
-    for index in stack:
-        shape = net.layers[index].weights.shape
-        layer = dense(rng.normal(size=(members, *shape)), rng.normal(size=(members, shape[0])))
-        net = replace_layer(net, index, layer)
-    return net
-
-
-class TestMemberNets:
-    """A B-member net explains a B-row batch, row b exactly as member b alone would."""
-
-    def assert_rows_equal_members_alone(self, net, X, labels, cfg):
-        for method_id in METHODS:
-            fn = build_explainer(method_id, cfg)
-            maps = fn(net, X, labels)
-            for b in range(len(X)):
-                alone = fn(select_members(net, slice(b, b + 1)), X[b : b + 1], labels[b])
-                assert np.array_equal(maps[b], alone[0]), (method_id, b)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(1, 6),
-        st.integers(1, 9),
-        st.sampled_from([(0,), (2,), (0, 2)]),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_rows_equal_their_members_alone(self, b, d, stack, seed):
-        rng = np.random.default_rng(seed)
-        net = member_net(rng, b, stack, d)
-        X = rng.uniform(0.0, 1.0, size=(b, d))
-        labels = rng.integers(0, 3, size=b)
-        self.assert_rows_equal_members_alone(net, X, labels, BATCH_CFG)
-
-    @pytest.mark.parametrize("chunk_elements", [8, 40])
-    def test_chunks_that_split_the_members(self, monkeypatch, chunk_elements):
-        # 8 floats: chunks of one or two rows; 40: of one, three or all seven
-        monkeypatch.setattr(explain, "_CHUNK_ELEMENTS", chunk_elements)
-        rng = np.random.default_rng(23)
-        net = member_net(rng, 7, (0, 2), 4)
-        X = rng.uniform(size=(7, 4))
-        self.assert_rows_equal_members_alone(net, X, rng.integers(0, 3, size=7), BATCH_CFG)
-
-    def test_wide_inputs_split_the_members(self):
-        # at D = 784 an integrated-gradients chunk holds two of the rows
-        rng = np.random.default_rng(24)
-        net = member_net(rng, 3, (0,), 784, hidden=16, num_classes=4)
-        X = rng.uniform(size=(3, 784))
-        labels = rng.integers(0, 4, size=3)
-        assert len(explain.row_chunks(3, ExplainerConfig().ig_steps * 784)) == 2
-        self.assert_rows_equal_members_alone(net, X, labels, ExplainerConfig(seed=5))
-
-    def test_one_member_net_is_the_plain_net(self):
-        rng = np.random.default_rng(25)
-        net = random_net(rng)
-        one = replace_layer(net, 0, dense(net.layers[0].weights[None], net.layers[0].bias[None]))
-        assert one.members == 1
-        X = rng.uniform(size=(5, 4))
-        labels = rng.integers(0, 3, size=5)
-        for method_id in METHODS:
-            fn = build_explainer(method_id, BATCH_CFG)
-            assert np.array_equal(fn(one, X, labels), fn(net, X, labels)), method_id
-
-    def test_member_count_must_match_rows(self):
-        rng = np.random.default_rng(26)
-        net = member_net(rng, 2, (0,), 4)
-        for method_id in METHODS:
-            with pytest.raises(ValueError, match="members"):
-                build_explainer(method_id, BATCH_CFG)(net, rng.uniform(size=(4, 4)), 0)

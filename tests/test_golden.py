@@ -137,12 +137,12 @@ CELLS = {('adversarial_deterministic', 'ipt'): [
         [0.3759256998697917, 0.5039011637369792, 0.9583333333333334, 0.625],
     ],
     ('model_parameter_randomisation', 'ipt'): [
-        [0.9166666666666666, 0.4357147216796875, 1.0, 0.5],
-        [1.0, 0.6598002115885417, 1.0, 0.625],
+        [1.0, 0.7711029052734375, 1.0, 0.3333333333333333],
+        [1.0, 0.44354756673177087, 1.0, 0.6041666666666666],
     ],
     ('model_parameter_randomisation', 'mpt'): [
-        [0.8958333333333334, 0.6991373697916667, 1.0, 0.5833333333333334],
-        [0.8333333333333334, 0.5141855875651042, 0.9583333333333334, 0.6041666666666666],
+        [0.9166666666666666, 0.8943074544270834, 1.0, 0.7708333333333334],
+        [0.8333333333333334, 0.9556884765625, 1.0, 0.08333333333333333],
     ],
     ('pixel_flipping', 'ipt'): [
         [0.743896484375, 0.9983978271484375, 0.9375, 0.0625],
@@ -305,8 +305,8 @@ DESK_CELLS = {
     ("local_lipschitz", "mpt"): [0.43868679470486116, 0.9432305230034722, 0.9583333333333334, 0.8958333333333334],
     ("max_sensitivity", "ipt"): [0.5471615261501735, 0.904083251953125, 0.9791666666666666, 0.17708333333333334],
     ("max_sensitivity", "mpt"): [0.4719424777560764, 0.9511430528428819, 0.9791666666666666, 0.8854166666666666],
-    ("model_parameter_randomisation", "ipt"): [0.6749216715494791, 0.4487694634331597, 0.9791666666666666, 0.4270833333333333],
-    ("model_parameter_randomisation", "mpt"): [0.5478803846571181, 0.6805267333984375, 0.96875, 0.3541666666666667],
+    ("model_parameter_randomisation", "ipt"): [0.7120446099175347, 0.5042622884114583, 0.9791666666666666, 0.5],
+    ("model_parameter_randomisation", "mpt"): [0.32463751898871523, 0.9218800862630209, 0.9583333333333334, 0.6458333333333334],
     ("pixel_flipping", "ipt"): [0.4839952256944444, 0.9982757568359375, 0.9791666666666666, 0.020833333333333332],
     ("pixel_flipping", "mpt"): [0.46379937065972227, 0.8763359917534722, 0.9791666666666666, 0.125],
     ("pointing_game", "ipt"): [1.0, 0.5568576388888888, 1.0, 0.5729166666666666],

@@ -12,8 +12,6 @@ from xaimeta.net import (
     make_net,
     predict_labels,
     relu,
-    replace_layer,
-    select_members,
     set_weights,
     softmax,
     train_tiny,
@@ -219,7 +217,7 @@ class TestWeightVector:
 
 
 def plain_logits(net, X):
-    """The 2-D forward pass of a one-member net, as it ran before the member axis."""
+    """The forward pass written out layer by layer on the (rows, in) matrix."""
     A = np.asarray(X, dtype=float)
     for layer in net.layers:
         A = A @ layer.weights.T + layer.bias if layer.kind == "dense" else np.maximum(A, 0.0)
@@ -227,7 +225,7 @@ def plain_logits(net, X):
 
 
 def plain_gradient(net, X, classes):
-    """The 2-D backward pass of a one-member net, as it ran before the member axis."""
+    """The backward pass written out layer by layer on the (rows, in) matrix."""
     acts = [np.asarray(X, dtype=float)]
     for layer in net.layers:
         A = acts[-1]
@@ -241,34 +239,8 @@ def plain_gradient(net, X, classes):
     return G
 
 
-def stacked_net(rng, members, stack=(0,), input_dim=5, hidden=7, num_classes=3):
-    """A relu net whose dense layers listed in `stack` hold `members` members,
-    plus the one-member net of each member."""
-    base = random_net(rng, input_dim=input_dim, hidden=hidden, num_classes=num_classes)
-    net = base
-    for index in stack:
-        shape = base.layers[index].weights.shape
-        layer = dense(rng.normal(size=(members, *shape)), rng.normal(size=(members, shape[0])))
-        net = replace_layer(net, index, layer)
-    return net, [select_members(net, slice(s, s + 1)) for s in range(members)]
-
-
 class TestMembers:
-    @pytest.mark.parametrize("stack", [(0,), (2,), (0, 2)])
-    @pytest.mark.parametrize("members,rows", [(1, 4), (3, 1), (4, 5)])
-    def test_each_block_equals_its_member_alone(self, stack, members, rows):
-        rng = np.random.default_rng(40 + members * rows)
-        net, alone = stacked_net(rng, members, stack)
-        assert net.members == members
-        X = rng.uniform(-1.0, 1.0, size=(members * rows, net.input_dim))
-        classes = rng.integers(0, net.num_classes, size=len(X))
-        logits = logits_batch(net, X)
-        grads = input_gradient_batch(net, X, classes)
-        for s, member in enumerate(alone):
-            block = slice(s * rows, (s + 1) * rows)
-            assert np.array_equal(logits[block], logits_batch(member, X[block]))
-            alone = input_gradient_batch(member, X[block], classes[block])
-            assert np.array_equal(grads[block], alone)
+    """An ordinary net's passes, byte for byte against the 2-D reference."""
 
     @pytest.mark.parametrize("rows", [1, 2, 9, 64])
     def test_one_member_nets_keep_the_plain_bytes(self, rows):
@@ -285,49 +257,9 @@ class TestMembers:
             expected = plain_gradient(net, X, classes)
         assert np.array_equal(grads, expected)
 
-    def test_rows_must_split_into_the_members(self):
-        net, _ = stacked_net(np.random.default_rng(60), 3)
-        X = np.zeros((4, net.input_dim))
-        for call in (
-            lambda: logits_batch(net, X),
-            lambda: predict_labels(net, X),
-            lambda: input_gradient_batch(net, X, 0),
-        ):
-            with pytest.raises(ValueError, match="3 members"):
-                call()
-
-    def test_member_counts_must_agree(self):
-        with pytest.raises(ValueError, match="member count"):
-            make_net(
-                [
-                    dense(np.zeros((2, 3, 4)), np.zeros((2, 3))),
-                    relu(),
-                    dense(np.zeros((3, 2, 3)), np.zeros((3, 2))),
-                ]
-            )
-
-    def test_member_bias_must_match_weights(self):
-        with pytest.raises(ValueError):
-            dense(np.zeros((2, 3, 4)), np.zeros(3))
-
-    def test_select_members_slices_member_layers_only(self):
-        net, _ = stacked_net(np.random.default_rng(61), 5)
-        part = select_members(net, slice(1, 3))
-        assert part.members == 2
-        assert np.array_equal(part.layers[0].weights, net.layers[0].weights[1:3])
-        assert part.layers[2] is net.layers[2]
-
-    def test_weight_round_trip_keeps_the_members(self):
-        net, _ = stacked_net(np.random.default_rng(62), 3)
-        net2 = set_weights(net, get_weights(net))
-        assert net2.members == 3
-        assert np.array_equal(get_weights(net2), get_weights(net))
-
-    def test_training_takes_one_member_nets_only(self):
-        net, _ = stacked_net(np.random.default_rng(63), 2, input_dim=2, num_classes=2)
-        X, y = separable_blobs(20)
-        with pytest.raises(ValueError, match="member"):
-            train_tiny(net, X, y, epochs=1, seed=0)
+    def test_dense_rejects_stacked_weights(self):
+        with pytest.raises(ValueError, match="weights \\(out, in\\)"):
+            dense(np.zeros((2, 3, 4)), np.zeros((2, 3)))
 
 
 def separable_blobs(n=200, seed=0):

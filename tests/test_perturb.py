@@ -82,6 +82,12 @@ class TestPerturbSpec:
             ("ipt", "minor", {"alpha": 1.0, "beta": 0.0}, "alpha must not exceed beta"),
             ("mpt", "minor", {"sigma": -1.0}, "sigma must be nonnegative"),
             ("mpt", "minor", {"min_retained_fraction": 0.0}, "min_retained_fraction"),
+            ("ipt", "minor", {"alpha": np.nan}, "alpha must be finite"),
+            ("ipt", "disruptive", {"beta": np.inf}, "beta must be finite"),
+            ("ipt", "minor", {"alpha": -np.inf}, "alpha must be finite"),
+            ("mpt", "minor", {"sigma": np.nan}, "sigma must be finite"),
+            ("mpt", "disruptive", {"sigma": np.inf}, "sigma must be finite"),
+            ("mpt", "disruptive", {"mu": np.inf}, "mu must be finite"),
             ("ipt", "moderate", {}, "unknown perturbation"),
             ("input", "minor", {}, "unknown perturbation"),
         ],
@@ -373,6 +379,23 @@ class TestCollect:
         with pytest.raises(MetaEvaluationError, match="without usable estimates"):
             run()
         assert calls == [[8, 1]] * len(simple_methods())
+
+    @pytest.mark.parametrize("test", ["ipt", "mpt"])
+    def test_every_context_carries_the_space_seed(self, trained, test):
+        net, X = trained
+        spec = perturb_spec(test, "minor", seed=12)
+        scorer = make_scorer("sparseness", EstimatorConfig())
+        space_seeds = []
+
+        def recording(ctx):
+            space_seeds.append(ctx.space_seed)
+            return scorer(ctx)
+
+        recorder = Scorer(scorer.estimator_id, scorer.direction, recording)
+        collect(spaces(net, X[:8], K=2), scorer=recorder, spec=spec)
+        # the unperturbed call and at least one payload column per method
+        assert len(space_seeds) > len(simple_methods())
+        assert set(space_seeds) == {spec.seed}
 
     def test_collect_deterministic(self, trained):
         net, X = trained
