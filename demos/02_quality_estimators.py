@@ -32,8 +32,10 @@ ctx = EvalContext(
     attributions=explainer(net, X, labels),
     explainer=explainer,
     dataset_bounds=dataset.bounds,
-    # one seed per row; each row draws from its own generator
-    seeds=np.array([derive_seed("demo", i) for i in range(len(X))], dtype=np.uint64),
+    # the rows are samples 0-2; estimators with draws of their own make one
+    # generator call from `seed` per call and read row b's draws at rows[b]
+    rows=np.arange(len(X)),
+    seed=derive_seed("demo"),
     masks=dataset.masks[:3],
     dataset_mean=dataset.mean,
 )

@@ -6,11 +6,12 @@ used to sanity-check the meta-evaluation itself.  Every estimator maps the
 B rows of an `EvalContext` to a (B,) float64 array; NaN means the estimate
 is undefined for that row, and `perturb.collect` keeps undefined estimates
 out of aggregation.  Estimators are pure given (ctx, cfg) -- all randomness
-flows from the per-row seeds, where row b draws from its own generator, and
+flows from the estimator seed, through one generator call per stream and
+scorer call whose table row b reads at its sample index `ctx.rows[b]`, and
 from the space seed, which every row of a perturbed space shares (model
 parameter randomisation draws its randomised layers from it).  A row's draws
-therefore do not depend on the other rows of its batch (its logits and
-gradients may, in the last bit, through the matrix products).
+therefore depend only on its sample, not on the other rows of its batch (its
+logits and gradients may, in the last bit, through the matrix products).
 `ESTIMATORS` is the one table of them: evaluate, direction, family and
 mask need per id.
 """
@@ -40,9 +41,11 @@ class EvalContext:
     (B, D), that produced them, and robustness and randomisation estimators
     re-invoke it.  `masks` is a (B, D) bool array whose every row marks at
     least one feature (`consistency.BenchmarkSetup` checks the masks once).
-    `seeds` holds one estimator seed per row, and `space_seed` the seed of
-    the perturbed space the rows belong to (`perturb.collect` passes the
-    spec's seed), from which draws shared by every row come.  `is_perturbed`
+    `rows` holds the (B,) indices of the rows among the setup's N samples,
+    at which each row reads the draws of `seed`, the estimator seed of the
+    (space, method) the rows belong to; `space_seed` is the seed of the
+    perturbed space (`perturb.collect` passes the spec's seed), from which
+    draws shared by every row come.  `is_perturbed`
     says whether the inputs or `net` carry a perturbation payload.
     `dataset_mean` feeds the "mean" baseline strategy.
     """
@@ -53,7 +56,8 @@ class EvalContext:
     attributions: np.ndarray
     explainer: object
     dataset_bounds: tuple
-    seeds: object  # (B,) 64-bit seeds
+    rows: np.ndarray  # (B,) sample indices
+    seed: int
     masks: np.ndarray | None = None
     dataset_mean: float | None = None
     is_perturbed: bool = False
@@ -122,14 +126,28 @@ def _default_block(d: int) -> int:
     return max(1, min(d, int(round(2 * math.sqrt(d)))))
 
 
-def _baseline_values(kind, shape, ctx, x, rng):
+def _sample_draws(ctx, tag, draw) -> np.ndarray:
+    """Row b's entry of the table draw(rng, m) makes for samples 0..m-1.
+
+    `draw` must make exactly one generator call: a generator fills an array
+    in order, so sample i's entry is the same for every table size above i,
+    and a row draws the same alone as in any batch.
+    """
+    return draw(derive_rng(tag, ctx.seed), int(ctx.rows.max()) + 1)[ctx.rows]
+
+
+def _baseline_values(kind, tag, shape, ctx) -> np.ndarray:
+    """(B, *shape) baseline fills: uniform ones from the `tag` stream."""
     lo, hi = ctx.dataset_bounds
+    if kind == "uniform":
+        return _sample_draws(ctx, tag, lambda rng, m: rng.uniform(lo, hi, size=(m, *shape)))
     if kind == "black":
-        return np.full(shape, lo)
-    if kind == "mean":
-        mean = ctx.dataset_mean if ctx.dataset_mean is not None else float(x.mean())
-        return np.full(shape, mean)
-    return rng.uniform(lo, hi, size=shape)
+        fills = np.full(len(ctx.X), lo)
+    elif ctx.dataset_mean is None:
+        fills = ctx.X.mean(axis=1)
+    else:
+        fills = np.full(len(ctx.X), ctx.dataset_mean)
+    return np.broadcast_to(fills.reshape(-1, *[1] * len(shape)), (len(ctx.X), *shape))
 
 
 def _logits(net, batches) -> np.ndarray:
@@ -162,22 +180,19 @@ def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) ->
     by the configured baseline; the correlation is taken over cfg.fc_runs
     subsets.  Undefined when either series has zero variance.
 
-    Each row's "fc" stream is drawn twice: `random((fc_runs, D))` keys, whose
-    row-wise argsort keeps its first `size` columns as run r's subset (a
-    uniform subset without replacement), then the `(fc_runs, size)` baseline
-    fills.  One forward pass per row chunk scores `fc_runs + 1` copies per
-    row: copy 0 is the input, whose logit is the base of every drop, and
-    copy r + 1 the input with subset r replaced.
+    A sample's `(fc_runs, D)` keys come from the "fc" stream; the argsort of
+    key row r keeps its first `size` columns as run r's subset (a uniform
+    subset without replacement).  Uniform `(fc_runs, size)` fills come from
+    the "fc_fill" stream.  One forward pass per row chunk scores
+    `fc_runs + 1` copies per row: copy 0 is the input, whose logit is the
+    base of every drop, and copy r + 1 the input with subset r replaced.
     """
     n, d = ctx.X.shape
     size = cfg.subset_size(d)
     runs = cfg.fc_runs
-    subsets = np.empty((n, runs, size), dtype=np.intp)
-    fills = np.empty((n, runs, size))
-    for b, seed in enumerate(ctx.seeds):
-        rng = derive_rng("fc", seed)
-        subsets[b] = np.argsort(rng.random((runs, d)), axis=1)[:, :size]
-        fills[b] = _baseline_values(cfg.fc_baseline, (runs, size), ctx, ctx.X[b], rng)
+    keys = _sample_draws(ctx, "fc", lambda rng, m: rng.random((m, runs, d)))
+    subsets = np.argsort(keys, axis=2)[:, :, :size]
+    fills = _baseline_values(cfg.fc_baseline, "fc_fill", (runs, size), ctx)
     attr_sums = np.take_along_axis(ctx.attributions[:, None, :], subsets, axis=2).sum(axis=2)
     scores = np.empty((n, runs + 1))
     # the masked copies are built chunk by chunk, so wide inputs stay bounded
@@ -193,20 +208,22 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarra
 
     Features are replaced by the baseline in blocks of cfg.pf_step_size, most
     attributed first (descending raw attribution, stable ties); the x-axis is
-    the fraction of features flipped.
+    the fraction of features flipped.  A sample's D fills, in flip order,
+    come from the "pf" stream.
     """
     d = ctx.X.shape[1]
     step = cfg.step_size(d)
     orders = np.argsort(-ctx.attributions, axis=1, kind="stable")
-    starts = range(0, d, step)
+    # filled[b, orders[b, i]] is the i-th fill, ranks[b, orders[b, i]] = i
+    filled = np.empty_like(ctx.X)
+    np.put_along_axis(filled, orders, _baseline_values(cfg.pf_baseline, "pf", (d,), ctx), axis=1)
+    ranks = np.empty_like(orders)
+    np.put_along_axis(ranks, orders, np.broadcast_to(np.arange(d), orders.shape), axis=1)
     # copy 0 is the input, copy j the input after the first j blocks flipped
-    curves = np.repeat(ctx.X[:, None, :], len(starts) + 1, axis=1)
-    for b, seed in enumerate(ctx.seeds):
-        rng = derive_rng("pf", seed)
-        for j, start in enumerate(starts, start=1):
-            block = orders[b, start : start + step]
-            curves[b][j:, block] = _baseline_values(cfg.pf_baseline, len(block), ctx, ctx.X[b], rng)
-    xs = [0.0] + [min(start + step, d) / d for start in starts]
+    flipped = np.minimum(np.arange(0, d + step, step), d)
+    flips = ranks[:, None, :] < flipped[None, :, None]
+    curves = np.where(flips, filled[:, None, :], ctx.X[:, None, :])
+    xs = flipped / d
     ys = _label_column(softmax(_logits(ctx.net, curves)), ctx.labels)
     return stats.trapezoid_auc(xs, ys)
 
@@ -214,75 +231,56 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarra
 # --- robustness -------------------------------------------------------------
 
 
-def _perturbed_inputs(ctx, cfg, x, rng, runs):
-    """`runs` in-ball draws around x as rows, in the order a draw-by-draw loop makes them."""
-    lo, hi = ctx.dataset_bounds
-    radius = cfg.radius(ctx.dataset_bounds)
-    delta = rng.uniform(-radius, radius, size=(runs, x.size))
-    x_pert = np.clip(x + delta, lo, hi)
-    return x_pert, x_pert - x  # effective displacement after clipping
-
-
 def _row_norms(A) -> np.ndarray:
     # one dot product per row, as np.linalg.norm computes it for a single vector
-    return np.sqrt((A[:, None, :] @ A[:, :, None]).ravel())
+    return np.sqrt((A[..., None, :] @ A[..., :, None])[..., 0, 0])
+
+
+def _in_ball_changes(ctx, cfg, keep):
+    """Explanation changes under the in-ball input draws, and the draws'
+    effective (post-clip) displacement norms: both (B, runs).
+
+    A sample's `(runs, D)` uniform displacements come from the "ball"
+    stream, which Max Sensitivity and Local Lipschitz share.  keep(dists)
+    -> (B, runs) bool picks the draws to explain, all in one explainer call;
+    the changes of the others are NaN.
+    """
+    lo, hi = ctx.dataset_bounds
+    radius = cfg.radius(ctx.dataset_bounds)
+    shape = (cfg.robustness_runs, ctx.X.shape[1])
+    deltas = _sample_draws(ctx, "ball", lambda rng, m: rng.uniform(-radius, radius, (m, *shape)))
+    x_pert = np.clip(ctx.X[:, None, :] + deltas, lo, hi)
+    dists = _row_norms(x_pert - ctx.X[:, None, :])
+    rows, draws = np.nonzero(keep(dists))
+    changes = np.full(dists.shape, np.nan)
+    if rows.size:
+        others = ctx.explainer(ctx.net, x_pert[rows, draws], ctx.labels[rows])
+        changes[rows, draws] = _row_norms(ctx.attributions[rows] - others)
+    return changes, dists
 
 
 def evaluate_max_sensitivity(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     """Largest explanation change over random in-ball input perturbations,
-    relative to the input norm.  Undefined for a zero input.
-
-    The draws of every row with a nonzero input are explained in one call.
+    relative to the input norm.  Undefined for a zero input, whose draws are
+    not explained.
     """
-    runs = cfg.robustness_runs
     x_norms = _row_norms(ctx.X)
-    rows = np.flatnonzero(x_norms != 0.0)
-    out = np.full(len(x_norms), np.nan)
-    if rows.size == 0:
-        return out
-    x_pert = np.concatenate(
-        [
-            _perturbed_inputs(ctx, cfg, ctx.X[b], derive_rng("ms", ctx.seeds[b]), runs)[0]
-            for b in rows
-        ]
+    changes, _ = _in_ball_changes(
+        ctx, cfg, lambda dists: np.broadcast_to(x_norms[:, None] != 0.0, dists.shape)
     )
-    others = ctx.explainer(ctx.net, x_pert, np.repeat(ctx.labels[rows], runs))
-    changes = _row_norms(np.repeat(ctx.attributions[rows], runs, axis=0) - others)
-    out[rows] = np.max(changes.reshape(rows.size, runs) / x_norms[rows, None], axis=1)
-    return out
+    return _ratio_or_nan(np.max(changes, axis=1), x_norms)
 
 
 def evaluate_local_lipschitz(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     """Largest explanation-change to input-change ratio over random draws.
 
-    The denominator uses the effective (post-clip) displacement; degenerate
-    draws below 1e-12 are redrawn, in order, up to 1000 draws per run.  The
-    accepted draws of every row are explained in one call; a row without
-    any is undefined.
+    The denominator uses the effective (post-clip) displacement; a draw
+    whose displacement is below 1e-12 is skipped, and a row without any
+    other draw is undefined.
     """
-    runs = cfg.robustness_runs
-    kept_inputs, kept_dists, owners = [], [], []
-    for b, seed in enumerate(ctx.seeds):
-        rng = derive_rng("lle", seed)
-        accepted = attempts = 0
-        while accepted < runs and attempts < 1000 * runs:
-            batch = min(runs - accepted, 1000 * runs - attempts)
-            attempts += batch
-            x_pert, delta = _perturbed_inputs(ctx, cfg, ctx.X[b], rng, batch)
-            dists = _row_norms(delta)
-            keep = dists >= 1e-12
-            kept_inputs.append(x_pert[keep])
-            kept_dists.append(dists[keep])
-            accepted += int(keep.sum())
-        owners.append(np.full(accepted, b))
-    owner = np.concatenate(owners)
-    worst = np.full(len(owners), -np.inf)
-    if owner.size:
-        others = ctx.explainer(ctx.net, np.concatenate(kept_inputs), ctx.labels[owner])
-        ratios = _row_norms(ctx.attributions[owner] - others) / np.concatenate(kept_dists)
-        np.maximum.at(worst, owner, ratios)
-    worst[np.isneginf(worst)] = np.nan
-    return worst
+    changes, dists = _in_ball_changes(ctx, cfg, lambda dists: dists >= 1e-12)
+    # a skipped draw's NaN change stays NaN, and fmax passes over it
+    return np.fmax.reduce(changes / dists, axis=1)
 
 
 # --- randomisation ----------------------------------------------------------
@@ -323,10 +321,9 @@ def evaluate_random_logit(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     classes = ctx.net.num_classes
     if classes < 2:
         raise ConfigError("random_logit needs at least two classes")
-    other_classes = np.empty(len(ctx.labels), dtype=np.int64)
-    for b, (seed, label) in enumerate(zip(ctx.seeds, ctx.labels)):
-        rng = derive_rng("rl", seed)
-        other_classes[b] = rng.choice([c for c in range(classes) if c != label])
+    # a uniform draw from the C - 1 classes, shifted past the row's label
+    draws = _sample_draws(ctx, "rl", lambda rng, m: rng.integers(classes - 1, size=m))
+    other_classes = draws + (draws >= ctx.labels)
     others = ctx.explainer(ctx.net, ctx.X, other_classes)
     return stats.spearman(ctx.attributions, others)
 
@@ -411,11 +408,10 @@ def evaluate_relevance_rank_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> 
 
 
 def adversarial_deterministic(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
-    """Perturbation-blind estimator: a uniform [0, 1) value per row read from
-    the top 53 bits of its 64-bit estimator seed, which `perturb.collect`
-    shares between a sample's unperturbed and perturbed rows."""
-    seeds = np.asarray(ctx.seeds, dtype=np.uint64)
-    return (seeds >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """Perturbation-blind estimator: a uniform [0, 1) value per sample from
+    the "blind" stream, so a sample's unperturbed and perturbed rows read the
+    same value."""
+    return _sample_draws(ctx, "blind", lambda rng, m: rng.random(m))
 
 
 def adversarial_distribution_shift(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
@@ -423,17 +419,14 @@ def adversarial_distribution_shift(ctx: EvalContext, cfg: EstimatorConfig) -> np
 
     Unperturbed rows draw from N(mu, 1) with mu uniform in [-100000, -1];
     the rows of a perturbed call (`ctx.is_perturbed`) draw with mu uniform
-    in [0, 1].
+    in [0, 1].  The means and the noise come from two streams, both tagged
+    with `is_perturbed`.
     """
-    out = np.empty(len(ctx.seeds))
-    for b, seed in enumerate(ctx.seeds):
-        rng = derive_rng("psi_neq", seed, int(ctx.is_perturbed))
-        if ctx.is_perturbed:
-            mu = rng.uniform(0.0, 1.0)
-        else:
-            mu = rng.uniform(-100000.0, -1.0)
-        out[b] = rng.normal(mu, 1.0)
-    return out
+    perturbed = int(ctx.is_perturbed)
+    lo, hi = (0.0, 1.0) if perturbed else (-100000.0, -1.0)
+    mu = _sample_draws(ctx, f"psi_neq_mu{perturbed}", lambda rng, m: rng.uniform(lo, hi, m))
+    noise = _sample_draws(ctx, f"psi_neq_noise{perturbed}", lambda rng, m: rng.standard_normal(m))
+    return mu + noise
 
 
 # --- the estimator table ----------------------------------------------------

@@ -168,12 +168,13 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
 class PerturbedSpace:
     """One (test, strength, iteration) of payloads and every method's
     explanations of them: drawn and explained once, scored by every
-    estimator.  Its arrays are read-only, because every estimator sees them."""
+    estimator.  Its arrays are read-only, because every estimator sees them.
+    It holds no estimator seeds: `collect` derives one per method from the
+    spec's seed."""
 
     compliant: np.ndarray  # (N, K) payload compliance, shared across methods
     attempts: np.ndarray  # (N, K) draws used per payload
     payloads: list  # column k: (net, inputs of its compliant rows)
-    seeds: dict  # method_id -> (N,) estimator seeds
     attributions: dict  # method_id -> column k's (rows, D) explanations, None if empty
 
 
@@ -240,19 +241,14 @@ def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
             net_k, compliant[:, k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
             inputs = X[compliant[:, k]]
         payloads.append((net_k, _read_only(inputs)))
-    seeds, attributions = {}, {}
-    for method_id, explainer in setup.methods:
-        # one estimator seed per (sample, method): the estimator's own
-        # sampling stays fixed so that only the perturbed space varies
-        row_seeds = [derive_seed(spec.seed, "est", i, method_id) for i in range(n)]
-        seeds[method_id] = _read_only(np.array(row_seeds, dtype=np.uint64))
-        attributions[method_id] = [
+    attributions = {
+        method_id: [
             _read_only(explainer(net_k, inputs, labels[compliant[:, k]])) if len(inputs) else None
             for k, (net_k, inputs) in enumerate(payloads)
         ]
-    return PerturbedSpace(
-        _read_only(compliant), _read_only(attempts), payloads, seeds, attributions
-    )
+        for method_id, explainer in setup.methods
+    }
+    return PerturbedSpace(_read_only(compliant), _read_only(attempts), payloads, attributions)
 
 
 # collect aborts when more than this share of samples ends up without a
@@ -284,7 +280,10 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     unperturbed rows and once per non-empty payload column on its compliant
     rows, with the explanations the space already holds and spec.seed as
     the space seed of every call; its non-finite results count as
-    undefined.  Payloads, explanations and estimator seeds are shared across
+    undefined.  Each call carries the sample indices of its rows and the
+    estimator seed of (space, method), so the estimator's own sampling is
+    the same for a sample's unperturbed and perturbed rows and only the
+    perturbation varies.  Payloads and explanations are shared across
     methods and estimators, so the explainers run at most 1 + K times per
     method and space, whatever the number of estimators.
     Aborts when more than MAX_DROPPED_FRACTION of samples end up without a
@@ -298,7 +297,7 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     unperturbed = np.empty((n, len(setup.methods)))
     perturbed = np.full((n, len(setup.methods), K), np.nan)
     for j, (method_id, explainer) in enumerate(setup.methods):
-        seeds = space.seeds[method_id]
+        seed = derive_seed(spec.seed, "est", method_id)
 
         def score(net_k, rows, X_k, attributions, is_perturbed):
             """Score the given rows' explanations under one (net, inputs) pair."""
@@ -309,7 +308,8 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
                 attributions=attributions,
                 explainer=explainer,
                 dataset_bounds=setup.bounds,
-                seeds=seeds[rows],
+                rows=np.flatnonzero(rows),
+                seed=seed,
                 masks=None if setup.masks is None else setup.masks[rows],
                 dataset_mean=setup.dataset_mean,
                 is_perturbed=is_perturbed,

@@ -3,9 +3,10 @@
 A config file is a sequence of `[table]` / `[table.subtable]` headers with
 `key = value` lines; values are integers, floats, booleans, bare or quoted
 strings, or flat `[a, b, c]` lists.  `#` starts a comment.  Parsing is
-strict: unknown keys are named, all missing required keys are reported at
-once, and load -> serialize -> load is the identity.
+strict: unknown keys are named and all missing required keys are reported at
+once.
 """
+import math
 from dataclasses import dataclass, field, fields
 from types import UnionType
 from typing import get_args, get_origin
@@ -47,16 +48,6 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
-def _format_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    text = str(value)
-    quoted = " " in text or "," in text or text == "" or _parse_scalar(text) != text
-    return f'"{text}"' if quoted else text
-
-
 def parse_tables(text: str) -> dict:
     """Parse config text into nested dicts keyed by table path."""
     tables: dict = {}
@@ -79,28 +70,6 @@ def parse_tables(text: str) -> dict:
         key, _, value = line.partition("=")
         current[key.strip()] = _parse_value(value)
     return tables
-
-
-def serialize_tables(tables: dict) -> str:
-    lines = []
-
-    def emit(table, path):
-        scalars = {k: v for k, v in table.items() if not isinstance(v, dict)}
-        children = {k: v for k, v in table.items() if isinstance(v, dict)}
-        if path:
-            lines.append(f"[{'.'.join(path)}]")
-        for key, value in scalars.items():
-            if isinstance(value, list):
-                lines.append(f"{key} = [{', '.join(_format_scalar(v) for v in value)}]")
-            else:
-                lines.append(f"{key} = {_format_scalar(value)}")
-        if scalars or not path:
-            lines.append("")
-        for key, child in children.items():
-            emit(child, path + [key])
-
-    emit(tables, [])
-    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 def apply_overrides(tables: dict, assignments) -> dict:
@@ -189,10 +158,12 @@ TYPE_NAMES = {
     str | list[str]: "a string or a list of strings",
 }
 REQUIRED = [("dataset", "kind"), ("methods", "use"), ("estimators", "use")]
-# [dataset] mask settings -> (the values they take, a test of a value)
-MASK_SETTINGS = {
-    "mask_fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
-    "mask_quantile": ("in [0, 1]", lambda v: 0 <= v <= 1),
+# (table, key) -> (the values it takes, a test of a value that NaN fails)
+VALUE_RANGES = {
+    ("dataset", "mask_fraction"): ("in (0, 1]", lambda v: 0 < v <= 1),
+    ("dataset", "mask_quantile"): ("in [0, 1]", lambda v: 0 <= v <= 1),
+    ("model", "learning_rate"): ("finite and > 0", lambda v: 0 < v < math.inf),
+    ("model", "momentum"): ("finite in [0, 1)", lambda v: 0 <= v < 1),
 }
 
 
@@ -304,9 +275,10 @@ def config_from_tables(tables: dict) -> RunConfig:
         errors.append(
             f"[dataset] mask must be one of {', '.join(MASK_POLICIES)}, got {dataset['mask']!r}"
         )
-    for key, (wanted, valid) in MASK_SETTINGS.items():
-        if key in dataset and not valid(dataset[key]):
-            errors.append(f"[dataset] {key} must be {wanted}, got {dataset[key]!r}")
+    for (table, key), (wanted, valid) in VALUE_RANGES.items():
+        value = tables.get(table, {}).get(key)
+        if value is not None and not valid(value):
+            errors.append(f"[{table}] {key} must be {wanted}, got {value!r}")
     methods = dict(tables["methods"])
     estimators = dict(tables["estimators"])
     _validate_listing(methods["use"], ALL_METHODS, "[methods] use", errors)

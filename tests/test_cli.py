@@ -307,6 +307,28 @@ class TestConfigErrorsBeforeTraining:
                 "methods.occlusion.occlusion_baseline=inf",
                 "[methods.occlusion]: occlusion_baseline must be finite",
             ),
+            (
+                "benchmark",
+                "model.learning_rate=nan",
+                "[model] learning_rate must be finite and > 0, got nan",
+            ),
+            (
+                "benchmark",
+                "model.learning_rate=-1",
+                "[model] learning_rate must be finite and > 0, got -1",
+            ),
+            (
+                "benchmark",
+                "model.learning_rate=inf",
+                "[model] learning_rate must be finite and > 0, got inf",
+            ),
+            ("benchmark", "model.momentum=inf", "[model] momentum must be finite in [0, 1), got inf"),
+            ("benchmark", "model.momentum=1.5", "[model] momentum must be finite in [0, 1), got 1.5"),
+            (
+                "benchmark",
+                "model.momentum=-0.1",
+                "[model] momentum must be finite in [0, 1), got -0.1",
+            ),
         ],
         ids=[
             "mpt_alpha",
@@ -361,6 +383,12 @@ class TestConfigErrorsBeforeTraining:
             "nan_shap_noise_std",
             "nan_ig_baseline",
             "infinite_occlusion_baseline",
+            "nan_learning_rate",
+            "negative_learning_rate",
+            "infinite_learning_rate",
+            "infinite_momentum",
+            "momentum_above_one",
+            "negative_momentum",
         ],
     )
     def test_exits_one_naming_the_setting(self, tmp_path, capsys, monkeypatch, verb, assignment, named):

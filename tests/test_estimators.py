@@ -89,8 +89,10 @@ def two_layer_net(rng, d=4, h=6, c=3):
     )
 
 
-def make_ctx(net, x, label=0, values=None, explainer=None, mask=None, seed=0, bounds=(0.0, 1.0)):
-    """A one-row batch context for the sample x."""
+def make_ctx(
+    net, x, label=0, values=None, explainer=None, mask=None, seed=0, bounds=(0.0, 1.0), row=0
+):
+    """A one-row batch context for the sample x, sample `row` of its setup."""
     X = np.asarray(x, dtype=float)[None, :]
     labels = np.array([label])
     if explainer is not None and values is None:
@@ -102,7 +104,8 @@ def make_ctx(net, x, label=0, values=None, explainer=None, mask=None, seed=0, bo
         attributions=np.asarray(values, dtype=float)[None, :],
         explainer=explainer,
         dataset_bounds=bounds,
-        seeds=[seed],
+        rows=np.array([row]),
+        seed=seed,
         masks=None if mask is None else np.asarray(mask)[None, :],
     )
 
@@ -162,19 +165,21 @@ class TestFaithfulnessCorrelation:
 
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_matches_replayed_draw_oracle(self, seed):
-        # replay the documented draw: (runs, d) keys -> row-wise argsort ->
-        # first `size` columns, then one (runs, size) fill call; the base
-        # logit and every masked row get a forward pass of their own
+        # replay the documented draws at the row's sample index: (runs, d)
+        # keys -> row-wise argsort -> first `size` columns, and (runs, size)
+        # fills from a stream of their own; the base logit and every masked
+        # row get a forward pass of their own
         rng = np.random.default_rng(seed)
         net = two_layer_net(rng, d=8)
         x = rng.uniform(size=8)
         values = rng.normal(size=8)
         cfg = EstimatorConfig(fc_subset_size=3, fc_runs=12)
-        est = evaluate_faithfulness_correlation(make_ctx(net, x, values=values, seed=seed), cfg)
+        row = seed % 13
+        ctx = make_ctx(net, x, values=values, seed=seed, row=row)
+        est = evaluate_faithfulness_correlation(ctx, cfg)
 
-        oracle_rng = derive_rng("fc", seed)
-        keys = oracle_rng.random((12, 8))
-        fills = oracle_rng.uniform(0.0, 1.0, size=(12, 3))
+        keys = derive_rng("fc", seed).random((row + 1, 12, 8))[row]
+        fills = derive_rng("fc_fill", seed).uniform(0.0, 1.0, size=(row + 1, 12, 3))[row]
         base = logits_batch(net, x[None, :])[0, 0]
         sums, drops = [], []
         for r in range(12):
@@ -277,6 +282,28 @@ class TestPixelFlipping:
             auc += (ys[i] + ys[i + 1]) / 2 * (xs[i + 1] - xs[i])
         assert est == pytest.approx(auc, abs=1e-12)
 
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_uniform_fills_follow_the_flip_order(self, row):
+        # fill i of the sample's "pf" draws replaces the i-th flipped feature
+        rng = np.random.default_rng(20)
+        net = two_layer_net(rng, d=7)
+        x = rng.uniform(size=7)
+        values = rng.normal(size=7)
+        cfg = EstimatorConfig(pf_step_size=3)
+        est = evaluate_pixel_flipping(make_ctx(net, x, values=values, seed=41, row=row), cfg)
+
+        fills = derive_rng("pf", 41).uniform(0.0, 1.0, size=(row + 1, 7))[row]
+        order = np.argsort(-values, kind="stable")
+        flipped = x.copy()
+        xs, ys = [0.0], [softmax(logits_batch(net, x[None, :])[0])[0]]
+        for start in range(0, 7, 3):
+            block = order[start : start + 3]
+            flipped[block] = fills[start : start + 3]
+            xs.append(min(start + 3, 7) / 7)
+            ys.append(softmax(logits_batch(net, flipped[None, :])[0])[0])
+        auc = sum((ys[i] + ys[i + 1]) / 2 * (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
+        assert est == pytest.approx(auc, abs=1e-12)
+
     def test_auc_in_unit_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -307,11 +334,10 @@ class TestMaxSensitivity:
         x = rng.uniform(size=4)
         explainer = build_explainer("gradient", ExplainerConfig())
         cfg = EstimatorConfig(robustness_runs=1, robustness_radius=0.2)
-        ctx = make_ctx(net, x, explainer=explainer, seed=17)
+        ctx = make_ctx(net, x, explainer=explainer, seed=17, row=2)
         est = evaluate_max_sensitivity(ctx, cfg)
 
-        oracle_rng = derive_rng("ms", 17)
-        delta = oracle_rng.uniform(-0.2, 0.2, size=4)
+        delta = derive_rng("ball", 17).uniform(-0.2, 0.2, size=(3, 1, 4))[2, 0]
         x_pert = np.clip(x + delta, 0.0, 1.0)
         expected = np.linalg.norm(
             explainer(net, x[None, :], 0)[0] - explainer(net, x_pert[None, :], 0)[0]
@@ -326,22 +352,23 @@ class TestMaxSensitivity:
 
 
 def local_lipschitz_oracle(ctx, cfg):
-    """The draw-by-draw loop: one explainer call per accepted draw, degenerate ones redrawn."""
-    rng = derive_rng("lle", ctx.seeds[0])
+    """The draw-by-draw loop over the sample's in-ball draws: one explainer
+    call per draw, degenerate draws skipped; None when every draw is."""
+    (row,) = ctx.rows
+    runs, d = cfg.robustness_runs, ctx.X.shape[1]
+    radius = cfg.radius(ctx.dataset_bounds)
+    deltas = derive_rng("ball", ctx.seed).uniform(-radius, radius, size=(row + 1, runs, d))[row]
     x, attribution = ctx.X[0], ctx.attributions[0]
     lo, hi = ctx.dataset_bounds
-    radius = cfg.radius(ctx.dataset_bounds)
-    worst, accepted, attempts = 0.0, 0, 0
-    while accepted < cfg.robustness_runs and attempts < 1000 * cfg.robustness_runs:
-        attempts += 1
-        x_pert = np.clip(x + rng.uniform(-radius, radius, size=x.size), lo, hi)
+    ratios = []
+    for delta in deltas:
+        x_pert = np.clip(x + delta, lo, hi)
         dist = float(np.linalg.norm(x_pert - x))
         if dist < 1e-12:
             continue
         other = ctx.explainer(ctx.net, x_pert[None, :], ctx.labels[0])[0]
-        worst = max(worst, float(np.linalg.norm(attribution - other)) / dist)
-        accepted += 1
-    return None if accepted == 0 else worst
+        ratios.append(float(np.linalg.norm(attribution - other)) / dist)
+    return max(ratios) if ratios else None
 
 
 class TestLocalLipschitz:
@@ -363,14 +390,13 @@ class TestLocalLipschitz:
         x = rng.uniform(0.2, 0.8, size=4)
         explainer = build_explainer("gradient", ExplainerConfig())
         cfg = EstimatorConfig(robustness_runs=3, robustness_radius=0.15)
-        ctx = make_ctx(net, x, explainer=explainer, seed=23)
+        ctx = make_ctx(net, x, explainer=explainer, seed=23, row=4)
         est = evaluate_local_lipschitz(ctx, cfg)
 
-        oracle_rng = derive_rng("lle", 23)
+        deltas = derive_rng("ball", 23).uniform(-0.15, 0.15, size=(5, 3, 4))[4]
         base = explainer(net, x[None, :], 0)[0]
         worst = 0.0
-        for _ in range(3):
-            delta = oracle_rng.uniform(-0.15, 0.15, size=4)
+        for delta in deltas:
             x_pert = np.clip(x + delta, 0.0, 1.0)
             eff = x_pert - x
             worst = max(
@@ -386,14 +412,16 @@ class TestLocalLipschitz:
         runs=st.integers(1, 6),
         radius=st.sampled_from([1e-14, 0.05, 0.3]),
         seed=st.integers(0, 2**32 - 1),
+        row=st.integers(0, 5),
     )
-    def test_degenerate_draws_match_per_draw_oracle(self, d, corner, runs, radius, seed):
+    def test_degenerate_draws_are_skipped(self, d, corner, runs, radius, seed, row):
         # x on a bound: a draw pointing outward on every feature clips to x
         # itself (probability 2^-d), and radius 1e-14 makes every draw
-        # degenerate (radius 0 is a config error)
+        # degenerate (radius 0 is a config error); a row whose every draw
+        # is degenerate is undefined
         net = two_layer_net(np.random.default_rng(seed % 1000), d=d)
         explainer = build_explainer("gradient", ExplainerConfig())
-        ctx = make_ctx(net, corner[:d], explainer=explainer, seed=seed)
+        ctx = make_ctx(net, corner[:d], explainer=explainer, seed=seed, row=row)
         cfg = EstimatorConfig(robustness_runs=runs, robustness_radius=radius)
         est = evaluate_local_lipschitz(ctx, cfg)
         expected = local_lipschitz_oracle(ctx, cfg)
@@ -401,6 +429,23 @@ class TestLocalLipschitz:
             assert math.isnan(est)
         else:
             assert est == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+    def test_a_row_with_only_degenerate_draws_is_undefined(self):
+        # every draw of radius 1e-14 moves x by less than 1e-12: all are
+        # skipped, none is explained, and the estimate is undefined
+        calls = []
+
+        def explainer(net, X, labels):
+            calls.append(len(X))
+            return np.array(X)
+
+        rng = np.random.default_rng(19)
+        ctx = make_ctx(two_layer_net(rng), rng.uniform(size=4), explainer=explainer, row=3)
+        calls.clear()
+        cfg = EstimatorConfig(robustness_runs=4, robustness_radius=1e-14)
+        assert math.isnan(evaluate_local_lipschitz(ctx, cfg))
+        assert calls == []
 
 
 class TestModelParameterRandomisation:
@@ -505,7 +550,8 @@ class TestModelParameterRandomisationBatch:
             attributions=explainer(net, X, labels),
             explainer=explainer,
             dataset_bounds=(0.0, 1.0),
-            seeds=np.array([derive_seed(seed, "row", i) for i in range(b)], dtype=np.uint64),
+            rows=np.arange(b),
+            seed=derive_seed(seed, "est"),
             space_seed=derive_seed(seed, "space"),
         )
 
@@ -552,14 +598,13 @@ class TestModelParameterRandomisationBatch:
         assert calls == [5, 5, 5]
 
     @pytest.mark.parametrize("method_id", ["gradient", "integrated_gradients"])
-    def test_the_space_seed_decides_the_draw_and_the_row_seeds_do_not(self, method_id):
+    def test_the_space_seed_decides_the_draw_and_the_estimator_seed_does_not(self, method_id):
         net = init_net(5, (6, 5), 3, seed=4)
         explainer = build_explainer(method_id, ExplainerConfig(ig_steps=4))
         ctx = self.batch_ctx(net, explainer, 4)
         evaluate = estimators_module.evaluate_model_parameter_randomisation
         estimates = evaluate(ctx, CFG)
-        other_seeds = [derive_seed("other", i) for i in range(len(ctx.seeds))]
-        reseeded = replace(ctx, seeds=np.array(other_seeds, dtype=np.uint64))
+        reseeded = replace(ctx, rows=ctx.rows + 7, seed=derive_seed("other"))
         assert evaluate(reseeded, CFG).tobytes() == estimates.tobytes()
         respaced = replace(ctx, space_seed=ctx.space_seed + 1)
         assert not np.array_equal(evaluate(respaced, CFG), estimates)
@@ -601,6 +646,18 @@ def bare_ctx(values, mask=None):
     d = len(values)
     net = linear_net(np.ones((2, d)))
     return make_ctx(net, np.full(d, 0.5), values=values, mask=mask)
+
+
+def batch_of_samples(n):
+    """A context of n equal rows, samples 0..n-1, for the adversaries."""
+    ctx = bare_ctx([1.0, 2.0])
+    return replace(
+        ctx,
+        X=np.repeat(ctx.X, n, axis=0),
+        labels=np.repeat(ctx.labels, n),
+        attributions=np.repeat(ctx.attributions, n, axis=0),
+        rows=np.arange(n),
+    )
 
 
 class TestSparseness:
@@ -705,7 +762,8 @@ class TestLocalisation:
             attributions=values,
             explainer=None,
             dataset_bounds=(0.0, 1.0),
-            seeds=np.zeros(len(values), dtype=np.uint64),
+            rows=np.arange(len(values)),
+            seed=0,
             masks=masks,
         )
         expected = [
@@ -760,14 +818,15 @@ class TestLocalisation:
 
 
 class TestAdversarialEstimators:
-    @given(seed=st.integers(0, 2**64 - 1))
-    def test_deterministic_repeats_per_sample(self, seed):
-        # the value depends on the seed alone, not on what the call is shown
+    @given(seed=st.integers(0, 2**64 - 1), row=st.integers(0, 50))
+    def test_deterministic_repeats_per_sample(self, seed, row):
+        # the value depends on the seed and the sample alone, not on what
+        # the call is shown
         plain = bare_ctx([1.0, 2.0])
-        plain.seeds = [seed]
+        plain.seed, plain.rows = seed, np.array([row])
         perturbed = bare_ctx([-3.0, 0.5])
         perturbed.X = perturbed.X + 0.25
-        perturbed.seeds = [seed]
+        perturbed.seed, perturbed.rows = seed, np.array([row])
         perturbed.is_perturbed = True
         a = adversarial_deterministic(plain, CFG)
         assert isinstance(a, float) and 0.0 <= a < 1.0
@@ -775,28 +834,25 @@ class TestAdversarialEstimators:
 
     def test_deterministic_is_uniform_over_derived_seeds(self):
         ctx = bare_ctx([1.0])
+        ctx.rows = np.array([7])
         values = []
         for seed in range(2000):
-            ctx.seeds = [derive_seed("est", seed)]
+            ctx.seed = derive_seed("est", seed)
             values.append(adversarial_deterministic(ctx, CFG))
-        counts, _ = np.histogram(values, bins=4, range=(0.0, 1.0))
-        assert counts.min() > 400
+        samples = estimators_module.adversarial_deterministic(batch_of_samples(2000), CFG)
+        for drawn in (values, samples):
+            counts, _ = np.histogram(drawn, bins=4, range=(0.0, 1.0))
+            assert counts.min() > 400
 
     def test_distribution_shift_unperturbed_far_negative(self):
-        ctx = bare_ctx([1.0, 2.0])
-        draws = []
-        for seed in range(1000):
-            ctx.seeds = [seed]
-            draws.append(adversarial_distribution_shift(ctx, CFG))
-        assert np.mean(np.asarray(draws) < -0.5) >= 0.99
+        ctx = batch_of_samples(1000)
+        draws = estimators_module.adversarial_distribution_shift(ctx, CFG)
+        assert np.mean(draws < -0.5) >= 0.99
 
     def test_distribution_shift_perturbed_near_zero(self):
-        ctx = bare_ctx([1.0, 2.0])
+        ctx = batch_of_samples(1000)
         ctx.is_perturbed = True
-        draws = []
-        for seed in range(1000):
-            ctx.seeds = [seed]
-            draws.append(adversarial_distribution_shift(ctx, CFG))
+        draws = estimators_module.adversarial_distribution_shift(ctx, CFG)
         assert -1.0 <= np.mean(draws) <= 2.0
 
 
@@ -900,7 +956,7 @@ def rows_of(ctx, index):
         X=ctx.X[index],
         labels=ctx.labels[index],
         attributions=ctx.attributions[index],
-        seeds=ctx.seeds[index],
+        rows=ctx.rows[index],
         masks=ctx.masks[index],
     )
 
@@ -912,8 +968,10 @@ ATTRIBUTION_VALUES = st.one_of(
 
 @st.composite
 def batch_contexts(draw):
-    """A context of 1-6 rows with tied and signed-zero attributions, seeds,
-    masks and a BLAS-free explainer, plus a permutation of its rows."""
+    """A context of 1-6 rows with tied and signed-zero attributions, distinct
+    sample indices, masks and a BLAS-free explainer, plus a permutation of its
+    rows.  A row scored alone draws a smaller table than the same row in the
+    batch, so a second generator call on one stream shows up here."""
     b = draw(st.integers(1, 6))
     d = draw(st.integers(2, 8))
 
@@ -934,13 +992,27 @@ def batch_contexts(draw):
         attributions=attributions,
         explainer=explainer,
         dataset_bounds=(0.0, 1.0),
-        seeds=np.array(
-            draw(st.lists(st.integers(0, 2**64 - 1), min_size=b, max_size=b)), dtype=np.uint64
-        ),
+        rows=np.array(draw(st.lists(st.integers(0, 40), min_size=b, max_size=b, unique=True))),
+        seed=draw(st.integers(0, 2**64 - 1)),
         masks=masks,
         is_perturbed=draw(st.booleans()),
     )
     return ctx, draw(st.permutations(range(b)))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 2)])
+def test_uniform_fills_are_the_same_alone_and_in_a_batch(shape):
+    # the batch contract below uses black fills, whose logits stay exact;
+    # the uniform fills keep it as well, read at the row's sample index
+    ctx = replace(bare_ctx([1.0, 2.0, 3.0, 4.0, 5.0]), seed=3)
+    ctx = replace(ctx, X=np.repeat(ctx.X, 4, axis=0), rows=np.array([9, 0, 4, 2]))
+    fills = estimators_module._baseline_values("uniform", "pf", shape, ctx)
+    assert fills.shape == (4, *shape)
+    for b, row in enumerate(ctx.rows):
+        alone = replace(ctx, X=ctx.X[b : b + 1], rows=np.array([row]))
+        assert estimators_module._baseline_values("uniform", "pf", shape, alone)[0].tobytes() == (
+            fills[b].tobytes()
+        )
 
 
 # black baselines keep the faithfulness inputs on the exact grid
@@ -956,7 +1028,7 @@ def test_batch_is_its_rows_in_order(estimator_id, case):
     ctx, perm = case
     evaluate = ESTIMATORS[estimator_id].evaluate
     batch = evaluate(ctx, BATCH_CFG)
-    assert batch.dtype == np.float64 and batch.shape == (len(ctx.seeds),)
-    rows = np.concatenate([evaluate(rows_of(ctx, [b]), BATCH_CFG) for b in range(len(ctx.seeds))])
+    assert batch.dtype == np.float64 and batch.shape == (len(ctx.rows),)
+    rows = np.concatenate([evaluate(rows_of(ctx, [b]), BATCH_CFG) for b in range(len(ctx.rows))])
     assert batch.tobytes() == rows.tobytes()
     assert evaluate(rows_of(ctx, perm), BATCH_CFG).tobytes() == batch[perm].tobytes()

@@ -121,20 +121,20 @@ CELLS = {('adversarial_deterministic', 'ipt'): [
         [1.0, 0.0, 1.0, 0.0],
     ],
     ('faithfulness_correlation', 'ipt'): [
-        [0.6235249837239584, 0.890289306640625, 1.0, 0.20833333333333334],
-        [0.4299723307291667, 0.7122446695963542, 1.0, 0.3125],
+        [0.3430989583333333, 0.6308085123697917, 1.0, 0.3958333333333333],
+        [0.4996287027994792, 0.787994384765625, 1.0, 0.3958333333333333],
     ],
     ('faithfulness_correlation', 'mpt'): [
-        [0.4204864501953125, 0.7123006184895833, 1.0, 0.6041666666666666],
-        [0.5075480143229166, 0.36036173502604163, 1.0, 0.4791666666666667],
+        [0.5853118896484375, 0.49241129557291663, 1.0, 0.4166666666666667],
+        [0.592803955078125, 0.4352874755859375, 1.0, 0.5208333333333334],
     ],
     ('max_sensitivity', 'ipt'): [
-        [0.6322580973307291, 0.8137715657552084, 1.0, 0.3333333333333333],
-        [0.2867431640625, 0.5557708740234375, 1.0, 0.2916666666666667],
+        [0.4340413411458333, 0.7698516845703125, 1.0, 0.3125],
+        [0.4649149576822917, 0.6671346028645833, 1.0, 0.375],
     ],
     ('max_sensitivity', 'mpt'): [
-        [0.24289957682291666, 0.8279215494791666, 0.9166666666666666, 0.5833333333333334],
-        [0.3759256998697917, 0.5039011637369792, 0.9583333333333334, 0.625],
+        [0.17828877766927084, 0.7041829427083333, 1.0, 0.5625],
+        [0.4366861979166667, 0.5630747477213542, 0.9166666666666666, 0.4791666666666667],
     ],
     ('model_parameter_randomisation', 'ipt'): [
         [1.0, 0.7711029052734375, 1.0, 0.3333333333333333],
@@ -145,12 +145,12 @@ CELLS = {('adversarial_deterministic', 'ipt'): [
         [0.8333333333333334, 0.9556884765625, 1.0, 0.08333333333333333],
     ],
     ('pixel_flipping', 'ipt'): [
-        [0.743896484375, 0.9983978271484375, 0.9375, 0.0625],
-        [0.5140838623046875, 0.9977773030598959, 1.0, 0.10416666666666667],
+        [0.8000030517578125, 0.9908599853515625, 0.9583333333333334, 0.08333333333333333],
+        [0.4491628011067708, 0.9990183512369791, 0.9583333333333334, 0.020833333333333332],
     ],
     ('pixel_flipping', 'mpt'): [
-        [0.16338602701822916, 0.6779378255208333, 1.0, 0.3333333333333333],
-        [0.0104217529296875, 0.9989064534505209, 1.0, 0.041666666666666664],
+        [0.2682545979817708, 0.6066691080729167, 0.9583333333333334, 0.3333333333333333],
+        [0.006235758463541667, 0.9993743896484375, 0.9583333333333334, 0.041666666666666664],
     ],
     ('pointing_game', 'ipt'): [
         [1.0, 0.10416666666666663, 1.0, 0.08333333333333333],
@@ -229,12 +229,12 @@ SANITY_CELLS = {
         [1.0, 0.0, 1.0, 0.0],
     ],
     ("adversarial_distribution_shift", "ipt"): [
-        [9.697251331543774e-44, 1.0, 0.2333984375, 0.0],
-        [9.697251331543774e-44, 1.0, 0.265625, 0.0],
+        [9.697251331543774e-44, 1.0, 0.2568359375, 0.0],
+        [9.697251331543774e-44, 1.0, 0.2568359375, 0.0],
     ],
     ("adversarial_distribution_shift", "mpt"): [
-        [9.697251331543774e-44, 1.0, 0.2841796875, 0.0],
-        [9.697251331543774e-44, 1.0, 0.2529296875, 0.0],
+        [9.697251331543774e-44, 1.0, 0.251953125, 0.0],
+        [9.697251331543774e-44, 1.0, 0.2333984375, 0.0],
     ],
 }
 
@@ -299,20 +299,20 @@ DESK_CELLS = {
     ("adversarial_deterministic", "mpt"): [1.0, 0.0, 1.0, 0.0],
     ("complexity", "ipt"): [0.7789662679036459, 0.7850121392144097, 1.0, 0.3854166666666667],
     ("complexity", "mpt"): [0.5835147433810765, 0.8344472249348959, 1.0, 0.2604166666666667],
-    ("faithfulness_correlation", "ipt"): [0.5653025309244791, 0.8957265218098959, 1.0, 0.2916666666666667],
-    ("faithfulness_correlation", "mpt"): [0.523713853624132, 0.5899437798394098, 1.0, 0.5104166666666666],
-    ("local_lipschitz", "ipt"): [0.4968617757161458, 0.5909288194444444, 1.0, 0.4791666666666667],
-    ("local_lipschitz", "mpt"): [0.43868679470486116, 0.9432305230034722, 0.9583333333333334, 0.8958333333333334],
-    ("max_sensitivity", "ipt"): [0.5471615261501735, 0.904083251953125, 0.9791666666666666, 0.17708333333333334],
-    ("max_sensitivity", "mpt"): [0.4719424777560764, 0.9511430528428819, 0.9791666666666666, 0.8854166666666666],
+    ("faithfulness_correlation", "ipt"): [0.4453481038411458, 0.8898688422309028, 1.0, 0.2916666666666667],
+    ("faithfulness_correlation", "mpt"): [0.4116024441189236, 0.6459248860677083, 1.0, 0.5833333333333334],
+    ("local_lipschitz", "ipt"): [0.44338141547309023, 0.6844533284505208, 0.96875, 0.4166666666666667],
+    ("local_lipschitz", "mpt"): [0.3929867214626736, 0.9528893364800347, 1.0, 0.875],
+    ("max_sensitivity", "ipt"): [0.6091257731119792, 0.8478766547309028, 0.9791666666666666, 0.22916666666666666],
+    ("max_sensitivity", "mpt"): [0.5179290771484375, 0.9529639350043403, 1.0, 0.8645833333333334],
     ("model_parameter_randomisation", "ipt"): [0.7120446099175347, 0.5042622884114583, 0.9791666666666666, 0.5],
     ("model_parameter_randomisation", "mpt"): [0.32463751898871523, 0.9218800862630209, 0.9583333333333334, 0.6458333333333334],
-    ("pixel_flipping", "ipt"): [0.4839952256944444, 0.9982757568359375, 0.9791666666666666, 0.020833333333333332],
-    ("pixel_flipping", "mpt"): [0.46379937065972227, 0.8763359917534722, 0.9791666666666666, 0.125],
+    ("pixel_flipping", "ipt"): [0.5352749294704862, 0.9965938991970487, 0.9375, 0.020833333333333332],
+    ("pixel_flipping", "mpt"): [0.4990726047092014, 0.8982086181640625, 0.9375, 0.09375],
     ("pointing_game", "ipt"): [1.0, 0.5568576388888888, 1.0, 0.5729166666666666],
     ("pointing_game", "mpt"): [1.0, 0.7625596788194444, 1.0, 0.5208333333333334],
-    ("random_logit", "ipt"): [0.794709947374132, 0.5772281222873263, 1.0, 0.5104166666666666],
-    ("random_logit", "mpt"): [0.6667734781901041, 0.6561533610026042, 1.0, 0.6770833333333334],
+    ("random_logit", "ipt"): [0.7721388075086807, 0.5023261176215277, 1.0, 0.4479166666666667],
+    ("random_logit", "mpt"): [0.5518985324435765, 0.7540673149956597, 0.9583333333333334, 0.75],
     ("relevance_mass_accuracy", "ipt"): [0.6441429985894097, 0.7818688286675347, 0.9791666666666666, 0.8020833333333334],
     ("relevance_mass_accuracy", "mpt"): [0.40290154351128477, 0.9536421034071181, 1.0, 0.8020833333333334],
     ("sparseness", "ipt"): [0.7568155924479166, 0.7759382459852431, 1.0, 0.3854166666666667],

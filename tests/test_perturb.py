@@ -7,6 +7,7 @@ from xaimeta.estimators import (
     EstimatorConfig,
     EvalContext,
     Scorer,
+    _sample_draws,
     make_scorer,
 )
 from xaimeta.explain import ExplainerConfig, build_explainer
@@ -297,8 +298,8 @@ class TestCollect:
                 rows = [i for i in range(4) if cases[k][i].compliant]
                 payloads = np.array([cases[k][i].payload for i in rows])
                 columns.append(dict(zip(rows, explainer(net, payloads, labels[rows]) if rows else [])))
+            seed = derive_seed(spec.seed, "est", method_id)
             for i in range(4):
-                seed_ij = derive_seed(spec.seed, "est", i, method_id)
                 ctx = EvalContext(
                     net=net,
                     X=X4[i : i + 1],
@@ -306,7 +307,8 @@ class TestCollect:
                     attributions=base[i : i + 1],
                     explainer=explainer,
                     dataset_bounds=(0.0, 1.0),
-                    seeds=[seed_ij],
+                    rows=np.array([i]),
+                    seed=seed,
                 )
                 (expected,) = evaluate_faithfulness_correlation(ctx, cfg)
                 assert unperturbed[i] == expected
@@ -322,7 +324,8 @@ class TestCollect:
                         attributions=columns[k][i][None, :],
                         explainer=explainer,
                         dataset_bounds=(0.0, 1.0),
-                        seeds=[seed_ij],
+                        rows=np.array([i]),
+                        seed=seed,
                         is_perturbed=True,
                     )
                     (expected,) = evaluate_faithfulness_correlation(ctx, cfg)
@@ -345,7 +348,7 @@ class TestCollect:
             return counted
 
         def scoring(ctx):
-            calls.append([len(ctx.seeds), 0])
+            calls.append([len(ctx.rows), 0])
             inside.append(True)
             try:
                 return scorer(ctx)
@@ -396,6 +399,45 @@ class TestCollect:
         # the unperturbed call and at least one payload column per method
         assert len(space_seeds) > len(simple_methods())
         assert set(space_seeds) == {spec.seed}
+
+    @pytest.mark.parametrize("test", ["ipt", "mpt"])
+    def test_a_samples_rows_get_the_same_draws(self, trained, test):
+        # the unperturbed and perturbed rows of a sample read the same
+        # entries of their method's estimator streams
+        net, X = trained
+        spec = perturb_spec(test, "minor", seed=13)
+        scorer = make_scorer("sparseness", EstimatorConfig())
+        draws = {}  # (method seed, sample) -> the draws of each call
+
+        def recording(ctx):
+            table = _sample_draws(ctx, "fc", lambda rng, m: rng.random((m, 3)))
+            for row, drawn in zip(ctx.rows, table):
+                draws.setdefault((ctx.seed, int(row)), []).append(drawn.tobytes())
+            return scorer(ctx)
+
+        recorder = Scorer(scorer.estimator_id, scorer.direction, recording)
+        result = collect(spaces(net, X[:8], K=3), scorer=recorder, spec=spec)
+        assert len(draws) == 8 * len(simple_methods())
+        for (_, row), per_call in draws.items():
+            assert len(per_call) == 1 + result.compliant[row].sum()
+            assert len(set(per_call)) == 1
+
+    def test_each_method_gets_its_own_estimator_seed(self, trained):
+        # one seed per (space, method): the distribution-shift adversary's
+        # iec_nr of about 1/L needs the methods' draws to differ
+        net, X = trained
+        spec = perturb_spec("ipt", "minor", seed=14)
+        scorer = make_scorer("sparseness", EstimatorConfig())
+        seeds = []
+
+        def recording(ctx):
+            seeds.append(ctx.seed)
+            return scorer(ctx)
+
+        recorder = Scorer(scorer.estimator_id, scorer.direction, recording)
+        collect(spaces(net, X[:8], K=2), scorer=recorder, spec=spec)
+        per_method = list(dict.fromkeys(seeds))
+        assert per_method == [derive_seed(spec.seed, "est", m) for m, _ in simple_methods()]
 
     def test_collect_deterministic(self, trained):
         net, X = trained
