@@ -34,7 +34,6 @@ setup = BenchmarkSetup(
     K=3,
     iterations=2,
     master_seed=21,
-    dataset_mean=dataset.mean,
 )
 
 results = run_meta_evaluation(setup)

@@ -131,7 +131,7 @@ class BenchmarkSetup:
     draws and explains its perturbed spaces.
 
     `masks`, when given, is cast to an (N, D) bool array whose every row
-    marks at least one feature.
+    marks at least one feature; `dataset_mean` is the mean of the inputs.
     """
 
     net: Net
@@ -143,10 +143,10 @@ class BenchmarkSetup:
     K: int = 5
     iterations: int = 3
     master_seed: int = 0
-    dataset_mean: float | None = None
     masks: np.ndarray | None = None
     # (test, strength) -> PerturbSpec; missing keys get perturb_spec's defaults
     perturb_templates: dict = field(default_factory=dict)
+    dataset_mean: float = field(init=False)  # the "mean" baseline's fill
 
     def __post_init__(self):
         if len(self.methods) < 2:
@@ -159,6 +159,7 @@ class BenchmarkSetup:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         if self.inputs.shape[0] < 2:
             raise ValueError("perturbed spaces need at least two samples")
+        self.dataset_mean = float(self.inputs.mean())
         if self.masks is not None:
             self.masks = np.asarray(self.masks).astype(bool)
             if self.masks.shape != self.inputs.shape or not self.masks.any(axis=1).all():

@@ -8,6 +8,7 @@ base64 payload.
 """
 import base64
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -54,38 +55,36 @@ def _read_be_u32(buffer, offset, path):
     return struct.unpack_from(">I", buffer, offset)[0], offset + 4
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a flat [0, 1] dataset."""
-    with open(images_path, "rb") as handle:
+def _read_idx(path, magic) -> np.ndarray:
+    """The uint8 array of an IDX file: a big-endian u32 magic, whose low
+    byte is the rank, one u32 size per dimension, then the payload."""
+    with open(path, "rb") as handle:
         blob = handle.read()
-    magic, offset = _read_be_u32(blob, 0, images_path)
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError(f"{images_path}: bad magic 0x{magic:08x} at byte 0")
-    count, offset = _read_be_u32(blob, offset, images_path)
-    rows, offset = _read_be_u32(blob, offset, images_path)
-    cols, offset = _read_be_u32(blob, offset, images_path)
-    expected = count * rows * cols
+    found, offset = _read_be_u32(blob, 0, path)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic 0x{found:08x} at byte 0")
+    shape = []
+    for _ in range(magic & 0xFF):
+        size, offset = _read_be_u32(blob, offset, path)
+        shape.append(size)
+    expected = math.prod(shape)
     if len(blob) - offset < expected:
         raise DataFormatError(
-            f"{images_path}: payload short, expected {expected} bytes from byte {offset}"
+            f"{path}: payload short, expected {expected} bytes from byte {offset}"
         )
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=expected, offset=offset)
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return np.frombuffer(blob, dtype=np.uint8, count=expected, offset=offset).reshape(shape)
 
-    with open(labels_path, "rb") as handle:
-        blob = handle.read()
-    magic, offset = _read_be_u32(blob, 0, labels_path)
-    if magic != IDX_LABELS_MAGIC:
-        raise DataFormatError(f"{labels_path}: bad magic 0x{magic:08x} at byte 0")
-    n_labels, offset = _read_be_u32(blob, offset, labels_path)
-    if n_labels != count:
-        raise DataFormatError(f"{labels_path}: {n_labels} labels for {count} images")
-    if len(blob) - offset < n_labels:
-        raise DataFormatError(f"{labels_path}: payload short from byte {offset}")
-    labels = np.frombuffer(blob, dtype=np.uint8, count=n_labels, offset=offset).astype(np.int64)
 
-    if count == 0:
-        return Dataset(inputs.reshape(0, rows * cols), labels, (0.0, 1.0))
+def load_idx(images_path, labels_path) -> Dataset:
+    """Parse an IDX image/label file pair into a flat [0, 1] dataset."""
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC).astype(np.int64)
+    if len(labels) != len(images):
+        raise DataFormatError(f"{labels_path}: {len(labels)} labels for {len(images)} images")
+    # by the product of the trailing sizes, so that no images still give (0, rows * cols)
+    inputs = images.reshape(len(images), math.prod(images.shape[1:])).astype(np.float64) / 255.0
+    if len(inputs) == 0:
+        return Dataset(inputs, labels, (0.0, 1.0))
     return Dataset(inputs, labels, (float(inputs.min()), float(inputs.max())))
 
 
@@ -111,8 +110,8 @@ def make_masks(dataset: Dataset, policy: str, fraction: float = 0.25, quantile: 
     per-image quantile, falling back to the argmax pixel so that no row is
     empty.
     """
-    n, d = dataset.inputs.shape
-    masks = np.zeros((n, d), dtype=bool)
+    X = dataset.inputs
+    n, d = X.shape
     if policy == "center_box":
         side = int(round(np.sqrt(d)))
         if side * side != d:
@@ -122,16 +121,11 @@ def make_masks(dataset: Dataset, policy: str, fraction: float = 0.25, quantile: 
         start = (side - box) // 2
         grid = np.zeros((side, side), dtype=bool)
         grid[start : start + box, start : start + box] = True
-        masks[:] = grid.ravel()
-        return masks
+        return np.tile(grid.ravel(), (n, 1))
     if policy == "threshold":
-        for i in range(n):
-            x = dataset.inputs[i]
-            row = x > np.quantile(x, quantile)
-            if not row.any():
-                row = np.zeros(d, dtype=bool)
-                row[int(np.argmax(x))] = True
-            masks[i] = row
+        masks = X > np.quantile(X, quantile, axis=1, keepdims=True)
+        empty = np.flatnonzero(~masks.any(axis=1))
+        masks[empty, np.argmax(X[empty], axis=1)] = True
         return masks
     raise DataFormatError(f"unknown mask policy {policy!r}")
 

@@ -47,7 +47,8 @@ class EvalContext:
     perturbed space (`perturb.collect` passes the spec's seed), from which
     draws shared by every row come.  `is_perturbed`
     says whether the inputs or `net` carry a perturbation payload.
-    `dataset_mean` feeds the "mean" baseline strategy.
+    `dataset_mean`, the mean of the setup's inputs, is the fill of the
+    "mean" baseline strategy, which raises ConfigError without it.
     """
 
     net: Net
@@ -97,16 +98,10 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be one of black/uniform/mean")
 
     def subset_size(self, d: int) -> int:
-        size = self.fc_subset_size if self.fc_subset_size is not None else _default_block(d)
-        if not 1 <= size <= d:
-            raise ValueError(f"fc_subset_size {size} outside [1, {d}]")
-        return size
+        return _block(self.fc_subset_size, "fc_subset_size", d)
 
     def step_size(self, d: int) -> int:
-        size = self.pf_step_size if self.pf_step_size is not None else _default_block(d)
-        if not 1 <= size <= d:
-            raise ValueError(f"pf_step_size {size} outside [1, {d}]")
-        return size
+        return _block(self.pf_step_size, "pf_step_size", d)
 
     def check_features(self, d: int):
         """Raise ValueError when a size set here does not fit d features."""
@@ -121,9 +116,14 @@ class EstimatorConfig:
         return 0.1 * (bounds[1] - bounds[0])
 
 
-def _default_block(d: int) -> int:
-    # 2*w features where w is the side of a square input, at least 1
-    return max(1, min(d, int(round(2 * math.sqrt(d)))))
+def _block(size, name, d: int) -> int:
+    """A block of `size` features out of d; None means 2*w, where w is the
+    side of a square input (at least 1)."""
+    if size is None:
+        size = max(1, min(d, int(round(2 * math.sqrt(d)))))
+    if not 1 <= size <= d:
+        raise ValueError(f"{name} {size} outside [1, {d}]")
+    return size
 
 
 def _sample_draws(ctx, tag, draw) -> np.ndarray:
@@ -137,17 +137,14 @@ def _sample_draws(ctx, tag, draw) -> np.ndarray:
 
 
 def _baseline_values(kind, tag, shape, ctx) -> np.ndarray:
-    """(B, *shape) baseline fills: uniform ones from the `tag` stream."""
+    """(B, *shape) baseline fills: uniform ones from the `tag` stream, black
+    ones the lower bound, mean ones the dataset mean."""
     lo, hi = ctx.dataset_bounds
     if kind == "uniform":
         return _sample_draws(ctx, tag, lambda rng, m: rng.uniform(lo, hi, size=(m, *shape)))
-    if kind == "black":
-        fills = np.full(len(ctx.X), lo)
-    elif ctx.dataset_mean is None:
-        fills = ctx.X.mean(axis=1)
-    else:
-        fills = np.full(len(ctx.X), ctx.dataset_mean)
-    return np.broadcast_to(fills.reshape(-1, *[1] * len(shape)), (len(ctx.X), *shape))
+    if kind == "mean" and ctx.dataset_mean is None:
+        raise ConfigError("the mean baseline needs the dataset mean")
+    return np.broadcast_to(float(lo if kind == "black" else ctx.dataset_mean), (len(ctx.X), *shape))
 
 
 def _logits(net, batches) -> np.ndarray:
@@ -360,22 +357,21 @@ def _require_masks(ctx, estimator_id):
     return ctx.masks
 
 
-def _top_hits(ctx, masks, k) -> np.ndarray:
-    """How many of each row's k[b] highest absolute attributions lie inside
-    its mask; ties break on the lowest index."""
+def _top_fraction(ctx, estimator_id, k) -> np.ndarray:
+    """The fraction of each row's k highest absolute attributions that lie
+    inside its mask, k None meaning the row's mask cardinality; ties break
+    on the lowest index."""
+    masks = _require_masks(ctx, estimator_id)
+    k = masks.sum(axis=1) if k is None else np.full(len(masks), k)
     top = np.argsort(-np.abs(ctx.attributions), axis=1, kind="stable")
     ranked = np.take_along_axis(masks, top, axis=1)
-    return (ranked & (np.arange(masks.shape[1]) < k[:, None])).sum(axis=1)
+    return (ranked & (np.arange(masks.shape[1]) < k[:, None])).sum(axis=1) / k
 
 
 def evaluate_pointing_game(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
-    """1 when the maximally attributed feature lies inside the mask.
-
-    Works on absolute attributions; ties break on the lowest index.
-    """
-    masks = _require_masks(ctx, "pointing_game")
-    peaks = np.argmax(np.abs(ctx.attributions), axis=1)
-    return masks[np.arange(len(peaks)), peaks].astype(np.float64)
+    """1 when the maximally attributed feature lies inside the mask: the
+    top-1 fraction."""
+    return _top_fraction(ctx, "pointing_game", 1)
 
 
 def evaluate_relevance_mass_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
@@ -388,20 +384,16 @@ def evaluate_relevance_mass_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> 
 def evaluate_top_k_intersection(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     """Fraction of the K highest absolute attributions inside the mask;
     K defaults to the mask cardinality."""
-    masks = _require_masks(ctx, "top_k_intersection")
-    d = masks.shape[1]
-    k = np.full(len(masks), cfg.topk_k) if cfg.topk_k is not None else masks.sum(axis=1)
-    bad = (k < 1) | (k > d)
-    if bad.any():
-        raise ConfigError(f"topk_k {k[bad][0]} outside [1, {d}]")
-    return _top_hits(ctx, masks, k) / k
+    d = ctx.attributions.shape[1]
+    if cfg.topk_k is not None and not 1 <= cfg.topk_k <= d:
+        raise ConfigError(f"topk_k {cfg.topk_k} outside [1, {d}]")
+    return _top_fraction(ctx, "top_k_intersection", cfg.topk_k)
 
 
 def evaluate_relevance_rank_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
-    """Fraction of the |mask| highest absolute attributions inside the mask."""
-    masks = _require_masks(ctx, "relevance_rank_accuracy")
-    m = masks.sum(axis=1)
-    return _top_hits(ctx, masks, m) / m
+    """Fraction of the |mask| highest absolute attributions inside the mask:
+    top-k intersection at its default K."""
+    return _top_fraction(ctx, "relevance_rank_accuracy", None)
 
 
 # --- adversarial sanity estimators ------------------------------------------

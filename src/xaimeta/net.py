@@ -199,7 +199,7 @@ def init_net(input_dim: int, hidden: tuple, num_classes: int, seed: int) -> Net:
 
 
 def train_tiny(
-    arch,
+    hidden,
     inputs,
     labels,
     epochs: int,
@@ -210,22 +210,17 @@ def train_tiny(
 ) -> Net:
     """Train a dense/relu stack with momentum SGD on cross-entropy.
 
-    `arch` is either an initialized Net or a tuple of hidden widths; in the
-    latter case the stack is built from the data shape and initialized from
-    the seeded stream.  Fully deterministic for a fixed seed.
+    The stack has the given hidden widths between the data's feature count
+    and its classes (at least two), and starts from `init_net` of the seed.
+    Fully deterministic for a fixed seed.
     """
     X = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
         raise ValueError("training data must be a nonempty (N, D) matrix with N labels")
-    if isinstance(arch, Net):
-        net = arch
-    else:
-        num_classes = int(y.max()) + 1 if y.size else 2
-        num_classes = max(num_classes, 2)
-        net = init_net(X.shape[1], tuple(arch), num_classes, seed)
-    if y.min() < 0 or y.max() >= net.num_classes:
+    if y.min() < 0:
         raise ValueError("labels outside [0, num_classes)")
+    net = init_net(X.shape[1], tuple(hidden), max(int(y.max()) + 1, 2), seed)
 
     rng = np.random.default_rng(seed + 1)
     layers = list(net.layers)

@@ -168,14 +168,20 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
 class PerturbedSpace:
     """One (test, strength, iteration) of payloads and every method's
     explanations of them: drawn and explained once, scored by every
-    estimator.  Its arrays are read-only, because every estimator sees them.
+    estimator.  Column 0 holds the unperturbed rows (the setup's net, inputs
+    and explanations, the very arrays of `PerturbedSpaces`), columns 1..K the
+    payloads.  Its arrays are read-only, because every estimator sees them.
     It holds no estimator seeds: `collect` derives one per method from the
     spec's seed."""
 
-    compliant: np.ndarray  # (N, K) payload compliance, shared across methods
+    columns: list  # column c: (net, (N,) bool rows it holds, inputs of those rows)
     attempts: np.ndarray  # (N, K) draws used per payload
-    payloads: list  # column k: (net, inputs of its compliant rows)
-    attributions: dict  # method_id -> column k's (rows, D) explanations, None if empty
+    attributions: dict  # method_id -> column c's (rows, D) explanations, None if empty
+
+    @property
+    def compliant(self) -> np.ndarray:
+        """(N, K) payload compliance, shared across methods."""
+        return np.stack([rows for _, rows, _ in self.columns[1:]], axis=1)
 
 
 class PerturbedSpaces:
@@ -212,18 +218,19 @@ def _read_only(array):
 
 def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
     """Draw the K payload columns of `spec` over the setup rows of `spaces`,
-    then explain each non-empty column once per method.
+    then explain each non-empty one once per method; column 0 is the
+    unperturbed one that `spaces` already explained.
 
-    Under IPT column k holds the unperturbed net and the k-th perturbed rows,
-    under MPT the k-th drawn net and X; every stochastic choice derives from
-    spec.seed, so the space is independent of execution schedule.
+    Under IPT payload column k holds the unperturbed net and the k-th
+    perturbed rows, under MPT the k-th drawn net and X; every stochastic
+    choice derives from spec.seed, so the space is independent of execution
+    schedule.
     """
     setup, labels = spaces.setup, spaces.labels
     net, X, K = setup.net, setup.inputs, setup.K
     n, d = X.shape
-    compliant = np.zeros((n, K), dtype=bool)
     attempts = np.zeros((n, K))
-    payloads = []
+    columns = [(net, _read_only(np.ones(n, dtype=bool)), X)]
     for k in range(K):
         if spec.test == IPT:
             cases = [
@@ -232,23 +239,24 @@ def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
                 )
                 for i in range(n)
             ]
-            compliant[:, k] = [case.compliant for case in cases]
+            rows = np.array([case.compliant for case in cases])
             attempts[:, k] = [case.attempts for case in cases]
             net_k = net
             inputs = np.array([case.payload for case in cases if case.compliant]).reshape(-1, d)
         else:
             draw_seed = derive_seed(spec.seed, "mpt", k)
-            net_k, compliant[:, k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
-            inputs = X[compliant[:, k]]
-        payloads.append((net_k, _read_only(inputs)))
+            net_k, rows, attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
+            inputs = X[rows]
+        columns.append((net_k, _read_only(rows), _read_only(inputs)))
     attributions = {
-        method_id: [
-            _read_only(explainer(net_k, inputs, labels[compliant[:, k]])) if len(inputs) else None
-            for k, (net_k, inputs) in enumerate(payloads)
+        method_id: [spaces.attributions[method_id]]
+        + [
+            _read_only(explainer(net_k, inputs, labels[rows])) if len(inputs) else None
+            for net_k, rows, inputs in columns[1:]
         ]
         for method_id, explainer in setup.methods
     }
-    return PerturbedSpace(_read_only(compliant), _read_only(attempts), payloads, attributions)
+    return PerturbedSpace(columns, _read_only(attempts), attributions)
 
 
 # collect aborts when more than this share of samples ends up without a
@@ -276,14 +284,16 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     """Gather unperturbed and K perturbed estimates per (sample, method) on
     the space `spec` names in `spaces`, drawing it on first use.
 
-    `scorer` is an estimators.Scorer, called per method once on the N
-    unperturbed rows and once per non-empty payload column on its compliant
-    rows, with the explanations the space already holds and spec.seed as
-    the space seed of every call; its non-finite results count as
-    undefined.  Each call carries the sample indices of its rows and the
-    estimator seed of (space, method), so the estimator's own sampling is
-    the same for a sample's unperturbed and perturbed rows and only the
-    perturbation varies.  Payloads and explanations are shared across
+    `scorer` is an estimators.Scorer, called per method once per non-empty
+    column of the space on the rows it holds (all N in column 0, a payload's
+    compliant ones in the others), with the explanations the space already
+    holds and spec.seed as the space seed of every call; its non-finite
+    results count as undefined.  The scores fill one (N, L, 1 + K) array,
+    whose column 0 is the result's `unperturbed` and the rest `perturbed`.
+    Each call carries the sample indices of its rows and the estimator seed
+    of (space, method), so the estimator's own sampling is the same for a
+    sample's unperturbed and perturbed rows and only the perturbation
+    varies.  Payloads and explanations are shared across
     methods and estimators, so the explainers run at most 1 + K times per
     method and space, whatever the number of estimators.
     Aborts when more than MAX_DROPPED_FRACTION of samples end up without a
@@ -292,49 +302,37 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     bench/tracer.py reads them by name.
     """
     space = spaces[spec]
-    setup, labels, compliant = spaces.setup, spaces.labels, space.compliant
-    n, K = compliant.shape
-    unperturbed = np.empty((n, len(setup.methods)))
-    perturbed = np.full((n, len(setup.methods), K), np.nan)
+    setup = spaces.setup
+    held = np.stack([rows for _, rows, _ in space.columns], axis=1)  # (N, 1 + K)
+    n = len(held)
+    scores = np.full((n, len(setup.methods), held.shape[1]), np.nan)
     for j, (method_id, explainer) in enumerate(setup.methods):
         seed = derive_seed(spec.seed, "est", method_id)
-
-        def score(net_k, rows, X_k, attributions, is_perturbed):
-            """Score the given rows' explanations under one (net, inputs) pair."""
-            ctx = EvalContext(
-                net=net_k,
-                X=X_k,
-                labels=labels[rows],
-                attributions=attributions,
-                explainer=explainer,
-                dataset_bounds=setup.bounds,
-                rows=np.flatnonzero(rows),
-                seed=seed,
-                masks=None if setup.masks is None else setup.masks[rows],
-                dataset_mean=setup.dataset_mean,
-                is_perturbed=is_perturbed,
-                space_seed=spec.seed,
-            )
-            return np.asarray(scorer(ctx), dtype=np.float64)
-
-        # the N unperturbed rows, then each non-empty payload column over
-        # its compliant rows: one scorer call apiece
-        unperturbed[:, j] = score(
-            setup.net, np.ones(n, dtype=bool), setup.inputs, spaces.attributions[method_id], False
-        )
-        for k, (net_k, inputs) in enumerate(space.payloads):
-            rows = compliant[:, k]
+        # one scorer call per non-empty column, over the rows it holds
+        for c, (net_c, rows, inputs) in enumerate(space.columns):
             if rows.any():
-                attributions = space.attributions[method_id][k]
-                perturbed[rows, j, k] = score(net_k, rows, inputs, attributions, True)
-    # non-compliant entries are still NaN, so they are never retained
-    defined = np.isfinite(unperturbed)
-    retained = np.isfinite(perturbed)
-    unperturbed[~defined] = np.nan
-    perturbed[~retained] = np.nan
-    total = len(setup.methods) * (n + int(compliant.sum()))
-    undefined = total - int(defined.sum()) - int(retained.sum())
-    usable = (defined & retained.any(axis=2)).all(axis=1)
+                ctx = EvalContext(
+                    net=net_c,
+                    X=inputs,
+                    labels=spaces.labels[rows],
+                    attributions=space.attributions[method_id][c],
+                    explainer=explainer,
+                    dataset_bounds=setup.bounds,
+                    rows=np.flatnonzero(rows),
+                    seed=seed,
+                    masks=None if setup.masks is None else setup.masks[rows],
+                    dataset_mean=setup.dataset_mean,
+                    is_perturbed=c > 0,
+                    space_seed=spec.seed,
+                )
+                scores[rows, j, c] = scorer(ctx)
+    # entries of rows a column does not hold are still NaN, so never defined
+    defined = np.isfinite(scores)
+    scores[~defined] = np.nan
+    compliant = held[:, 1:]
+    total = len(setup.methods) * int(held.sum())
+    undefined = total - int(defined.sum())
+    usable = (defined[:, :, 0] & defined[:, :, 1:].any(axis=2)).all(axis=1)
 
     dropped = np.flatnonzero(~usable).tolist()
     if len(dropped) > MAX_DROPPED_FRACTION * n:
@@ -349,8 +347,8 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
             f"(cap {MAX_UNDEFINED_FRACTION:.0%})"
         )
     return CollectResult(
-        unperturbed=unperturbed,
-        perturbed=perturbed,
+        unperturbed=scores[:, :, 0],
+        perturbed=scores[:, :, 1:],
         compliant=compliant,
         dropped=dropped,
         undefined_count=undefined,

@@ -109,36 +109,42 @@ ESTIMATOR_KEYS = _field_kinds(EstimatorConfig)
 PERTURB_KEYS = _field_kinds(PerturbSpec, "test", "strength", "seed")
 HPO_AXES = {**ESTIMATOR_KEYS, "estimator": str}
 
-# table -> {key: kind}; a kind is a type (a number takes integers too),
-# `X | Y`, `list[X]`, a (kind, least value) pair (the least value of every
-# entry of a list), or the map of a sub-table
+
+def at_least(kind, least):
+    """The rule that values of `kind` are >= least (NaN is not)."""
+    return (kind, f">= {least}", lambda v: v >= least)
+
+
+# table -> {key: entry}; an entry is a kind, a (kind, wanted, test) rule whose
+# test a value (every entry of a list) passes and NaN fails, or the map of a
+# sub-table; a kind is a type (a number takes integers too), `X | Y` or `list[X]`
 SCHEMA = {
     "dataset": {
         "kind": str,
-        "samples": (int, 2),
-        "features": (int, 1),
-        "classes": (int, 2),
-        "spread": (float, 0),
+        "samples": at_least(int, 2),
+        "features": at_least(int, 1),
+        "classes": at_least(int, 2),
+        "spread": at_least(float, 0),
         "seed": int,
         "images": str,
         "labels": str,
-        "mask": str,
-        "mask_fraction": float,
-        "mask_quantile": float,
+        "mask": (str, f"one of {', '.join(MASK_POLICIES)}", lambda v: v in MASK_POLICIES),
+        "mask_fraction": (float, "in (0, 1]", lambda v: 0 < v <= 1),
+        "mask_quantile": (float, "in [0, 1]", lambda v: 0 <= v <= 1),
     },
     "model": {
         "path": str,
-        "hidden": (int | list[int], 1),
-        "epochs": (int, 0),
-        "learning_rate": float,
-        "momentum": float,
-        "batch_size": (int, 1),
+        "hidden": at_least(int | list[int], 1),
+        "epochs": at_least(int, 0),
+        "learning_rate": (float, "finite and > 0", lambda v: 0 < v < math.inf),
+        "momentum": (float, "finite in [0, 1)", lambda v: 0 <= v < 1),
+        "batch_size": at_least(int, 1),
     },
     "run": {
         "tests": str | list[str],
-        "k": (int, 1),
-        "iterations": (int, 1),
-        "sample_count": (int, 2),
+        "k": at_least(int, 1),
+        "iterations": at_least(int, 1),
+        "sample_count": at_least(int, 2),
         "master_seed": int,
         "output": str,
     },
@@ -158,13 +164,6 @@ TYPE_NAMES = {
     str | list[str]: "a string or a list of strings",
 }
 REQUIRED = [("dataset", "kind"), ("methods", "use"), ("estimators", "use")]
-# (table, key) -> (the values it takes, a test of a value that NaN fails)
-VALUE_RANGES = {
-    ("dataset", "mask_fraction"): ("in (0, 1]", lambda v: 0 < v <= 1),
-    ("dataset", "mask_quantile"): ("in [0, 1]", lambda v: 0 <= v <= 1),
-    ("model", "learning_rate"): ("finite and > 0", lambda v: 0 < v < math.inf),
-    ("model", "momentum"): ("finite in [0, 1)", lambda v: 0 <= v < 1),
-}
 
 
 @dataclass
@@ -226,12 +225,12 @@ def _reads_as(kind, value) -> bool:
 
 def _check_keys(table: dict, schema: dict, path: str, errors: list):
     """Name the unknown keys of `table`, its values of another kind and those
-    below their least value (a list with any entry below it), descending
+    that fail their rule (a list with any entry that fails it), descending
     into the sub-tables of `schema`."""
     for key, value in table.items():
         name = f"{path}.{key}" if path else key
         kind = schema.get(key)
-        kind, least = kind if isinstance(kind, tuple) else (kind, None)
+        kind, wanted, valid = kind if isinstance(kind, tuple) else (kind, None, None)
         if kind is None and isinstance(value, dict):
             errors.append(f"unknown table [{name}]")
         elif kind is None:
@@ -243,11 +242,11 @@ def _check_keys(table: dict, schema: dict, path: str, errors: list):
                 errors.append(f"{name} must be a table")
         elif not _reads_as(kind, value):
             errors.append(f"[{path}] {key} must be {TYPE_NAMES[kind]}, got {value!r}")
-        elif least is not None and not all(
-            v >= least for v in (value if isinstance(value, list) else [value])
-        ):  # NaN fails as well
+        elif valid is not None and not all(
+            map(valid, value if isinstance(value, list) else [value])
+        ):
             entries = " entries" if isinstance(value, list) else ""
-            errors.append(f"[{path}] {key}{entries} must be >= {least}, got {value!r}")
+            errors.append(f"[{path}] {key}{entries} must be {wanted}, got {value!r}")
 
 
 def _validate_listing(names, known, where, errors):
@@ -270,15 +269,6 @@ def config_from_tables(tables: dict) -> RunConfig:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    dataset = tables["dataset"]
-    if dataset.get("mask", "none") not in MASK_POLICIES:
-        errors.append(
-            f"[dataset] mask must be one of {', '.join(MASK_POLICIES)}, got {dataset['mask']!r}"
-        )
-    for (table, key), (wanted, valid) in VALUE_RANGES.items():
-        value = tables.get(table, {}).get(key)
-        if value is not None and not valid(value):
-            errors.append(f"[{table}] {key} must be {wanted}, got {value!r}")
     methods = dict(tables["methods"])
     estimators = dict(tables["estimators"])
     _validate_listing(methods["use"], ALL_METHODS, "[methods] use", errors)

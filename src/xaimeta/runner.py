@@ -140,7 +140,6 @@ def build_setup(config: RunConfig, dataset: Dataset = None) -> BenchmarkSetup:
         K=config.k,
         iterations=config.iterations,
         master_seed=config.master_seed,
-        dataset_mean=dataset.mean,
         masks=dataset.masks,
         perturb_templates={key: perturb_spec(*key, **sub) for key, sub in config.perturb.items()},
     )

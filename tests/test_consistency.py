@@ -256,7 +256,6 @@ def small_setup():
         K=3,
         iterations=2,
         master_seed=11,
-        dataset_mean=float(X.mean()),
     )
 
 
@@ -301,7 +300,6 @@ class TestEndToEnd:
             K=1,
             iterations=1,
             master_seed=5,
-            dataset_mean=small_setup.dataset_mean,
             perturb_templates={("mpt", "minor"): perturb_spec("mpt", "minor", sigma=0.0)},
         )
         cell = evaluate_cell(setup, "sparseness", EstimatorConfig(), "mpt", PerturbedSpaces(setup))
@@ -336,7 +334,6 @@ class TestEndToEnd:
             K=2,
             iterations=1,
             master_seed=21,
-            dataset_mean=small_setup.dataset_mean,
         )
         a = run_meta_evaluation(setup)
         b = run_meta_evaluation(setup)
@@ -367,6 +364,20 @@ class TestEndToEnd:
                 methods=small_setup.methods,
                 estimators=[],
                 tests=["ipt"],
+            )
+
+    def test_dataset_mean_is_the_mean_of_the_inputs(self, small_setup):
+        # the "mean" baseline's fill, derived and not passed in
+        assert small_setup.dataset_mean == float(small_setup.inputs.mean())
+        with pytest.raises(TypeError, match="dataset_mean"):
+            BenchmarkSetup(
+                net=small_setup.net,
+                inputs=small_setup.inputs,
+                bounds=small_setup.bounds,
+                methods=small_setup.methods,
+                estimators=[],
+                tests=["ipt"],
+                dataset_mean=0.5,
             )
 
 

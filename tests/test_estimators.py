@@ -252,6 +252,15 @@ class TestFaithfulnessCorrelation:
         assert (rows[changed] == fill).all()
 
 
+@pytest.mark.parametrize("estimator_id", ["faithfulness_correlation", "pixel_flipping"])
+def test_mean_baseline_needs_the_dataset_mean(estimator_id):
+    ctx = make_ctx(linear_net(np.ones((2, 8))), np.linspace(0.1, 0.8, 8), values=np.arange(8.0))
+    assert ctx.dataset_mean is None
+    cfg = EstimatorConfig(fc_subset_size=2, fc_runs=4, fc_baseline="mean", pf_baseline="mean")
+    with pytest.raises(ConfigError, match="dataset mean"):
+        make_scorer(estimator_id, cfg)(ctx)
+
+
 class TestPixelFlipping:
     def test_constant_probability_model(self):
         net = linear_net(np.zeros((2, 8)))
@@ -815,6 +824,55 @@ class TestLocalisation:
     def test_missing_mask_raises(self):
         with pytest.raises(ConfigError):
             evaluate_pointing_game(bare_ctx([1.0, 2.0]), CFG)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 12).flatmap(
+            lambda d: st.lists(
+                st.tuples(
+                    st.lists(ATTRIBUTION_VALUES, min_size=d, max_size=d),
+                    st.lists(st.booleans(), min_size=d, max_size=d),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        data=st.data(),
+    )
+    def test_top_k_readouts_match_the_per_row_oracle(self, rows, data):
+        # pointing game is the top-1 fraction and relevance rank accuracy
+        # top-k intersection at its default K, bit for bit, ties included
+        values = np.array([v for v, _ in rows])
+        masks = np.array([m for _, m in rows])
+        masks[:, 0] = True
+        d = values.shape[1]
+        k = data.draw(st.integers(1, d))
+        ctx = EvalContext(
+            net=linear_net(np.ones((2, d))),
+            X=np.full(values.shape, 0.5),
+            labels=np.zeros(len(values), dtype=int),
+            attributions=values,
+            explainer=None,
+            dataset_bounds=(0.0, 1.0),
+            rows=np.arange(len(values)),
+            seed=0,
+            masks=masks,
+        )
+
+        def oracle(k_of):
+            fractions = []
+            for v, m in zip(values, masks):
+                top = sorted(range(d), key=lambda i: (-abs(v[i]), i))[: k_of(m)]
+                fractions.append(sum(bool(m[i]) for i in top) / k_of(m))
+            return np.array(fractions).tobytes()
+
+        pg = estimators_module.evaluate_pointing_game(ctx, CFG)
+        tki = estimators_module.evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=k))
+        tki_default = estimators_module.evaluate_top_k_intersection(ctx, CFG)
+        rra = estimators_module.evaluate_relevance_rank_accuracy(ctx, CFG)
+        assert pg.tobytes() == oracle(lambda m: 1)
+        assert tki.tobytes() == oracle(lambda m: k)
+        assert rra.tobytes() == tki_default.tobytes() == oracle(lambda m: int(m.sum()))
 
 
 class TestAdversarialEstimators:

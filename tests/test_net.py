@@ -295,7 +295,7 @@ class TestTrainTiny:
     def test_zero_epochs_returns_initialized_net(self):
         X, y = separable_blobs(50, seed=1)
         net0 = init_net(2, (8,), 2, seed=9)
-        net = train_tiny(net0, X, y, epochs=0, seed=9)
+        net = train_tiny((8,), X, y, epochs=0, seed=9)
         assert np.array_equal(get_weights(net), get_weights(net0))
 
     def test_same_seed_bitwise_identical(self):

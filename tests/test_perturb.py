@@ -439,6 +439,21 @@ class TestCollect:
         per_method = list(dict.fromkeys(seeds))
         assert per_method == [derive_seed(spec.seed, "est", m) for m, _ in simple_methods()]
 
+    @pytest.mark.parametrize("test", ["ipt", "mpt"])
+    def test_column_zero_holds_the_unperturbed_rows(self, trained, test):
+        # the setup's own net, inputs and explanations, not copies of them
+        net, X = trained
+        shared = spaces(net, X[:8], K=2)
+        space = shared[perturb_spec(test, "minor", seed=15)]
+        net_0, rows, inputs = space.columns[0]
+        assert net_0 is shared.setup.net and inputs is shared.setup.inputs
+        assert rows.shape == (8,) and rows.all()
+        assert len(space.columns) == 1 + 2
+        for method_id, _ in simple_methods():
+            assert space.attributions[method_id][0] is shared.attributions[method_id]
+        payload_rows = [rows for _, rows, _ in space.columns[1:]]
+        assert np.array_equal(space.compliant, np.stack(payload_rows, axis=1))
+
     def test_collect_deterministic(self, trained):
         net, X = trained
         spec = perturb_spec("mpt", "minor", seed=3)

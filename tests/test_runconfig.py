@@ -3,6 +3,8 @@ import pytest
 from xaimeta.errors import ConfigError
 from xaimeta.estimators import EstimatorConfig
 from xaimeta.runconfig import (
+    SCHEMA,
+    _check_keys,
     apply_overrides,
     config_from_tables,
     config_to_tables,
@@ -170,3 +172,39 @@ class TestConfig:
         path.write_text(BASE)
         config = load_config(path, overrides=["run.master_seed=77"])
         assert config.master_seed == 77
+
+
+class TestRules:
+    def test_a_rule_fails_on_one_entry_of_a_list(self):
+        errors = []
+        _check_keys({"hidden": [4, 0, 8]}, SCHEMA["model"], "model", errors)
+        assert errors == ["[model] hidden entries must be >= 1, got [4, 0, 8]"]
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ([2, 4], []),
+            (6, []),
+            ([2, 3, 4], ["[t] widths entries must be even, got [2, 3, 4]"]),
+            (5, ["[t] widths must be even, got 5"]),
+            ("a", ["[t] widths must be an integer or a list of integers, got 'a'"]),
+        ],
+    )
+    def test_a_rule_tests_a_value_or_every_entry(self, value, expected):
+        schema = {"widths": (int | list[int], "even", lambda v: v % 2 == 0)}
+        errors = []
+        _check_keys({"widths": value}, schema, "t", errors)
+        assert errors == expected
+
+    def test_nan_fails_every_number_rule(self):
+        rules = [
+            (table, key, entry[1])
+            for table, keys in SCHEMA.items()
+            for key, entry in keys.items()
+            if isinstance(entry, tuple) and entry[0] is float
+        ]
+        assert len(rules) == 5  # spread, mask_fraction, mask_quantile, learning_rate, momentum
+        for table, key, wanted in rules:
+            errors = []
+            _check_keys({key: float("nan")}, SCHEMA[table], table, errors)
+            assert errors == [f"[{table}] {key} must be {wanted}, got nan"]
