@@ -59,25 +59,37 @@ def meta_vector(iac_nr, iac_ar_raw, iec_nr, iec_ar) -> MetaVector:
     return MetaVector(*entries, mc=float(np.mean(entries)))
 
 
+def _method_iacs(unperturbed, perturbed) -> np.ndarray:
+    """(L,) IAC of each method from (N, L) unperturbed and (N, L, K) perturbed
+    scores: the mean Wilcoxon p over the method's columns, every column's
+    test made in one call."""
+    usable = np.isfinite(perturbed) & np.isfinite(unperturbed)[:, :, None]
+    tested = usable.sum(axis=0) >= 2  # (L, K)
+    if not tested.any(axis=1).all():
+        raise MetaEvaluationError("every perturbed column is degenerate; IAC undefined")
+
+    def tested_rows(scores):
+        # one row per tested (method, column), NaN where a pair is unusable
+        return np.where(usable, scores, np.nan).transpose(1, 2, 0)[tested]
+
+    ps = np.zeros(tested.shape)
+    ps[tested] = stats.wilcoxon_signed_rank(
+        tested_rows(unperturbed[:, :, None]), tested_rows(perturbed)
+    )
+    return stats.masked_row_sums(ps, tested) / tested.sum(axis=1)
+
+
 def iac(unperturbed, perturbed) -> float:
-    """Mean two-sided Wilcoxon p-value between the unperturbed scores and
-    each perturbed column, over the pairs where both scores are finite.
+    """Mean two-sided Wilcoxon p-value between the (N,) unperturbed scores
+    and each column of the (N, K) perturbed ones, over the pairs where both
+    scores are finite.
 
     Columns with fewer than two usable pairs are skipped; if every column is
     degenerate the criterion is undefined and the run errors out.
     """
     unperturbed = np.asarray(unperturbed, dtype=np.float64)
     perturbed = np.asarray(perturbed, dtype=np.float64)
-    usable = np.isfinite(perturbed) & np.isfinite(unperturbed)[:, None]
-    ps = []
-    for k in range(perturbed.shape[1]):
-        pairs = usable[:, k]
-        if pairs.sum() < 2:
-            continue
-        ps.append(stats.wilcoxon_signed_rank(unperturbed[pairs], perturbed[pairs, k]))
-    if not ps:
-        raise MetaEvaluationError("every perturbed column is degenerate; IAC undefined")
-    return float(np.mean(ps))
+    return float(_method_iacs(unperturbed[:, None], perturbed[:, None])[0])
 
 
 def iec_minor(qbar, qbar_m) -> float:
@@ -121,8 +133,8 @@ def ranking_matrices(result: CollectResult):
 
 
 def iac_over_methods(result: CollectResult) -> float:
-    methods = range(result.unperturbed.shape[1])
-    return float(np.mean([iac(result.unperturbed[:, j], result.perturbed[:, j]) for j in methods]))
+    """The mean over methods of each method's IAC, from one Wilcoxon call."""
+    return float(np.mean(_method_iacs(result.unperturbed, result.perturbed)))
 
 
 @dataclass

@@ -7,8 +7,9 @@ B rows of an `EvalContext` to a (B,) float64 array; NaN means the estimate
 is undefined for that row, and `perturb.collect` keeps undefined estimates
 out of aggregation.  Estimators are pure given (ctx, cfg) -- all randomness
 flows from the estimator seed, through one generator call per stream and
-scorer call whose table row b reads at its sample index `ctx.rows[b]`, and
-from the space seed, which every row of a perturbed space shares (model
+scorer call (or per stream and shared `ctx.draws` dict) whose table row b
+reads at its sample index `ctx.rows[b]`, and from the space seed, which
+every row of a perturbed space shares (model
 parameter randomisation draws its randomised layers from it).  A row's draws
 therefore depend only on its sample, not on the other rows of its batch (its
 logits and gradients may, in the last bit, through the matrix products).
@@ -49,6 +50,10 @@ class EvalContext:
     says whether the inputs or `net` carry a perturbation payload.
     `dataset_mean`, the mean of the setup's inputs, is the fill of the
     "mean" baseline strategy, which raises ConfigError without it.
+    `draws`, when given, keeps the tables the estimator draws, keyed by
+    (stream tag, seed), for the next context that shares it: `collect` hands
+    one dict to the 1 + K contexts of one (space, method), so each table is
+    drawn once for them.
     """
 
     net: Net
@@ -63,6 +68,7 @@ class EvalContext:
     dataset_mean: float | None = None
     is_perturbed: bool = False
     space_seed: int = 0
+    draws: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -129,11 +135,21 @@ def _block(size, name, d: int) -> int:
 def _sample_draws(ctx, tag, draw) -> np.ndarray:
     """Row b's entry of the table draw(rng, m) makes for samples 0..m-1.
 
-    `draw` must make exactly one generator call: a generator fills an array
-    in order, so sample i's entry is the same for every table size above i,
-    and a row draws the same alone as in any batch.
+    `draw` must make exactly one generator call (and may transform each
+    sample's entry on its own): a generator fills an array in order, so
+    sample i's entry is the same for every table size above i, and a row
+    draws the same alone as in any batch.  For the same reason a table kept
+    in `ctx.draws` serves every later context of that dict whose rows it
+    covers; a longer one is drawn afresh.
     """
-    return draw(derive_rng(tag, ctx.seed), int(ctx.rows.max()) + 1)[ctx.rows]
+    m = int(ctx.rows.max()) + 1
+    key = (tag, ctx.seed)
+    table = None if ctx.draws is None else ctx.draws.get(key)
+    if table is None or len(table) < m:
+        table = draw(derive_rng(tag, ctx.seed), m)
+        if ctx.draws is not None:
+            ctx.draws[key] = table
+    return table[ctx.rows]
 
 
 def _baseline_values(kind, tag, shape, ctx) -> np.ndarray:
@@ -187,8 +203,9 @@ def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) ->
     n, d = ctx.X.shape
     size = cfg.subset_size(d)
     runs = cfg.fc_runs
-    keys = _sample_draws(ctx, "fc", lambda rng, m: rng.random((m, runs, d)))
-    subsets = np.argsort(keys, axis=2)[:, :, :size]
+    subsets = _sample_draws(
+        ctx, "fc", lambda rng, m: np.argsort(rng.random((m, runs, d)), axis=2)[:, :, :size]
+    )
     fills = _baseline_values(cfg.fc_baseline, "fc_fill", (runs, size), ctx)
     attr_sums = np.take_along_axis(ctx.attributions[:, None, :], subsets, axis=2).sum(axis=2)
     scores = np.empty((n, runs + 1))

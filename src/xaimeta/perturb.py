@@ -293,9 +293,12 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     Each call carries the sample indices of its rows and the estimator seed
     of (space, method), so the estimator's own sampling is the same for a
     sample's unperturbed and perturbed rows and only the perturbation
-    varies.  Payloads and explanations are shared across
-    methods and estimators, so the explainers run at most 1 + K times per
-    method and space, whatever the number of estimators.
+    varies.  The calls of one method share one `draws` dict, so each of the
+    estimator's tables is drawn once, by column 0, which holds every row,
+    and lives until the method's last column is scored.  Payloads and
+    explanations are shared across methods and estimators, so the
+    explainers run at most 1 + K times per method and space, whatever the
+    number of estimators.
     Aborts when more than MAX_DROPPED_FRACTION of samples end up without a
     single retained draw, or when more than MAX_UNDEFINED_FRACTION of all
     estimates are undefined.  `scorer` and `spec` are keyword-only because
@@ -308,6 +311,7 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     scores = np.full((n, len(setup.methods), held.shape[1]), np.nan)
     for j, (method_id, explainer) in enumerate(setup.methods):
         seed = derive_seed(spec.seed, "est", method_id)
+        draws = {}  # the estimator's tables, drawn once for the 1 + K columns
         # one scorer call per non-empty column, over the rows it holds
         for c, (net_c, rows, inputs) in enumerate(space.columns):
             if rows.any():
@@ -324,6 +328,7 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
                     dataset_mean=setup.dataset_mean,
                     is_perturbed=c > 0,
                     space_seed=spec.seed,
+                    draws=draws,
                 )
                 scores[rows, j, c] = scorer(ctx)
     # entries of rows a column does not hold are still NaN, so never defined

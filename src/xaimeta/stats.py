@@ -6,9 +6,11 @@ Pearson and Spearman correlation, descending integer ranks, trapezoid area
 under a curve and masked row sums.  No scipy dependency; degenerate inputs
 return NaN ("undefined") rather than raising, except where noted.
 
-Ranks, correlations, areas and masked sums work along the last axis: row i
-of a stacked input gives bit for bit what the 1-D call on that row gives,
-and a 1-D input gives a plain float where the result is a scalar.
+Wilcoxon p-values, ranks, correlations, areas and masked sums work along
+the last axis: row i of a stacked input gives bit for bit what the 1-D call
+on that row gives, and a 1-D input gives a plain float where the result is
+a scalar.  `wilcoxon_signed_rank` leaves a pair with a NaN side out of its
+row, so one call tests rows with different numbers of usable pairs.
 """
 import math
 
@@ -19,17 +21,19 @@ import numpy as np
 EXACT_LIMIT = 25
 
 
-def _as_pair(a, b, rows=False):
-    """Validated float64 paired samples: 1-D, or with `rows` stacked along the last axis."""
+def _as_pair(a, b, nan_pairs=False):
+    """Validated float64 paired samples, stacked along the last axis; with
+    `nan_pairs` a NaN passes (the caller leaves its pair out)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 and not (rows and a.ndim > 1):
-        raise ValueError("paired samples must be one-dimensional")
+    if a.ndim == 0:
+        raise ValueError("paired samples must be at least one-dimensional")
     if a.shape != b.shape:
         raise ValueError(f"paired samples differ in shape: {a.shape} vs {b.shape}")
     if a.shape[-1] < 2:
         raise ValueError("paired samples need length >= 2")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    bad = np.isinf if nan_pairs else lambda x: ~np.isfinite(x)
+    if bad(a).any() or bad(b).any():
         raise ValueError("paired samples must be finite")
     return a, b
 
@@ -76,24 +80,36 @@ def rank_descending(values) -> np.ndarray:
     return ranks
 
 
-def _wilcoxon_exact_p(w_plus: float, ranks: np.ndarray) -> float:
-    # Work on doubled ranks so ties (half-integer average ranks) stay integral.
-    scaled = np.rint(2.0 * ranks).astype(np.int64)
-    total = int(scaled.sum())
-    m = scaled.size
-    # counts[s] = number of sign assignments whose positive-rank sum is s/2
-    counts = np.zeros(total + 1, dtype=np.float64)
-    counts[0] = 1.0
-    for r in scaled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: counts.size - r]
-        counts += shifted
-    w2 = int(round(2.0 * w_plus))
+def _wilcoxon_exact_p(w_plus, ranks):
+    """Exact two-sided p of each row's positive-rank sum `w_plus` over the
+    2^m sign assignments of its nonzero `ranks` (zero marks a left-out entry);
+    1-D ranks give a float."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    # Work on doubled ranks so ties (half-integer average ranks) stay integral;
+    # sorted descending, each row's left-out zeros come last.
+    scaled = -np.sort(-np.rint(2.0 * np.atleast_2d(ranks)).astype(np.int64), axis=1)
+    total = scaled.sum(axis=1)
+    m = (scaled > 0).sum(axis=1)
+    # counts[i, s] = number of sign assignments of row i whose positive-rank
+    # sum is s/2; every count is an integer below 2^53, so the order in which
+    # ranks enter leaves them exact
+    support = np.arange(int(total.max()) + 1)
+    # counts is padded on the left by `pad` zeros, so windows[i, pad - r] is
+    # row i's counts shifted right by r, and windows[i, 0] is all zeros
+    pad = support.size + int(scaled.max())
+    padded = np.zeros((len(scaled), pad + support.size))
+    padded[:, pad] = 1.0
+    counts = padded[:, pad:]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, support.size, axis=1)
+    rows = np.arange(len(scaled))
+    for r in scaled[:, : m.max()].T:
+        counts += windows[rows, np.where(r > 0, pad - r, 0)]
+    w2 = np.rint(2.0 * np.atleast_1d(w_plus)).astype(np.int64)
     # two-sided: assignments at least as far from the center as observed,
     # measured in exact integer arithmetic (|2s - total| vs |2w - total|)
-    support = np.arange(total + 1, dtype=np.int64)
-    extreme = np.abs(2 * support - total) >= abs(2 * w2 - total)
-    return float(counts[extreme].sum() / 2.0**m)
+    extreme = np.abs(2 * support - total[:, None]) >= np.abs(2 * w2 - total)[:, None]
+    p = np.where(extreme, counts, 0.0).sum(axis=1) / 2.0**m
+    return float(p[0]) if ranks.ndim == 1 else p
 
 
 def _wilcoxon_approx_p(w_plus: float, ranks: np.ndarray) -> float:
@@ -111,36 +127,48 @@ def _wilcoxon_approx_p(w_plus: float, ranks: np.ndarray) -> float:
     return math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_signed_rank(a, b) -> float:
-    """Two-sided Wilcoxon signed-rank p-value for paired samples.
+def wilcoxon_signed_rank(a, b):
+    """Two-sided Wilcoxon signed-rank p-value for paired samples along the
+    last axis.
 
-    Zero differences are dropped; if every difference is zero the samples are
-    maximally similar and p = 1.0.  Tied absolute differences receive average
-    ranks.  For m <= EXACT_LIMIT remaining pairs the p-value is exact over
-    all 2^m sign assignments; beyond that a normal approximation with tie and
-    continuity corrections is used.
+    A pair with a NaN side is left out of its row, and each row needs at
+    least two pairs left; infinities raise.  Zero differences are dropped; if
+    every difference is zero the samples are maximally similar and p = 1.0.
+    Tied absolute differences receive average ranks.  For m <= EXACT_LIMIT
+    remaining pairs the p-value is exact over all 2^m sign assignments;
+    beyond that a normal approximation with tie and continuity corrections
+    is used.
     """
-    a, b = _as_pair(a, b)
-    with np.errstate(over="ignore"):
+    a, b = _as_pair(a, b, nan_pairs=True)
+    shape = a.shape[:-1]
+    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, a.shape[-1])
+    paired = ~(np.isnan(a) | np.isnan(b))
+    if (paired.sum(axis=1) < 2).any():
+        raise ValueError("paired samples need two pairs without NaN in every row")
+    with np.errstate(over="ignore", invalid="ignore"):
         diffs = a - b
-    if not np.isfinite(diffs).all():
         # halving is exact for normal floats, so order, ties and signs survive
-        diffs = a / 2 - b / 2
-    diffs = diffs[diffs != 0.0]
-    m = diffs.size
-    if m == 0:
-        return 1.0
-    ranks = average_ranks(np.abs(diffs))
-    w_plus = float(ranks[diffs > 0].sum())
-    if m <= EXACT_LIMIT:
-        return _wilcoxon_exact_p(w_plus, ranks)
-    return _wilcoxon_approx_p(w_plus, ranks)
+        overflow = (np.isinf(diffs) & paired).any(axis=1, keepdims=True)
+        diffs = np.where(overflow, a / 2 - b / 2, diffs)
+    kept = paired & (diffs != 0.0)
+    # left-out entries rank last, so the kept ones get ranks 1..m
+    ranks = np.where(kept, average_ranks(np.where(kept, np.abs(diffs), np.inf)), 0.0)
+    # sums of half-integer ranks are exact in any order
+    w_plus = np.where(diffs > 0, ranks, 0.0).sum(axis=1)
+    m = kept.sum(axis=1)
+    p = np.ones(len(m))
+    exact = (m > 0) & (m <= EXACT_LIMIT)
+    if exact.any():
+        p[exact] = _wilcoxon_exact_p(w_plus[exact], ranks[exact])
+    for i in np.flatnonzero(m > EXACT_LIMIT):
+        p[i] = _wilcoxon_approx_p(w_plus[i], ranks[i][kept[i]])
+    return _scalar_if_1d(p.reshape(shape), len(shape) + 1)
 
 
 def pearson(a, b):
     """Product-moment correlation along the last axis; NaN where either side
     has zero variance."""
-    a, b = _as_pair(a, b, rows=True)
+    a, b = _as_pair(a, b)
     ac = a - a.mean(axis=-1, keepdims=True)
     bc = b - b.mean(axis=-1, keepdims=True)
     denom = np.sqrt(_row_dots(ac, ac) * _row_dots(bc, bc))
@@ -150,7 +178,7 @@ def pearson(a, b):
 
 def spearman(a, b):
     """Pearson correlation of average ranks along the last axis; NaN for constant input."""
-    a, b = _as_pair(a, b, rows=True)
+    a, b = _as_pair(a, b)
     return pearson(average_ranks(a), average_ranks(b))
 
 

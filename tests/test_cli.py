@@ -510,6 +510,25 @@ class TestHpoCommand:
             assert row["mc"] == mc_bar(alone, estimator_id)
             assert row["vectors"] == {t: alone[(estimator_id, t)].mean for t in config.tests}
 
+    def test_fc_runs_cells_score_as_standalone_runs(self, tmp_path):
+        # cells whose faithfulness keys differ in shape never share a table:
+        # each scores as a run of its own fc_runs alone
+        text = QUICK_BENCH.replace(
+            "use = [sparseness, complexity]", "use = [faithfulness_correlation]"
+        ).replace("tests = [ipt]", "tests = [ipt, mpt]")
+        text += (
+            "\n[estimators.faithfulness_correlation]\nfc_subset_size = 4\n"
+            "\n[hpo]\nestimator = faithfulness_correlation\n[hpo.axes]\nfc_runs = [10, 20]\n"
+        )
+        config = load_config(write_config(tmp_path, text, out=tmp_path / "out"))
+        ranked = run_hpo(config)
+        assert sorted(row["cell"]["fc_runs"] for row in ranked) == [10, 20]
+        for row in ranked:
+            settings = {"fc_subset_size": 4, "fc_runs": row["cell"]["fc_runs"]}
+            alone = replace(config, estimator_overrides={"faithfulness_correlation": settings})
+            results, _ = run_benchmark(alone, out_dir=tmp_path / f"runs{settings['fc_runs']}")
+            assert row["mc"] == mc_bar(results, "faithfulness_correlation")
+
     def test_axes_required(self, tmp_path):
         text = QUICK_BENCH + "\n[hpo]\nestimator = sparseness\n"
         config = write_config(tmp_path, text, out=tmp_path / "out")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -512,3 +514,106 @@ class TestCollect:
             spec=perturb_spec("ipt", "minor", seed=6),
         )
         assert seen and all(m.dtype == bool and m.tolist() == [True, False] for m in seen)
+
+
+# the estimators that draw from their estimator seed, at small sizes
+SEEDED_ESTIMATORS = {
+    "faithfulness_correlation": EstimatorConfig(fc_runs=10, fc_subset_size=1),
+    "pixel_flipping": EstimatorConfig(pf_step_size=1),
+    "max_sensitivity": EstimatorConfig(robustness_runs=3),
+    "local_lipschitz": EstimatorConfig(robustness_runs=3),
+    "random_logit": EstimatorConfig(),
+    "adversarial_deterministic": EstimatorConfig(),
+    "adversarial_distribution_shift": EstimatorConfig(),
+}
+
+
+@pytest.fixture(scope="module")
+def three_classes():
+    # D=4 and three classes, so random logit has two other classes to draw
+    # from; every third sample, so that all three classes are scored
+    rng = np.random.default_rng(8)
+    y = np.repeat(np.arange(3), 10)
+    X = np.clip(rng.uniform(0.2, 0.8, size=(3, 4))[y] + rng.normal(0, 0.05, size=(30, 4)), 0, 1)
+    return train_tiny((8,), X, y, epochs=200, seed=5), X[::3]
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize(
+        "test, strength, window",
+        [
+            ("ipt", "minor", {}),
+            # two draws of a symmetric window leave some payload columns
+            # without some samples
+            ("ipt", "disruptive", {"alpha": -1.0, "beta": 1.0, "max_resamples": 2}),
+            ("mpt", "minor", {}),
+            ("mpt", "disruptive", {}),
+        ],
+        ids=["ipt-minor", "ipt-disruptive", "mpt-minor", "mpt-disruptive"],
+    )
+    @pytest.mark.parametrize("estimator_id", list(SEEDED_ESTIMATORS))
+    def test_collect_scores_as_contexts_that_draw_alone(
+        self, three_classes, estimator_id, test, strength, window
+    ):
+        # the 1 + K contexts of a method share one dict of tables; scoring
+        # each with draws=None, so that it draws its own, gives the same bits
+        net, X = three_classes
+        scorer = make_scorer(estimator_id, SEEDED_ESTIMATORS[estimator_id])
+        dicts = []
+
+        def sharing(ctx):
+            dicts.append(ctx.draws)
+            return scorer(ctx)
+
+        def alone(ctx):
+            return scorer(replace(ctx, draws=None))
+
+        shared = spaces(net, X, K=3)
+        spec = perturb_spec(test, strength, seed=21, **window)
+        result = collect(shared, scorer=Scorer(estimator_id, scorer.direction, sharing), spec=spec)
+        oracle = collect(shared, scorer=Scorer(estimator_id, scorer.direction, alone), spec=spec)
+        assert np.array_equal(result.unperturbed, oracle.unperturbed, equal_nan=True)
+        assert np.array_equal(result.perturbed, oracle.perturbed, equal_nan=True)
+        # one dict per method, holding only that method's seed's tables
+        per_method = list({id(d): d for d in dicts}.values())
+        seeds = [derive_seed(spec.seed, "est", m) for m, _ in simple_methods()]
+        assert [{seed for _, seed in d} for d in per_method] == [{seed} for seed in seeds]
+
+    @pytest.mark.parametrize("estimator_id", list(SEEDED_ESTIMATORS))
+    def test_a_dict_reused_under_a_new_seed_draws_that_seeds_tables(
+        self, three_classes, estimator_id
+    ):
+        net, X = three_classes
+        scorer = make_scorer(estimator_id, SEEDED_ESTIMATORS[estimator_id])
+        shared = spaces(net, X, K=1)
+        method_id, explainer = simple_methods()[0]
+        draws = {}
+        scores = {}
+        for seed in (1, 2, 1):
+            ctx = EvalContext(
+                net=net,
+                X=shared.setup.inputs,
+                labels=shared.labels,
+                attributions=shared.attributions[method_id],
+                explainer=explainer,
+                dataset_bounds=(0.0, 1.0),
+                rows=np.arange(len(X)),
+                seed=seed,
+                draws=draws,
+            )
+            scores[seed] = scorer(ctx)
+            assert np.array_equal(scores[seed], scorer(replace(ctx, draws=None)), equal_nan=True)
+        assert not np.array_equal(scores[1], scores[2], equal_nan=True)
+
+    def test_a_table_too_short_for_the_rows_is_drawn_again(self):
+        draws = {}
+        ctx = EvalContext(None, None, None, None, None, (0.0, 1.0), rows=None, seed=4, draws=draws)
+
+        def draw(rng, m):
+            return rng.random((m, 2))
+
+        for rows in ([0, 2], [5, 1], [3]):
+            ctx.rows = np.array(rows)
+            alone = _sample_draws(replace(ctx, draws=None), "t", draw)
+            assert np.array_equal(_sample_draws(ctx, "t", draw), alone)
+        assert list(draws) == [("t", 4)] and len(draws["t", 4]) == 6

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xaimeta.stats import (
     EXACT_LIMIT,
+    _wilcoxon_approx_p,
     average_ranks,
     masked_row_sums,
     pearson,
@@ -51,6 +53,50 @@ def scalable_pairs():
     return st.integers(2, 30).flatmap(
         lambda m: st.tuples(*[st.lists(value, min_size=m, max_size=m)] * 2)
     )
+
+
+def wilcoxon_row_reference(a, b):
+    """One row's p-value the scalar way: finite pairs only, zero differences
+    dropped, and the exact count built one rank at a time."""
+    with np.errstate(over="ignore"):
+        diffs = a - b
+    if not np.isfinite(diffs).all():
+        diffs = a / 2 - b / 2
+    diffs = diffs[diffs != 0.0]
+    m = diffs.size
+    if m == 0:
+        return 1.0
+    ranks = average_ranks(np.abs(diffs))
+    w_plus = float(ranks[diffs > 0].sum())
+    if m > EXACT_LIMIT:
+        return _wilcoxon_approx_p(w_plus, ranks)
+    scaled = np.rint(2.0 * ranks).astype(np.int64)
+    total = int(scaled.sum())
+    counts = np.zeros(total + 1)
+    counts[0] = 1.0
+    for r in scaled:
+        shifted = np.zeros_like(counts)
+        shifted[r:] = counts[: counts.size - r]
+        counts += shifted
+    w2 = int(round(2.0 * w_plus))
+    extreme = np.abs(2 * np.arange(total + 1) - total) >= abs(2 * w2 - total)
+    return float(counts[extreme].sum() / 2.0**m)
+
+
+@st.composite
+def stacked_pairs(draw):
+    """(a, b) of 1-4 rows of 2-40 pairs with tied, zero and overflowing
+    differences and NaN pairs, every row keeping its first two pairs, so
+    that rows fall on both sides of EXACT_LIMIT."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(2, 40)))
+    value = st.one_of(
+        st.sampled_from([-1.0, 0.0, 1.0, 2.0, 1e308, -1e308, np.nan]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    a, b = (draw(arrays(np.float64, shape, elements=value)) for _ in range(2))
+    for side in (a, b):
+        side[:, :2] = np.nan_to_num(side[:, :2])
+    return a, b
 
 
 class TestWilcoxon:
@@ -134,6 +180,54 @@ class TestWilcoxon:
         # not collapse into one tie
         a, b = (np.array(side) for side in pair)
         assert wilcoxon_signed_rank(a, b) == wilcoxon_signed_rank(a * 2.0**-4, b * 2.0**-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=stacked_pairs())
+    # only the overflowing row is halved: halving the second would round its
+    # smallest difference to zero
+    @example(
+        pairs=(
+            np.array([[1e308, 1.0, 2.0], [5e-324, 1.5e-323, 1.0]]),
+            np.array([[-1e308, 0.5, 3.0], [0.0, 0.0, 0.0]]),
+        )
+    )
+    @example(pairs=(np.zeros((2, 5)), np.zeros((2, 5))))
+    @example(pairs=(np.arange(60.0).reshape(2, 30), np.zeros((2, 30))))
+    def test_stacked_rows_match_the_1d_call_on_their_pairs(self, pairs):
+        # each row gives bit for bit what the 1-D call and the scalar
+        # reference give on its pairs without NaN
+        a, b = pairs
+        ps = wilcoxon_signed_rank(a, b)
+        assert ps.shape == (len(a),)
+        for p, row_a, row_b in zip(ps, a, b):
+            kept = ~(np.isnan(row_a) | np.isnan(row_b))
+            pair = row_a[kept], row_b[kept]
+            assert p == wilcoxon_signed_rank(*pair) == wilcoxon_row_reference(*pair)
+
+    def test_rows_on_both_sides_of_the_exact_limit(self):
+        rng = np.random.default_rng(5)
+        n = EXACT_LIMIT + 10
+        a, b = rng.normal(size=(2, 12, n))
+        a[np.arange(n) >= 20 + np.arange(12)[:, None]] = np.nan  # row i keeps 20 + i pairs
+        ps = wilcoxon_signed_rank(a, b)
+        for i in range(12):
+            assert ps[i] == wilcoxon_row_reference(a[i, : 20 + i], b[i, : 20 + i])
+
+    def test_a_nan_pair_is_left_out(self):
+        a = np.array([1.0, 2.0, 3.0, np.nan, 5.0])
+        b = np.array([0.0, 0.0, np.nan, 7.0, 0.0])
+        assert wilcoxon_signed_rank(a, b) == wilcoxon_signed_rank([1.0, 2.0, 5.0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinities_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([1.0, bad, 3.0], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([[1.0, 2.0, 3.0]], [[0.0, 1.0, bad]])
+
+    def test_a_row_with_fewer_than_two_pairs_raises(self):
+        with pytest.raises(ValueError, match="two pairs"):
+            wilcoxon_signed_rank([[1.0, 2.0], [1.0, np.nan]], [[0.0, 0.0], [0.0, 0.0]])
 
 
 class TestCorrelation:
