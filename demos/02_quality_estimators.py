@@ -17,7 +17,7 @@ from xaimeta.net import predict_labels, train_tiny
 from xaimeta.seeding import derive_seed
 
 dataset = synth_blobs(n=200, d=16, classes=4, seed=3)
-dataset.masks = make_masks(dataset, "threshold", quantile=0.75)
+masks = make_masks(dataset, "threshold", quantile=0.75)
 net = train_tiny((16,), dataset.inputs, dataset.labels, epochs=20, seed=3)
 
 # explainers take a (B, D) batch; the context holds the rows it scores, and
@@ -36,8 +36,8 @@ ctx = EvalContext(
     # generator call from `seed` per call and read row b's draws at rows[b]
     rows=np.arange(len(X)),
     seed=derive_seed("demo"),
-    masks=dataset.masks[:3],
-    dataset_mean=dataset.mean,
+    masks=masks[:3],
+    dataset_mean=float(dataset.inputs.mean()),
 )
 
 cfg = EstimatorConfig(fc_runs=50)

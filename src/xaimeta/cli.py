@@ -59,7 +59,7 @@ def _load(args):
 
 def cmd_benchmark(args) -> int:
     config = _load(args)
-    run_benchmark(config, out_dir=config.output)
+    run_benchmark(config)
     return EXIT_OK
 
 
@@ -107,7 +107,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load(args)
-    path, acc = run_train(config, out_dir=config.output)
+    path, acc = run_train(config)
     print(f"model saved to {path}; training accuracy {acc:.4f}")
     return EXIT_OK
 

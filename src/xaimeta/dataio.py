@@ -28,7 +28,6 @@ class Dataset:
     inputs: np.ndarray  # (N, D), scaled to [0, 1]
     labels: np.ndarray  # (N,) integers
     bounds: tuple  # (min, max) over this split
-    masks: np.ndarray | None = None  # (N, D) bool
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -37,16 +36,6 @@ class Dataset:
             lo, hi = self.bounds
             if self.inputs.min() < lo or self.inputs.max() > hi:
                 raise DataFormatError("dataset bounds inconsistent with inputs")
-        if self.masks is not None:
-            self.masks = np.asarray(self.masks).astype(bool)
-            if self.masks.shape != self.inputs.shape:
-                raise DataFormatError("mask matrix must match the input matrix")
-            if self.inputs.size and not self.masks.any(axis=1).all():
-                raise DataFormatError("every mask row needs at least one positive entry")
-
-    @property
-    def mean(self) -> float:
-        return float(self.inputs.mean()) if self.inputs.size else 0.0
 
 
 def _read_be_u32(buffer, offset, path):

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import stats
 from .errors import ConfigError
-from .explain import row_chunks
-from .net import Layer, Net, dense_layer_indices, logits_batch, replace_layer, softmax
+from .explain import _label_column, _logits, row_chunks
+from .net import Layer, Net, dense_layer_indices, replace_layer, softmax
 from .seeding import derive_rng
 
 HIGHER_BETTER = "higher_better"
@@ -163,20 +163,6 @@ def _baseline_values(kind, tag, shape, ctx) -> np.ndarray:
     return np.broadcast_to(float(lo if kind == "black" else ctx.dataset_mean), (len(ctx.X), *shape))
 
 
-def _logits(net, batches) -> np.ndarray:
-    """Logits of (B, J, D) stacked rows, one net call per row chunk of whole samples."""
-    b, j, d = batches.shape
-    out = np.empty((b, j, net.num_classes))
-    for rows in row_chunks(b, j * d):
-        out[rows] = logits_batch(net, batches[rows].reshape(-1, d)).reshape(-1, j, net.num_classes)
-    return out
-
-
-def _label_column(values, labels) -> np.ndarray:
-    """values[b, :, labels[b]] of a (B, J, C) array."""
-    return np.take_along_axis(values, np.asarray(labels)[:, None, None], axis=2)[:, :, 0]
-
-
 def _ratio_or_nan(numerator, denominator) -> np.ndarray:
     return np.divide(
         numerator, denominator, out=np.full(len(denominator), np.nan), where=denominator != 0.0
@@ -221,18 +207,15 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarra
     """Area under the predicted-class probability curve while flipping.
 
     Features are replaced by the baseline in blocks of cfg.pf_step_size, most
-    attributed first (descending raw attribution, stable ties); the x-axis is
-    the fraction of features flipped.  A sample's D fills, in flip order,
-    come from the "pf" stream.
+    attributed first (`stats.rank_descending` of the raw attribution); the
+    x-axis is the fraction of features flipped.  A sample's D fills, in flip
+    order, come from the "pf" stream.
     """
     d = ctx.X.shape[1]
     step = cfg.step_size(d)
-    orders = np.argsort(-ctx.attributions, axis=1, kind="stable")
-    # filled[b, orders[b, i]] is the i-th fill, ranks[b, orders[b, i]] = i
-    filled = np.empty_like(ctx.X)
-    np.put_along_axis(filled, orders, _baseline_values(cfg.pf_baseline, "pf", (d,), ctx), axis=1)
-    ranks = np.empty_like(orders)
-    np.put_along_axis(ranks, orders, np.broadcast_to(np.arange(d), orders.shape), axis=1)
+    # feature j is flipped ranks[b, j]-th and gets that fill
+    ranks = stats.rank_descending(ctx.attributions) - 1
+    filled = np.take_along_axis(_baseline_values(cfg.pf_baseline, "pf", (d,), ctx), ranks, axis=1)
     # copy 0 is the input, copy j the input after the first j blocks flipped
     flipped = np.minimum(np.arange(0, d + step, step), d)
     flips = ranks[:, None, :] < flipped[None, :, None]
@@ -247,7 +230,7 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarra
 
 def _row_norms(A) -> np.ndarray:
     # one dot product per row, as np.linalg.norm computes it for a single vector
-    return np.sqrt((A[..., None, :] @ A[..., :, None])[..., 0, 0])
+    return np.sqrt(stats._row_dots(A, A))
 
 
 def _in_ball_changes(ctx, cfg, keep):
@@ -380,9 +363,8 @@ def _top_fraction(ctx, estimator_id, k) -> np.ndarray:
     on the lowest index."""
     masks = _require_masks(ctx, estimator_id)
     k = masks.sum(axis=1) if k is None else np.full(len(masks), k)
-    top = np.argsort(-np.abs(ctx.attributions), axis=1, kind="stable")
-    ranked = np.take_along_axis(masks, top, axis=1)
-    return (ranked & (np.arange(masks.shape[1]) < k[:, None])).sum(axis=1) / k
+    ranks = stats.rank_descending(np.abs(ctx.attributions))
+    return (masks & (ranks <= k[:, None])).sum(axis=1) / k
 
 
 def evaluate_pointing_game(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:

@@ -62,6 +62,20 @@ def row_chunks(n_rows: int, row_elements: int):
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
+def _logits(net: Net, batches) -> np.ndarray:
+    """Logits of (B, J, D) stacked rows, one net call per row chunk of whole samples."""
+    b, j, d = batches.shape
+    out = np.empty((b, j, net.num_classes))
+    for rows in row_chunks(b, j * d):
+        out[rows] = logits_batch(net, batches[rows].reshape(-1, d)).reshape(-1, j, net.num_classes)
+    return out
+
+
+def _label_column(values, labels) -> np.ndarray:
+    """values[b, :, labels[b]] of a (B, J, C) array."""
+    return np.take_along_axis(values, np.asarray(labels)[:, None, None], axis=2)[:, :, 0]
+
+
 def _gradients(net: Net, X, labels) -> np.ndarray:
     out = np.empty_like(X)
     for rows in row_chunks(X.shape[0], X.shape[1]):
@@ -113,9 +127,7 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     out = np.empty_like(X)
     for rows in row_chunks(X.shape[0], (n_blocks + 1) * d):
         copies = np.where(occluded, cfg.occlusion_baseline, X[rows][:, None, :])
-        logits = logits_batch(net, copies.reshape(-1, d))
-        logits = logits.reshape(copies.shape[0], n_blocks + 1, -1)
-        scores = np.take_along_axis(logits, labels[rows][:, None, None], axis=2)[:, :, 0]
+        scores = _label_column(_logits(net, copies), labels[rows])
         drops = scores[:, :1] - scores[:, 1:]
         out[rows] = drops[:, block_of]
     return out

@@ -35,7 +35,7 @@ def results_payload(results: dict, config_echo: dict, master_seed: int) -> dict:
                 "estimator": estimator_id,
                 "test": test,
                 "mean": asdict(cell.mean),
-                "std": dict(sorted(cell.std.items())),
+                "std": cell.std,
                 "iterations": [asdict(v) for v in cell.per_iteration],
                 "diagnostics": {
                     "dropped_samples": cell.diagnostics["dropped"],

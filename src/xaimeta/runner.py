@@ -72,15 +72,7 @@ def build_dataset(config: RunConfig) -> Dataset:
     if config.sample_count is not None and config.sample_count < dataset.inputs.shape[0]:
         rng = derive_rng(config.master_seed, "subsample")
         keep = np.sort(rng.choice(dataset.inputs.shape[0], config.sample_count, replace=False))
-        dataset = Dataset(
-            dataset.inputs[keep], dataset.labels[keep], dataset.bounds, masks=None
-        )
-
-    policy = spec.get("mask", "none")
-    if policy != "none":
-        dataset.masks = make_masks(
-            dataset, policy, **_given(spec, fraction="mask_fraction", quantile="mask_quantile")
-        )
+        dataset = Dataset(dataset.inputs[keep], dataset.labels[keep], dataset.bounds)
     return dataset
 
 
@@ -101,12 +93,12 @@ def build_net(config: RunConfig, dataset: Dataset):
     )
 
 
-def _checked_estimators(estimators: list, dataset: Dataset) -> list:
-    """The [(estimator_id, EstimatorConfig)] pairs, checked against what the
-    dataset decides (masks, feature count); callers run this before any
+def _checked_estimators(estimators: list, config: RunConfig, dataset: Dataset) -> list:
+    """The [(estimator_id, EstimatorConfig)] pairs, checked against the mask
+    policy and the dataset's feature count; callers run this before any
     training."""
     needing = sorted({e for e, _ in estimators if ESTIMATORS[e].needs_mask})
-    if dataset.masks is None and needing:
+    if config.dataset.get("mask", "none") == "none" and needing:
         raise ConfigError(f"estimators {needing} need [dataset] mask != none")
     for estimator_id, cfg in estimators:
         try:
@@ -119,7 +111,12 @@ def _checked_estimators(estimators: list, dataset: Dataset) -> list:
 def build_setup(config: RunConfig, dataset: Dataset = None) -> BenchmarkSetup:
     dataset = dataset if dataset is not None else build_dataset(config)
     estimators = _checked_estimators(
-        [(e, config.estimator_config(e)) for e in config.estimators], dataset
+        [(e, config.estimator_config(e)) for e in config.estimators], config, dataset
+    )
+    spec = config.dataset
+    policy = spec.get("mask", "none")
+    masks = None if policy == "none" else make_masks(
+        dataset, policy, **_given(spec, fraction="mask_fraction", quantile="mask_quantile")
     )
     net = build_net(config, dataset)
     methods = []
@@ -140,7 +137,7 @@ def build_setup(config: RunConfig, dataset: Dataset = None) -> BenchmarkSetup:
         K=config.k,
         iterations=config.iterations,
         master_seed=config.master_seed,
-        masks=dataset.masks,
+        masks=masks,
         perturb_templates={key: perturb_spec(*key, **sub) for key, sub in config.perturb.items()},
     )
 
@@ -249,7 +246,9 @@ def run_hpo(config: RunConfig):
     checked = []
     for cell, estimator_id, settings in trials:
         try:
-            checked += _checked_estimators([(estimator_id, EstimatorConfig(**settings))], dataset)
+            checked += _checked_estimators(
+                [(estimator_id, EstimatorConfig(**settings))], config, dataset
+            )
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"[hpo] cell {cell}: {exc}") from exc
     setup = build_setup(replace(config, estimators=[]), dataset=dataset)
@@ -303,12 +302,12 @@ def run_convergence(config: RunConfig):
     }
 
 
-def run_train(config: RunConfig, out_dir=None):
-    """Train the configured model and save it; returns (path, accuracy)."""
+def run_train(config: RunConfig):
+    """Train the configured model and save it under [run] output; returns
+    (path, accuracy)."""
     dataset = build_dataset(config)
     net = build_net(config, dataset)
-    out_dir = out_dir or config.output
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "model.txt")
+    os.makedirs(config.output, exist_ok=True)
+    path = os.path.join(config.output, "model.txt")
     save_model(net, path, provenance=f"seed={config.master_seed}")
     return path, accuracy(net, dataset.inputs, dataset.labels)

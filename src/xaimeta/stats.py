@@ -5,6 +5,9 @@ signed-rank test (exact for small samples, normal approximation beyond),
 Pearson and Spearman correlation, descending integer ranks, trapezoid area
 under a curve and masked row sums.  No scipy dependency; degenerate inputs
 return NaN ("undefined") rather than raising, except where noted.
+`rank_descending` is the one descending order of the package: the ranking
+criterion, the pixel-flipping order and the top-k readout of the
+localisation estimators all read it, ties broken on the lowest index.
 
 Wilcoxon p-values, ranks, correlations, areas and masked sums work along
 the last axis: row i of a stacked input gives bit for bit what the 1-D call

@@ -7,9 +7,11 @@ import pytest
 from xaimeta import perturb, runner
 from xaimeta.cli import main
 from xaimeta.consistency import run_meta_evaluation
+from xaimeta.dataio import make_masks
 from xaimeta.report import mc_bar
 from xaimeta.runconfig import load_config
 from xaimeta.runner import run_benchmark, run_convergence, run_hpo, run_sanity
+from xaimeta.seeding import derive_rng
 from xaimeta.stats import spearman
 
 QUICK_BENCH = """
@@ -402,6 +404,24 @@ class TestConfigErrorsBeforeTraining:
         assert f"configuration error: " in err
         assert named in err
 
+    @pytest.mark.parametrize(
+        "verb, assignment",
+        [
+            ("benchmark", "estimators.use=[sparseness, pointing_game]"),
+            ("hpo", "hpo.axes.estimator=[pointing_game]"),
+        ],
+    )
+    def test_mask_needing_estimator_without_a_mask(self, tmp_path, capsys, monkeypatch, verb, assignment):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the net was trained before the config was checked")
+
+        monkeypatch.setattr(runner, "build_net", no_training)
+        config = write_config(tmp_path, HPO_BENCH, out=tmp_path / "out")
+        assert main([verb, "--config", config, "--set", "dataset.mask=none", "--set", assignment]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: " in err
+        assert "estimators ['pointing_game'] need [dataset] mask != none" in err
+
 
 class TestSanityCommand:
     def test_quick_sanity_blind_adversary_exact(self, tmp_path):
@@ -565,6 +585,35 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", config]) == 0
         printed = capsys.readouterr().out
         assert "mean within-category correlation" in printed
+
+
+class TestSetupPaths:
+    def test_sample_count_keeps_the_sorted_subsample_draw(self, tmp_path):
+        path = write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out")
+        config = load_config(path, overrides=["run.sample_count=10"])
+        full = runner.build_dataset(replace(config, sample_count=None))
+        keep = np.sort(derive_rng(config.master_seed, "subsample").choice(24, 10, replace=False))
+        dataset = runner.build_dataset(config)
+        assert np.array_equal(dataset.inputs, full.inputs[keep])
+        assert np.array_equal(dataset.labels, full.labels[keep])
+        setup = runner.build_setup(config)
+        assert np.array_equal(setup.inputs, full.inputs[keep])
+        assert np.array_equal(setup.masks, make_masks(full, "threshold")[keep])
+
+    def test_a_saved_model_scores_as_the_net_trained_inline(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, QUICK_BENCH, out=tmp_path / "inline")
+        assert main(["benchmark", "--config", config]) == 0
+        assert main(["train", "--config", config, "--out", str(tmp_path / "model")]) == 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a run with [model] path trained a net")
+
+        monkeypatch.setattr(runner, "train_tiny", no_training)
+        model = tmp_path / "model" / "model.txt"
+        loaded = ["--out", str(tmp_path / "loaded"), "--set", f'model.path="{model}"']
+        assert main(["benchmark", "--config", config, *loaded]) == 0
+        for name in ("summary.csv", "areagraph.csv"):
+            assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
 
 
 class TestTrainCommand:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xaimeta.estimators as estimators_module
+import xaimeta.explain as explain_module
 from xaimeta.errors import ConfigError
 from xaimeta.estimators import ESTIMATORS, EstimatorConfig, EvalContext, make_scorer
 from xaimeta import stats
@@ -209,7 +210,7 @@ class TestFaithfulnessCorrelation:
             return logits_batch(net, X)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators_module, "logits_batch", spy)
+            mp.setattr(explain_module, "logits_batch", spy)
             evaluate_faithfulness_correlation(ctx, cfg)
         (batch,) = batches
         x = ctx.X[0]
@@ -794,6 +795,11 @@ class TestLocalisation:
         assert evaluate_top_k_intersection(ctx2, EstimatorConfig(topk_k=2)) == 0.5
         # K = D reduces to |mask| / D
         assert evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=4)) == 0.5
+
+    def test_top_k_beyond_the_feature_count_is_config_error(self):
+        ctx = bare_ctx([5.0, 4.0, 1.0, 0.0], np.array([True, True, False, False]))
+        with pytest.raises(ConfigError, match=r"topk_k 5 outside \[1, 4\]"):
+            evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=5))
 
     def test_rra_hand_values(self):
         mask = np.array([True, False, True, False])

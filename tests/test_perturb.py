@@ -197,6 +197,24 @@ class TestMptSample:
         with pytest.raises(PerturbationInfeasibleError):
             mpt_sample(net, X, spec, draw_seed=2, labels=predict_labels(net, X))
 
+    def test_disruptive_falls_back_to_the_best_draw(self, trained):
+        # every sample flipping is out of reach, so after the cap the best
+        # draw seen comes back, with its own compliance
+        from xaimeta.net import get_weights
+
+        net, X = trained
+        labels = predict_labels(net, X)
+        spec = perturb_spec("mpt", "disruptive", sigma=1.0, min_retained_fraction=1.0, max_resamples=5)
+        redraws = [mpt_draw(net, spec, derive_seed(4, "redraw", a)) for a in range(1, 6)]
+        flipped = [predict_labels(r, X) != labels for r in redraws]
+        fractions = [f.mean() for f in flipped]
+        assert 0.0 < max(fractions) < 1.0 and len(set(fractions)) > 1
+        best = int(np.argmax(fractions))
+        net_hat, compliant, attempts = mpt_sample(net, X, spec, draw_seed=4, labels=labels)
+        assert attempts == spec.max_resamples
+        assert np.array_equal(get_weights(net_hat), get_weights(redraws[best]))
+        assert np.array_equal(compliant, flipped[best])
+
     def test_huge_sigma_disrupts_most_samples(self):
         # needs several classes: a wildly randomised net collapses to one
         # favoured class, so the flipped fraction approaches 1 - 1/C
@@ -384,6 +402,27 @@ class TestCollect:
         with pytest.raises(MetaEvaluationError, match="without usable estimates"):
             run()
         assert calls == [[8, 1]] * len(simple_methods())
+
+    def test_too_many_undefined_estimates_name_the_estimator(self, trained):
+        # each sample keeps its unperturbed and first payload estimate, so no
+        # sample is dropped, but half of all estimates are undefined
+        net, X = trained
+        spec = perturb_spec("mpt", "minor", sigma=0.0, seed=14)
+        seen = set()
+
+        def first_payload_only(ctx):
+            values = np.zeros(len(ctx.rows))
+            if ctx.is_perturbed:
+                for b, row in enumerate(ctx.rows):
+                    key = (ctx.seed, int(row))
+                    values[b] = np.nan if key in seen else 0.0
+                    seen.add(key)
+            return values
+
+        scorer = Scorer("half_undefined", "higher_better", first_payload_only)
+        with pytest.raises(MetaEvaluationError, match="estimates undefined for half_undefined"):
+            collect(spaces(net, X[:8], K=3), scorer=scorer, spec=spec)
+        assert len(seen) == 8 * len(simple_methods())
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     def test_every_context_carries_the_space_seed(self, trained, test):
