@@ -194,16 +194,14 @@ class CellResult:
     diagnostics: dict
 
 
-def evaluate_cell(
-    setup: BenchmarkSetup, estimator_id: str, cfg, test: str, spaces: PerturbedSpaces
-) -> CellResult:
+def evaluate_cell(spaces: PerturbedSpaces, estimator_id: str, cfg, test: str) -> CellResult:
     """Run `iterations` independent repetitions of one estimator x test.
 
     The payloads of iteration i at one strength come from the seed
-    (master_seed, test, i, strength) alone, and `spaces`, the
-    `PerturbedSpaces` of `setup`, draws and explains them once for every
-    cell that scores them.
+    (master_seed, test, i, strength) of the setup of `spaces` alone, and
+    `spaces` draws and explains them once for every cell that scores them.
     """
+    setup = spaces.setup
     vectors = []
     diagnostics = {"dropped": [], "undefined": [], "total": [], "mean_attempts": []}
     for iteration in range(setup.iterations):
@@ -270,7 +268,7 @@ def run_meta_evaluation(setup: BenchmarkSetup) -> dict:
     """
     spaces = PerturbedSpaces(setup)
     return {
-        (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test, spaces)
+        (estimator_id, test): evaluate_cell(spaces, estimator_id, cfg, test)
         for estimator_id, cfg in setup.estimators
         for test in setup.tests
     }

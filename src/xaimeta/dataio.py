@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .net import Layer, Net, get_weights, make_net, relu, set_weights
+from .net import Layer, Net, get_weights, make_net, set_weights
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -120,13 +120,34 @@ def make_masks(dataset: Dataset, policy: str, fraction: float = 0.25, quantile: 
 
 
 def _layer_spec(net: Net) -> str:
-    parts = []
-    for layer in net.layers:
-        if layer.kind == "dense":
-            parts.append(f"dense {layer.weights.shape[0]} {layer.weights.shape[1]}")
-        else:
-            parts.append("relu")
-    return ", ".join(parts)
+    """The `layers` header value: `dense <out> <in>` per layer, joined by
+    the relu that sits between consecutive ones."""
+    shapes = (layer.weights.shape for layer in net.layers)
+    return ", relu, ".join(f"dense {out_dim} {in_dim}" for out_dim, in_dim in shapes)
+
+
+def _parse_layer_spec(spec: str, path) -> Net:
+    """A zero-parameter net of the shapes a `layers` header value names,
+    which must alternate `dense <out> <in>` and `relu`, dense first and
+    last."""
+    parts = [part.strip() for part in spec.split(",")]
+    layers = []
+    for index, part in enumerate(parts):
+        if index % 2:
+            if part != "relu":
+                raise DataFormatError(f"{path}: expected relu between dense layers, got {part!r}")
+            continue
+        fields = part.split()
+        if len(fields) != 3 or fields[0] != "dense" or not all(f.isdecimal() for f in fields[1:]):
+            raise DataFormatError(f"{path}: bad layer spec {part!r}, expected 'dense <out> <in>'")
+        out_dim, in_dim = int(fields[1]), int(fields[2])
+        layers.append(Layer(np.zeros((out_dim, in_dim)), np.zeros(out_dim)))
+    if len(parts) % 2 == 0:
+        raise DataFormatError(f"{path}: layers end with {parts[-1]!r}, not a dense layer")
+    try:
+        return make_net(layers)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def save_model(net: Net, path, provenance: str = "") -> None:
@@ -162,18 +183,7 @@ def load_model(path) -> Net:
         lines = handle.read().splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         raise DataFormatError(f"{path}: not a {MODEL_HEADER} file")
-    spec = _header_value(lines, "layers", path)
-    layers = []
-    for part in spec.split(","):
-        fields = part.split()
-        if fields[0] == "relu":
-            layers.append(relu())
-        elif fields[0] == "dense" and len(fields) == 3:
-            out_dim, in_dim = int(fields[1]), int(fields[2])
-            layers.append(Layer("dense", np.zeros((out_dim, in_dim)), np.zeros(out_dim)))
-        else:
-            raise DataFormatError(f"{path}: bad layer spec {part.strip()!r}")
-    skeleton = make_net(layers)
+    skeleton = _parse_layer_spec(_header_value(lines, "layers", path), path)
     checksum = _header_value(lines, "checksum", path)
     try:
         payload = base64.b64decode(_header_value(lines, "payload", path), validate=True)

@@ -25,7 +25,7 @@ import numpy as np
 from . import stats
 from .errors import ConfigError
 from .explain import _label_column, _logits, row_chunks
-from .net import Layer, Net, dense_layer_indices, replace_layer, softmax
+from .net import Layer, Net, replace_layer, softmax
 from .seeding import derive_rng
 
 HIGHER_BETTER = "higher_better"
@@ -296,14 +296,13 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
     skipped the estimate is undefined.
     """
     correlations = []
-    for v, layer_index in enumerate(dense_layer_indices(ctx.net)):
-        layer = ctx.net.layers[layer_index]
+    for v, layer in enumerate(ctx.net.layers):
         pooled = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
         mu, sd = float(pooled.mean()), float(pooled.std())
         rng = derive_rng("mpr", ctx.space_seed, v)
         weights = rng.normal(mu, sd, size=layer.weights.shape)
         bias = rng.normal(mu, sd, size=layer.bias.shape)
-        randomized = replace_layer(ctx.net, layer_index, Layer("dense", weights, bias))
+        randomized = replace_layer(ctx.net, v, Layer(weights, bias))
         others = ctx.explainer(randomized, ctx.X, ctx.labels)
         correlations.append(stats.spearman(ctx.attributions, others))
     correlations = np.stack(correlations, axis=1)

@@ -1,5 +1,8 @@
 """Minimal dense/relu inference engine.
 
+A net is its dense layers, with a relu between consecutive ones; that rule
+lives here alone, in the forward pass and the two backward passes.
+
 Provides exactly what the benchmark needs from a model: a deterministic
 forward pass with softmax prediction, analytic input gradients through the
 chain rule, flat read/write access to every parameter (the weight-noise tests
@@ -9,7 +12,7 @@ immutable; every mutation-like operation returns a new value.
 A one-row batch is back-propagated as two copies of itself, so a row's
 input gradient does not depend on how many rows are explained with it.
 """
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +21,23 @@ from .errors import TrainingDivergedError
 
 @dataclass(frozen=True)
 class Layer:
-    kind: str  # "dense" | "relu"
-    weights: np.ndarray | None = None  # (out, in), dense only
-    bias: np.ndarray | None = None  # (out,), dense only
+    """One dense layer."""
+
+    weights: np.ndarray  # (out, in)
+    bias: np.ndarray  # (out,)
 
 
 @dataclass(frozen=True)
 class Net:
-    layers: tuple
-    input_dim: int
-    num_classes: int
+    layers: tuple  # Layer, a relu between consecutive ones
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].weights.shape[1]
+
+    @property
+    def num_classes(self) -> int:
+        return self.layers[-1].weights.shape[0]
 
 
 def dense(weights, bias) -> Layer:
@@ -37,32 +47,21 @@ def dense(weights, bias) -> Layer:
         raise ValueError("dense layer needs weights (out, in) and bias (out,)")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise ValueError("dense layer parameters must be finite")
-    return Layer("dense", weights, bias)
-
-
-def relu() -> Layer:
-    return Layer("relu")
+    return Layer(weights, bias)
 
 
 def make_net(layers) -> Net:
     """Validate layer chaining and wrap into a Net."""
     layers = tuple(layers)
-    dense_layers = [l for l in layers if l.kind == "dense"]
-    if not dense_layers:
+    if not layers:
         raise ValueError("a net needs at least one dense layer")
-    dim = dense_layers[0].weights.shape[1]
-    input_dim = dim
-    for layer in layers:
-        if layer.kind == "relu":
-            continue
-        if layer.kind != "dense":
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
+    for before, layer in zip(layers, layers[1:]):
+        dim = before.weights.shape[0]
         if layer.weights.shape[1] != dim:
             raise ValueError(
                 f"layer shapes do not chain: expected input {dim}, got {layer.weights.shape[1]}"
             )
-        dim = layer.weights.shape[0]
-    return Net(layers=layers, input_dim=input_dim, num_classes=dim)
+    return Net(layers)
 
 
 def _check_batch(net: Net, X) -> np.ndarray:
@@ -77,11 +76,15 @@ def _check_batch(net: Net, X) -> np.ndarray:
 
 def _activations(layers, A) -> list:
     """Forward pass of (rows, in) inputs through `layers`: each layer's
-    input, then the logits."""
+    input, then the logits.  Every layer but the first takes the relu of
+    the one before."""
     acts = [A]
-    for layer in layers:
-        A = A @ layer.weights.T + layer.bias if layer.kind == "dense" else np.maximum(A, 0.0)
-        acts.append(A)
+    for i, layer in enumerate(layers):
+        if i:
+            A = np.maximum(A, 0.0)
+            acts.append(A)
+        A = A @ layer.weights.T + layer.bias
+    acts.append(A)
     return acts
 
 
@@ -116,10 +119,8 @@ def input_gradient_batch(net: Net, X, class_index) -> np.ndarray:
     G = np.zeros((rows, net.num_classes))
     G[np.arange(rows), classes] = 1.0
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        if layer.kind == "dense":
-            G = _rows_times(G, layer.weights)
-        else:
+        G = _rows_times(G, net.layers[i].weights)
+        if i:  # the relu before layer i passes where its output is positive
             G = G * (activations[i] > 0.0)
     return G
 
@@ -139,12 +140,7 @@ def _rows_times(G, weights) -> np.ndarray:
 
 def get_weights(net: Net) -> np.ndarray:
     """All dense parameters (weights then bias, layer by layer) as one vector."""
-    chunks = []
-    for layer in net.layers:
-        if layer.kind == "dense":
-            chunks.append(layer.weights.ravel())
-            chunks.append(layer.bias.ravel())
-    return np.concatenate(chunks)
+    return np.concatenate([p.ravel() for layer in net.layers for p in (layer.weights, layer.bias)])
 
 
 def set_weights(net: Net, w) -> Net:
@@ -159,9 +155,6 @@ def set_weights(net: Net, w) -> Net:
     layers = []
     offset = 0
     for layer in net.layers:
-        if layer.kind != "dense":
-            layers.append(layer)
-            continue
         n_w = layer.weights.size
         n_b = layer.bias.size
         new_w = w[offset : offset + n_w].reshape(layer.weights.shape).copy()
@@ -169,11 +162,7 @@ def set_weights(net: Net, w) -> Net:
         new_b = w[offset : offset + n_b].reshape(layer.bias.shape).copy()
         offset += n_b
         layers.append(dense(new_w, new_b))
-    return replace(net, layers=tuple(layers))
-
-
-def dense_layer_indices(net: Net) -> list:
-    return [i for i, layer in enumerate(net.layers) if layer.kind == "dense"]
+    return Net(tuple(layers))
 
 
 def replace_layer(net: Net, index: int, layer: Layer) -> Net:
@@ -188,13 +177,10 @@ def init_net(input_dim: int, hidden: tuple, num_classes: int, seed: int) -> Net:
     rng = np.random.default_rng(seed)
     dims = [input_dim, *hidden, num_classes]
     layers = []
-    for i in range(len(dims) - 1):
-        fan_in = dims[i]
+    for fan_in, fan_out in zip(dims, dims[1:]):
         bound = np.sqrt(1.0 / fan_in)
-        W = rng.uniform(-bound, bound, size=(dims[i + 1], dims[i]))
-        layers.append(Layer("dense", W, np.zeros(dims[i + 1])))
-        if i < len(dims) - 2:
-            layers.append(relu())
+        W = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        layers.append(Layer(W, np.zeros(fan_out)))
     return make_net(layers)
 
 
@@ -224,11 +210,7 @@ def train_tiny(
 
     rng = np.random.default_rng(seed + 1)
     layers = list(net.layers)
-    velocity = {
-        i: (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-        for i, layer in enumerate(layers)
-        if layer.kind == "dense"
-    }
+    velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in layers]
     n = X.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -246,17 +228,16 @@ def train_tiny(
             # backward; acts[i] is the input of layer i
             for i in range(len(layers) - 1, -1, -1):
                 layer = layers[i]
-                if layer.kind == "dense":
-                    grad_W = G.T @ acts[i]
-                    grad_b = G.sum(axis=0)
-                    G = G @ layer.weights
-                    v_W = momentum * velocity[i][0] - learning_rate * grad_W
-                    v_b = momentum * velocity[i][1] - learning_rate * grad_b
-                    velocity[i] = (v_W, v_b)
-                    layers[i] = Layer("dense", layer.weights + v_W, layer.bias + v_b)
-                else:
+                grad_W = G.T @ acts[i]
+                grad_b = G.sum(axis=0)
+                G = G @ layer.weights
+                if i:  # through the relu before layer i
                     G = G * (acts[i] > 0.0)
-    return Net(layers=tuple(layers), input_dim=net.input_dim, num_classes=net.num_classes)
+                v_W = momentum * velocity[i][0] - learning_rate * grad_W
+                v_b = momentum * velocity[i][1] - learning_rate * grad_b
+                velocity[i] = (v_W, v_b)
+                layers[i] = Layer(layer.weights + v_W, layer.bias + v_b)
+    return Net(tuple(layers))
 
 
 def accuracy(net: Net, inputs, labels) -> float:

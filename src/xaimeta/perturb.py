@@ -341,10 +341,13 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
 
     dropped = np.flatnonzero(~usable).tolist()
     if len(dropped) > MAX_DROPPED_FRACTION * n:
+        # a dropped sample with a compliant payload lost it to undefined estimates
+        no_payload = int((~compliant[dropped].any(axis=1)).sum())
         raise MetaEvaluationError(
-            f"{len(dropped)}/{n} samples without usable estimates under "
-            f"{spec.test}/{spec.strength} (cap {MAX_DROPPED_FRACTION:.0%}); "
-            f"mean compliance {compliant.mean():.3f}"
+            f"{len(dropped)}/{n} samples without usable estimates for {scorer.estimator_id} "
+            f"under {spec.test}/{spec.strength} (cap {MAX_DROPPED_FRACTION:.0%}): "
+            f"{no_payload} with no compliant payload, {len(dropped) - no_payload} with "
+            f"undefined estimates; mean compliance {compliant.mean():.3f}"
         )
     if total and undefined > MAX_UNDEFINED_FRACTION * total:
         raise MetaEvaluationError(

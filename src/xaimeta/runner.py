@@ -256,7 +256,7 @@ def run_hpo(config: RunConfig):
     ranked = []
     for index, ((cell, _, _), (estimator_id, cfg)) in enumerate(zip(trials, checked)):
         results = {
-            (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test, spaces)
+            (estimator_id, test): evaluate_cell(spaces, estimator_id, cfg, test)
             for test in setup.tests
         }
         score = mc_bar(results, estimator_id)

@@ -25,7 +25,7 @@ from xaimeta.estimators import (
     evaluate_top_k_intersection,
 )
 from xaimeta.explain import ExplainerConfig, explain_integrated_gradients
-from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net, relu
+from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net
 from xaimeta.runconfig import config_from_tables, parse_tables
 from xaimeta.runner import run_benchmark, run_sanity
 from xaimeta.stats import average_ranks, wilcoxon_signed_rank
@@ -192,7 +192,6 @@ class TestCriterion3Gradients:
             net = make_net(
                 [
                     dense(rng.normal(size=(hid, d)), rng.normal(size=hid)),
-                    relu(),
                     dense(rng.normal(size=(c, hid)), rng.normal(size=c)),
                 ]
             )
@@ -227,7 +226,6 @@ class TestCriterion3Gradients:
             net = make_net(
                 [
                     dense(rng.normal(size=(6, 5)), np.zeros(6)),
-                    relu(),
                     dense(rng.normal(size=(3, 6)), rng.normal(size=3)),
                 ]
             )

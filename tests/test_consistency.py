@@ -263,11 +263,7 @@ class TestEndToEnd:
     def test_deterministic_adversary_exact_vector(self, small_setup):
         for test in ("ipt", "mpt"):
             cell = evaluate_cell(
-                small_setup,
-                "adversarial_deterministic",
-                EstimatorConfig(),
-                test,
-                PerturbedSpaces(small_setup),
+                PerturbedSpaces(small_setup), "adversarial_deterministic", EstimatorConfig(), test
             )
             assert cell.mean.iac_nr == 1.0
             assert cell.mean.iac_ar == 0.0
@@ -278,11 +274,7 @@ class TestEndToEnd:
 
     def test_distribution_shift_adversary(self, small_setup):
         cell = evaluate_cell(
-            small_setup,
-            "adversarial_distribution_shift",
-            EstimatorConfig(),
-            "ipt",
-            PerturbedSpaces(small_setup),
+            PerturbedSpaces(small_setup), "adversarial_distribution_shift", EstimatorConfig(), "ipt"
         )
         assert cell.mean.iac_nr <= 0.05
         assert cell.mean.iac_ar >= 0.95
@@ -302,7 +294,7 @@ class TestEndToEnd:
             master_seed=5,
             perturb_templates={("mpt", "minor"): perturb_spec("mpt", "minor", sigma=0.0)},
         )
-        cell = evaluate_cell(setup, "sparseness", EstimatorConfig(), "mpt", PerturbedSpaces(setup))
+        cell = evaluate_cell(PerturbedSpaces(setup), "sparseness", EstimatorConfig(), "mpt")
         assert cell.mean.iac_nr == 1.0
 
     def test_one_template_fills_in_the_other_three(self, small_setup):
@@ -407,7 +399,7 @@ class TestSharedSpaces:
         alone = run_meta_evaluation(with_estimators(golden_setup, [c]))
         cfg = dict(golden_setup.estimators)[c]
         for test in golden_setup.tests:
-            standalone = evaluate_cell(golden_setup, c, cfg, test, PerturbedSpaces(golden_setup))
+            standalone = evaluate_cell(PerturbedSpaces(golden_setup), c, cfg, test)
             assert cell_state(trio[(c, test)]) == cell_state(alone[(c, test)])
             assert cell_state(trio[(c, test)]) == cell_state(standalone)
 

@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -14,7 +15,7 @@ from xaimeta.dataio import (
     synth_blobs,
 )
 from xaimeta.errors import DataFormatError
-from xaimeta.net import dense, get_weights, make_net, relu
+from xaimeta.net import dense, get_weights, init_net, make_net
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -161,7 +162,6 @@ class TestModelRoundTrip:
         return make_net(
             [
                 dense(rng.normal(size=(5, 3)), rng.normal(size=5)),
-                relu(),
                 dense(rng.normal(size=(2, 5)), rng.normal(size=2)),
             ]
         )
@@ -172,7 +172,36 @@ class TestModelRoundTrip:
         save_model(net, path, provenance="seed=9")
         loaded = load_model(path)
         assert np.array_equal(get_weights(loaded), get_weights(net))
-        assert [l.kind for l in loaded.layers] == [l.kind for l in net.layers]
+        assert [l.weights.shape for l in loaded.layers] == [l.weights.shape for l in net.layers]
+
+    def test_layers_line_alternates_dense_and_relu(self, tmp_path):
+        net = init_net(3, (4,), 2, seed=1)
+        path = tmp_path / "model.txt"
+        save_model(net, path)
+        assert "layers dense 4 3, relu, dense 2 4" in path.read_text().splitlines()
+        loaded = load_model(path)
+        assert get_weights(loaded).tobytes() == get_weights(net).tobytes()
+        assert (loaded.input_dim, loaded.num_classes) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("dense 4 3,, relu, dense 2 4", "''"),
+            ("", "''"),
+            ("dense 4 x, relu, dense 2 4", "'dense 4 x'"),
+            ("dense 4 3, dense 2 4", "'dense 2 4'"),
+            ("relu, dense 4 3, relu, dense 2 4", "'relu'"),
+            ("dense 4 3, relu, dense 2 4, relu", "'relu'"),
+            ("dense 4 3, relu, dense 2 5", "expected input 4, got 5"),
+        ],
+    )
+    def test_malformed_layers_line_names_the_bad_part(self, tmp_path, spec, named):
+        path = tmp_path / "model.txt"
+        save_model(init_net(3, (4,), 2, seed=1), path)
+        text = path.read_text().replace("layers dense 4 3, relu, dense 2 4", f"layers {spec}".strip())
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=re.escape(named)):
+            load_model(path)
 
     def test_checksum_recomputation(self, tmp_path):
         net = self.build_net()

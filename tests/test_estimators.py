@@ -16,11 +16,9 @@ from xaimeta.explain import METHODS, ExplainerConfig, build_explainer
 from xaimeta.net import (
     Layer,
     dense,
-    dense_layer_indices,
     init_net,
     logits_batch,
     make_net,
-    relu,
     replace_layer,
     softmax,
 )
@@ -84,7 +82,6 @@ def two_layer_net(rng, d=4, h=6, c=3):
     return make_net(
         [
             dense(rng.normal(size=(h, d)), rng.normal(size=h)),
-            relu(),
             dense(rng.normal(size=(c, h)), rng.normal(size=c)),
         ]
     )
@@ -505,17 +502,15 @@ def mpr_oracle_correlations(ctx):
     randomised net drawn from the space seed, and a one-row re-explanation
     of every row under it; the (B, layers) rank correlations."""
     correlations = []
-    for v, layer_index in enumerate(dense_layer_indices(ctx.net)):
-        layer = ctx.net.layers[layer_index]
+    for v, layer in enumerate(ctx.net.layers):
         pooled = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
         mu, sd = float(pooled.mean()), float(pooled.std())
         rng = derive_rng("mpr", ctx.space_seed, v)
         new_layer = Layer(
-            "dense",
             rng.normal(mu, sd, size=layer.weights.shape),
             rng.normal(mu, sd, size=layer.bias.shape),
         )
-        randomized = replace_layer(ctx.net, layer_index, new_layer)
+        randomized = replace_layer(ctx.net, v, new_layer)
         others = np.empty_like(ctx.attributions)
         for b in range(len(ctx.X)):
             others[b] = ctx.explainer(randomized, ctx.X[b : b + 1], ctx.labels[b])[0]
@@ -589,7 +584,7 @@ class TestModelParameterRandomisationBatch:
         explainer = flat_where_first_feature_negative(gradient)
         ctx = self.batch_ctx(net, explainer, 9, b=12)
         defined = np.isfinite(mpr_oracle_correlations(ctx)).sum(axis=1)
-        layers = len(dense_layer_indices(net))
+        layers = len(net.layers)
         # rows with no layer defined and rows with some but not all
         assert (defined == 0).any() and ((0 < defined) & (defined < layers)).any()
         self.assert_matches_the_oracle(ctx)
@@ -1007,7 +1002,6 @@ def exact_net(d, classes=3):
     return make_net(
         [
             dense(rng.integers(-3, 4, size=(5, d)).astype(float), rng.integers(-2, 3, size=5)),
-            relu(),
             dense(rng.integers(-3, 4, size=(classes, 5)).astype(float), np.zeros(classes)),
         ]
     )

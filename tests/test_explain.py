@@ -19,14 +19,13 @@ from xaimeta.explain import (
     explain_saliency,
     normalize,
 )
-from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net, relu
+from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net
 
 
 def random_net(rng, input_dim=4, hidden=6, num_classes=3):
     return make_net(
         [
             dense(rng.normal(size=(hidden, input_dim)), rng.normal(size=hidden)),
-            relu(),
             dense(rng.normal(size=(num_classes, hidden)), rng.normal(size=num_classes)),
         ]
     )
@@ -121,7 +120,6 @@ class TestIntegratedGradients:
             net = make_net(
                 [
                     dense(rng.normal(size=(6, 4)), np.zeros(6)),
-                    relu(),
                     dense(rng.normal(size=(3, 6)), rng.normal(size=3)),
                 ]
             )

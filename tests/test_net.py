@@ -11,7 +11,6 @@ from xaimeta.net import (
     logits_batch,
     make_net,
     predict_labels,
-    relu,
     set_weights,
     softmax,
     train_tiny,
@@ -25,7 +24,6 @@ def random_net(rng, input_dim=None, hidden=None, num_classes=None):
     return make_net(
         [
             dense(rng.normal(size=(hidden, input_dim)), rng.normal(size=hidden)),
-            relu(),
             dense(rng.normal(size=(num_classes, hidden)), rng.normal(size=num_classes)),
         ]
     )
@@ -68,7 +66,6 @@ class TestForward:
         net = make_net(
             [
                 dense([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]),
-                relu(),
                 dense([[1.0, 1.0], [0.0, 0.0]], [0.0, 0.0]),
             ]
         )
@@ -134,7 +131,6 @@ class TestInputGradient:
         net = make_net(
             [
                 dense([[1.0, 0.0], [0.0, 1.0]], [-10.0, 0.0]),
-                relu(),
                 dense([[1.0, 1.0], [0.0, 0.0]], [0.0, 0.0]),
             ]
         )
@@ -182,9 +178,8 @@ class TestWeightVector:
         net2 = set_weights(net, w)
         assert np.array_equal(get_weights(net2), w)
         for a, b in zip(net.layers, net2.layers):
-            if a.kind == "dense":
-                assert np.array_equal(a.weights, b.weights)
-                assert np.array_equal(a.bias, b.bias)
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
 
     def test_zero_vector_gives_constant_zero_logits(self):
         rng = np.random.default_rng(4)
@@ -216,34 +211,40 @@ class TestWeightVector:
             set_weights(net, np.zeros(get_weights(net).size + 1))
 
 
-def plain_logits(net, X):
-    """The forward pass written out layer by layer on the (rows, in) matrix."""
+def pre_activations(net, X):
+    """Each dense layer's output on the (rows, in) matrix, with a relu
+    applied to every output but the last before it feeds the next layer."""
+    outputs = []
     A = np.asarray(X, dtype=float)
     for layer in net.layers:
-        A = A @ layer.weights.T + layer.bias if layer.kind == "dense" else np.maximum(A, 0.0)
-    return A
+        outputs.append(A @ layer.weights.T + layer.bias)
+        A = np.maximum(outputs[-1], 0.0)
+    return outputs
+
+
+def plain_logits(net, X):
+    """The forward pass written out layer by layer: the last dense output."""
+    return pre_activations(net, X)[-1]
 
 
 def plain_gradient(net, X, classes):
-    """The backward pass written out layer by layer on the (rows, in) matrix."""
-    acts = [np.asarray(X, dtype=float)]
-    for layer in net.layers:
-        A = acts[-1]
-        dense_layer = layer.kind == "dense"
-        acts.append(A @ layer.weights.T + layer.bias if dense_layer else np.maximum(A, 0.0))
+    """The backward pass written out layer by layer: through each dense
+    layer, then through the relu below it wherever its input was positive."""
+    outputs = pre_activations(net, X)
     G = np.zeros((len(X), net.num_classes))
     G[np.arange(len(X)), classes] = 1.0
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        G = G @ layer.weights if layer.kind == "dense" else G * (acts[i] > 0.0)
+        G = G @ net.layers[i].weights
+        if i:
+            G = G * (outputs[i - 1] > 0.0)
     return G
 
 
-class TestMembers:
-    """An ordinary net's passes, byte for byte against the 2-D reference."""
+class TestPlainReference:
+    """A net's passes, byte for byte against the layer-by-layer reference."""
 
     @pytest.mark.parametrize("rows", [1, 2, 9, 64])
-    def test_one_member_nets_keep_the_plain_bytes(self, rows):
+    def test_passes_keep_the_plain_bytes(self, rows):
         rng = np.random.default_rng(50 + rows)
         net = random_net(rng, input_dim=6, hidden=9, num_classes=4)
         X = rng.uniform(-1.0, 1.0, size=(rows, 6))
@@ -256,6 +257,17 @@ class TestMembers:
         else:
             expected = plain_gradient(net, X, classes)
         assert np.array_equal(grads, expected)
+
+    def test_a_relu_sits_between_every_two_dense_layers(self):
+        rng = np.random.default_rng(60)
+        dims = [6, 9, 5, 7, 4]
+        net = make_net(
+            [dense(rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(dims, dims[1:])]
+        )
+        X = rng.uniform(-1.0, 1.0, size=(9, 6))
+        classes = rng.integers(0, 4, size=9)
+        assert np.array_equal(logits_batch(net, X), plain_logits(net, X))
+        assert np.array_equal(input_gradient_batch(net, X, classes), plain_gradient(net, X, classes))
 
     def test_dense_rejects_stacked_weights(self):
         with pytest.raises(ValueError, match="weights \\(out, in\\)"):

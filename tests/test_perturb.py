@@ -399,9 +399,27 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=0.0, max_resamples=1, seed=8)
         calls, run = self.counted_collect(net, X[:8], "max_sensitivity", spec, K=3)
-        with pytest.raises(MetaEvaluationError, match="without usable estimates"):
+        cause = "without usable estimates for max_sensitivity .*: 8 with no compliant payload, 0 "
+        with pytest.raises(MetaEvaluationError, match=cause):
             run()
         assert calls == [[8, 1]] * len(simple_methods())
+
+    def test_dropped_samples_name_the_estimator_and_the_cause(self, trained):
+        # every minor weight payload complies, so the undefined estimates of
+        # the odd rows alone drop half the samples
+        net, X = trained
+        spec = perturb_spec("mpt", "minor", seed=3)
+
+        def odd_rows_undefined(ctx):
+            return np.where(ctx.rows % 2 == 1, np.nan, 0.0)
+
+        scorer = Scorer("odd_rows_undefined", "higher_better", odd_rows_undefined)
+        cause = (
+            "12/24 samples without usable estimates for odd_rows_undefined under mpt/minor "
+            r"\(cap 20%\): 0 with no compliant payload, 12 with undefined estimates"
+        )
+        with pytest.raises(MetaEvaluationError, match=cause):
+            collect(spaces(net, X[:24], K=3), scorer=scorer, spec=spec)
 
     def test_too_many_undefined_estimates_name_the_estimator(self, trained):
         # each sample keeps its unperturbed and first payload estimate, so no
