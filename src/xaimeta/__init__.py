@@ -26,7 +26,6 @@ from .estimators import EstimatorConfig, EvalContext, make_scorer
 from .explain import ExplainerConfig, build_explainer, normalize
 from .net import Net, get_weights, set_weights, train_tiny
 from .perturb import (
-    PerturbedSpaces,
     PerturbSpec,
     collect,
     ipt_sample,

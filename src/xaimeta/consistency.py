@@ -9,17 +9,18 @@ the unperturbed score should strictly beat the perturbed one (with the
 comparison inverted for lower-is-better estimators).  The four criteria,
 with the adversarial-reactivity IAC reverse-scored so that higher is always
 better, average into one meta-consistency (MC) score.  A `BenchmarkSetup`
-holds a run's inputs, and one `perturb.PerturbedSpaces` of it serves every
-estimator x test cell scored against it.
+holds a run's inputs and the perturbed spaces drawn over them, which every
+estimator x test cell scored against it shares.
 """
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import stats
 from .errors import MetaEvaluationError
 from .estimators import LOWER_BETTER, EstimatorConfig, make_scorer
-from .net import Net
+from .net import Net, predict_labels
 from .perturb import (
     DEFAULT_WINDOWS,
     DISRUPTIVE,
@@ -27,8 +28,11 @@ from .perturb import (
     MINOR,
     MPT,
     CollectResult,
-    PerturbedSpaces,
+    PerturbedSpace,
+    PerturbSpec,
+    _read_only,
     collect,
+    draw_space,
     perturb_spec,
 )
 from .seeding import derive_seed
@@ -139,8 +143,14 @@ def iac_over_methods(result: CollectResult) -> float:
 
 @dataclass
 class BenchmarkSetup:
-    """Materialized inputs of a meta-evaluation run; `PerturbedSpaces(setup)`
-    draws and explains its perturbed spaces.
+    """A meta-evaluation run: its inputs, and the perturbed spaces that every
+    cell scored against it shares, so one setup serves a whole hpo grid.
+
+    The net's labels of the inputs and each method's read-only explanations
+    of them are made on first use, so explainers swapped into `methods`
+    after construction make them too.  `space(spec)` draws and explains a
+    space on first use and keeps it in `drawn`; `dataclasses.replace` gives
+    a setup with none.
 
     `masks`, when given, is cast to an (N, D) bool array whose every row
     marks at least one feature; `dataset_mean` is the mean of the inputs.
@@ -159,6 +169,8 @@ class BenchmarkSetup:
     # (test, strength) -> PerturbSpec; missing keys get perturb_spec's defaults
     perturb_templates: dict = field(default_factory=dict)
     dataset_mean: float = field(init=False)  # the "mean" baseline's fill
+    # PerturbSpec -> PerturbedSpace
+    drawn: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if len(self.methods) < 2:
@@ -181,6 +193,22 @@ class BenchmarkSetup:
             **self.perturb_templates,
         }
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return predict_labels(self.net, self.inputs)
+
+    @cached_property
+    def attributions(self) -> dict:
+        return {
+            method_id: _read_only(explainer(self.net, self.inputs, self.labels))
+            for method_id, explainer in self.methods
+        }
+
+    def space(self, spec: PerturbSpec) -> PerturbedSpace:
+        if spec not in self.drawn:
+            self.drawn[spec] = draw_space(self, spec)
+        return self.drawn[spec]
+
 
 @dataclass
 class CellResult:
@@ -194,14 +222,13 @@ class CellResult:
     diagnostics: dict
 
 
-def evaluate_cell(spaces: PerturbedSpaces, estimator_id: str, cfg, test: str) -> CellResult:
+def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> CellResult:
     """Run `iterations` independent repetitions of one estimator x test.
 
     The payloads of iteration i at one strength come from the seed
-    (master_seed, test, i, strength) of the setup of `spaces` alone, and
-    `spaces` draws and explains them once for every cell that scores them.
+    (master_seed, test, i, strength) of `setup` alone, and `setup` draws and
+    explains them once for every cell that scores them.
     """
-    setup = spaces.setup
     vectors = []
     diagnostics = {"dropped": [], "undefined": [], "total": [], "mean_attempts": []}
     for iteration in range(setup.iterations):
@@ -212,7 +239,7 @@ def evaluate_cell(spaces: PerturbedSpaces, estimator_id: str, cfg, test: str) ->
                 setup.perturb_templates[(test, strength)],
                 seed=derive_seed(setup.master_seed, test, iteration, strength),
             )
-            collects[strength] = collect(spaces, scorer=scorer, spec=spec)
+            collects[strength] = collect(setup, scorer=scorer, spec=spec)
         iac_nr = iac_over_methods(collects[MINOR])
         iac_ar_raw = iac_over_methods(collects[DISRUPTIVE])
         qbar_nr, qbar_m = ranking_matrices(collects[MINOR])
@@ -263,12 +290,11 @@ def run_meta_evaluation(setup: BenchmarkSetup) -> dict:
 
     Payloads come from (master_seed, test, iteration, strength) only, and
     every cell scores the same perturbed spaces, drawn and explained once
-    per run: these are common random numbers, so a cell does not depend on
+    per setup: these are common random numbers, so a cell does not depend on
     which other estimators run or in which order cells run.
     """
-    spaces = PerturbedSpaces(setup)
     return {
-        (estimator_id, test): evaluate_cell(spaces, estimator_id, cfg, test)
+        (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test)
         for estimator_id, cfg in setup.estimators
         for test in setup.tests
     }

@@ -152,6 +152,8 @@ def _parse_layer_spec(spec: str, path) -> Net:
 
 def save_model(net: Net, path, provenance: str = "") -> None:
     """Write the text header plus checksummed base64 float64 payload."""
+    if not provenance.isascii():
+        raise ValueError(f"provenance must be ASCII, got {provenance!r}")
     payload = get_weights(net).astype("<f8").tobytes()
     digest = hashlib.sha256(payload).hexdigest()
     lines = [
@@ -179,11 +181,18 @@ def _header_value(lines, key, path):
 
 def load_model(path) -> Net:
     """Read a model file back; bit-exact inverse of save_model."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not an ASCII file") from exc
     if not lines or lines[0] != MODEL_HEADER:
         raise DataFormatError(f"{path}: not a {MODEL_HEADER} file")
     skeleton = _parse_layer_spec(_header_value(lines, "layers", path), path)
+    for key in ("input_dim", "num_classes"):
+        value, n = _header_value(lines, key, path), getattr(skeleton, key)
+        if value != str(n):
+            raise DataFormatError(f"{path}: {key} {value} contradicts the layers line's {n}")
     checksum = _header_value(lines, "checksum", path)
     try:
         payload = base64.b64decode(_header_value(lines, "payload", path), validate=True)

@@ -4,12 +4,12 @@ Two tests are supported: IPT, additive uniform noise on inputs (clipped to
 the dataset bounds), and MPT, multiplicative Gaussian noise on all model
 parameters.  A perturbation is *minor* when the predicted label
 survives it and *disruptive* when the label changes; payloads are resampled
-until they comply or a cap is reached.  `PerturbedSpaces` draws each
-(test, strength, iteration) of payloads of a `consistency.BenchmarkSetup`
-once and explains it once per method; `collect` scores such a space with
-one estimator, giving the (N, L) unperturbed and (N, L, K) perturbed quality
-estimates over the L explanation methods that the consistency criteria
-consume.
+until they comply or a cap is reached.  `draw_space` draws each (test,
+strength, iteration) of payloads over the rows of a
+`consistency.BenchmarkSetup`, which keeps it, and explains it once per
+method; `collect` scores such a space with one estimator, giving the (N, L)
+unperturbed and (N, L, K) perturbed quality estimates over the L
+explanation methods that the consistency criteria consume.
 """
 import math
 import numbers
@@ -168,11 +168,10 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
 class PerturbedSpace:
     """One (test, strength, iteration) of payloads and every method's
     explanations of them: drawn and explained once, scored by every
-    estimator.  Column 0 holds the unperturbed rows (the setup's net, inputs
-    and explanations, the very arrays of `PerturbedSpaces`), columns 1..K the
-    payloads.  Its arrays are read-only, because every estimator sees them.
-    It holds no estimator seeds: `collect` derives one per method from the
-    spec's seed."""
+    estimator.  Column 0 holds the unperturbed rows (the setup's own net,
+    inputs and explanations), columns 1..K the payloads.  Its arrays are
+    read-only, because every estimator sees them.  It holds no estimator
+    seeds: `collect` derives one per method from the spec's seed."""
 
     columns: list  # column c: (net, (N,) bool rows it holds, inputs of those rows)
     attempts: np.ndarray  # (N, K) draws used per payload
@@ -184,49 +183,22 @@ class PerturbedSpace:
         return np.stack([rows for _, rows, _ in self.columns[1:]], axis=1)
 
 
-class PerturbedSpaces:
-    """The perturbed spaces of one `consistency.BenchmarkSetup`: its N input
-    rows labelled and explained once per method, and each space keyed by
-    PerturbSpec and drawn on first use.
-
-    A space depends only on its spec (whose seed names the test, strength
-    and iteration), never on the estimators that score it, so one instance
-    serves every cell scored against the setup, a whole hpo grid included;
-    it holds every space it drew until it is dropped.
-    """
-
-    def __init__(self, setup):
-        self.setup = setup
-        self.labels = predict_labels(setup.net, setup.inputs)
-        self.attributions = {
-            method_id: _read_only(explainer(setup.net, setup.inputs, self.labels))
-            for method_id, explainer in setup.methods
-        }
-        self.drawn = {}  # PerturbSpec -> PerturbedSpace
-
-    def __getitem__(self, spec: PerturbSpec) -> PerturbedSpace:
-        space = self.drawn.get(spec)
-        if space is None:
-            space = self.drawn[spec] = draw_space(self, spec)
-        return space
-
-
 def _read_only(array):
     array.setflags(write=False)
     return array
 
 
-def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
-    """Draw the K payload columns of `spec` over the setup rows of `spaces`,
-    then explain each non-empty one once per method; column 0 is the
-    unperturbed one that `spaces` already explained.
+def draw_space(setup, spec: PerturbSpec) -> PerturbedSpace:
+    """Draw the K payload columns of `spec` over the rows of `setup`, a
+    `consistency.BenchmarkSetup`, then explain each non-empty one once per
+    method; column 0 holds the setup's unperturbed rows and explanations.
 
     Under IPT payload column k holds the unperturbed net and the k-th
     perturbed rows, under MPT the k-th drawn net and X; every stochastic
     choice derives from spec.seed, so the space is independent of execution
     schedule.
     """
-    setup, labels = spaces.setup, spaces.labels
+    labels, unperturbed = setup.labels, setup.attributions
     net, X, K = setup.net, setup.inputs, setup.K
     n, d = X.shape
     attempts = np.zeros((n, K))
@@ -249,7 +221,7 @@ def draw_space(spaces: PerturbedSpaces, spec: PerturbSpec) -> PerturbedSpace:
             inputs = X[rows]
         columns.append((net_k, _read_only(rows), _read_only(inputs)))
     attributions = {
-        method_id: [spaces.attributions[method_id]]
+        method_id: [unperturbed[method_id]]
         + [
             _read_only(explainer(net_k, inputs, labels[rows])) if len(inputs) else None
             for net_k, rows, inputs in columns[1:]
@@ -280,9 +252,9 @@ class CollectResult:
     mean_attempts: float
 
 
-def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectResult:
+def collect(setup, *, scorer, spec: PerturbSpec) -> CollectResult:
     """Gather unperturbed and K perturbed estimates per (sample, method) on
-    the space `spec` names in `spaces`, drawing it on first use.
+    the space `spec` names in `setup`, which draws it on first use.
 
     `scorer` is an estimators.Scorer, called per method once per non-empty
     column of the space on the rows it holds (all N in column 0, a payload's
@@ -304,8 +276,7 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
     estimates are undefined.  `scorer` and `spec` are keyword-only because
     bench/tracer.py reads them by name.
     """
-    space = spaces[spec]
-    setup = spaces.setup
+    space = setup.space(spec)
     held = np.stack([rows for _, rows, _ in space.columns], axis=1)  # (N, 1 + K)
     n = len(held)
     scores = np.full((n, len(setup.methods), held.shape[1]), np.nan)
@@ -318,7 +289,7 @@ def collect(spaces: PerturbedSpaces, *, scorer, spec: PerturbSpec) -> CollectRes
                 ctx = EvalContext(
                     net=net_c,
                     X=inputs,
-                    labels=spaces.labels[rows],
+                    labels=setup.labels[rows],
                     attributions=space.attributions[method_id][c],
                     explainer=explainer,
                     dataset_bounds=setup.bounds,

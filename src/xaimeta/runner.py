@@ -18,11 +18,12 @@ from .errors import ConfigError
 from .estimators import ESTIMATORS, EstimatorConfig
 from .explain import build_explainer
 from .net import accuracy, train_tiny
-from .perturb import PerturbedSpaces, perturb_spec
+from .perturb import perturb_spec
 from .report import mc_bar, write_report
 from .runconfig import RunConfig, config_to_tables
 from .seeding import derive_rng, derive_seed
 
+SANITY_MIN_SAMPLES = 256  # the dataset size the tolerance windows are calibrated for
 SANITY_METHODS = ("synthetic_flat", "synthetic_input", "synthetic_negative", "synthetic_noise")
 SANITY_EXPECTATIONS = {
     # documented tolerances for the adversarial sanity rows
@@ -169,18 +170,12 @@ class SanityOutcome:
     passed: bool
 
 
-def run_sanity(
-    config: RunConfig,
-    jobs: int = 1,
-    k: int = 10,
-    iterations: int = 5,
-    min_samples: int = 256,
-) -> SanityOutcome:
+def run_sanity(config: RunConfig, jobs: int = 1, k: int = 10, iterations: int = 5) -> SanityOutcome:
     """Adversarial-estimator reproduction: the perturbation-blind estimator
     must score exactly [1, 0, 1, 0] and the distribution-shifting one must
     land inside the documented tolerance windows on both tests.
 
-    The tolerance windows are calibrated for `min_samples` evaluation
+    The tolerance windows are calibrated for SANITY_MIN_SAMPLES evaluation
     samples; synthetic datasets are grown to that size, real ones only
     trigger a warning when smaller.
     """
@@ -188,7 +183,7 @@ def run_sanity(
         raise ValueError(f"cells run serially; jobs must be 1, got {jobs}")
     dataset_spec = dict(config.dataset)
     if dataset_spec.get("kind", "blobs") == "blobs":
-        dataset_spec["samples"] = max(int(dataset_spec.get("samples", min_samples)), min_samples)
+        dataset_spec["samples"] = max(int(dataset_spec.get("samples", 0)), SANITY_MIN_SAMPLES)
     sanity_config = replace(
         config,
         dataset=dataset_spec,
@@ -202,10 +197,10 @@ def run_sanity(
         iterations=iterations,
     )
     setup = build_setup(sanity_config)
-    if setup.inputs.shape[0] < min_samples:
+    if setup.inputs.shape[0] < SANITY_MIN_SAMPLES:
         log(
             f"sanity: only {setup.inputs.shape[0]} samples; the documented "
-            f"tolerances presume at least {min_samples}"
+            f"tolerances presume at least {SANITY_MIN_SAMPLES}"
         )
     log(f"sanity: N={setup.inputs.shape[0]}, K={k}, iterations={iterations}, both tests")
     results = run_meta_evaluation(setup)
@@ -235,8 +230,8 @@ def run_hpo(config: RunConfig):
 
     [hpo] names the estimator and [hpo.axes] the value lists; an `estimator`
     axis may replace the fixed estimator id.  Every cell is scored against
-    one setup and one `PerturbedSpaces`, so each space is drawn and
-    explained once for the whole grid and the cells' scores are paired.
+    one setup, which draws and explains each space once for the whole grid,
+    so the cells' scores are paired.
     Returns the ranked cells, best first.
     """
     if not config.hpo.get("axes"):
@@ -252,11 +247,10 @@ def run_hpo(config: RunConfig):
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"[hpo] cell {cell}: {exc}") from exc
     setup = build_setup(replace(config, estimators=[]), dataset=dataset)
-    spaces = PerturbedSpaces(setup)
     ranked = []
     for index, ((cell, _, _), (estimator_id, cfg)) in enumerate(zip(trials, checked)):
         results = {
-            (estimator_id, test): evaluate_cell(spaces, estimator_id, cfg, test)
+            (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test)
             for test in setup.tests
         }
         score = mc_bar(results, estimator_id)

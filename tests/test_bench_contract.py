@@ -5,11 +5,13 @@ function would silently drop out of a per-layer metric instead of failing.
 """
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from xaimeta import consistency, estimators, explain, net, perturb, report, runner, stats
+from xaimeta.runconfig import config_from_tables, parse_tables
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -75,3 +77,65 @@ def test_the_positions_the_hooks_read():
     cell = list(inspect.signature(consistency.evaluate_cell).parameters)
     assert cell[1] == "estimator_id" and cell[3] == "test"
     assert list(inspect.signature(perturb.mpt_sample).parameters)[2] == "spec"
+
+
+SMALL_RUN = """
+[dataset]
+kind = blobs
+samples = 12
+features = 4
+classes = 3
+spread = 0.05
+
+[model]
+hidden = [6]
+epochs = 20
+
+[run]
+tests = [ipt, mpt]
+k = 2
+iterations = 1
+
+[methods]
+use = [gradient, saliency]
+
+[estimators]
+use = [sparseness]
+
+[perturb.ipt.disruptive]
+alpha = -1.0
+beta = 1.0
+"""
+
+
+def test_a_run_explains_through_the_methods_swapped_in_after_build_setup(monkeypatch):
+    # the tracer swaps a setup's methods for counting wrappers once
+    # build_setup returns, so every explanation, column 0's included, must
+    # come after that and through the swapped methods
+    made = Counter()  # calls of the explainers build_setup built
+
+    def counting(method_id, explainer):
+        def wrapper(net, X, labels):
+            made[method_id] += 1
+            return explainer(net, X, labels)
+
+        return wrapper
+
+    build = runner.build_explainer
+    monkeypatch.setattr(runner, "build_explainer", lambda m, cfg: counting(m, build(m, cfg)))
+    setup = runner.build_setup(config_from_tables(parse_tables(SMALL_RUN)))
+    assert not made
+    swapped = []  # (method_id, X) per call through the swapped methods
+
+    def recording(method_id, explainer):
+        def wrapper(net, X, labels):
+            swapped.append((method_id, X))
+            return explainer(net, X, labels)
+
+        return wrapper
+
+    setup.methods = [(m, recording(m, explainer)) for m, explainer in setup.methods]
+    consistency.run_meta_evaluation(setup)
+    assert Counter(m for m, _ in swapped) == made
+    for method_id, _ in setup.methods:
+        assert any(m == method_id and X is setup.inputs for m, X in swapped)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xaimeta import perturb, runner
+from xaimeta import consistency, perturb, runner
 from xaimeta.cli import main
 from xaimeta.consistency import run_meta_evaluation
 from xaimeta.dataio import make_masks
@@ -424,11 +424,12 @@ class TestConfigErrorsBeforeTraining:
 
 
 class TestSanityCommand:
-    def test_quick_sanity_blind_adversary_exact(self, tmp_path):
+    def test_quick_sanity_blind_adversary_exact(self, tmp_path, monkeypatch):
         # the tight distribution-shift windows need the full sanity scale;
         # at desk size only the perturbation-blind invariant is exact
+        monkeypatch.setattr(runner, "SANITY_MIN_SAMPLES", 24)
         config = load_config(write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out"))
-        outcome = run_sanity(config, k=3, iterations=2, min_samples=24)
+        outcome = run_sanity(config, k=3, iterations=2)
         psi_eq = {
             (r["test"], r["criterion"]): r["value"]
             for r in outcome.rows
@@ -496,22 +497,22 @@ class TestHpoCommand:
         assert ranked[0]["cell"] == {"fc_baseline": "black", "estimator": "sparseness"}
 
     def test_grid_draws_each_space_once_and_pairs_its_cells(self, tmp_path, monkeypatch):
-        # one setup and one set of perturbed spaces serve the whole grid, so
-        # three cells draw no more than one, and each cell scores exactly as
-        # a meta-evaluation of its one estimator config alone
+        # one setup and the perturbed spaces it draws serve the whole grid,
+        # so three cells draw no more than one, and each cell scores exactly
+        # as a meta-evaluation of its one estimator config alone
         calls = Counter()
 
-        def counted(name):
-            fn = getattr(perturb, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(perturb, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("draw_space")
-        counted("ipt_sample")
+        counted(consistency, "draw_space")  # BenchmarkSetup.space calls it
+        counted(perturb, "ipt_sample")
         grid = "\n[hpo]\nestimator = sparseness\n[hpo.axes]\nestimator = [{}]\n"
         counts = []
         for estimators in ("sparseness", "sparseness, complexity, pointing_game"):

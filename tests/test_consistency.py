@@ -22,7 +22,7 @@ from xaimeta.errors import MetaEvaluationError
 from xaimeta.estimators import EstimatorConfig
 from xaimeta.explain import ExplainerConfig, build_explainer
 from xaimeta.net import train_tiny
-from xaimeta.perturb import DEFAULT_WINDOWS, PerturbedSpaces, collect, perturb_spec
+from xaimeta.perturb import DEFAULT_WINDOWS, collect, perturb_spec
 from xaimeta.runconfig import config_from_tables, parse_tables
 from xaimeta.runner import build_setup
 from xaimeta.stats import wilcoxon_signed_rank
@@ -262,9 +262,7 @@ def small_setup():
 class TestEndToEnd:
     def test_deterministic_adversary_exact_vector(self, small_setup):
         for test in ("ipt", "mpt"):
-            cell = evaluate_cell(
-                PerturbedSpaces(small_setup), "adversarial_deterministic", EstimatorConfig(), test
-            )
+            cell = evaluate_cell(small_setup, "adversarial_deterministic", EstimatorConfig(), test)
             assert cell.mean.iac_nr == 1.0
             assert cell.mean.iac_ar == 0.0
             assert cell.mean.iec_nr == 1.0
@@ -273,9 +271,7 @@ class TestEndToEnd:
             assert all(s == 0.0 for s in cell.std.values())
 
     def test_distribution_shift_adversary(self, small_setup):
-        cell = evaluate_cell(
-            PerturbedSpaces(small_setup), "adversarial_distribution_shift", EstimatorConfig(), "ipt"
-        )
+        cell = evaluate_cell(small_setup, "adversarial_distribution_shift", EstimatorConfig(), "ipt")
         assert cell.mean.iac_nr <= 0.05
         assert cell.mean.iac_ar >= 0.95
         assert abs(cell.mean.iec_nr - 0.25) <= 0.05
@@ -294,7 +290,7 @@ class TestEndToEnd:
             master_seed=5,
             perturb_templates={("mpt", "minor"): perturb_spec("mpt", "minor", sigma=0.0)},
         )
-        cell = evaluate_cell(PerturbedSpaces(setup), "sparseness", EstimatorConfig(), "mpt")
+        cell = evaluate_cell(setup, "sparseness", EstimatorConfig(), "mpt")
         assert cell.mean.iac_nr == 1.0
 
     def test_one_template_fills_in_the_other_three(self, small_setup):
@@ -399,7 +395,8 @@ class TestSharedSpaces:
         alone = run_meta_evaluation(with_estimators(golden_setup, [c]))
         cfg = dict(golden_setup.estimators)[c]
         for test in golden_setup.tests:
-            standalone = evaluate_cell(PerturbedSpaces(golden_setup), c, cfg, test)
+            # a replaced setup has drawn no space, unlike the shared fixture
+            standalone = evaluate_cell(replace(golden_setup), c, cfg, test)
             assert cell_state(trio[(c, test)]) == cell_state(alone[(c, test)])
             assert cell_state(trio[(c, test)]) == cell_state(standalone)
 
@@ -424,7 +421,7 @@ class TestSharedSpaces:
         """Run the estimators with every explainer call and payload draw counted.
 
         Returns (explainer calls per method, ipt_sample calls, mpt_sample
-        calls, the run's PerturbedSpaces)."""
+        calls, the run's setup)."""
         calls = Counter()
 
         def counted(name, fn):
@@ -436,19 +433,19 @@ class TestSharedSpaces:
 
         for name in ("ipt_sample", "mpt_sample"):
             monkeypatch.setattr(perturb, name, counted(name, getattr(perturb, name)))
-        seen = set()
+        seen = {}  # id -> setup, because a BenchmarkSetup is unhashable
 
-        def recording(spaces, **kwargs):
-            seen.add(spaces)
-            return collect(spaces, **kwargs)
+        def recording(setup, **kwargs):
+            seen[id(setup)] = setup
+            return collect(setup, **kwargs)
 
         monkeypatch.setattr(consistency, "collect", recording)
         methods = [(m, counted(m, explainer)) for m, explainer in setup.methods]
         run_meta_evaluation(replace(with_estimators(setup, estimator_ids), methods=methods))
         monkeypatch.undo()
-        (spaces,) = seen
+        (run_setup,) = seen.values()
         explained = {m: calls[m] for m, _ in methods}
-        return explained, calls["ipt_sample"], calls["mpt_sample"], spaces
+        return explained, calls["ipt_sample"], calls["mpt_sample"], run_setup
 
     def test_estimators_add_no_explainer_call_and_no_payload_draw(
         self, golden_setup, monkeypatch
@@ -459,12 +456,31 @@ class TestSharedSpaces:
             golden_setup, ["sparseness", "pointing_game", "adversarial_deterministic"], monkeypatch
         )
         assert one[:3] == three[:3]
-        explained, ipt_draws, mpt_draws, spaces = three
+        explained, ipt_draws, mpt_draws, run_setup = three
         n, k = golden_setup.inputs.shape[0], golden_setup.K
         # one space per (test, strength, iteration); ipt_sample draws one row
-        assert len(spaces.drawn) == len(golden_setup.tests) * 2 * golden_setup.iterations
+        assert len(run_setup.drawn) == len(golden_setup.tests) * 2 * golden_setup.iterations
         assert ipt_draws == 2 * golden_setup.iterations * k * n
         assert mpt_draws == 2 * golden_setup.iterations * k
         # the unperturbed rows once per run, then each non-empty payload column once
-        columns = sum(int(space.compliant.any(axis=0).sum()) for space in spaces.drawn.values())
+        columns = sum(int(space.compliant.any(axis=0).sum()) for space in run_setup.drawn.values())
         assert explained == {m: 1 + columns for m, _ in golden_setup.methods}
+
+    def test_a_setup_draws_each_space_once_across_runs(self, golden_setup, monkeypatch):
+        draws = Counter()
+
+        def counting(setup, spec):
+            draws[spec] += 1
+            return perturb.draw_space(setup, spec)
+
+        monkeypatch.setattr(consistency, "draw_space", counting)
+        setup = with_estimators(golden_setup, ["sparseness", "max_sensitivity"])
+        assert setup.drawn == {}
+        first = run_meta_evaluation(setup)
+        second = run_meta_evaluation(setup)
+        assert len(draws) == len(setup.tests) * 2 * setup.iterations
+        assert set(draws.values()) == {1} and set(setup.drawn) == set(draws)
+        assert set(first) == set(second)
+        for key in first:
+            assert cell_state(first[key]) == cell_state(second[key]), key
+        assert replace(setup).drawn == {}

@@ -203,6 +203,36 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match=re.escape(named)):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, declared, named",
+        [
+            ("input_dim", 7, "input_dim 7 contradicts the layers line's 3"),
+            ("num_classes", 9, "num_classes 9 contradicts the layers line's 2"),
+        ],
+    )
+    def test_header_contradicting_the_layers_line(self, tmp_path, field, declared, named):
+        path = tmp_path / "model.txt"
+        save_model(init_net(3, (4,), 2, seed=1), path)
+        lines = path.read_text().splitlines()
+        lines = [f"{field} {declared}" if l.startswith(field + " ") else l for l in lines]
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError, match=re.escape(named)):
+            load_model(path)
+
+    def test_non_ascii_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(init_net(3, (4,), 2, seed=1), path, provenance="seed=1")
+        text = path.read_text().replace("provenance seed=1", "provenance seed=\u00e9")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError, match="model.txt: not an ASCII file"):
+            load_model(path)
+
+    def test_non_ascii_provenance_rejected_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "model.txt"
+        with pytest.raises(ValueError, match="provenance must be ASCII"):
+            save_model(init_net(3, (4,), 2, seed=1), path, provenance="seed=\u00e9")
+        assert not path.exists()
+
     def test_checksum_recomputation(self, tmp_path):
         net = self.build_net()
         path = tmp_path / "model.txt"

@@ -17,7 +17,6 @@ from xaimeta.net import dense, make_net, predict_labels, train_tiny
 from xaimeta.perturb import (
     DEFAULT_WINDOWS,
     PerturbSpec,
-    PerturbedSpaces,
     collect,
     ipt_sample,
     mpt_draw,
@@ -248,12 +247,11 @@ def simple_methods():
     ]
 
 
-def spaces(net, X, K, methods=None, masks=None):
-    """Perturbed spaces of X in [0, 1], by default under the two simple methods."""
-    setup = BenchmarkSetup(
+def setup_of(net, X, K, methods=None, masks=None):
+    """A setup of X in [0, 1], by default under the two simple methods."""
+    return BenchmarkSetup(
         net, X, (0.0, 1.0), methods or simple_methods(), estimators=[], tests=[], K=K, masks=masks
     )
-    return PerturbedSpaces(setup)
 
 
 def method_columns(result):
@@ -268,7 +266,7 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("mpt", "minor", sigma=0.0, seed=1)
         scorer = make_scorer("sparseness", EstimatorConfig())
-        result = collect(spaces(net, X[:8], K=1), scorer=scorer, spec=spec)
+        result = collect(setup_of(net, X[:8], K=1), scorer=scorer, spec=spec)
         for unperturbed, perturbed in method_columns(result):
             assert np.isfinite(perturbed).all()
             assert np.allclose(perturbed[:, 0], unperturbed, atol=1e-15)
@@ -278,7 +276,7 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec(test, "minor", seed=2)
         scorer = make_scorer("adversarial_deterministic", EstimatorConfig())
-        result = collect(spaces(net, X[:8], K=3), scorer=scorer, spec=spec)
+        result = collect(setup_of(net, X[:8], K=3), scorer=scorer, spec=spec)
         assert result.compliant.any()
         for unperturbed, perturbed in method_columns(result):
             for k in range(3):
@@ -294,14 +292,14 @@ class TestCollect:
         cfg = EstimatorConfig(fc_runs=10, fc_subset_size=1)
         scorer = make_scorer("faithfulness_correlation", cfg)
         methods = simple_methods()
-        result = collect(spaces(net, X4, K=2, methods=methods), scorer=scorer, spec=spec)
+        result = collect(setup_of(net, X4, K=2, methods=methods), scorer=scorer, spec=spec)
 
         from xaimeta.estimators import evaluate_faithfulness_correlation
 
         labels = predict_labels(net, X4)
         for (method_id, explainer), scores in zip(methods, method_columns(result)):
             unperturbed, perturbed = scores
-            # the spaces explain the unperturbed rows in one call, then each
+            # the setup explains the unperturbed rows in one call, then each
             # payload column's compliant rows in one call; replay those calls
             base = explainer(net, X4, labels)
             cases = [
@@ -377,7 +375,7 @@ class TestCollect:
 
         methods = [(method_id, count(explainer)) for method_id, explainer in simple_methods()]
         counted = Scorer(scorer.estimator_id, scorer.direction, scoring)
-        return calls, lambda: collect(spaces(net, X, K=K, methods=methods), scorer=counted, spec=spec)
+        return calls, lambda: collect(setup_of(net, X, K=K, methods=methods), scorer=counted, spec=spec)
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     @pytest.mark.parametrize("estimator_id", ["max_sensitivity", "local_lipschitz", "random_logit"])
@@ -419,7 +417,7 @@ class TestCollect:
             r"\(cap 20%\): 0 with no compliant payload, 12 with undefined estimates"
         )
         with pytest.raises(MetaEvaluationError, match=cause):
-            collect(spaces(net, X[:24], K=3), scorer=scorer, spec=spec)
+            collect(setup_of(net, X[:24], K=3), scorer=scorer, spec=spec)
 
     def test_too_many_undefined_estimates_name_the_estimator(self, trained):
         # each sample keeps its unperturbed and first payload estimate, so no
@@ -439,7 +437,7 @@ class TestCollect:
 
         scorer = Scorer("half_undefined", "higher_better", first_payload_only)
         with pytest.raises(MetaEvaluationError, match="estimates undefined for half_undefined"):
-            collect(spaces(net, X[:8], K=3), scorer=scorer, spec=spec)
+            collect(setup_of(net, X[:8], K=3), scorer=scorer, spec=spec)
         assert len(seen) == 8 * len(simple_methods())
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
@@ -454,7 +452,7 @@ class TestCollect:
             return scorer(ctx)
 
         recorder = Scorer(scorer.estimator_id, scorer.direction, recording)
-        collect(spaces(net, X[:8], K=2), scorer=recorder, spec=spec)
+        collect(setup_of(net, X[:8], K=2), scorer=recorder, spec=spec)
         # the unperturbed call and at least one payload column per method
         assert len(space_seeds) > len(simple_methods())
         assert set(space_seeds) == {spec.seed}
@@ -475,7 +473,7 @@ class TestCollect:
             return scorer(ctx)
 
         recorder = Scorer(scorer.estimator_id, scorer.direction, recording)
-        result = collect(spaces(net, X[:8], K=3), scorer=recorder, spec=spec)
+        result = collect(setup_of(net, X[:8], K=3), scorer=recorder, spec=spec)
         assert len(draws) == 8 * len(simple_methods())
         for (_, row), per_call in draws.items():
             assert len(per_call) == 1 + result.compliant[row].sum()
@@ -494,7 +492,7 @@ class TestCollect:
             return scorer(ctx)
 
         recorder = Scorer(scorer.estimator_id, scorer.direction, recording)
-        collect(spaces(net, X[:8], K=2), scorer=recorder, spec=spec)
+        collect(setup_of(net, X[:8], K=2), scorer=recorder, spec=spec)
         per_method = list(dict.fromkeys(seeds))
         assert per_method == [derive_seed(spec.seed, "est", m) for m, _ in simple_methods()]
 
@@ -502,10 +500,10 @@ class TestCollect:
     def test_column_zero_holds_the_unperturbed_rows(self, trained, test):
         # the setup's own net, inputs and explanations, not copies of them
         net, X = trained
-        shared = spaces(net, X[:8], K=2)
-        space = shared[perturb_spec(test, "minor", seed=15)]
+        shared = setup_of(net, X[:8], K=2)
+        space = shared.space(perturb_spec(test, "minor", seed=15))
         net_0, rows, inputs = space.columns[0]
-        assert net_0 is shared.setup.net and inputs is shared.setup.inputs
+        assert net_0 is shared.net and inputs is shared.inputs
         assert rows.shape == (8,) and rows.all()
         assert len(space.columns) == 1 + 2
         for method_id, _ in simple_methods():
@@ -517,8 +515,8 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("mpt", "minor", seed=3)
         scorer = make_scorer("complexity", EstimatorConfig())
-        a = collect(spaces(net, X[:6], K=2), scorer=scorer, spec=spec)
-        b = collect(spaces(net, X[:6], K=2), scorer=scorer, spec=spec)
+        a = collect(setup_of(net, X[:6], K=2), scorer=scorer, spec=spec)
+        b = collect(setup_of(net, X[:6], K=2), scorer=scorer, spec=spec)
         pairs = zip(method_columns(a), method_columns(b), strict=True)
         for (_, perturbed_a), (_, perturbed_b) in pairs:
             assert np.array_equal(perturbed_a, perturbed_b, equal_nan=True)
@@ -527,7 +525,7 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("ipt", "disruptive", seed=4, max_resamples=10)
         scorer = make_scorer("sparseness", EstimatorConfig())
-        result = collect(spaces(net, X[:10], K=2), scorer=scorer, spec=spec)
+        result = collect(setup_of(net, X[:10], K=2), scorer=scorer, spec=spec)
         for _, perturbed in method_columns(result):
             assert np.isnan(perturbed[~result.compliant]).all()
             assert np.isfinite(perturbed[result.compliant]).all()
@@ -548,7 +546,7 @@ class TestCollect:
         masks = bad(np.ones((6, X.shape[1]), dtype=bool))
         with pytest.raises(ValueError, match="masks"):
             collect(
-                spaces(net, X[:6], K=1, masks=masks),
+                setup_of(net, X[:6], K=1, masks=masks),
                 scorer=counted,
                 spec=perturb_spec("ipt", "minor", seed=6),
             )
@@ -566,7 +564,7 @@ class TestCollect:
         masks = [[1, 0]] * 6  # int lists, not a bool array
         counted = Scorer(scorer.estimator_id, scorer.direction, record)
         collect(
-            spaces(net, X[:6], K=1, masks=masks),
+            setup_of(net, X[:6], K=1, masks=masks),
             scorer=counted,
             spec=perturb_spec("ipt", "minor", seed=6),
         )
@@ -625,7 +623,7 @@ class TestSharedDraws:
         def alone(ctx):
             return scorer(replace(ctx, draws=None))
 
-        shared = spaces(net, X, K=3)
+        shared = setup_of(net, X, K=3)
         spec = perturb_spec(test, strength, seed=21, **window)
         result = collect(shared, scorer=Scorer(estimator_id, scorer.direction, sharing), spec=spec)
         oracle = collect(shared, scorer=Scorer(estimator_id, scorer.direction, alone), spec=spec)
@@ -642,14 +640,14 @@ class TestSharedDraws:
     ):
         net, X = three_classes
         scorer = make_scorer(estimator_id, SEEDED_ESTIMATORS[estimator_id])
-        shared = spaces(net, X, K=1)
+        shared = setup_of(net, X, K=1)
         method_id, explainer = simple_methods()[0]
         draws = {}
         scores = {}
         for seed in (1, 2, 1):
             ctx = EvalContext(
                 net=net,
-                X=shared.setup.inputs,
+                X=shared.inputs,
                 labels=shared.labels,
                 attributions=shared.attributions[method_id],
                 explainer=explainer,
