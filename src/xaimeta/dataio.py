@@ -151,9 +151,13 @@ def _parse_layer_spec(spec: str, path) -> Net:
 
 
 def save_model(net: Net, path, provenance: str = "") -> None:
-    """Write the text header plus checksummed base64 float64 payload."""
-    if not provenance.isascii():
-        raise ValueError(f"provenance must be ASCII, got {provenance!r}")
+    """Write the text header plus checksummed base64 float64 payload.
+
+    The provenance is one header line, so it must be printable ASCII: a
+    line break would split it into header lines that `load_model` reads.
+    """
+    if not (provenance.isascii() and provenance.isprintable()):
+        raise ValueError(f"provenance must be ASCII and printable, got {provenance!r}")
     payload = get_weights(net).astype("<f8").tobytes()
     digest = hashlib.sha256(payload).hexdigest()
     lines = [

@@ -30,6 +30,8 @@ from .seeding import derive_rng
 
 HIGHER_BETTER = "higher_better"
 LOWER_BETTER = "lower_better"
+# local Lipschitz skips an in-ball draw that moves its input less than this
+MIN_DISPLACEMENT = 1e-12
 
 
 @dataclass
@@ -53,7 +55,11 @@ class EvalContext:
     `draws`, when given, keeps the tables the estimator draws, keyed by
     (stream tag, seed), for the next context that shares it: `collect` hands
     one dict to the 1 + K contexts of one (space, method), so each table is
-    drawn once for them.
+    drawn once for them.  `kept`, when given, keeps read-only tables that
+    cost explainer calls for every later context of the same rows, inputs,
+    net, explanations and explainer: `collect` hands each (space, method,
+    column) the one dict its space holds for it, so max sensitivity and
+    local Lipschitz explain their shared in-ball draws once per space.
     """
 
     net: Net
@@ -69,6 +75,7 @@ class EvalContext:
     is_perturbed: bool = False
     space_seed: int = 0
     draws: dict | None = None
+    kept: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -233,51 +240,63 @@ def _row_norms(A) -> np.ndarray:
     return np.sqrt(stats._row_dots(A, A))
 
 
-def _in_ball_changes(ctx, cfg, keep):
+def _in_ball_changes(ctx, cfg):
     """Explanation changes under the in-ball input draws, and the draws'
-    effective (post-clip) displacement norms: both (B, runs).
+    effective (post-clip) displacement norms: both read-only (B, runs).
 
     A sample's `(runs, D)` uniform displacements come from the "ball"
-    stream, which Max Sensitivity and Local Lipschitz share.  keep(dists)
-    -> (B, runs) bool picks the draws to explain, all in one explainer call;
-    the changes of the others are NaN.
+    stream, which max sensitivity and local Lipschitz share.  One explainer
+    call explains every draw but those of a zero input that move it by less
+    than MIN_DISPLACEMENT, whose changes are NaN: max sensitivity reads
+    every draw of a nonzero input, local Lipschitz every draw that moves its
+    input by MIN_DISPLACEMENT or more.  When `ctx.kept` is given the two
+    tables are kept in it under ("ball", seed, radius, runs), so whichever
+    of the two estimators scores the context first explains for both.
     """
-    lo, hi = ctx.dataset_bounds
     radius = cfg.radius(ctx.dataset_bounds)
+    key = ("ball", ctx.seed, radius, cfg.robustness_runs)
+    if ctx.kept is not None and key in ctx.kept:
+        return ctx.kept[key]
+    lo, hi = ctx.dataset_bounds
     shape = (cfg.robustness_runs, ctx.X.shape[1])
     deltas = _sample_draws(ctx, "ball", lambda rng, m: rng.uniform(-radius, radius, (m, *shape)))
     x_pert = np.clip(ctx.X[:, None, :] + deltas, lo, hi)
     dists = _row_norms(x_pert - ctx.X[:, None, :])
-    rows, draws = np.nonzero(keep(dists))
+    explained = (dists >= MIN_DISPLACEMENT) | (_row_norms(ctx.X) != 0.0)[:, None]
+    rows, draws = np.nonzero(explained)
     changes = np.full(dists.shape, np.nan)
     if rows.size:
         others = ctx.explainer(ctx.net, x_pert[rows, draws], ctx.labels[rows])
         changes[rows, draws] = _row_norms(ctx.attributions[rows] - others)
+    for table in (changes, dists):
+        table.setflags(write=False)
+    if ctx.kept is not None:
+        ctx.kept[key] = changes, dists
     return changes, dists
 
 
 def evaluate_max_sensitivity(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     """Largest explanation change over random in-ball input perturbations,
-    relative to the input norm.  Undefined for a zero input, whose draws are
-    not explained.
+    relative to the input norm.  Undefined for a zero input.  The changes
+    come from `_in_ball_changes`, which local Lipschitz shares.
     """
-    x_norms = _row_norms(ctx.X)
-    changes, _ = _in_ball_changes(
-        ctx, cfg, lambda dists: np.broadcast_to(x_norms[:, None] != 0.0, dists.shape)
-    )
-    return _ratio_or_nan(np.max(changes, axis=1), x_norms)
+    changes, _ = _in_ball_changes(ctx, cfg)
+    return _ratio_or_nan(np.max(changes, axis=1), _row_norms(ctx.X))
 
 
 def evaluate_local_lipschitz(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     """Largest explanation-change to input-change ratio over random draws.
 
     The denominator uses the effective (post-clip) displacement; a draw
-    whose displacement is below 1e-12 is skipped, and a row without any
-    other draw is undefined.
+    whose displacement is below MIN_DISPLACEMENT is skipped, and a row
+    without any other draw is undefined.
     """
-    changes, dists = _in_ball_changes(ctx, cfg, lambda dists: dists >= 1e-12)
-    # a skipped draw's NaN change stays NaN, and fmax passes over it
-    return np.fmax.reduce(changes / dists, axis=1)
+    changes, dists = _in_ball_changes(ctx, cfg)
+    ratios = np.divide(
+        changes, dists, out=np.full(dists.shape, np.nan), where=dists >= MIN_DISPLACEMENT
+    )
+    # a skipped draw's ratio stays NaN, and fmax passes over it
+    return np.fmax.reduce(ratios, axis=1)
 
 
 # --- randomisation ----------------------------------------------------------

@@ -13,7 +13,7 @@ explanation methods that the consistency criteria consume.
 """
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,11 +171,16 @@ class PerturbedSpace:
     estimator.  Column 0 holds the unperturbed rows (the setup's own net,
     inputs and explanations), columns 1..K the payloads.  Its arrays are
     read-only, because every estimator sees them.  It holds no estimator
-    seeds: `collect` derives one per method from the spec's seed."""
+    seeds: `collect` derives one per method from the spec's seed.  `kept`
+    holds, per (method_id, column), the dict of read-only tables that
+    estimators compute from the column's explanations with explainer calls
+    of their own (`EvalContext.kept`), so the estimators that share such a
+    table compute it once per space, and it lives as long as the space."""
 
     columns: list  # column c: (net, (N,) bool rows it holds, inputs of those rows)
     attempts: np.ndarray  # (N, K) draws used per payload
     attributions: dict  # method_id -> column c's (rows, D) explanations, None if empty
+    kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def compliant(self) -> np.ndarray:
@@ -270,7 +275,10 @@ def collect(setup, *, scorer, spec: PerturbSpec) -> CollectResult:
     and lives until the method's last column is scored.  Payloads and
     explanations are shared across methods and estimators, so the
     explainers run at most 1 + K times per method and space, whatever the
-    number of estimators.
+    number of estimators.  Each call also carries the space's `kept` dict
+    of its (method, column), so an estimator's own explainer calls, such as
+    the in-ball re-explanations that max sensitivity and local Lipschitz
+    share, run once per space for every estimator and cell that reads them.
     Aborts when more than MAX_DROPPED_FRACTION of samples end up without a
     single retained draw, or when more than MAX_UNDEFINED_FRACTION of all
     estimates are undefined.  `scorer` and `spec` are keyword-only because
@@ -300,6 +308,7 @@ def collect(setup, *, scorer, spec: PerturbSpec) -> CollectResult:
                     is_perturbed=c > 0,
                     space_seed=spec.seed,
                     draws=draws,
+                    kept=space.kept.setdefault((method_id, c), {}),
                 )
                 scores[rows, j, c] = scorer(ctx)
     # entries of rows a column does not hold are still NaN, so never defined

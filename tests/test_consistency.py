@@ -375,6 +375,14 @@ def golden_setup():
     return build_setup(config_from_tables(parse_tables(GOLDEN_CONFIG)))
 
 
+@pytest.fixture(scope="module")
+def robust_setup(golden_setup):
+    """The golden setup, with local Lipschitz under max sensitivity's config."""
+    configs = dict(golden_setup.estimators)
+    robust = [("local_lipschitz", configs["max_sensitivity"])]
+    return replace(golden_setup, estimators=golden_setup.estimators + robust)
+
+
 def with_estimators(setup, estimator_ids):
     """`setup` scoring these estimators, under their configs in `setup` or the defaults."""
     configs = dict(setup.estimators)
@@ -389,16 +397,20 @@ def cell_state(cell):
 class TestSharedSpaces:
     """Payloads belong to (test, strength, iteration), not to the estimator."""
 
-    def test_cell_independent_of_the_other_estimators(self, golden_setup):
-        a, b, c = "faithfulness_correlation", "model_parameter_randomisation", "max_sensitivity"
-        trio = run_meta_evaluation(with_estimators(golden_setup, [a, b, c]))
-        alone = run_meta_evaluation(with_estimators(golden_setup, [c]))
-        cfg = dict(golden_setup.estimators)[c]
-        for test in golden_setup.tests:
+    @pytest.mark.parametrize("c", ["max_sensitivity", "local_lipschitz"])
+    def test_cell_independent_of_the_other_estimators(self, robust_setup, c):
+        # the other robustness estimator reads the same in-ball table, so
+        # whichever of the two runs first explains it for both
+        a, b = "faithfulness_correlation", "model_parameter_randomisation"
+        (other,) = {"max_sensitivity", "local_lipschitz"} - {c}
+        runs = [[a, b, c], [c], [other, c], [c, other]]
+        cells = [run_meta_evaluation(with_estimators(robust_setup, ids)) for ids in runs]
+        cfg = dict(robust_setup.estimators)[c]
+        for test in robust_setup.tests:
             # a replaced setup has drawn no space, unlike the shared fixture
-            standalone = evaluate_cell(replace(golden_setup), c, cfg, test)
-            assert cell_state(trio[(c, test)]) == cell_state(alone[(c, test)])
-            assert cell_state(trio[(c, test)]) == cell_state(standalone)
+            standalone = evaluate_cell(replace(robust_setup), c, cfg, test)
+            for run, ids in zip(cells, runs):
+                assert cell_state(run[(c, test)]) == cell_state(standalone), (ids, test)
 
     def test_every_cell_of_a_test_sees_the_same_compliance(self, golden_setup):
         results = run_meta_evaluation(golden_setup)
@@ -465,6 +477,45 @@ class TestSharedSpaces:
         # the unperturbed rows once per run, then each non-empty payload column once
         columns = sum(int(space.compliant.any(axis=0).sum()) for space in run_setup.drawn.values())
         assert explained == {m: 1 + columns for m, _ in golden_setup.methods}
+
+    def test_robustness_estimators_explain_their_in_ball_draws_once(
+        self, robust_setup, monkeypatch
+    ):
+        ms, ll = "max_sensitivity", "local_lipschitz"
+        both = self.counted_run(robust_setup, [ms, ll], monkeypatch)
+        backward = self.counted_run(robust_setup, [ll, ms], monkeypatch)
+        for alone in (
+            self.counted_run(robust_setup, [ms], monkeypatch),
+            self.counted_run(robust_setup, [ll], monkeypatch),
+        ):
+            assert both[:3] == backward[:3] == alone[:3]
+        nothing = self.counted_run(robust_setup, ["sparseness"], monkeypatch)
+        # one in-ball call per (space, method, non-empty column), column 0
+        # included; sparseness makes only the calls that explain the spaces
+        explained, run_setup = both[0], both[3]
+        spaces = run_setup.drawn.values()
+        columns = sum(1 + int(space.compliant.any(axis=0).sum()) for space in spaces)
+        assert explained == {m: nothing[0][m] + columns for m, _ in robust_setup.methods}
+
+    def test_hpo_cells_match_a_fresh_setup(self, golden_setup):
+        # the cells of both robustness estimators at two radii and two run
+        # counts share one setup; the radius and the run count key the
+        # in-ball table, so a cell reads only the table of its own settings
+        tables = parse_tables(
+            GOLDEN_CONFIG
+            + "\n[hpo.axes]\nestimator = [max_sensitivity, local_lipschitz]\n"
+            + "robustness_radius = [0.05, 0.2]\nrobustness_runs = [2, 3]\n"
+        )
+        trials = config_from_tables(tables).hpo_trials()
+        shared = replace(golden_setup)
+        for cell, estimator_id, settings in trials:
+            cfg = EstimatorConfig(**settings)
+            for test in shared.tests:
+                scored = evaluate_cell(shared, estimator_id, cfg, test)
+                fresh = evaluate_cell(replace(golden_setup), estimator_id, cfg, test)
+                assert cell_state(scored) == cell_state(fresh), (cell, test)
+        kept = {key[2:] for space in shared.drawn.values() for t in space.kept.values() for key in t}
+        assert len(trials) == 8 and kept == {(0.05, 2), (0.05, 3), (0.2, 2), (0.2, 3)}
 
     def test_a_setup_draws_each_space_once_across_runs(self, golden_setup, monkeypatch):
         draws = Counter()

@@ -233,6 +233,19 @@ class TestModelRoundTrip:
             save_model(init_net(3, (4,), 2, seed=1), path, provenance="seed=\u00e9")
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "provenance", ["seed=1\nchecksum sha256:00", "a\rb"], ids=["newline", "carriage-return"]
+    )
+    def test_line_break_in_provenance_rejected_before_the_file_is_opened(
+        self, tmp_path, provenance
+    ):
+        # a line break would add header lines: load_model would read a forged
+        # checksum, or cut the provenance short
+        path = tmp_path / "model.txt"
+        with pytest.raises(ValueError, match="provenance must be ASCII and printable"):
+            save_model(init_net(3, (4,), 2, seed=1), path, provenance=provenance)
+        assert not path.exists()
+
     def test_checksum_recomputation(self, tmp_path):
         net = self.build_net()
         path = tmp_path / "model.txt"

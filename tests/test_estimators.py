@@ -438,9 +438,12 @@ class TestLocalLipschitz:
             assert est == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-    def test_a_row_with_only_degenerate_draws_is_undefined(self):
-        # every draw of radius 1e-14 moves x by less than 1e-12: all are
-        # skipped, none is explained, and the estimate is undefined
+    @pytest.mark.parametrize("zero_input", [True, False], ids=["zero", "nonzero"])
+    def test_a_row_with_only_degenerate_draws_is_undefined(self, zero_input):
+        # every draw of radius 1e-14 moves x by less than 1e-12, so every
+        # one is skipped and the estimate is undefined.  Of a zero input no
+        # draw is explained; those of a nonzero one are, in one call, for
+        # max sensitivity, which reads the same table
         calls = []
 
         def explainer(net, X, labels):
@@ -448,11 +451,32 @@ class TestLocalLipschitz:
             return np.array(X)
 
         rng = np.random.default_rng(19)
-        ctx = make_ctx(two_layer_net(rng), rng.uniform(size=4), explainer=explainer, row=3)
+        x = np.zeros(4) if zero_input else rng.uniform(size=4)
+        ctx = make_ctx(two_layer_net(rng), x, explainer=explainer, row=3)
+        ctx.kept = {}
         calls.clear()
         cfg = EstimatorConfig(robustness_runs=4, robustness_radius=1e-14)
         assert math.isnan(evaluate_local_lipschitz(ctx, cfg))
-        assert calls == []
+        assert calls == ([] if zero_input else [4])
+        assert math.isnan(evaluate_max_sensitivity(ctx, cfg)) == zero_input
+        assert calls == ([] if zero_input else [4])
+
+
+def test_the_in_ball_table_is_read_only():
+    # max sensitivity keeps its table for local Lipschitz, which must find
+    # it as it was made
+    rng = np.random.default_rng(3)
+    explainer = build_explainer("input_x_gradient", ExplainerConfig())
+    ctx = make_ctx(two_layer_net(rng), [0.3, 0.6, 0.0, 1.0], explainer=explainer, seed=3)
+    ctx.kept = {}
+    cfg = EstimatorConfig(robustness_runs=3)
+    evaluate_max_sensitivity(ctx, cfg)
+    ((key, tables),) = ctx.kept.items()
+    assert key == ("ball", 3, cfg.radius(ctx.dataset_bounds), 3)
+    for table in tables:
+        assert table.shape == (1, 3) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 class TestModelParameterRandomisation:

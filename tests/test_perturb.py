@@ -611,7 +611,8 @@ class TestSharedDraws:
         self, three_classes, estimator_id, test, strength, window
     ):
         # the 1 + K contexts of a method share one dict of tables; scoring
-        # each with draws=None, so that it draws its own, gives the same bits
+        # each with draws=None and kept=None, so that it draws and explains
+        # its own, gives the same bits
         net, X = three_classes
         scorer = make_scorer(estimator_id, SEEDED_ESTIMATORS[estimator_id])
         dicts = []
@@ -621,7 +622,7 @@ class TestSharedDraws:
             return scorer(ctx)
 
         def alone(ctx):
-            return scorer(replace(ctx, draws=None))
+            return scorer(replace(ctx, draws=None, kept=None))
 
         shared = setup_of(net, X, K=3)
         spec = perturb_spec(test, strength, seed=21, **window)
