@@ -175,6 +175,9 @@ class BenchmarkSetup:
     def __post_init__(self):
         if len(self.methods) < 2:
             raise MetaEvaluationError("the ranking criterion needs at least two methods")
+        method_ids = [method_id for method_id, _ in self.methods]
+        if len(set(method_ids)) < len(method_ids):
+            raise MetaEvaluationError(f"repeated method ids in {method_ids}")
         if self.K < 1 or self.iterations < 1:
             raise MetaEvaluationError("K and iterations must be >= 1")
         for test in self.tests:

@@ -2,11 +2,12 @@
 
 A config file is a sequence of `[table]` / `[table.subtable]` headers with
 `key = value` lines; values are integers, floats, booleans, bare or quoted
-strings, or flat `[a, b, c]` lists.  `#` starts a comment.  Parsing is
-strict: unknown keys are named and all missing required keys are reported at
-once.
+strings, or flat `[a, b, c]` lists.  `#` outside double quotes starts a
+comment.  Parsing is strict: unknown keys and repeated names in a listing
+are named and all missing required keys are reported at once.
 """
 import math
+import re
 from dataclasses import dataclass, field, fields
 from types import UnionType
 from typing import get_args, get_origin
@@ -53,7 +54,11 @@ def parse_tables(text: str) -> dict:
     tables: dict = {}
     current = tables
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # the line up to its first `#` outside double quotes
+        line = re.match(r'(?:[^"#]|"[^"]*")*', raw).group()
+        if raw[len(line) :].startswith('"'):
+            raise ConfigError(f"line {lineno}: unclosed quote in {raw.strip()!r}")
+        line = line.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -250,9 +255,11 @@ def _check_keys(table: dict, schema: dict, path: str, errors: list):
 
 
 def _validate_listing(names, known, where, errors):
-    for name in names:
+    for name in dict.fromkeys(names):
         if name not in known:
             errors.append(f"unknown name {name!r} in {where}")
+        if names.count(name) > 1:
+            errors.append(f"repeated name {name!r} in {where}")
 
 
 def _raise_if(errors):

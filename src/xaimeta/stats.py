@@ -13,7 +13,9 @@ Wilcoxon p-values, ranks, correlations, areas and masked sums work along
 the last axis: row i of a stacked input gives bit for bit what the 1-D call
 on that row gives, and a 1-D input gives a plain float where the result is
 a scalar.  `wilcoxon_signed_rank` leaves a pair with a NaN side out of its
-row, so one call tests rows with different numbers of usable pairs.
+row, so one call tests rows with different numbers of usable pairs, and it
+sends all its exact rows through one call and all its normal-approximation
+rows (variance Σr²/4, which is the tie-corrected variance) through another.
 """
 import math
 
@@ -115,19 +117,23 @@ def _wilcoxon_exact_p(w_plus, ranks):
     return float(p[0]) if ranks.ndim == 1 else p
 
 
-def _wilcoxon_approx_p(w_plus: float, ranks: np.ndarray) -> float:
-    m = ranks.size
-    mu = m * (m + 1) / 4.0
-    tie_sizes = np.unique(ranks, return_counts=True)[1].astype(np.float64)
-    var = m * (m + 1) * (2 * m + 1) / 24.0 - float(((tie_sizes**3 - tie_sizes) / 48.0).sum())
-    if var <= 0.0:
-        return 1.0
-    dev = w_plus - mu
-    # continuity correction: shrink toward the mean by one half step
-    if abs(dev) <= 0.5:
-        return 1.0
-    z = (abs(dev) - 0.5) / math.sqrt(var)
-    return math.erfc(z / math.sqrt(2.0))
+def _wilcoxon_approx_p(w_plus, ranks):
+    """Normal-approximation two-sided p, with continuity correction, of each
+    row's positive-rank sum `w_plus` over its nonzero `ranks` (zero marks a
+    left-out entry); 1-D ranks give a float.
+
+    Under the null each rank's sign is a fair coin, so W+ has mean Σr/2 and
+    variance Σr²/4: for average ranks, m(m+1)/4 and the tie-corrected
+    m(m+1)(2m+1)/24 - Σ(t³ - t)/48 over tie groups of size t.  Each r is a
+    multiple of 1/2 and each r² of 1/4, so both sums are exact in any order.
+    """
+    ranks = np.asarray(ranks, dtype=np.float64)
+    block = np.atleast_2d(ranks)
+    # continuity correction: shrink toward the mean by one half step, to 0 at most
+    dev = np.maximum(np.abs(np.atleast_1d(w_plus) - block.sum(axis=1) / 2.0) - 0.5, 0.0)
+    z = dev / np.sqrt((block**2).sum(axis=1) / 4.0)
+    p = np.array([math.erfc(v) for v in z / math.sqrt(2.0)])
+    return float(p[0]) if ranks.ndim == 1 else p
 
 
 def wilcoxon_signed_rank(a, b):
@@ -163,8 +169,9 @@ def wilcoxon_signed_rank(a, b):
     exact = (m > 0) & (m <= EXACT_LIMIT)
     if exact.any():
         p[exact] = _wilcoxon_exact_p(w_plus[exact], ranks[exact])
-    for i in np.flatnonzero(m > EXACT_LIMIT):
-        p[i] = _wilcoxon_approx_p(w_plus[i], ranks[i][kept[i]])
+    approx = m > EXACT_LIMIT
+    if approx.any():
+        p[approx] = _wilcoxon_approx_p(w_plus[approx], ranks[approx])
     return _scalar_if_1d(p.reshape(shape), len(shape) + 1)
 
 

@@ -343,6 +343,12 @@ class TestEndToEnd:
                 tests=["ipt"],
             )
 
+    def test_rejects_repeated_method_ids(self, small_setup):
+        # two identical columns always rank [1, 2], so IEC would read 1.0
+        first = small_setup.methods[0]
+        with pytest.raises(MetaEvaluationError, match=f"repeated method ids.*{first[0]}"):
+            replace(small_setup, methods=[first, *small_setup.methods])
+
     def test_rejects_a_single_sample(self, small_setup):
         with pytest.raises(ValueError, match="at least two samples"):
             BenchmarkSetup(

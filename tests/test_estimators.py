@@ -479,6 +479,22 @@ def test_the_in_ball_table_is_read_only():
             table[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("kept", [None, {}], ids=["default", "kept"])
+def test_one_context_under_other_robustness_configs_matches_fresh_ones(kept):
+    # a hand-built context scored under one radius or run count, then
+    # another, reads no table of the first
+    rng = np.random.default_rng(4)
+    explainer = build_explainer("gradient", ExplainerConfig())
+    net, x = two_layer_net(rng), rng.uniform(size=4)
+    ctx = make_ctx(net, x, explainer=explainer, seed=5, row=1)
+    ctx.kept = kept
+    for runs, radius in [(3, 0.05), (10, 0.05), (10, 0.2)]:
+        cfg = EstimatorConfig(robustness_runs=runs, robustness_radius=radius)
+        for evaluate in (evaluate_max_sensitivity, evaluate_local_lipschitz):
+            fresh = make_ctx(net, x, explainer=explainer, seed=5, row=1)
+            assert evaluate(ctx, cfg) == evaluate(fresh, cfg)
+
+
 class TestModelParameterRandomisation:
     def test_model_blind_explainer_scores_one(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import pytest
+from test_acceptance import BENCH_CONFIG as ACCEPTANCE_DESK
 
 from xaimeta.errors import ConfigError
 from xaimeta.estimators import EstimatorConfig
@@ -65,6 +66,22 @@ class TestParser:
         with pytest.raises(ConfigError, match="line 1"):
             parse_tables("not a key value line")
 
+    def test_hash_inside_quotes_is_not_a_comment(self):
+        text = '[run] # the run\noutput = "out#1"  # where "reports" go\nk = 2#\n'
+        assert parse_tables(text) == {"run": {"output": "out#1", "k": 2}}
+
+    @pytest.mark.parametrize("line", ['output = "out#1', 'output = "out" "#1', 'output = my"dir'])
+    def test_unclosed_quote_is_named(self, line):
+        # a stray `"` in a bare value opens a quote too
+        with pytest.raises(ConfigError, match="line 2: unclosed quote"):
+            parse_tables(f"[run]\n{line}\n")
+
+    @pytest.mark.parametrize("text", [BASE, ACCEPTANCE_DESK], ids=["base", "acceptance_desk"])
+    def test_configs_without_quoted_hashes_parse_as_before(self, text):
+        # before, every line was cut at its first `#`
+        cut = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        assert parse_tables(text) == parse_tables(cut)
+
 
 class TestConfig:
     def test_full_round_trip(self):
@@ -107,6 +124,21 @@ class TestConfig:
         assert "[dataset] kind" in message
         assert "[methods] use" in message
         assert "[estimators] use" in message
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("use = [gradient, saliency]", "use = [gradient, gradient]", r"\[methods\] use"),
+            ("use = [sparseness, complexity]", "use = [sparseness, sparseness]", r"\[estimators\] use"),
+            ("tests = [ipt]", "tests = [ipt, mpt, ipt]", r"\[run\] tests"),
+            ("[estimators]", "[hpo.axes]\nestimator = [complexity, complexity]\n[estimators]", r"\[hpo\]"),
+        ],
+    )
+    def test_repeated_name_rejected(self, old, new, where):
+        broken = BASE.replace(old, new)
+        assert broken != BASE
+        with pytest.raises(ConfigError, match=f"repeated name '\\w+' in {where}"):
+            config_from_tables(parse_tables(broken))
 
     def test_single_method_rejected(self):
         broken = BASE.replace("use = [gradient, saliency]", "use = [gradient]")

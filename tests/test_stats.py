@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from xaimeta.stats import (
     EXACT_LIMIT,
     _wilcoxon_approx_p,
+    _wilcoxon_exact_p,
     average_ranks,
     masked_row_sums,
     pearson,
@@ -55,9 +56,23 @@ def scalable_pairs():
     )
 
 
+def wilcoxon_normal_reference(w_plus, ranks):
+    """The normal approximation the scalar way: the textbook variance
+    m(m+1)(2m+1)/24 less (t^3 - t)/48 per tie group of size t, counted with
+    np.unique, and the continuity correction as a branch."""
+    m = ranks.size
+    tie_sizes = np.unique(ranks, return_counts=True)[1].astype(np.float64)
+    var = m * (m + 1) * (2 * m + 1) / 24.0 - float(((tie_sizes**3 - tie_sizes) / 48.0).sum())
+    dev = abs(w_plus - m * (m + 1) / 4.0)
+    if dev <= 0.5:
+        return 1.0
+    return math.erfc((dev - 0.5) / math.sqrt(var) / math.sqrt(2.0))
+
+
 def wilcoxon_row_reference(a, b):
     """One row's p-value the scalar way: finite pairs only, zero differences
-    dropped, and the exact count built one rank at a time."""
+    dropped, the exact count built one rank at a time, and the normal
+    approximation beyond EXACT_LIMIT from `wilcoxon_normal_reference`."""
     with np.errstate(over="ignore"):
         diffs = a - b
     if not np.isfinite(diffs).all():
@@ -69,7 +84,7 @@ def wilcoxon_row_reference(a, b):
     ranks = average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     if m > EXACT_LIMIT:
-        return _wilcoxon_approx_p(w_plus, ranks)
+        return wilcoxon_normal_reference(w_plus, ranks)
     scaled = np.rint(2.0 * ranks).astype(np.int64)
     total = int(scaled.sum())
     counts = np.zeros(total + 1)
@@ -129,8 +144,6 @@ class TestWilcoxon:
 
     def test_exact_and_approx_regimes_agree(self):
         # compare both code paths on the same data for m in [20, 25]
-        from xaimeta.stats import _wilcoxon_approx_p, _wilcoxon_exact_p
-
         rng = np.random.default_rng(7)
         for trial in range(60):
             m = int(rng.integers(20, 26))
@@ -212,6 +225,23 @@ class TestWilcoxon:
         ps = wilcoxon_signed_rank(a, b)
         for i in range(12):
             assert ps[i] == wilcoxon_row_reference(a[i, : 20 + i], b[i, : 20 + i])
+
+    def test_an_approximation_block_gives_each_row_its_1d_call(self):
+        # rows of 26-60 kept pairs with ties, zero differences and left-out
+        # entries (rank 0), against the 1-D call and the scalar reference
+        rng = np.random.default_rng(11)
+        a, b = rng.integers(-6, 7, size=(2, 40, 90)).astype(float)
+        a[rng.random(a.shape) < 0.3] = np.nan
+        diffs = np.where(np.isnan(a), 0.0, a - b)
+        kept = diffs != 0.0
+        assert (kept.sum(axis=1) > EXACT_LIMIT).all()
+        ranks = np.where(kept, average_ranks(np.where(kept, np.abs(diffs), np.inf)), 0.0)
+        w_plus = np.where(diffs > 0, ranks, 0.0).sum(axis=1)
+        ps = _wilcoxon_approx_p(w_plus, ranks)
+        assert ps.shape == (40,)
+        for p, w, row, keep in zip(ps, w_plus, ranks, kept):
+            assert p == _wilcoxon_approx_p(w, row) == _wilcoxon_approx_p(w, row[keep])
+            assert p == wilcoxon_normal_reference(w, row[keep])
 
     def test_a_nan_pair_is_left_out(self):
         a = np.array([1.0, 2.0, 3.0, np.nan, 5.0])
