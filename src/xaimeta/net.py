@@ -7,7 +7,9 @@ Provides exactly what the benchmark needs from a model: a deterministic
 forward pass with softmax prediction, analytic input gradients through the
 chain rule, flat read/write access to every parameter (the weight-noise tests
 scale and re-randomise them), and a tiny deterministic trainer.  Nets are
-immutable; every mutation-like operation returns a new value.
+immutable once returned; every mutation-like operation returns a new value.
+The trainer alone updates arrays in place: its own private weights, biases
+and velocities, which it hands to the net it returns.
 
 A one-row batch is back-propagated as two copies of itself, so a row's
 input gradient does not depend on how many rows are explained with it.
@@ -83,7 +85,8 @@ def _activations(layers, A) -> list:
         if i:
             A = np.maximum(A, 0.0)
             acts.append(A)
-        A = A @ layer.weights.T + layer.bias
+        A = A @ layer.weights.T
+        A += layer.bias
     acts.append(A)
     return acts
 
@@ -96,8 +99,9 @@ def logits_batch(net: Net, X) -> np.ndarray:
 def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def predict_labels(net: Net, X) -> np.ndarray:
@@ -198,46 +202,76 @@ def train_tiny(
 
     The stack has the given hidden widths between the data's feature count
     and its classes (at least two), and starts from `init_net` of the seed.
-    Fully deterministic for a fixed seed.
+    Each epoch visits the rows in one seeded shuffle, `batch_size` at a time.
+    The step updates the weights, biases and velocities in place; they are
+    the trainer's own arrays until the returned net takes them over.  Fully
+    deterministic for a fixed seed.  Arguments outside the ranges of the
+    `[model]` config table raise `ValueError`; a loss that stops being
+    finite raises `TrainingDivergedError`.
     """
     X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
         raise ValueError("training data must be a nonempty (N, D) matrix with N labels")
+    if not np.isfinite(X).all():
+        raise ValueError("inputs must be finite")
+    if not (np.isfinite(y).all() and (y == np.floor(y)).all()):
+        raise ValueError("labels must be integers")
+    y = y.astype(np.int64)
     if y.min() < 0:
         raise ValueError("labels outside [0, num_classes)")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"momentum must be finite in [0, 1), got {momentum}")
     net = init_net(X.shape[1], tuple(hidden), max(int(y.max()) + 1, 2), seed)
 
     rng = np.random.default_rng(seed + 1)
-    layers = list(net.layers)
-    velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in layers]
+    # the init net is private here, so the step may update its arrays in place
+    params = [(layer.weights, layer.bias) for layer in net.layers]
+    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
     n = X.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = X[idx], y[idx]
-            acts = _activations(layers, xb)
-            probs = softmax(acts[-1])
-            loss = -np.mean(np.log(probs[np.arange(len(yb)), yb] + 1e-300))
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"loss became non-finite ({loss})")
-            G = probs
-            G[np.arange(len(yb)), yb] -= 1.0
-            G /= len(yb)
-            # backward; acts[i] is the input of layer i
-            for i in range(len(layers) - 1, -1, -1):
-                layer = layers[i]
-                grad_W = G.T @ acts[i]
-                grad_b = G.sum(axis=0)
-                G = G @ layer.weights
-                if i:  # through the relu before layer i
-                    G = G * (acts[i] > 0.0)
-                v_W = momentum * velocity[i][0] - learning_rate * grad_W
-                v_b = momentum * velocity[i][1] - learning_rate * grad_b
-                velocity[i] = (v_W, v_b)
-                layers[i] = Layer(layer.weights + v_W, layer.bias + v_b)
-    return Net(tuple(layers))
+    rows = np.arange(n)
+    # the loop's own check reports divergence, before which it may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            X_epoch, y_epoch = X[order], y[order]
+            for start in range(0, n, batch_size):
+                xb = X_epoch[start : start + batch_size]
+                yb = y_epoch[start : start + batch_size]
+                hit = rows[: len(yb)], yb
+                acts = _activations(net.layers, xb)
+                G = softmax(acts[-1])
+                # a softmax row is all finite or all NaN, and so is the loss
+                if np.isnan(G.sum()):
+                    loss = -np.mean(np.log(G[hit] + 1e-300))
+                    raise TrainingDivergedError(f"loss became non-finite ({loss})")
+                G[hit] -= 1.0
+                G /= len(yb)
+                # backward; acts[i] is the input of layer i, G meets the
+                # weights of before this step's update
+                for i in range(len(params) - 1, -1, -1):
+                    W, b = params[i]
+                    v_W, v_b = velocity[i]
+                    grad_W = G.T @ acts[i]
+                    grad_b = G.sum(axis=0)
+                    if i:  # through the relu before layer i
+                        G = G @ W
+                        G *= acts[i] > 0.0
+                    grad_W *= learning_rate
+                    grad_b *= learning_rate
+                    v_W *= momentum
+                    v_W -= grad_W
+                    v_b *= momentum
+                    v_b -= grad_b
+                    W += v_W
+                    b += v_b
+    return net
 
 
 def accuracy(net: Net, inputs, labels) -> float:

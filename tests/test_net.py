@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from xaimeta.dataio import synth_blobs
+from xaimeta.errors import TrainingDivergedError
 from xaimeta.net import (
+    Layer,
     Net,
     accuracy,
     dense,
@@ -319,3 +322,113 @@ class TestTrainTiny:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             train_tiny((4,), np.zeros((0, 2)), np.zeros(0, dtype=int), epochs=1, seed=0)
+
+
+def plain_softmax(logits):
+    """Softmax written out of place, one new array per step."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_train(hidden, X, y, epochs, seed, learning_rate, momentum, batch_size):
+    """The momentum-SGD trainer written out of place: new layers, velocities
+    and index copies every step, each layer's input gradient taken through
+    the weights of before the step.  The in-place trainer must match its
+    bytes."""
+    net = init_net(X.shape[1], tuple(hidden), max(int(y.max()) + 1, 2), seed)
+    rng = np.random.default_rng(seed + 1)
+    layers = list(net.layers)
+    velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in layers]
+    n = X.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            xb, yb = X[idx], y[idx]
+            acts = [xb]
+            A = xb
+            for i, layer in enumerate(layers):
+                if i:
+                    A = np.maximum(A, 0.0)
+                    acts.append(A)
+                A = A @ layer.weights.T + layer.bias
+            G = plain_softmax(A)
+            G[np.arange(len(yb)), yb] -= 1.0
+            G /= len(yb)
+            for i in range(len(layers) - 1, -1, -1):
+                layer = layers[i]
+                grad_W = G.T @ acts[i]
+                grad_b = G.sum(axis=0)
+                G = G @ layer.weights
+                if i:
+                    G = G * (acts[i] > 0.0)
+                v_W = momentum * velocity[i][0] - learning_rate * grad_W
+                v_b = momentum * velocity[i][1] - learning_rate * grad_b
+                velocity[i] = (v_W, v_b)
+                layers[i] = Layer(layer.weights + v_W, layer.bias + v_b)
+    return Net(tuple(layers))
+
+
+class TestTrainerOracle:
+    """The trainer and the shared forward pass keep the bytes of their
+    out-of-place forms: same operations, same operands, same order."""
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 5)])
+    @pytest.mark.parametrize("batch_size", [1, 3, 30])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_weights_equal_the_out_of_place_trainer(self, hidden, batch_size, momentum):
+        data = synth_blobs(n=25, d=7, classes=3, seed=4)
+        args = (hidden, data.inputs, data.labels, 3, 13)
+        kwargs = dict(learning_rate=0.05, momentum=momentum, batch_size=batch_size)
+        got = get_weights(train_tiny(*args, **kwargs))
+        expected = get_weights(reference_train(*args, **kwargs))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 16, 100])
+    def test_forward_bytes_equal_the_out_of_place_forms(self, rows):
+        rng = np.random.default_rng(rows)
+        dims = [7, 9, 5, 4]
+        net = make_net(
+            [dense(rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(dims, dims[1:])]
+        )
+        X = rng.normal(size=(rows, 7)) * 3
+        logits = logits_batch(net, X)
+        assert logits.tobytes() == plain_logits(net, X).tobytes()
+        before = logits.copy()
+        probs = softmax(logits)
+        assert probs.tobytes() == plain_softmax(logits).tobytes()
+        assert logits.tobytes() == before.tobytes()  # softmax leaves its input alone
+
+
+class TestTrainTinyArguments:
+    def data(self):
+        return separable_blobs(40, seed=3)
+
+    def test_divergence_raises_training_diverged_alone(self):
+        data = synth_blobs(n=32, d=8, classes=3, seed=1)
+        with pytest.raises(TrainingDivergedError, match="non-finite"):
+            train_tiny((8,), data.inputs, data.labels, epochs=2, seed=0, learning_rate=1e300)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("epochs", -1), ("batch_size", 0), ("learning_rate", -0.5), ("momentum", 1.5)],
+    )
+    def test_argument_out_of_range_is_named(self, name, value):
+        X, y = self.data()
+        kwargs = {"epochs": 1, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            train_tiny((4,), X, y, **kwargs)
+
+    def test_nan_input_rejected(self):
+        X, y = self.data()
+        X[5, 1] = np.nan
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            train_tiny((4,), X, y, epochs=1, seed=0)
+
+    def test_fractional_label_rejected(self):
+        X, y = self.data()
+        labels = y.astype(float)
+        labels[3] = 1.5
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train_tiny((4,), X, labels, epochs=1, seed=0)
