@@ -24,7 +24,7 @@ import numpy as np
 
 from . import stats
 from .errors import ConfigError
-from .explain import _label_column, _logits, row_chunks
+from .explain import _copy_logits, _label_column
 from .net import Layer, Net, replace_layer, softmax
 from .seeding import derive_rng
 
@@ -116,12 +116,17 @@ class EstimatorConfig:
     def step_size(self, d: int) -> int:
         return _block(self.pf_step_size, "pf_step_size", d)
 
+    def top_k(self, d: int) -> int | None:
+        """topk_k, checked against d features; None means the mask cardinality."""
+        if self.topk_k is not None and not 1 <= self.topk_k <= d:
+            raise ConfigError(f"topk_k {self.topk_k} outside [1, {d}]")
+        return self.topk_k
+
     def check_features(self, d: int):
         """Raise ValueError when a size set here does not fit d features."""
         self.subset_size(d)
         self.step_size(d)
-        if self.topk_k is not None and not 1 <= self.topk_k <= d:
-            raise ValueError(f"topk_k {self.topk_k} outside [1, {d}]")
+        self.top_k(d)
 
     def radius(self, bounds) -> float:
         if self.robustness_radius is not None:
@@ -189,9 +194,10 @@ def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) ->
     A sample's `(fc_runs, D)` keys come from the "fc" stream; the argsort of
     key row r keeps its first `size` columns as run r's subset (a uniform
     subset without replacement).  Uniform `(fc_runs, size)` fills come from
-    the "fc_fill" stream.  One forward pass per row chunk scores
-    `fc_runs + 1` copies per row: copy 0 is the input, whose logit is the
-    base of every drop, and copy r + 1 the input with subset r replaced.
+    the "fc_fill" stream.  `explain._copy_logits` builds and scores the
+    `fc_runs + 1` copies of each row one row chunk at a time: copy 0 is the
+    input, whose logit is the base of every drop, and copy r + 1 the input
+    with subset r replaced.
     """
     n, d = ctx.X.shape
     size = cfg.subset_size(d)
@@ -201,12 +207,13 @@ def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) ->
     )
     fills = _baseline_values(cfg.fc_baseline, "fc_fill", (runs, size), ctx)
     attr_sums = np.take_along_axis(ctx.attributions[:, None, :], subsets, axis=2).sum(axis=2)
-    scores = np.empty((n, runs + 1))
-    # the masked copies are built chunk by chunk, so wide inputs stay bounded
-    for rows in row_chunks(n, (runs + 1) * d):
-        masked = np.repeat(ctx.X[rows, None, :], runs + 1, axis=1)
-        np.put_along_axis(masked[:, 1:], subsets[rows], fills[rows], axis=2)
-        scores[rows] = _label_column(_logits(ctx.net, masked), ctx.labels[rows])
+
+    def masked(rows):
+        copies = np.repeat(ctx.X[rows, None, :], runs + 1, axis=1)
+        np.put_along_axis(copies[:, 1:], subsets[rows], fills[rows], axis=2)
+        return copies
+
+    scores = _label_column(_copy_logits(ctx.net, n, runs + 1, masked), ctx.labels)
     return stats.pearson(attr_sums, scores[:, :1] - scores[:, 1:])
 
 
@@ -216,7 +223,8 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarra
     Features are replaced by the baseline in blocks of cfg.pf_step_size, most
     attributed first (`stats.rank_descending` of the raw attribution); the
     x-axis is the fraction of features flipped.  A sample's D fills, in flip
-    order, come from the "pf" stream.
+    order, come from the "pf" stream.  `explain._copy_logits` builds and
+    scores each row's flip sequence one row chunk at a time.
     """
     d = ctx.X.shape[1]
     step = cfg.step_size(d)
@@ -225,11 +233,13 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarra
     filled = np.take_along_axis(_baseline_values(cfg.pf_baseline, "pf", (d,), ctx), ranks, axis=1)
     # copy 0 is the input, copy j the input after the first j blocks flipped
     flipped = np.minimum(np.arange(0, d + step, step), d)
-    flips = ranks[:, None, :] < flipped[None, :, None]
-    curves = np.where(flips, filled[:, None, :], ctx.X[:, None, :])
-    xs = flipped / d
-    ys = _label_column(softmax(_logits(ctx.net, curves)), ctx.labels)
-    return stats.trapezoid_auc(xs, ys)
+
+    def curves(rows):
+        flips = ranks[rows, None, :] < flipped[:, None]
+        return np.where(flips, filled[rows, None, :], ctx.X[rows, None, :])
+
+    logits = _copy_logits(ctx.net, len(ctx.X), len(flipped), curves)
+    return stats.trapezoid_auc(flipped / d, _label_column(softmax(logits), ctx.labels))
 
 
 # --- robustness -------------------------------------------------------------
@@ -401,10 +411,7 @@ def evaluate_relevance_mass_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> 
 def evaluate_top_k_intersection(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     """Fraction of the K highest absolute attributions inside the mask;
     K defaults to the mask cardinality."""
-    d = ctx.attributions.shape[1]
-    if cfg.topk_k is not None and not 1 <= cfg.topk_k <= d:
-        raise ConfigError(f"topk_k {cfg.topk_k} outside [1, {d}]")
-    return _top_fraction(ctx, "top_k_intersection", cfg.topk_k)
+    return _top_fraction(ctx, "top_k_intersection", cfg.top_k(ctx.attributions.shape[1]))
 
 
 def evaluate_relevance_rank_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:

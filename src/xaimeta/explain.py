@@ -16,8 +16,9 @@ import numpy as np
 from .net import Net, input_gradient_batch, logits_batch
 from .seeding import derive_rng
 
-# Bound on the floats of expanded points (IG steps, SHAP samples, occluded
-# copies) that one net call sees; a batch is processed in row chunks under it.
+# Bound on the floats of expanded points (IG steps, SHAP samples, the copies
+# `_copy_logits` scores) that one net call sees; a batch is processed in row
+# chunks under it.
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -55,19 +56,20 @@ def _batch(X, labels):
     return X, np.broadcast_to(np.asarray(labels, dtype=np.int64), (X.shape[0],))
 
 
-def row_chunks(n_rows: int, row_elements: int):
+def _row_chunks(n_rows: int, row_elements: int):
     """Slices over n_rows rows that each expand to row_elements floats, at
     most _CHUNK_ELEMENTS floats per slice (at least one row)."""
     step = max(1, _CHUNK_ELEMENTS // row_elements)
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def _logits(net: Net, batches) -> np.ndarray:
-    """Logits of (B, J, D) stacked rows, one net call per row chunk of whole samples."""
-    b, j, d = batches.shape
-    out = np.empty((b, j, net.num_classes))
-    for rows in row_chunks(b, j * d):
-        out[rows] = logits_batch(net, batches[rows].reshape(-1, d)).reshape(-1, j, net.num_classes)
+def _copy_logits(net: Net, n_rows: int, j: int, copies) -> np.ndarray:
+    """(n_rows, j, C) logits of j copies of each row: per chunk of whole rows,
+    copies(rows) builds their (rows, j, D) copies and one net call scores them."""
+    d, c = net.input_dim, net.num_classes
+    out = np.empty((n_rows, j, c))
+    for rows in _row_chunks(n_rows, j * d):
+        out[rows] = logits_batch(net, copies(rows).reshape(-1, d)).reshape(-1, j, c)
     return out
 
 
@@ -76,24 +78,17 @@ def _label_column(values, labels) -> np.ndarray:
     return np.take_along_axis(values, np.asarray(labels)[:, None, None], axis=2)[:, :, 0]
 
 
-def _gradients(net: Net, X, labels) -> np.ndarray:
-    out = np.empty_like(X)
-    for rows in row_chunks(X.shape[0], X.shape[1]):
-        out[rows] = input_gradient_batch(net, X[rows], labels[rows])
-    return out
-
-
 def explain_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    return _gradients(net, *_batch(X, labels))
+    return input_gradient_batch(net, *_batch(X, labels))
 
 
 def explain_saliency(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    return np.abs(_gradients(net, *_batch(X, labels)))
+    return np.abs(input_gradient_batch(net, *_batch(X, labels)))
 
 
 def explain_input_x_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
     X, labels = _batch(X, labels)
-    return X * _gradients(net, X, labels)
+    return X * input_gradient_batch(net, X, labels)
 
 
 def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
@@ -103,7 +98,7 @@ def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> n
     steps = cfg.ig_steps
     alphas = (np.arange(steps) + 0.5) / steps
     out = np.empty_like(X)
-    for rows in row_chunks(X.shape[0], steps * d):
+    for rows in _row_chunks(X.shape[0], steps * d):
         span = X[rows] - cfg.ig_baseline
         points = cfg.ig_baseline + alphas[None, :, None] * span[:, None, :]
         grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], steps))
@@ -124,13 +119,12 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     n_blocks = int(block_of[-1]) + 1
     # copy 0 is the input itself, copy j > 0 has block j - 1 occluded
     occluded = np.arange(-1, n_blocks)[:, None] == block_of[None, :]
-    out = np.empty_like(X)
-    for rows in row_chunks(X.shape[0], (n_blocks + 1) * d):
-        copies = np.where(occluded, cfg.occlusion_baseline, X[rows][:, None, :])
-        scores = _label_column(_logits(net, copies), labels[rows])
-        drops = scores[:, :1] - scores[:, 1:]
-        out[rows] = drops[:, block_of]
-    return out
+
+    def copies(rows):
+        return np.where(occluded, cfg.occlusion_baseline, X[rows, None, :])
+
+    scores = _label_column(_copy_logits(net, len(X), n_blocks + 1, copies), labels)
+    return (scores[:, :1] - scores[:, 1:])[:, block_of]
 
 
 def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
@@ -151,7 +145,7 @@ def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarr
     baselines = baselines + rng.normal(0.0, cfg.shap_noise_std, size=baselines.shape)
     ts = rng.uniform(0.0, 1.0, size=samples)
     out = np.empty_like(X)
-    for rows in row_chunks(X.shape[0], samples * d):
+    for rows in _row_chunks(X.shape[0], samples * d):
         span = X[rows][:, None, :] - baselines[None, :, :]
         points = baselines + ts[:, None] * span
         grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], samples))

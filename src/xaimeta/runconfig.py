@@ -130,7 +130,7 @@ SCHEMA = {
         "features": at_least(int, 1),
         "classes": at_least(int, 2),
         "spread": at_least(float, 0),
-        "seed": int,
+        "seed": at_least(int, 0),
         "images": str,
         "labels": str,
         "mask": (str, f"one of {', '.join(MASK_POLICIES)}", lambda v: v in MASK_POLICIES),

@@ -70,9 +70,12 @@ def build_dataset(config: RunConfig) -> Dataset:
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
 
-    if config.sample_count is not None and config.sample_count < dataset.inputs.shape[0]:
+    n = dataset.inputs.shape[0]
+    if config.sample_count is not None and config.sample_count > n:
+        raise ConfigError(f"[run] sample_count {config.sample_count} exceeds the dataset's {n} samples")
+    if config.sample_count is not None and config.sample_count < n:
         rng = derive_rng(config.master_seed, "subsample")
-        keep = np.sort(rng.choice(dataset.inputs.shape[0], config.sample_count, replace=False))
+        keep = np.sort(rng.choice(n, config.sample_count, replace=False))
         dataset = Dataset(dataset.inputs[keep], dataset.labels[keep], dataset.bounds)
     return dataset
 

@@ -8,11 +8,13 @@ from xaimeta import consistency, perturb, runner
 from xaimeta.cli import main
 from xaimeta.consistency import run_meta_evaluation
 from xaimeta.dataio import make_masks
+from xaimeta.errors import ConfigError
 from xaimeta.report import mc_bar
 from xaimeta.runconfig import load_config
 from xaimeta.runner import run_benchmark, run_convergence, run_hpo, run_sanity
 from xaimeta.seeding import derive_rng
 from xaimeta.stats import spearman
+from test_dataio import write_idx_pair
 
 QUICK_BENCH = """
 [dataset]
@@ -225,6 +227,12 @@ class TestConfigErrorsBeforeTraining:
             ("benchmark", "dataset.samples=1", "[dataset] samples must be >= 2, got 1"),
             ("benchmark", "dataset.features=0", "[dataset] features must be >= 1, got 0"),
             ("benchmark", "dataset.classes=1", "[dataset] classes must be >= 2, got 1"),
+            ("benchmark", "dataset.seed=-1", "[dataset] seed must be >= 0, got -1"),
+            (
+                "benchmark",
+                "run.sample_count=500",
+                "[run] sample_count 500 exceeds the dataset's 24 samples",
+            ),
             (
                 "benchmark",
                 "estimators.faithfulness_correlation.fc_runs=2.5",
@@ -357,6 +365,8 @@ class TestConfigErrorsBeforeTraining:
             "one_dataset_sample",
             "no_features",
             "one_class",
+            "negative_dataset_seed",
+            "sample_count_above_dataset_size",
             "fractional_fc_runs",
             "boolean_robustness_runs",
             "fractional_ig_steps",
@@ -600,6 +610,16 @@ class TestSetupPaths:
         setup = runner.build_setup(config)
         assert np.array_equal(setup.inputs, full.inputs[keep])
         assert np.array_equal(setup.masks, make_masks(full, "threshold")[keep])
+
+    def test_sample_count_above_the_dataset_size_is_config_error(self, tmp_path):
+        images, labels = write_idx_pair(tmp_path, np.zeros((5, 2, 2)), [0, 1, 0, 1, 0])
+        idx = QUICK_BENCH.replace("kind = blobs", f'kind = idx\nimages = "{images}"\nlabels = "{labels}"')
+        for text, n in ((QUICK_BENCH, 24), (idx, 5)):
+            path = write_config(tmp_path, text, out=tmp_path / "out")
+            config = load_config(path, overrides=["run.sample_count=500"])
+            with pytest.raises(ConfigError, match=f"sample_count 500 exceeds the dataset's {n} samples"):
+                runner.build_dataset(config)
+            assert len(runner.build_dataset(replace(config, sample_count=n)).inputs) == n
 
     def test_a_saved_model_scores_as_the_net_trained_inline(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, QUICK_BENCH, out=tmp_path / "inline")

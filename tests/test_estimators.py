@@ -321,6 +321,67 @@ class TestPixelFlipping:
             assert 0.0 <= est <= 1.0
 
 
+FC_CHUNK_CFG = EstimatorConfig(fc_runs=5, fc_subset_size=2)
+# (ctx) -> (B,) or (B, D) scores of the scorers that score copies of each row
+COPY_SCORERS = {
+    "fc_uniform": lambda ctx: estimators_module.evaluate_faithfulness_correlation(
+        ctx, FC_CHUNK_CFG
+    ),
+    "fc_black": lambda ctx: estimators_module.evaluate_faithfulness_correlation(
+        ctx, replace(FC_CHUNK_CFG, fc_baseline="black")
+    ),
+    "pixel_flipping": lambda ctx: estimators_module.evaluate_pixel_flipping(
+        ctx, EstimatorConfig(pf_step_size=1)
+    ),
+    "occlusion": lambda ctx: explain_module.explain_occlusion(
+        ctx.net, ctx.X, ctx.labels, ExplainerConfig(occlusion_patch=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("scorer", COPY_SCORERS)
+def test_copy_scorers_build_and_score_one_row_chunk_at_a_time(monkeypatch, scorer):
+    rng = np.random.default_rng(23)
+    n, d = 7, 4
+    ctx = EvalContext(
+        net=two_layer_net(rng, d=d),
+        X=rng.uniform(size=(n, d)),
+        labels=rng.integers(0, 3, size=n),
+        attributions=rng.normal(size=(n, d)),
+        explainer=None,
+        dataset_bounds=(0.0, 1.0),
+        rows=np.arange(n),
+        seed=5,
+    )
+    score = COPY_SCORERS[scorer]
+    whole = score(ctx)
+    monkeypatch.setattr(explain_module, "_CHUNK_ELEMENTS", 8)  # one row per chunk
+    scored, built, net_rows = [], [], []
+    copy_logits = explain_module._copy_logits
+
+    def spy(net, n_rows, j, copies):
+        def counted(rows):
+            built.append(rows)
+            return copies(rows)
+
+        scored.append(j)
+        return copy_logits(net, n_rows, j, counted)
+
+    def counted_logits(net, X):
+        net_rows.append(len(X))
+        return logits_batch(net, X)
+
+    for module in (explain_module, estimators_module):
+        monkeypatch.setattr(module, "_copy_logits", spy)
+    monkeypatch.setattr(explain_module, "logits_batch", counted_logits)
+    chunked = score(ctx)
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+    (j,) = scored
+    # one builder call per chunk, and each net call scores that one chunk
+    assert built == [slice(row, row + 1) for row in range(n)]
+    assert net_rows == [j] * n
+
+
 class TestMaxSensitivity:
     def test_constant_explainer_is_zero(self):
         rng = np.random.default_rng(5)
