@@ -319,12 +319,13 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
     Replacement parameters are drawn from a normal fitted to the original
     layer (its empirical mean and std, weights and bias pooled), once per
     layer from the space seed's "mpr" stream: as in the test of Adebayo et
-    al. (2018), every row of the batch meets the same randomised net, and
-    each layer re-explains all rows in one explainer call.  Layers whose
-    correlation is undefined (constant map) are skipped; if every layer is
-    skipped the estimate is undefined.
+    al. (2018), every row of the batch meets the same randomised net, each
+    layer re-explains all rows in one explainer call, and one `spearman`
+    call correlates all layers.  Layers whose correlation is undefined
+    (constant map) are skipped; if every layer is skipped the estimate is
+    undefined.
     """
-    correlations = []
+    others = []
     for v, layer in enumerate(ctx.net.layers):
         pooled = np.concatenate([layer.weights.ravel(), layer.bias.ravel()])
         mu, sd = float(pooled.mean()), float(pooled.std())
@@ -332,9 +333,10 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
         weights = rng.normal(mu, sd, size=layer.weights.shape)
         bias = rng.normal(mu, sd, size=layer.bias.shape)
         randomized = replace_layer(ctx.net, v, Layer(weights, bias))
-        others = ctx.explainer(randomized, ctx.X, ctx.labels)
-        correlations.append(stats.spearman(ctx.attributions, others))
-    correlations = np.stack(correlations, axis=1)
+        others.append(ctx.explainer(randomized, ctx.X, ctx.labels))
+    # all layers' (L, B) correlations in one call, as (B, L)
+    others = np.stack(others)
+    correlations = stats.spearman(np.broadcast_to(ctx.attributions, others.shape), others).T
     defined = np.isfinite(correlations)
     counts = defined.sum(axis=1)
     return _ratio_or_nan(stats.masked_row_sums(correlations, defined), counts)

@@ -16,6 +16,11 @@ a scalar.  `wilcoxon_signed_rank` leaves a pair with a NaN side out of its
 row, so one call tests rows with different numbers of usable pairs, and it
 sends all its exact rows through one call and all its normal-approximation
 rows (variance Σr²/4, which is the tie-corrected variance) through another.
+`average_ranks` gives a tie group one averaged rank whatever order its
+members sort in, so its ranks do not depend on sort stability, and it
+ranks all rows of a stack in one sort.  `spearman` ranks both of its sides
+in one `average_ranks` call, and model parameter randomisation correlates
+all of its layers in one `spearman` call.
 """
 import math
 
@@ -53,25 +58,35 @@ def _scalar_if_1d(values, ndim):
 
 
 def average_ranks(values) -> np.ndarray:
-    """Ascending ranks 1..n along the last axis, ties assigned their average rank."""
+    """Ascending ranks 1..n along the last axis, ties assigned their average rank.
+
+    A tie group gets one averaged rank whatever order its members sort in,
+    so the ranks do not depend on sort stability.  NaN raises ValueError;
+    an empty last axis gives an empty array.
+    """
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, axis=-1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=-1)
-    # tie groups are runs of equal sorted values; group [i, j) gets 0.5 * (i + j - 1) + 1
+    if values.ndim == 0:
+        raise ValueError("average_ranks expects at least one axis")
     n = values.shape[-1]
-    position = np.arange(n)
-    new_group = np.ones(values.shape, dtype=bool)
-    new_group[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends_group = np.ones(values.shape, dtype=bool)
-    ends_group[..., :-1] = new_group[..., 1:]
-    starts = np.maximum.accumulate(np.where(new_group, position, 0), axis=-1)
-    ends = np.flip(
-        np.minimum.accumulate(np.flip(np.where(ends_group, position + 1, n), axis=-1), axis=-1),
-        axis=-1,
-    )
-    ranks = np.empty_like(values)
-    np.put_along_axis(ranks, order, 0.5 * (starts + ends - 1) + 1.0, axis=-1)
-    return ranks
+    if n == 0:
+        return np.empty_like(values)
+    rows = values.reshape(-1, n)
+    # each row's order, offset to index the flattened rows
+    flat = (np.argsort(rows, axis=-1) + np.arange(0, rows.size, n)[:, None]).ravel()
+    ordered = rows.ravel()[flat]
+    # NaN sorts last in its row
+    if np.isnan(ordered[n - 1 :: n]).any():
+        raise ValueError("average_ranks expects no NaN")
+    # a tie group is a run of equal sorted values within one row; the group
+    # of size t starting at row position i gets 0.5 * (2i + t - 1) + 1
+    new_group = np.empty(flat.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    new_group[::n] = True
+    firsts = np.flatnonzero(new_group)
+    sizes = np.diff(firsts, append=flat.size)
+    ranks = np.empty(flat.size)
+    ranks[flat] = np.repeat(0.5 * (2 * (firsts % n) + sizes - 1) + 1.0, sizes)
+    return ranks.reshape(values.shape)
 
 
 def rank_descending(values) -> np.ndarray:
@@ -175,10 +190,8 @@ def wilcoxon_signed_rank(a, b):
     return _scalar_if_1d(p.reshape(shape), len(shape) + 1)
 
 
-def pearson(a, b):
-    """Product-moment correlation along the last axis; NaN where either side
-    has zero variance."""
-    a, b = _as_pair(a, b)
+def _correlate(a, b):
+    # product-moment correlation of validated rows, NaN at zero variance
     ac = a - a.mean(axis=-1, keepdims=True)
     bc = b - b.mean(axis=-1, keepdims=True)
     denom = np.sqrt(_row_dots(ac, ac) * _row_dots(bc, bc))
@@ -186,10 +199,18 @@ def pearson(a, b):
     return _scalar_if_1d(np.clip(r, -1.0, 1.0), a.ndim)
 
 
+def pearson(a, b):
+    """Product-moment correlation along the last axis; NaN where either side
+    has zero variance."""
+    return _correlate(*_as_pair(a, b))
+
+
 def spearman(a, b):
-    """Pearson correlation of average ranks along the last axis; NaN for constant input."""
+    """Pearson correlation of average ranks along the last axis; NaN for
+    constant input.  Both sides are ranked in one `average_ranks` call."""
     a, b = _as_pair(a, b)
-    return pearson(average_ranks(a), average_ranks(b))
+    ranks = average_ranks(np.stack((a, b)))
+    return _correlate(ranks[0], ranks[1])
 
 
 def trapezoid_auc(xs, ys):

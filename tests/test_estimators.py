@@ -639,6 +639,18 @@ def flat_where_first_feature_negative(explainer):
     return fn
 
 
+def row_by_row(explainer):
+    """`explainer` called on one row at a time, so that a row's map does not
+    depend on the batch it is explained in."""
+
+    def fn(net, X, labels):
+        labels = np.broadcast_to(labels, (len(X),))
+        rows = [explainer(net, X[b : b + 1], labels[b : b + 1]) for b in range(len(X))]
+        return np.concatenate(rows)
+
+    return fn
+
+
 class TestModelParameterRandomisationBatch:
     """The batch MPR equals the one-row-per-(row, layer) loop to the batch
     contract's 1e-12: every row meets the same randomised net, but a row
@@ -689,6 +701,22 @@ class TestModelParameterRandomisationBatch:
         # rows with no layer defined and rows with some but not all
         assert (defined == 0).any() and ((0 < defined) & (defined < layers)).any()
         self.assert_matches_the_oracle(ctx)
+
+    @pytest.mark.parametrize(
+        "method_id, flat", [("gradient", False), ("integrated_gradients", False), ("gradient", True)]
+    )
+    def test_three_dense_layers_equal_the_per_row_oracle_byte_for_byte(self, method_id, flat):
+        # with maps that do not depend on the batch, the one correlation call
+        # over all layers gives the bytes of the oracle's one call per layer;
+        # `flat` leaves some rows with no layer or only some layers defined
+        net = init_net(5, (6, 5), 3, seed=5)
+        explainer = build_explainer(method_id, ExplainerConfig(ig_steps=4))
+        if flat:
+            explainer = flat_where_first_feature_negative(explainer)
+        ctx = self.batch_ctx(net, row_by_row(explainer), 5, b=12)
+        assert len(net.layers) == 3
+        estimates = estimators_module.evaluate_model_parameter_randomisation(ctx, CFG)
+        assert estimates.tobytes() == mpr_oracle(ctx).tobytes()
 
     def test_one_explainer_call_per_dense_layer(self):
         net = init_net(5, (6, 5), 3, seed=3)

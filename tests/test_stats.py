@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from xaimeta.stats import (
     EXACT_LIMIT,
@@ -378,6 +378,33 @@ class TestRanks:
         # ties (including -0.0 == 0.0) and n = 1 against the tie-walking loop
         assert average_ranks(values).tobytes() == average_ranks_loop(values).tobytes()
 
+    @settings(max_examples=200)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=3, max_side=12),
+            elements=st.one_of(
+                st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, np.inf]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+        )
+    )
+    def test_stacked_average_ranks_match_tie_loop_row_for_row(self, block):
+        # (R, n) and (L, R, n) blocks: every row is ranked apart from the rows
+        # before it, whatever the sort does with ties, -0.0 == 0.0 and +inf
+        looped = np.array([average_ranks_loop(row) for row in block.reshape(-1, block.shape[-1])])
+        assert average_ranks(block).tobytes() == looped.tobytes()
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [[0.0, 1.0], [2.0, np.nan]]])
+    def test_average_ranks_rejects_nan(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            average_ranks(values)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 0)])
+    def test_average_ranks_of_an_empty_last_axis_is_empty(self, shape):
+        ranks = average_ranks(np.empty(shape))
+        assert ranks.shape == shape and ranks.dtype == np.float64
+
 
 def average_ranks_loop(values):
     """The tie-walking loop that average_ranks vectorises, kept as its oracle."""
@@ -431,6 +458,11 @@ TIED_VALUES = st.one_of(
 
 def row_pairs(min_size=2):
     """Two equal-shape (B, n) lists of rows with ties, signed zeros and constant rows."""
+    return row_blocks(2, min_size)
+
+
+def row_blocks(count, min_size=2):
+    """`count` equal-shape (B, n) lists of rows with ties, signed zeros and constant rows."""
     return st.tuples(st.integers(1, 5), st.integers(min_size, 12)).flatmap(
         lambda shape: st.tuples(
             *[
@@ -442,7 +474,7 @@ def row_pairs(min_size=2):
                     min_size=shape[0],
                     max_size=shape[0],
                 )
-                for _ in range(2)
+                for _ in range(count)
             ]
         )
     )
@@ -461,6 +493,16 @@ class TestRowWise:
             assert fn(a, b).tobytes() == looped.tobytes(), fn.__name__
         looped = np.array([pearson_dot_oracle(a[i], b[i]) for i in range(len(a))])
         assert pearson(a, b).tobytes() == looped.tobytes()
+
+    @settings(max_examples=100)
+    @given(blocks=st.integers(2, 5).flatmap(row_blocks))
+    def test_stacked_spearman_matches_one_call_per_block(self, blocks):
+        # an (L, B, n) stack, one side broadcast as model-parameter
+        # randomisation passes it, against L separate (B, n) calls
+        a, *others = (np.array(block) for block in blocks)
+        others = np.stack(others)
+        looped = np.stack([spearman(a, other) for other in others])
+        assert spearman(np.broadcast_to(a, others.shape), others).tobytes() == looped.tobytes()
 
     def test_constant_rows_are_nan(self):
         r = pearson([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
