@@ -47,19 +47,17 @@ class EvalContext:
     `rows` holds the (B,) indices of the rows among the setup's N samples,
     at which each row reads the draws of `seed`, the estimator seed of the
     (space, method) the rows belong to; `space_seed` is the seed of the
-    perturbed space (`perturb.collect` passes the spec's seed), from which
-    draws shared by every row come.  `is_perturbed`
-    says whether the inputs or `net` carry a perturbation payload.
-    `dataset_mean`, the mean of the setup's inputs, is the fill of the
-    "mean" baseline strategy, which raises ConfigError without it.
+    perturbed space, from which draws shared by every row come.
+    `is_perturbed` says whether the inputs or `net` carry a perturbation
+    payload.  `dataset_mean`, the mean of the setup's inputs, is the fill of
+    the "mean" baseline strategy, which raises ConfigError without it.
     `draws`, when given, keeps the tables the estimator draws, keyed by
     (stream tag, seed), for the next context that shares it: `collect` hands
     one dict to the 1 + K contexts of one (space, method), so each table is
     drawn once for them.  `kept`, when given, keeps read-only tables that
     cost explainer calls for every later context of the same rows, inputs,
-    net, explanations and explainer: `collect` hands each (space, method,
-    column) the one dict its space holds for it, so max sensitivity and
-    local Lipschitz explain their shared in-ball draws once per space.
+    net, explanations and explainer: each context of a space holds one, so
+    max sensitivity and local Lipschitz explain their in-ball draws once.
     """
 
     net: Net

@@ -6,14 +6,15 @@ parameters.  A perturbation is *minor* when the predicted label
 survives it and *disruptive* when the label changes; payloads are resampled
 until they comply or a cap is reached.  `draw_space` draws each (test,
 strength, iteration) of payloads over the rows of a
-`consistency.BenchmarkSetup`, which keeps it, and explains it once per
-method; `collect` scores such a space with one estimator, giving the (N, L)
-unperturbed and (N, L, K) perturbed quality estimates over the L
-explanation methods that the consistency criteria consume.
+`consistency.BenchmarkSetup`, which keeps it, explains it once per method
+and builds the `EvalContext` of each (method, column); `collect` scores
+such a space with one estimator, giving the (N, L) unperturbed and
+(N, L, K) perturbed quality estimates over the L explanation methods that
+the consistency criteria consume.
 """
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,26 +167,20 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
 
 @dataclass
 class PerturbedSpace:
-    """One (test, strength, iteration) of payloads and every method's
-    explanations of them: drawn and explained once, scored by every
-    estimator.  Column 0 holds the unperturbed rows (the setup's own net,
-    inputs and explanations), columns 1..K the payloads.  Its arrays are
-    read-only, because every estimator sees them.  It holds no estimator
-    seeds: `collect` derives one per method from the spec's seed.  `kept`
-    holds, per (method_id, column), the dict of read-only tables that
-    estimators compute from the column's explanations with explainer calls
-    of their own (`EvalContext.kept`), so the estimators that share such a
-    table compute it once per space, and it lives as long as the space."""
+    """One (test, strength, iteration) of payloads, explained once per
+    method and scored by every estimator.  Column 0 holds the unperturbed
+    rows (the setup's own net, inputs and explanations), columns 1..K the
+    payloads.  The contexts' arrays are read-only, and every method's
+    context of a column shares its row indices, labels and masks."""
 
-    columns: list  # column c: (net, (N,) bool rows it holds, inputs of those rows)
+    contexts: dict  # method_id -> 1 + K EvalContexts, None for an empty column
+    held: np.ndarray  # (N, 1 + K) bool: the rows each column holds
     attempts: np.ndarray  # (N, K) draws used per payload
-    attributions: dict  # method_id -> column c's (rows, D) explanations, None if empty
-    kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def compliant(self) -> np.ndarray:
         """(N, K) payload compliance, shared across methods."""
-        return np.stack([rows for _, rows, _ in self.columns[1:]], axis=1)
+        return self.held[:, 1:]
 
 
 def _read_only(array):
@@ -195,19 +190,21 @@ def _read_only(array):
 
 def draw_space(setup, spec: PerturbSpec) -> PerturbedSpace:
     """Draw the K payload columns of `spec` over the rows of `setup`, a
-    `consistency.BenchmarkSetup`, then explain each non-empty one once per
-    method; column 0 holds the setup's unperturbed rows and explanations.
+    `consistency.BenchmarkSetup`, explain each non-empty one once per
+    method, and give each (method, column) its `EvalContext`; column 0
+    holds the setup's unperturbed rows and explanations.
 
     Under IPT payload column k holds the unperturbed net and the k-th
     perturbed rows, under MPT the k-th drawn net and X; every stochastic
     choice derives from spec.seed, so the space is independent of execution
-    schedule.
+    schedule.  A method's 1 + K contexts share its estimator seed.
     """
     labels, unperturbed = setup.labels, setup.attributions
     net, X, K = setup.net, setup.inputs, setup.K
     n, d = X.shape
     attempts = np.zeros((n, K))
-    columns = [(net, _read_only(np.ones(n, dtype=bool)), X)]
+    held = np.ones((n, 1 + K), dtype=bool)
+    columns = [(net, X)]  # column c: (net, inputs of the rows it holds)
     for k in range(K):
         if spec.test == IPT:
             cases = [
@@ -216,24 +213,53 @@ def draw_space(setup, spec: PerturbSpec) -> PerturbedSpace:
                 )
                 for i in range(n)
             ]
-            rows = np.array([case.compliant for case in cases])
+            held[:, 1 + k] = [case.compliant for case in cases]
             attempts[:, k] = [case.attempts for case in cases]
             net_k = net
             inputs = np.array([case.payload for case in cases if case.compliant]).reshape(-1, d)
         else:
             draw_seed = derive_seed(spec.seed, "mpt", k)
-            net_k, rows, attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
-            inputs = X[rows]
-        columns.append((net_k, _read_only(rows), _read_only(inputs)))
-    attributions = {
-        method_id: [unperturbed[method_id]]
-        + [
-            _read_only(explainer(net_k, inputs, labels[rows])) if len(inputs) else None
-            for net_k, rows, inputs in columns[1:]
+            net_k, held[:, 1 + k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
+            inputs = X[held[:, 1 + k]]
+        columns.append((net_k, _read_only(inputs)))
+    # one context per non-empty column, whose rows, labels and masks every method shares
+    shared = [
+        EvalContext(
+            net=net_c,
+            X=inputs,
+            labels=_read_only(labels[on]),
+            attributions=None,
+            explainer=None,
+            dataset_bounds=setup.bounds,
+            rows=_read_only(np.flatnonzero(on)),
+            seed=None,
+            masks=None if setup.masks is None else _read_only(setup.masks[on]),
+            dataset_mean=setup.dataset_mean,
+            is_perturbed=c > 0,
+            space_seed=spec.seed,
+        )
+        if on.any()
+        else None
+        for c, ((net_c, inputs), on) in enumerate(zip(columns, held.T))
+    ]
+    contexts = {}
+    for method_id, explainer in setup.methods:
+        seed = derive_seed(spec.seed, "est", method_id)
+        contexts[method_id] = [
+            replace(
+                column,
+                attributions=unperturbed[method_id]
+                if c == 0
+                else _read_only(explainer(column.net, column.X, column.labels)),
+                explainer=explainer,
+                seed=seed,
+                kept={},
+            )
+            if column is not None
+            else None
+            for c, column in enumerate(shared)
         ]
-        for method_id, explainer in setup.methods
-    }
-    return PerturbedSpace(columns, _read_only(attempts), attributions)
+    return PerturbedSpace(contexts, _read_only(held), _read_only(attempts))
 
 
 # collect aborts when more than this share of samples ends up without a
@@ -261,61 +287,29 @@ def collect(setup, *, scorer, spec: PerturbSpec) -> CollectResult:
     """Gather unperturbed and K perturbed estimates per (sample, method) on
     the space `spec` names in `setup`, which draws it on first use.
 
-    `scorer` is an estimators.Scorer, called per method once per non-empty
-    column of the space on the rows it holds (all N in column 0, a payload's
-    compliant ones in the others), with the explanations the space already
-    holds and spec.seed as the space seed of every call; its non-finite
-    results count as undefined.  The scores fill one (N, L, 1 + K) array,
-    whose column 0 is the result's `unperturbed` and the rest `perturbed`.
-    Each call carries the sample indices of its rows and the estimator seed
-    of (space, method), so the estimator's own sampling is the same for a
-    sample's unperturbed and perturbed rows and only the perturbation
-    varies.  The calls of one method share one `draws` dict, so each of the
-    estimator's tables is drawn once, by column 0, which holds every row,
-    and lives until the method's last column is scored.  Payloads and
-    explanations are shared across methods and estimators, so the
-    explainers run at most 1 + K times per method and space, whatever the
-    number of estimators.  Each call also carries the space's `kept` dict
-    of its (method, column), so an estimator's own explainer calls, such as
-    the in-ball re-explanations that max sensitivity and local Lipschitz
-    share, run once per space for every estimator and cell that reads them.
-    Aborts when more than MAX_DROPPED_FRACTION of samples end up without a
-    single retained draw, or when more than MAX_UNDEFINED_FRACTION of all
-    estimates are undefined.  `scorer` and `spec` are keyword-only because
-    bench/tracer.py reads them by name.
+    `scorer`, an estimators.Scorer, scores each context of the space; its
+    non-finite results count as undefined.  The scores fill one
+    (N, L, 1 + K) array, whose column 0 is the result's `unperturbed` and
+    the rest `perturbed`.  The calls of one method share one `draws` dict,
+    so each of the estimator's tables is drawn once, by column 0, which
+    holds every row.  Aborts when more than MAX_DROPPED_FRACTION of samples
+    end up without a single retained draw, or when more than
+    MAX_UNDEFINED_FRACTION of all estimates are undefined.  `scorer` and
+    `spec` are keyword-only because bench/tracer.py reads them by name.
     """
     space = setup.space(spec)
-    held = np.stack([rows for _, rows, _ in space.columns], axis=1)  # (N, 1 + K)
-    n = len(held)
-    scores = np.full((n, len(setup.methods), held.shape[1]), np.nan)
-    for j, (method_id, explainer) in enumerate(setup.methods):
-        seed = derive_seed(spec.seed, "est", method_id)
+    n, columns = space.held.shape
+    scores = np.full((n, len(setup.methods), columns), np.nan)
+    for j, (method_id, _) in enumerate(setup.methods):
         draws = {}  # the estimator's tables, drawn once for the 1 + K columns
-        # one scorer call per non-empty column, over the rows it holds
-        for c, (net_c, rows, inputs) in enumerate(space.columns):
-            if rows.any():
-                ctx = EvalContext(
-                    net=net_c,
-                    X=inputs,
-                    labels=setup.labels[rows],
-                    attributions=space.attributions[method_id][c],
-                    explainer=explainer,
-                    dataset_bounds=setup.bounds,
-                    rows=np.flatnonzero(rows),
-                    seed=seed,
-                    masks=None if setup.masks is None else setup.masks[rows],
-                    dataset_mean=setup.dataset_mean,
-                    is_perturbed=c > 0,
-                    space_seed=spec.seed,
-                    draws=draws,
-                    kept=space.kept.setdefault((method_id, c), {}),
-                )
-                scores[rows, j, c] = scorer(ctx)
+        for c, ctx in enumerate(space.contexts[method_id]):
+            if ctx is not None:
+                scores[ctx.rows, j, c] = scorer(replace(ctx, draws=draws))
     # entries of rows a column does not hold are still NaN, so never defined
     defined = np.isfinite(scores)
     scores[~defined] = np.nan
-    compliant = held[:, 1:]
-    total = len(setup.methods) * int(held.sum())
+    compliant = space.compliant
+    total = len(setup.methods) * int(space.held.sum())
     undefined = total - int(defined.sum())
     usable = (defined[:, :, 0] & defined[:, :, 1:].any(axis=2)).all(axis=1)
 

@@ -3,8 +3,9 @@
 A config file is a sequence of `[table]` / `[table.subtable]` headers with
 `key = value` lines; values are integers, floats, booleans, bare or quoted
 strings, or flat `[a, b, c]` lists.  `#` outside double quotes starts a
-comment.  Parsing is strict: unknown keys and repeated names in a listing
-are named and all missing required keys are reported at once.
+comment.  Parsing is strict: keys set twice in one table, unknown keys and
+repeated names or values in a listing are named, and all missing required
+keys are reported at once; `--set` overrides replace values from the file.
 """
 import math
 import re
@@ -72,8 +73,10 @@ def parse_tables(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        current[key.strip()] = _parse_value(value)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in current:
+            raise ConfigError(f"line {lineno}: {key!r} is set twice in its table")
+        current[key] = _parse_value(value)
     return tables
 
 
@@ -299,6 +302,10 @@ def config_from_tables(tables: dict) -> RunConfig:
         else:
             for value in values:
                 _check_keys({axis: value}, HPO_AXES, "hpo.axes", errors)
+            # a repeated estimator is named by the [hpo] listing check below
+            for value in dict.fromkeys(values) if axis != "estimator" else ():
+                if values.count(value) > 1:
+                    errors.append(f"repeated value {value!r} in [hpo.axes] {axis}")
     if axes:
         searched = axes.get("estimator", [hpo["estimator"]] if "estimator" in hpo else None)
         if searched is None:

@@ -520,7 +520,14 @@ class TestSharedSpaces:
                 scored = evaluate_cell(shared, estimator_id, cfg, test)
                 fresh = evaluate_cell(replace(golden_setup), estimator_id, cfg, test)
                 assert cell_state(scored) == cell_state(fresh), (cell, test)
-        kept = {key[2:] for space in shared.drawn.values() for t in space.kept.values() for key in t}
+        contexts = [
+            ctx
+            for space in shared.drawn.values()
+            for columns in space.contexts.values()
+            for ctx in columns
+            if ctx is not None
+        ]
+        kept = {key[2:] for ctx in contexts for key in ctx.kept}
         assert len(trials) == 8 and kept == {(0.05, 2), (0.05, 3), (0.2, 2), (0.2, 3)}
 
     def test_a_setup_draws_each_space_once_across_runs(self, golden_setup, monkeypatch):

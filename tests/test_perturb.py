@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xaimeta import perturb
 from xaimeta.consistency import BenchmarkSetup
 from xaimeta.errors import MetaEvaluationError, PerturbationInfeasibleError
 from xaimeta.estimators import (
@@ -502,14 +503,58 @@ class TestCollect:
         net, X = trained
         shared = setup_of(net, X[:8], K=2)
         space = shared.space(perturb_spec(test, "minor", seed=15))
-        net_0, rows, inputs = space.columns[0]
-        assert net_0 is shared.net and inputs is shared.inputs
+        rows = space.held[:, 0]
         assert rows.shape == (8,) and rows.all()
-        assert len(space.columns) == 1 + 2
+        assert space.held.shape == (8, 1 + 2)
+        payload_rows = [np.flatnonzero(space.compliant[:, k]) for k in range(2)]
         for method_id, _ in simple_methods():
-            assert space.attributions[method_id][0] is shared.attributions[method_id]
-        payload_rows = [rows for _, rows, _ in space.columns[1:]]
-        assert np.array_equal(space.compliant, np.stack(payload_rows, axis=1))
+            contexts = space.contexts[method_id]
+            assert len(contexts) == 1 + 2
+            assert contexts[0].net is shared.net and contexts[0].X is shared.inputs
+            assert np.array_equal(contexts[0].rows, np.arange(8))
+            assert contexts[0].attributions is shared.attributions[method_id]
+            for ctx, held in zip(contexts[1:], payload_rows, strict=True):
+                assert np.array_equal(ctx.rows, held) if held.size else ctx is None
+
+    @pytest.mark.parametrize("test", ["ipt", "mpt"])
+    def test_estimators_share_the_spaces_read_only_contexts(self, trained, test, monkeypatch):
+        net, X = trained
+        shared = setup_of(net, X[:8], K=2, masks=np.ones((8, X.shape[1]), dtype=bool))
+        spec = perturb_spec(test, "minor", seed=16)
+        space = shared.space(spec)
+        # once the space is drawn, collect derives no seed: the space holds
+        # each method's estimator seed in its contexts
+        seeds = []
+        monkeypatch.setattr(perturb, "derive_seed", lambda *parts: seeds.append(parts))
+        seen = []
+        for estimator_id in ("sparseness", "pointing_game"):
+            scorer = make_scorer(estimator_id, EstimatorConfig())
+            calls = []
+
+            def record(ctx, scorer=scorer, calls=calls):
+                calls.append(ctx)
+                return scorer(ctx)
+
+            collect(shared, scorer=Scorer(estimator_id, scorer.direction, record), spec=spec)
+            seen.append(calls)
+        assert seeds == []
+        a, b = seen
+        assert len(a) == len(b) > len(simple_methods())
+        fields = ("rows", "labels", "masks", "attributions")
+        for ctx_a, ctx_b in zip(a, b, strict=True):
+            for name in fields:
+                assert getattr(ctx_a, name) is getattr(ctx_b, name), name
+        # every method reads one set of rows, labels and masks per column
+        for contexts in zip(*space.contexts.values(), strict=True):
+            if contexts[0] is not None:
+                for name in fields[:3]:
+                    assert len({id(getattr(ctx, name)) for ctx in contexts}) == 1, name
+        # column 0's inputs are the setup's own; the payload inputs are the space's
+        arrays = [getattr(ctx, name) for ctx in a for name in fields]
+        arrays += [ctx.X for ctx in a if ctx.is_perturbed]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     def test_collect_deterministic(self, trained):
         net, X = trained

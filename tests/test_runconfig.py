@@ -76,6 +76,29 @@ class TestParser:
         with pytest.raises(ConfigError, match="line 2: unclosed quote"):
             parse_tables(f"[run]\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            ("[run]\nk = 3\nk = 5\n", 3, "k"),
+            ("[run]\nk = 3\n[model]\nepochs = 1\n[run]\nk = 5\n", 6, "k"),
+            ("seed = 1\n# again\nseed = 1\n", 3, "seed"),
+            ("[a.b]\nk = 1\n[a]\nb = 2\n", 4, "b"),
+        ],
+        ids=["one_header", "repeated_header", "top_level", "key_over_table"],
+    )
+    def test_a_key_set_twice_in_one_table_is_named(self, text, line, key):
+        # before, the last value silently won
+        with pytest.raises(ConfigError, match=f"^line {line}: '{key}' is set twice in its table$"):
+            parse_tables(text)
+
+    def test_a_repeated_header_adds_new_keys(self):
+        tables = parse_tables("[run]\nk = 3\n[model]\nepochs = 1\n[run]\niterations = 2\n")
+        assert tables == {"run": {"k": 3, "iterations": 2}, "model": {"epochs": 1}}
+
+    def test_an_override_replaces_a_value_from_the_file(self):
+        tables = apply_overrides(parse_tables(BASE), ["run.k=5", "run.k=6"])
+        assert config_from_tables(tables).k == 6
+
     @pytest.mark.parametrize("text", [BASE, ACCEPTANCE_DESK], ids=["base", "acceptance_desk"])
     def test_configs_without_quoted_hashes_parse_as_before(self, text):
         # before, every line was cut at its first `#`
@@ -139,6 +162,21 @@ class TestConfig:
         assert broken != BASE
         with pytest.raises(ConfigError, match=f"repeated name '\\w+' in {where}"):
             config_from_tables(parse_tables(broken))
+
+    @pytest.mark.parametrize(
+        "axis, values, repeated",
+        [
+            ("fc_runs", "[10, 10]", "10"),
+            ("fc_baseline", "[black, mean, black]", "'black'"),
+            ("robustness_radius", "[0.1, 0.2, 0.1]", r"0\.1"),
+        ],
+    )
+    def test_repeated_hpo_axis_value_rejected(self, axis, values, repeated):
+        # a repeated value would score two identical grid cells and rank them as a tie
+        text = BASE + f"\n[hpo]\nestimator = complexity\n[hpo.axes]\n{axis} = {values}\n"
+        message = rf"repeated value {repeated} in \[hpo.axes\] {axis}$"
+        with pytest.raises(ConfigError, match=message):
+            config_from_tables(parse_tables(text))
 
     def test_single_method_rejected(self):
         broken = BASE.replace("use = [gradient, saliency]", "use = [gradient]")
