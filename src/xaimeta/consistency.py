@@ -10,7 +10,8 @@ comparison inverted for lower-is-better estimators).  The four criteria,
 with the adversarial-reactivity IAC reverse-scored so that higher is always
 better, average into one meta-consistency (MC) score.  A `BenchmarkSetup`
 holds a run's inputs and the perturbed spaces drawn over them, which every
-estimator x test cell scored against it shares.
+estimator x test cell scored against it shares.  A cell alone decides
+whether the scores `perturb.collect` gives leave enough usable samples.
 """
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -27,7 +28,6 @@ from .perturb import (
     IPT,
     MINOR,
     MPT,
-    CollectResult,
     PerturbedSpace,
     PerturbSpec,
     _read_only,
@@ -38,6 +38,10 @@ from .perturb import (
 from .seeding import derive_seed
 
 CRITERIA = ("iac_nr", "iac_ar", "iec_nr", "iec_ar")
+# a cell aborts when more than this share of a space's samples ends up
+# without a single retained draw, or of its estimates is undefined
+MAX_DROPPED_FRACTION = 0.2
+MAX_UNDEFINED_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -119,14 +123,14 @@ def iec_disruptive(qbar, qbar_d, lower_better: bool = False) -> float:
     return float(wins.mean())
 
 
-def ranking_matrices(result: CollectResult):
-    """Per-sample method-score matrices (Qbar, Qbar') from a collect run.
+def ranking_matrices(scores, dropped):
+    """Per-sample method-score matrices (Qbar, Qbar') from collect's scores.
 
-    Perturbed scores are averaged over retained draws; samples without a
-    full row across methods (dropped) are excluded from both matrices.
+    Perturbed scores are averaged over retained draws; the `dropped` samples
+    (no full row across methods) are excluded from both matrices.
     """
-    qbar = np.delete(result.unperturbed, result.dropped, axis=0)
-    draws = np.delete(result.perturbed, result.dropped, axis=0)
+    qbar = np.delete(scores[:, :, 0], dropped, axis=0)
+    draws = np.delete(scores[:, :, 1:], dropped, axis=0)
     retained = np.isfinite(draws)
     means = stats.masked_row_sums(draws, retained) / retained.sum(axis=-1)
     # the mean of identical draws is that value exactly; bypassing the
@@ -136,9 +140,40 @@ def ranking_matrices(result: CollectResult):
     return qbar, np.where(identical, first[..., 0], means)
 
 
-def iac_over_methods(result: CollectResult) -> float:
+def iac_over_methods(scores) -> float:
     """The mean over methods of each method's IAC, from one Wilcoxon call."""
-    return float(np.mean(_method_iacs(result.unperturbed, result.perturbed)))
+    return float(np.mean(_method_iacs(scores[:, :, 0], scores[:, :, 1:])))
+
+
+def _usable_rows(setup, spec: PerturbSpec, scores, estimator_id: str):
+    """(dropped samples, undefined estimates, estimates made) of one
+    estimator's `collect` scores of the space `spec` names in `setup`.  A
+    sample is dropped when a method lacks its unperturbed estimate or every
+    perturbed one; aborts past MAX_DROPPED_FRACTION or MAX_UNDEFINED_FRACTION.
+    """
+    space = setup.space(spec)
+    n = len(scores)
+    defined = np.isfinite(scores)
+    compliant = space.compliant
+    total = len(setup.methods) * int(space.held.sum())
+    undefined = total - int(defined.sum())
+    usable = (defined[:, :, 0] & defined[:, :, 1:].any(axis=2)).all(axis=1)
+    dropped = np.flatnonzero(~usable).tolist()
+    if len(dropped) > MAX_DROPPED_FRACTION * n:
+        # a dropped sample with a compliant payload lost it to undefined estimates
+        no_payload = int((~compliant[dropped].any(axis=1)).sum())
+        raise MetaEvaluationError(
+            f"{len(dropped)}/{n} samples without usable estimates for {estimator_id} "
+            f"under {spec.test}/{spec.strength} (cap {MAX_DROPPED_FRACTION:.0%}): "
+            f"{no_payload} with no compliant payload, {len(dropped) - no_payload} with "
+            f"undefined estimates; mean compliance {compliant.mean():.3f}"
+        )
+    if total and undefined > MAX_UNDEFINED_FRACTION * total:
+        raise MetaEvaluationError(
+            f"{undefined}/{total} estimates undefined for {estimator_id} "
+            f"(cap {MAX_UNDEFINED_FRACTION:.0%})"
+        )
+    return dropped, undefined, total
 
 
 @dataclass
@@ -152,8 +187,10 @@ class BenchmarkSetup:
     space on first use and keeps it in `drawn`; `dataclasses.replace` gives
     a setup with none.
 
-    `masks`, when given, is cast to an (N, D) bool array whose every row
-    marks at least one feature; `dataset_mean` is the mean of the inputs.
+    `inputs` is kept as a read-only float64 copy, and `masks`, when given, as
+    a read-only (N, D) bool array whose every row marks at least one
+    feature; the labels are read-only too.  `dataset_mean` is the mean of
+    the inputs.
     """
 
     net: Net
@@ -183,12 +220,12 @@ class BenchmarkSetup:
         for test in self.tests:
             if test not in (IPT, MPT):
                 raise MetaEvaluationError(f"unknown test type {test!r}")
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = _read_only(np.array(self.inputs, dtype=np.float64))
         if self.inputs.shape[0] < 2:
             raise ValueError("perturbed spaces need at least two samples")
         self.dataset_mean = float(self.inputs.mean())
         if self.masks is not None:
-            self.masks = np.asarray(self.masks).astype(bool)
+            self.masks = _read_only(np.asarray(self.masks).astype(bool))
             if self.masks.shape != self.inputs.shape or not self.masks.any(axis=1).all():
                 raise ValueError("masks must be (N, D) and mark at least one feature per row")
         self.perturb_templates = {
@@ -198,7 +235,7 @@ class BenchmarkSetup:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        return predict_labels(self.net, self.inputs)
+        return _read_only(predict_labels(self.net, self.inputs))
 
     @cached_property
     def attributions(self) -> dict:
@@ -230,23 +267,31 @@ def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> C
 
     The payloads of iteration i at one strength come from the seed
     (master_seed, test, i, strength) of `setup` alone, and `setup` draws and
-    explains them once for every cell that scores them.
+    explains them once for every cell that scores them.  The cell aborts at
+    the first space whose scores `_usable_rows` rejects.
     """
     vectors = []
     diagnostics = {"dropped": [], "undefined": [], "total": [], "mean_attempts": []}
     for iteration in range(setup.iterations):
         scorer = make_scorer(estimator_id, cfg)
-        collects = {}
+        scores, dropped = {}, {}
         for strength in (MINOR, DISRUPTIVE):
             spec = replace(
                 setup.perturb_templates[(test, strength)],
                 seed=derive_seed(setup.master_seed, test, iteration, strength),
             )
-            collects[strength] = collect(setup, scorer=scorer, spec=spec)
-        iac_nr = iac_over_methods(collects[MINOR])
-        iac_ar_raw = iac_over_methods(collects[DISRUPTIVE])
-        qbar_nr, qbar_m = ranking_matrices(collects[MINOR])
-        qbar_ar, qbar_d = ranking_matrices(collects[DISRUPTIVE])
+            scores[strength] = collect(setup, scorer=scorer, spec=spec)
+            dropped[strength], undefined, total = _usable_rows(
+                setup, spec, scores[strength], estimator_id
+            )
+            diagnostics["dropped"].append(len(dropped[strength]))
+            diagnostics["undefined"].append(undefined)
+            diagnostics["total"].append(total)
+            diagnostics["mean_attempts"].append(float(setup.space(spec).attempts.mean()))
+        iac_nr = iac_over_methods(scores[MINOR])
+        iac_ar_raw = iac_over_methods(scores[DISRUPTIVE])
+        qbar_nr, qbar_m = ranking_matrices(scores[MINOR], dropped[MINOR])
+        qbar_ar, qbar_d = ranking_matrices(scores[DISRUPTIVE], dropped[DISRUPTIVE])
         vectors.append(
             meta_vector(
                 iac_nr,
@@ -255,12 +300,6 @@ def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> C
                 iec_disruptive(qbar_ar, qbar_d, scorer.direction == LOWER_BETTER),
             )
         )
-        for strength in (MINOR, DISRUPTIVE):
-            r = collects[strength]
-            diagnostics["dropped"].append(len(r.dropped))
-            diagnostics["undefined"].append(r.undefined_count)
-            diagnostics["total"].append(r.total_count)
-            diagnostics["mean_attempts"].append(r.mean_attempts)
     return CellResult(
         estimator_id=estimator_id,
         test=test,

@@ -74,8 +74,13 @@ def _copy_logits(net: Net, n_rows: int, j: int, copies) -> np.ndarray:
 
 
 def _label_column(values, labels) -> np.ndarray:
-    """values[b, :, labels[b]] of a (B, J, C) array."""
-    return np.take_along_axis(values, np.asarray(labels)[:, None, None], axis=2)[:, :, 0]
+    """values[b, :, labels[b]] of a (B, J, C) array; a label outside [0, C)
+    is an IndexError, as in `net.input_gradient_batch`."""
+    labels = np.asarray(labels)
+    classes = values.shape[2]
+    if labels.size and not (0 <= labels.min() and labels.max() < classes):
+        raise IndexError(f"class_index {labels} outside [0, {classes})")
+    return np.take_along_axis(values, labels[:, None, None], axis=2)[:, :, 0]
 
 
 def explain_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:

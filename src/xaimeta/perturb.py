@@ -7,10 +7,10 @@ survives it and *disruptive* when the label changes; payloads are resampled
 until they comply or a cap is reached.  `draw_space` draws each (test,
 strength, iteration) of payloads over the rows of a
 `consistency.BenchmarkSetup`, which keeps it, explains it once per method
-and builds the `EvalContext` of each (method, column); `collect` scores
-such a space with one estimator, giving the (N, L) unperturbed and
-(N, L, K) perturbed quality estimates over the L explanation methods that
-the consistency criteria consume.
+and builds the `EvalContext` of each (method, column); `collect` only
+scores such a space with one estimator, giving the (N, L, 1 + K) block of
+unperturbed and perturbed quality estimates over the L explanation methods
+that the consistency criteria consume.
 """
 import math
 import numbers
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MetaEvaluationError, PerturbationInfeasibleError
+from .errors import PerturbationInfeasibleError
 from .estimators import EvalContext
 from .net import Net, get_weights, predict_labels, set_weights
 from .seeding import derive_seed
@@ -262,40 +262,16 @@ def draw_space(setup, spec: PerturbSpec) -> PerturbedSpace:
     return PerturbedSpace(contexts, _read_only(held), _read_only(attempts))
 
 
-# collect aborts when more than this share of samples ends up without a
-# single retained draw, or of all estimates is undefined
-MAX_DROPPED_FRACTION = 0.2
-MAX_UNDEFINED_FRACTION = 0.1
-
-
-@dataclass
-class CollectResult:
-    """One estimator's scores on one space.  Method j of `setup.methods` is
-    column j; NaN marks an estimate that is missing (the payload did not
-    comply) or undefined."""
-
-    unperturbed: np.ndarray  # (N, L)
-    perturbed: np.ndarray  # (N, L, K)
-    compliant: np.ndarray  # (N, K) payload compliance, shared across methods
-    dropped: list  # sample indices unusable for ranking criteria
-    undefined_count: int
-    total_count: int
-    mean_attempts: float
-
-
-def collect(setup, *, scorer, spec: PerturbSpec) -> CollectResult:
-    """Gather unperturbed and K perturbed estimates per (sample, method) on
-    the space `spec` names in `setup`, which draws it on first use.
-
-    `scorer`, an estimators.Scorer, scores each context of the space; its
-    non-finite results count as undefined.  The scores fill one
-    (N, L, 1 + K) array, whose column 0 is the result's `unperturbed` and
-    the rest `perturbed`.  The calls of one method share one `draws` dict,
-    so each of the estimator's tables is drawn once, by column 0, which
-    holds every row.  Aborts when more than MAX_DROPPED_FRACTION of samples
-    end up without a single retained draw, or when more than
-    MAX_UNDEFINED_FRACTION of all estimates are undefined.  `scorer` and
-    `spec` are keyword-only because bench/tracer.py reads them by name.
+def collect(setup, *, scorer, spec: PerturbSpec) -> np.ndarray:
+    """Score the space `spec` names in `setup`, which draws it on first use,
+    with `scorer`, an estimators.Scorer: the (N, L, 1 + K) estimates of
+    method j of `setup.methods` at index j, column 0 unperturbed and column
+    1 + k of payload k.  NaN marks an estimate that is missing (the column
+    does not hold the row) or undefined (not finite); `consistency` decides
+    whether enough are usable.  The calls of one method share one `draws`
+    dict, so each of the estimator's tables is drawn once, by column 0,
+    which holds every row.  `scorer` and `spec` are keyword-only because
+    bench/tracer.py reads them by name.
     """
     space = setup.space(spec)
     n, columns = space.held.shape
@@ -305,35 +281,5 @@ def collect(setup, *, scorer, spec: PerturbSpec) -> CollectResult:
         for c, ctx in enumerate(space.contexts[method_id]):
             if ctx is not None:
                 scores[ctx.rows, j, c] = scorer(replace(ctx, draws=draws))
-    # entries of rows a column does not hold are still NaN, so never defined
-    defined = np.isfinite(scores)
-    scores[~defined] = np.nan
-    compliant = space.compliant
-    total = len(setup.methods) * int(space.held.sum())
-    undefined = total - int(defined.sum())
-    usable = (defined[:, :, 0] & defined[:, :, 1:].any(axis=2)).all(axis=1)
-
-    dropped = np.flatnonzero(~usable).tolist()
-    if len(dropped) > MAX_DROPPED_FRACTION * n:
-        # a dropped sample with a compliant payload lost it to undefined estimates
-        no_payload = int((~compliant[dropped].any(axis=1)).sum())
-        raise MetaEvaluationError(
-            f"{len(dropped)}/{n} samples without usable estimates for {scorer.estimator_id} "
-            f"under {spec.test}/{spec.strength} (cap {MAX_DROPPED_FRACTION:.0%}): "
-            f"{no_payload} with no compliant payload, {len(dropped) - no_payload} with "
-            f"undefined estimates; mean compliance {compliant.mean():.3f}"
-        )
-    if total and undefined > MAX_UNDEFINED_FRACTION * total:
-        raise MetaEvaluationError(
-            f"{undefined}/{total} estimates undefined for {scorer.estimator_id} "
-            f"(cap {MAX_UNDEFINED_FRACTION:.0%})"
-        )
-    return CollectResult(
-        unperturbed=scores[:, :, 0],
-        perturbed=scores[:, :, 1:],
-        compliant=compliant,
-        dropped=dropped,
-        undefined_count=undefined,
-        total_count=total,
-        mean_attempts=float(space.attempts.mean()),
-    )
+    scores[~np.isfinite(scores)] = np.nan
+    return scores

@@ -83,7 +83,14 @@ def build_dataset(config: RunConfig) -> Dataset:
 def build_net(config: RunConfig, dataset: Dataset):
     spec = config.model
     if "path" in spec:
-        return load_model_file(spec["path"])
+        net = load_model_file(spec["path"])
+        features = dataset.inputs.shape[1]
+        if net.input_dim != features:
+            raise ConfigError(
+                f"[model] path {spec['path']!r} holds a net that takes {net.input_dim} "
+                f"features, but the dataset has {features}"
+            )
+        return net
     hidden = spec.get("hidden", [16])
     if isinstance(hidden, int):
         hidden = [hidden]

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -635,6 +636,23 @@ class TestSetupPaths:
         assert main(["benchmark", "--config", config, *loaded]) == 0
         for name in ("summary.csv", "areagraph.csv"):
             assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+    def test_a_model_file_of_another_input_size_is_config_error(self, tmp_path, monkeypatch):
+        # a net that takes 6 features, on a dataset of 8
+        narrow = QUICK_BENCH.replace("features = 16", "features = 6")
+        assert main(["train", "--config", write_config(tmp_path, narrow, out=tmp_path / "out")]) == 0
+        model = tmp_path / "out" / "model.txt"
+        wide = write_config(tmp_path, QUICK_BENCH.replace("features = 16", "features = 8"), out=tmp_path)
+        loaded = load_config(wide, overrides=[f'model.path="{model}"'])
+        message = f"[model] path '{model}' holds a net that takes 6 features, but the dataset has 8"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            runner.build_setup(loaded)
+
+        def no_explainer(*args, **kwargs):
+            raise AssertionError("an explainer was built")
+
+        monkeypatch.setattr(runner, "build_explainer", no_explainer)
+        assert main(["benchmark", "--config", wide, "--set", f'model.path="{model}"']) == 1
 
 
 class TestTrainCommand:

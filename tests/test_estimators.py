@@ -259,6 +259,15 @@ def test_mean_baseline_needs_the_dataset_mean(estimator_id):
         make_scorer(estimator_id, cfg)(ctx)
 
 
+@pytest.mark.parametrize("label", [-1, 2])
+@pytest.mark.parametrize("estimator_id", ["faithfulness_correlation", "pixel_flipping"])
+def test_a_label_outside_the_classes_is_an_index_error(estimator_id, label):
+    ctx = make_ctx(linear_net(np.ones((2, 8))), np.linspace(0.1, 0.8, 8), label, np.arange(8.0))
+    cfg = EstimatorConfig(fc_subset_size=2, fc_runs=4)
+    with pytest.raises(IndexError, match=r"outside \[0, 2\)"):
+        make_scorer(estimator_id, cfg)(ctx)
+
+
 class TestPixelFlipping:
     def test_constant_probability_model(self):
         net = linear_net(np.zeros((2, 8)))

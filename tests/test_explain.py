@@ -348,6 +348,21 @@ class TestBatchContract:
             chunked = build_explainer(method_id, BATCH_CFG)(net, X, labels)
             np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-12, err_msg=method_id)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    @pytest.mark.parametrize("method_id", list(ALL_METHODS))
+    def test_a_label_outside_the_classes_is_an_index_error(self, method_id, label):
+        # a three-class net; the synthetic methods never read the label
+        rng = np.random.default_rng(22)
+        net = random_net(rng)
+        X = rng.uniform(size=(4, 4))
+        fn = build_explainer(method_id, BATCH_CFG)
+        for labels in (label, np.array([0, 1, label, 2])):
+            if method_id in METHODS:
+                with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
+                    fn(net, X, labels)
+            else:
+                assert np.array_equal(fn(net, X, labels), fn(net, X, 0))
+
     def test_scalar_label_is_shared_by_every_row(self):
         rng = np.random.default_rng(19)
         net = random_net(rng)

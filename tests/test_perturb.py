@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xaimeta import perturb
-from xaimeta.consistency import BenchmarkSetup
+from xaimeta.consistency import BenchmarkSetup, _usable_rows, evaluate_cell
 from xaimeta.errors import MetaEvaluationError, PerturbationInfeasibleError
 from xaimeta.estimators import (
     EstimatorConfig,
@@ -255,11 +256,10 @@ def setup_of(net, X, K, methods=None, masks=None):
     )
 
 
-def method_columns(result):
-    """Each method's (unperturbed (N,), perturbed (N, K)) scores: column j of a
-    collect result."""
-    methods = range(result.unperturbed.shape[1])
-    return [(result.unperturbed[:, j], result.perturbed[:, j]) for j in methods]
+def method_columns(scores):
+    """Each method's (unperturbed (N,), perturbed (N, K)) scores: index j of
+    collect's (N, L, 1 + K) scores."""
+    return [(scores[:, j, 0], scores[:, j, 1:]) for j in range(scores.shape[1])]
 
 
 class TestCollect:
@@ -267,8 +267,8 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("mpt", "minor", sigma=0.0, seed=1)
         scorer = make_scorer("sparseness", EstimatorConfig())
-        result = collect(setup_of(net, X[:8], K=1), scorer=scorer, spec=spec)
-        for unperturbed, perturbed in method_columns(result):
+        scores = collect(setup_of(net, X[:8], K=1), scorer=scorer, spec=spec)
+        for unperturbed, perturbed in method_columns(scores):
             assert np.isfinite(perturbed).all()
             assert np.allclose(perturbed[:, 0], unperturbed, atol=1e-15)
 
@@ -277,12 +277,14 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec(test, "minor", seed=2)
         scorer = make_scorer("adversarial_deterministic", EstimatorConfig())
-        result = collect(setup_of(net, X[:8], K=3), scorer=scorer, spec=spec)
-        assert result.compliant.any()
-        for unperturbed, perturbed in method_columns(result):
+        setup = setup_of(net, X[:8], K=3)
+        scores = collect(setup, scorer=scorer, spec=spec)
+        compliant = setup.space(spec).compliant
+        assert compliant.any()
+        for unperturbed, perturbed in method_columns(scores):
             for k in range(3):
                 retained = np.isfinite(perturbed[:, k])
-                assert np.array_equal(retained, result.compliant[:, k])
+                assert np.array_equal(retained, compliant[:, k])
                 assert np.array_equal(perturbed[retained, k], unperturbed[retained])
 
     def test_matches_scratch_loop(self, trained):
@@ -293,13 +295,14 @@ class TestCollect:
         cfg = EstimatorConfig(fc_runs=10, fc_subset_size=1)
         scorer = make_scorer("faithfulness_correlation", cfg)
         methods = simple_methods()
-        result = collect(setup_of(net, X4, K=2, methods=methods), scorer=scorer, spec=spec)
+        setup = setup_of(net, X4, K=2, methods=methods)
+        scores = collect(setup, scorer=scorer, spec=spec)
+        compliant = setup.space(spec).compliant
 
         from xaimeta.estimators import evaluate_faithfulness_correlation
 
         labels = predict_labels(net, X4)
-        for (method_id, explainer), scores in zip(methods, method_columns(result)):
-            unperturbed, perturbed = scores
+        for (method_id, explainer), (unperturbed, perturbed) in zip(methods, method_columns(scores)):
             # the setup explains the unperturbed rows in one call, then each
             # payload column's compliant rows in one call; replay those calls
             base = explainer(net, X4, labels)
@@ -333,7 +336,7 @@ class TestCollect:
                 assert unperturbed[i] == expected
                 for k in range(2):
                     case = cases[k][i]
-                    assert case.compliant == result.compliant[i, k]
+                    assert case.compliant == compliant[i, k]
                     if not case.compliant:
                         continue
                     ctx = EvalContext(
@@ -353,7 +356,8 @@ class TestCollect:
     @staticmethod
     def counted_collect(net, X, estimator_id, spec, K):
         """collect with counters: per scorer call, the rows it scored and the
-        explainer calls made inside it."""
+        explainer calls made inside it.  Returns (calls, the setup, a run of
+        collect on it)."""
         scorer = make_scorer(estimator_id, EstimatorConfig(robustness_runs=2))
         calls = []  # [rows, explainer calls] per scorer call
         inside = []
@@ -376,7 +380,8 @@ class TestCollect:
 
         methods = [(method_id, count(explainer)) for method_id, explainer in simple_methods()]
         counted = Scorer(scorer.estimator_id, scorer.direction, scoring)
-        return calls, lambda: collect(setup_of(net, X, K=K, methods=methods), scorer=counted, spec=spec)
+        setup = setup_of(net, X, K=K, methods=methods)
+        return calls, setup, lambda: collect(setup, scorer=counted, spec=spec)
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     @pytest.mark.parametrize("estimator_id", ["max_sensitivity", "local_lipschitz", "random_logit"])
@@ -385,11 +390,11 @@ class TestCollect:
     ):
         net, X = trained
         spec = perturb_spec(test, "minor", seed=7)
-        calls, run = self.counted_collect(net, X[:8], estimator_id, spec, K=3)
-        result = run()
-        columns = result.compliant.sum(axis=0)
+        calls, setup, run = self.counted_collect(net, X[:8], estimator_id, spec, K=3)
+        scores = run()
+        columns = setup.space(spec).compliant.sum(axis=0)
         expected_rows = [8, *columns[columns > 0].tolist()]
-        assert [rows for rows, _ in calls] == expected_rows * len(method_columns(result))
+        assert [rows for rows, _ in calls] == expected_rows * len(method_columns(scores))
         assert [explained for _, explained in calls] == [1] * len(calls)
 
     def test_empty_columns_are_not_scored(self, trained):
@@ -397,10 +402,11 @@ class TestCollect:
         # complies and only the unperturbed rows are scored
         net, X = trained
         spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=0.0, max_resamples=1, seed=8)
-        calls, run = self.counted_collect(net, X[:8], "max_sensitivity", spec, K=3)
+        calls, setup, run = self.counted_collect(net, X[:8], "max_sensitivity", spec, K=3)
+        scores = run()
         cause = "without usable estimates for max_sensitivity .*: 8 with no compliant payload, 0 "
         with pytest.raises(MetaEvaluationError, match=cause):
-            run()
+            _usable_rows(setup, spec, scores, "max_sensitivity")
         assert calls == [[8, 1]] * len(simple_methods())
 
     def test_dropped_samples_name_the_estimator_and_the_cause(self, trained):
@@ -417,8 +423,10 @@ class TestCollect:
             "12/24 samples without usable estimates for odd_rows_undefined under mpt/minor "
             r"\(cap 20%\): 0 with no compliant payload, 12 with undefined estimates"
         )
+        setup = setup_of(net, X[:24], K=3)
+        scores = collect(setup, scorer=scorer, spec=spec)
         with pytest.raises(MetaEvaluationError, match=cause):
-            collect(setup_of(net, X[:24], K=3), scorer=scorer, spec=spec)
+            _usable_rows(setup, spec, scores, scorer.estimator_id)
 
     def test_too_many_undefined_estimates_name_the_estimator(self, trained):
         # each sample keeps its unperturbed and first payload estimate, so no
@@ -437,9 +445,31 @@ class TestCollect:
             return values
 
         scorer = Scorer("half_undefined", "higher_better", first_payload_only)
+        setup = setup_of(net, X[:8], K=3)
+        scores = collect(setup, scorer=scorer, spec=spec)
         with pytest.raises(MetaEvaluationError, match="estimates undefined for half_undefined"):
-            collect(setup_of(net, X[:8], K=3), scorer=scorer, spec=spec)
+            _usable_rows(setup, spec, scores, scorer.estimator_id)
         assert len(seen) == 8 * len(simple_methods())
+
+    def test_collect_returns_the_scores_the_cell_rejects(self, trained):
+        # no disruptive payload complies, so the cell aborts on the
+        # disruptive space; collect itself only scores it
+        net, X = trained
+        disruptive = perturb_spec("ipt", "disruptive", alpha=0.0, beta=0.0, max_resamples=1)
+        templates = {("ipt", "disruptive"): disruptive}
+        setup = replace(setup_of(net, X[:8], K=3), perturb_templates=templates)
+        cfg = EstimatorConfig(robustness_runs=2)
+        spec = replace(disruptive, seed=derive_seed(setup.master_seed, "ipt", 0, "disruptive"))
+        scores = collect(setup, scorer=make_scorer("max_sensitivity", cfg), spec=spec)
+        assert scores.shape == (8, len(simple_methods()), 1 + 3)
+        assert np.isfinite(scores[:, :, 0]).all() and np.isnan(scores[:, :, 1:]).all()
+        message = (
+            "8/8 samples without usable estimates for max_sensitivity under ipt/disruptive "
+            "(cap 20%): 8 with no compliant payload, 0 with undefined estimates; "
+            "mean compliance 0.000"
+        )
+        with pytest.raises(MetaEvaluationError, match=re.escape(message)):
+            evaluate_cell(setup, "max_sensitivity", cfg, "ipt")
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     def test_every_context_carries_the_space_seed(self, trained, test):
@@ -474,10 +504,12 @@ class TestCollect:
             return scorer(ctx)
 
         recorder = Scorer(scorer.estimator_id, scorer.direction, recording)
-        result = collect(setup_of(net, X[:8], K=3), scorer=recorder, spec=spec)
+        setup = setup_of(net, X[:8], K=3)
+        collect(setup, scorer=recorder, spec=spec)
+        compliant = setup.space(spec).compliant
         assert len(draws) == 8 * len(simple_methods())
         for (_, row), per_call in draws.items():
-            assert len(per_call) == 1 + result.compliant[row].sum()
+            assert len(per_call) == 1 + compliant[row].sum()
             assert len(set(per_call)) == 1
 
     def test_each_method_gets_its_own_estimator_seed(self, trained):
@@ -519,7 +551,8 @@ class TestCollect:
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     def test_estimators_share_the_spaces_read_only_contexts(self, trained, test, monkeypatch):
         net, X = trained
-        shared = setup_of(net, X[:8], K=2, masks=np.ones((8, X.shape[1]), dtype=bool))
+        inputs, masks = X[:8].copy(), np.ones((8, X.shape[1]), dtype=bool)
+        shared = setup_of(net, inputs, K=2, masks=masks)
         spec = perturb_spec(test, "minor", seed=16)
         space = shared.space(spec)
         # once the space is drawn, collect derives no seed: the space holds
@@ -550,11 +583,15 @@ class TestCollect:
                 for name in fields[:3]:
                     assert len({id(getattr(ctx, name)) for ctx in contexts}) == 1, name
         # column 0's inputs are the setup's own; the payload inputs are the space's
-        arrays = [getattr(ctx, name) for ctx in a for name in fields]
-        arrays += [ctx.X for ctx in a if ctx.is_perturbed]
+        arrays = [getattr(ctx, name) for ctx in a for name in (*fields, "X")]
+        arrays += [shared.inputs, shared.labels, shared.masks]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+        # the setup keeps copies, so the caller's arrays stay writable and unchanged
+        assert inputs.flags.writeable and masks.flags.writeable
+        assert np.array_equal(inputs, X[:8]) and masks.all()
+        assert not np.shares_memory(inputs, shared.inputs)
 
     def test_collect_deterministic(self, trained):
         net, X = trained
@@ -570,10 +607,12 @@ class TestCollect:
         net, X = trained
         spec = perturb_spec("ipt", "disruptive", seed=4, max_resamples=10)
         scorer = make_scorer("sparseness", EstimatorConfig())
-        result = collect(setup_of(net, X[:10], K=2), scorer=scorer, spec=spec)
-        for _, perturbed in method_columns(result):
-            assert np.isnan(perturbed[~result.compliant]).all()
-            assert np.isfinite(perturbed[result.compliant]).all()
+        setup = setup_of(net, X[:10], K=2)
+        scores = collect(setup, scorer=scorer, spec=spec)
+        compliant = setup.space(spec).compliant
+        for _, perturbed in method_columns(scores):
+            assert np.isnan(perturbed[~compliant]).all()
+            assert np.isfinite(perturbed[compliant]).all()
 
     @pytest.mark.parametrize(
         "bad",
@@ -671,10 +710,10 @@ class TestSharedDraws:
 
         shared = setup_of(net, X, K=3)
         spec = perturb_spec(test, strength, seed=21, **window)
-        result = collect(shared, scorer=Scorer(estimator_id, scorer.direction, sharing), spec=spec)
+        scores = collect(shared, scorer=Scorer(estimator_id, scorer.direction, sharing), spec=spec)
         oracle = collect(shared, scorer=Scorer(estimator_id, scorer.direction, alone), spec=spec)
-        assert np.array_equal(result.unperturbed, oracle.unperturbed, equal_nan=True)
-        assert np.array_equal(result.perturbed, oracle.perturbed, equal_nan=True)
+        assert np.array_equal(scores[:, :, 0], oracle[:, :, 0], equal_nan=True)
+        assert np.array_equal(scores[:, :, 1:], oracle[:, :, 1:], equal_nan=True)
         # one dict per method, holding only that method's seed's tables
         per_method = list({id(d): d for d in dicts}.values())
         seeds = [derive_seed(spec.seed, "est", m) for m, _ in simple_methods()]
