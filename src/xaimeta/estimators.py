@@ -4,17 +4,17 @@ Twelve estimators across five families (faithfulness, robustness,
 randomisation, complexity, localisation) plus two adversarial estimators
 used to sanity-check the meta-evaluation itself.  Every estimator maps the
 B rows of an `EvalContext` to a (B,) float64 array; NaN means the estimate
-is undefined for that row, and `perturb.collect` keeps undefined estimates
-out of aggregation.  Estimators are pure given (ctx, cfg) -- all randomness
-flows from the estimator seed, through one generator call per stream and
-scorer call (or per stream and shared `ctx.draws` dict) whose table row b
-reads at its sample index `ctx.rows[b]`, and from the space seed, which
-every row of a perturbed space shares (model
-parameter randomisation draws its randomised layers from it).  A row's draws
-therefore depend only on its sample, not on the other rows of its batch (its
-logits and gradients may, in the last bit, through the matrix products).
-`ESTIMATORS` is the one table of them: evaluate, direction, family and
-mask need per id.
+is undefined for that row.  `perturb.collect` marks every non-finite
+estimate NaN, and `consistency` leaves NaN estimates out of aggregation.
+Estimators are pure given (ctx, cfg) -- all randomness flows from the
+estimator seed, through one generator call per stream and scorer call (or
+per stream and shared `ctx.draws` dict) whose table row b reads at its
+sample index `ctx.rows[b]`, and from the space seed, which every row of a
+perturbed space shares (model parameter randomisation draws its randomised
+layers from it).  A row's draws therefore depend only on its sample, not
+on the other rows of its batch (its logits and gradients may, in the last
+bit, through the matrix products).  `ESTIMATORS` is the one table of them:
+evaluate, direction, family and mask need per id.
 """
 import math
 from dataclasses import dataclass
@@ -211,7 +211,7 @@ def evaluate_faithfulness_correlation(ctx: EvalContext, cfg: EstimatorConfig) ->
         np.put_along_axis(copies[:, 1:], subsets[rows], fills[rows], axis=2)
         return copies
 
-    scores = _label_column(_copy_logits(ctx.net, n, runs + 1, masked), ctx.labels)
+    scores = _label_column(ctx.net, _copy_logits(ctx.net, n, runs + 1, masked), ctx.labels)
     return stats.pearson(attr_sums, scores[:, :1] - scores[:, 1:])
 
 
@@ -237,7 +237,7 @@ def evaluate_pixel_flipping(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarra
         return np.where(flips, filled[rows, None, :], ctx.X[rows, None, :])
 
     logits = _copy_logits(ctx.net, len(ctx.X), len(flipped), curves)
-    return stats.trapezoid_auc(flipped / d, _label_column(softmax(logits), ctx.labels))
+    return stats.trapezoid_auc(flipped / d, _label_column(ctx.net, softmax(logits), ctx.labels))
 
 
 # --- robustness -------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, input_gradient_batch, logits_batch
+from .net import Net, _check_batch, _class_indices, input_gradient_batch, logits_batch
 from .seeding import derive_rng
 
 # Bound on the floats of expanded points (IG steps, SHAP samples, the copies
@@ -48,12 +48,11 @@ class ExplainerConfig:
             )
 
 
-def _batch(X, labels):
-    """(B, D) float inputs and (B,) integer labels; a scalar label is shared."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"explainers take a (B, D) batch, got shape {X.shape}")
-    return X, np.broadcast_to(np.asarray(labels, dtype=np.int64), (X.shape[0],))
+def _batch(net: Net, X, labels):
+    """(B, D) float inputs and (B,) integer labels; a scalar label is shared.
+    `net._check_batch` checks X and `net._class_indices` the labels."""
+    X = _check_batch(net, X)
+    return X, _class_indices(net, np.asarray(labels, dtype=np.int64), X.shape[0])
 
 
 def _row_chunks(n_rows: int, row_elements: int):
@@ -73,32 +72,29 @@ def _copy_logits(net: Net, n_rows: int, j: int, copies) -> np.ndarray:
     return out
 
 
-def _label_column(values, labels) -> np.ndarray:
-    """values[b, :, labels[b]] of a (B, J, C) array; a label outside [0, C)
-    is an IndexError, as in `net.input_gradient_batch`."""
-    labels = np.asarray(labels)
-    classes = values.shape[2]
-    if labels.size and not (0 <= labels.min() and labels.max() < classes):
-        raise IndexError(f"class_index {labels} outside [0, {classes})")
+def _label_column(net: Net, values, labels) -> np.ndarray:
+    """values[b, :, labels[b]] of a (B, J, C) array over the classes of
+    `net`, whose labels `net._class_indices` checks."""
+    labels = _class_indices(net, labels, len(values))
     return np.take_along_axis(values, labels[:, None, None], axis=2)[:, :, 0]
 
 
 def explain_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    return input_gradient_batch(net, *_batch(X, labels))
+    return input_gradient_batch(net, *_batch(net, X, labels))
 
 
 def explain_saliency(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    return np.abs(input_gradient_batch(net, *_batch(X, labels)))
+    return np.abs(input_gradient_batch(net, *_batch(net, X, labels)))
 
 
 def explain_input_x_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    X, labels = _batch(X, labels)
+    X, labels = _batch(net, X, labels)
     return X * input_gradient_batch(net, X, labels)
 
 
 def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     """Midpoint Riemann sum of gradients along the straight path baseline -> x."""
-    X, labels = _batch(X, labels)
+    X, labels = _batch(net, X, labels)
     d = X.shape[1]
     steps = cfg.ig_steps
     alphas = (np.arange(steps) + 0.5) / steps
@@ -118,7 +114,7 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     smaller block is allowed when the length does not divide evenly.  Every
     feature in a block receives the block's full logit drop.
     """
-    X, labels = _batch(X, labels)
+    X, labels = _batch(net, X, labels)
     d = X.shape[1]
     block_of = np.arange(d) // cfg.occlusion_patch
     n_blocks = int(block_of[-1]) + 1
@@ -128,7 +124,7 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     def copies(rows):
         return np.where(occluded, cfg.occlusion_baseline, X[rows, None, :])
 
-    scores = _label_column(_copy_logits(net, len(X), n_blocks + 1, copies), labels)
+    scores = _label_column(net, _copy_logits(net, len(X), n_blocks + 1, copies), labels)
     return (scores[:, :1] - scores[:, 1:])[:, block_of]
 
 
@@ -141,7 +137,7 @@ def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarr
     is returned.  Deterministic for a fixed cfg.seed; every row of a batch
     shares the same baselines and coefficients.
     """
-    X, labels = _batch(X, labels)
+    X, labels = _batch(net, X, labels)
     d = X.shape[1]
     samples = cfg.shap_samples
     rng = derive_rng("gradient_shap", cfg.seed)
@@ -179,19 +175,19 @@ METHODS = {
 # cheap placeholder methods for pipeline checks where only the plumbing
 # matters (the adversarial estimators ignore the attribution entirely)
 def _synthetic_flat(net, X, labels, cfg=None):
-    return np.ones_like(_batch(X, labels)[0])
+    return np.ones_like(_batch(net, X, labels)[0])
 
 
 def _synthetic_input(net, X, labels, cfg=None):
-    return _batch(X, labels)[0].copy()
+    return _batch(net, X, labels)[0].copy()
 
 
 def _synthetic_negative(net, X, labels, cfg=None):
-    return -_batch(X, labels)[0]
+    return -_batch(net, X, labels)[0]
 
 
 def _synthetic_noise(net, X, labels, cfg=None):
-    X, _ = _batch(X, labels)
+    X, _ = _batch(net, X, labels)
     seed = cfg.seed if cfg is not None else 0
     row = derive_rng("synthetic_noise", seed).normal(size=X.shape[1])
     return np.tile(row, (X.shape[0], 1))

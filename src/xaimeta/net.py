@@ -76,6 +76,15 @@ def _check_batch(net: Net, X) -> np.ndarray:
     return A
 
 
+def _class_indices(net: Net, class_index, rows: int) -> np.ndarray:
+    """(rows,) classes of one class for every row or a (rows,) array of
+    per-row classes; a class outside [0, num_classes) is an IndexError."""
+    classes = np.broadcast_to(np.asarray(class_index), (rows,))
+    if classes.size and not (0 <= classes.min() and classes.max() < net.num_classes):
+        raise IndexError(f"class_index {class_index} outside [0, {net.num_classes})")
+    return classes
+
+
 def _activations(layers, A) -> list:
     """Forward pass of (rows, in) inputs through `layers`: each layer's
     input, then the logits.  Every layer but the first takes the relu of
@@ -116,9 +125,7 @@ def input_gradient_batch(net: Net, X, class_index) -> np.ndarray:
     """
     A = _check_batch(net, X)
     rows = A.shape[0]
-    classes = np.broadcast_to(np.asarray(class_index), (rows,))
-    if classes.size and not (0 <= classes.min() and classes.max() < net.num_classes):
-        raise IndexError(f"class_index {class_index} outside [0, {net.num_classes})")
+    classes = _class_indices(net, class_index, rows)
     activations = _activations(net.layers, A)
     G = np.zeros((rows, net.num_classes))
     G[np.arange(rows), classes] = 1.0

@@ -4,13 +4,14 @@ Two tests are supported: IPT, additive uniform noise on inputs (clipped to
 the dataset bounds), and MPT, multiplicative Gaussian noise on all model
 parameters.  A perturbation is *minor* when the predicted label
 survives it and *disruptive* when the label changes; payloads are resampled
-until they comply or a cap is reached.  `draw_space` draws each (test,
+until they comply or a cap is reached.  `draw_space` draws one (test,
 strength, iteration) of payloads over the rows of a
-`consistency.BenchmarkSetup`, which keeps it, explains it once per method
-and builds the `EvalContext` of each (method, column); `collect` only
-scores such a space with one estimator, giving the (N, L, 1 + K) block of
-unperturbed and perturbed quality estimates over the L explanation methods
-that the consistency criteria consume.
+`consistency.BenchmarkSetup`, which keeps it, one column at a time: it
+draws the column, explains it once per method and builds that column's
+`EvalContext` of each method.  `collect` only scores such a space with one
+estimator, giving the (N, L, 1 + K) block of unperturbed and perturbed
+quality estimates over the L explanation methods that the consistency
+criteria consume.
 """
 import math
 import numbers
@@ -170,8 +171,7 @@ class PerturbedSpace:
     """One (test, strength, iteration) of payloads, explained once per
     method and scored by every estimator.  Column 0 holds the unperturbed
     rows (the setup's own net, inputs and explanations), columns 1..K the
-    payloads.  The contexts' arrays are read-only, and every method's
-    context of a column shares its row indices, labels and masks."""
+    payloads.  The contexts' arrays are read-only."""
 
     contexts: dict  # method_id -> 1 + K EvalContexts, None for an empty column
     held: np.ndarray  # (N, 1 + K) bool: the rows each column holds
@@ -190,9 +190,11 @@ def _read_only(array):
 
 def draw_space(setup, spec: PerturbSpec) -> PerturbedSpace:
     """Draw the K payload columns of `spec` over the rows of `setup`, a
-    `consistency.BenchmarkSetup`, explain each non-empty one once per
-    method, and give each (method, column) its `EvalContext`; column 0
-    holds the setup's unperturbed rows and explanations.
+    `consistency.BenchmarkSetup`, and give each (method, column) its
+    `EvalContext`, one column at a time; column 0 holds the setup's
+    unperturbed rows and explanations, and each non-empty payload column is
+    explained once per method as soon as it is drawn.  Every method's
+    context of a column shares its row indices, labels and masks.
 
     Under IPT payload column k holds the unperturbed net and the k-th
     perturbed rows, under MPT the k-th drawn net and X; every stochastic
@@ -204,61 +206,49 @@ def draw_space(setup, spec: PerturbSpec) -> PerturbedSpace:
     n, d = X.shape
     attempts = np.zeros((n, K))
     held = np.ones((n, 1 + K), dtype=bool)
-    columns = [(net, X)]  # column c: (net, inputs of the rows it holds)
-    for k in range(K):
-        if spec.test == IPT:
+    seeds = {method_id: derive_seed(spec.seed, "est", method_id) for method_id, _ in setup.methods}
+    contexts = {method_id: [] for method_id in seeds}
+    for c in range(1 + K):
+        net_c, inputs, k = net, X, c - 1
+        if c and spec.test == IPT:
             cases = [
                 ipt_sample(
                     net, X[i], spec, derive_seed(spec.seed, "ipt", k, i), setup.bounds, labels[i]
                 )
                 for i in range(n)
             ]
-            held[:, 1 + k] = [case.compliant for case in cases]
+            held[:, c] = [case.compliant for case in cases]
             attempts[:, k] = [case.attempts for case in cases]
-            net_k = net
             inputs = np.array([case.payload for case in cases if case.compliant]).reshape(-1, d)
-        else:
+        elif c:
             draw_seed = derive_seed(spec.seed, "mpt", k)
-            net_k, held[:, 1 + k], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
-            inputs = X[held[:, 1 + k]]
-        columns.append((net_k, _read_only(inputs)))
-    # one context per non-empty column, whose rows, labels and masks every method shares
-    shared = [
-        EvalContext(
-            net=net_c,
-            X=inputs,
-            labels=_read_only(labels[on]),
-            attributions=None,
-            explainer=None,
-            dataset_bounds=setup.bounds,
-            rows=_read_only(np.flatnonzero(on)),
-            seed=None,
-            masks=None if setup.masks is None else _read_only(setup.masks[on]),
-            dataset_mean=setup.dataset_mean,
-            is_perturbed=c > 0,
-            space_seed=spec.seed,
-        )
-        if on.any()
-        else None
-        for c, ((net_c, inputs), on) in enumerate(zip(columns, held.T))
-    ]
-    contexts = {}
-    for method_id, explainer in setup.methods:
-        seed = derive_seed(spec.seed, "est", method_id)
-        contexts[method_id] = [
-            replace(
-                column,
-                attributions=unperturbed[method_id]
-                if c == 0
-                else _read_only(explainer(column.net, column.X, column.labels)),
-                explainer=explainer,
-                seed=seed,
-                kept={},
+            net_c, held[:, c], attempts[:, k] = mpt_sample(net, X, spec, draw_seed, labels)
+            inputs = X[held[:, c]]
+        on = held[:, c]
+        inputs, labels_c, rows = map(_read_only, (inputs, labels[on], np.flatnonzero(on)))
+        masks = None if setup.masks is None else _read_only(setup.masks[on])
+        for method_id, explainer in setup.methods:
+            contexts[method_id].append(
+                EvalContext(
+                    net=net_c,
+                    X=inputs,
+                    labels=labels_c,
+                    attributions=unperturbed[method_id]
+                    if c == 0
+                    else _read_only(explainer(net_c, inputs, labels_c)),
+                    explainer=explainer,
+                    dataset_bounds=setup.bounds,
+                    rows=rows,
+                    seed=seeds[method_id],
+                    masks=masks,
+                    dataset_mean=setup.dataset_mean,
+                    is_perturbed=c > 0,
+                    space_seed=spec.seed,
+                    kept={},
+                )
+                if on.any()
+                else None
             )
-            if column is not None
-            else None
-            for c, column in enumerate(shared)
-        ]
     return PerturbedSpace(contexts, _read_only(held), _read_only(attempts))
 
 

@@ -331,6 +331,8 @@ def config_from_tables(tables: dict) -> RunConfig:
     )
     if len(config.methods) < 2:
         raise ConfigError("[methods] use must list at least two methods")
+    if not config.estimators:
+        raise ConfigError("[estimators] use must list at least one estimator")
     # constructing the per-method/estimator configs (of every id listed or
     # given a table) and the perturbation specs surfaces bad values as
     # configuration errors, before any work

@@ -85,6 +85,14 @@ class TestBenchmarkCommand:
             mc = float(line.split(",")[3])
             assert 0.0 <= mc <= 1.0
 
+    def test_an_empty_estimator_listing_exits_one_before_any_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, QUICK_BENCH, out=out)
+        assert main(["benchmark", "--config", config, "--set", "estimators.use=[]"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: [estimators] use must list at least one estimator" in err
+        assert not out.exists()
+
     def test_same_seed_identical_summary(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         config = write_config(tmp_path, QUICK_BENCH, out=out_a)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from xaimeta import explain
 from xaimeta.explain import (
     ALL_METHODS,
-    METHODS,
     ExplainerConfig,
     build_explainer,
     explain_gradient,
@@ -351,17 +350,25 @@ class TestBatchContract:
     @pytest.mark.parametrize("label", [-1, 3])
     @pytest.mark.parametrize("method_id", list(ALL_METHODS))
     def test_a_label_outside_the_classes_is_an_index_error(self, method_id, label):
-        # a three-class net; the synthetic methods never read the label
+        # a three-class net; the synthetic methods check the labels they never read
         rng = np.random.default_rng(22)
         net = random_net(rng)
         X = rng.uniform(size=(4, 4))
         fn = build_explainer(method_id, BATCH_CFG)
         for labels in (label, np.array([0, 1, label, 2])):
-            if method_id in METHODS:
-                with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
-                    fn(net, X, labels)
-            else:
-                assert np.array_equal(fn(net, X, labels), fn(net, X, 0))
+            with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
+                fn(net, X, labels)
+
+    @pytest.mark.parametrize("method_id", list(ALL_METHODS))
+    def test_a_batch_of_the_wrong_width_or_not_finite_is_a_value_error(self, method_id):
+        rng = np.random.default_rng(23)
+        net = random_net(rng)  # four input features
+        fn = build_explainer(method_id, BATCH_CFG)
+        for width in (3, 5):
+            with pytest.raises(ValueError, match="does not match input_dim 4"):
+                fn(net, rng.uniform(size=(2, width)), 0)
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            fn(net, np.array([[0.5, np.nan, 0.5, 0.5]]), 0)
 
     def test_scalar_label_is_shared_by_every_row(self):
         rng = np.random.default_rng(19)

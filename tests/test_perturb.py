@@ -15,7 +15,7 @@ from xaimeta.estimators import (
     make_scorer,
 )
 from xaimeta.explain import ExplainerConfig, build_explainer
-from xaimeta.net import dense, make_net, predict_labels, train_tiny
+from xaimeta.net import dense, get_weights, make_net, predict_labels, train_tiny
 from xaimeta.perturb import (
     DEFAULT_WINDOWS,
     PerturbSpec,
@@ -188,8 +188,6 @@ class TestMptSample:
         labels = predict_labels(net, X)
         net_hat, compliant, attempts = mpt_sample(net, X, spec, draw_seed=1, labels=labels)
         assert compliant.all() and attempts == 1
-        from xaimeta.net import get_weights
-
         assert np.array_equal(get_weights(net_hat), get_weights(net))
 
     def test_sigma_zero_disruptive_infeasible(self, trained):
@@ -201,8 +199,6 @@ class TestMptSample:
     def test_disruptive_falls_back_to_the_best_draw(self, trained):
         # every sample flipping is out of reach, so after the cap the best
         # draw seen comes back, with its own compliance
-        from xaimeta.net import get_weights
-
         net, X = trained
         labels = predict_labels(net, X)
         spec = perturb_spec("mpt", "disruptive", sigma=1.0, min_retained_fraction=1.0, max_resamples=5)
@@ -232,8 +228,6 @@ class TestMptSample:
 
     def test_draw_is_multiplicative(self, trained):
         net, _ = trained
-        from xaimeta.net import get_weights
-
         spec = perturb_spec("mpt", "minor", sigma=0.5)
         net_hat = mpt_draw(net, spec, draw_seed=7)
         w, w_hat = get_weights(net), get_weights(net_hat)
@@ -547,6 +541,49 @@ class TestCollect:
             assert contexts[0].attributions is shared.attributions[method_id]
             for ctx, held in zip(contexts[1:], payload_rows, strict=True):
                 assert np.array_equal(ctx.rows, held) if held.size else ctx is None
+
+    @pytest.mark.parametrize(
+        "test, strength, window",
+        [
+            ("ipt", "minor", {}),
+            # zero input noise never changes a label: every payload column is empty
+            ("ipt", "disruptive", {"alpha": 0.0, "beta": 0.0, "max_resamples": 1}),
+            ("mpt", "minor", {}),
+            ("mpt", "disruptive", {}),
+        ],
+        ids=["ipt-minor", "ipt-empty", "mpt-minor", "mpt-disruptive"],
+    )
+    def test_a_space_does_not_depend_on_method_order(self, trained, test, strength, window):
+        net, X = trained
+        cfg = ExplainerConfig(seed=11)
+        methods = [(m, build_explainer(m, cfg)) for m in ("gradient", "saliency", "input_x_gradient")]
+        masks = np.arange(X.shape[1])[None, :] == (np.arange(8) % X.shape[1])[:, None]
+        forward = setup_of(net, X[:8], K=3, methods=methods, masks=masks)
+        backward = setup_of(net, X[:8], K=3, methods=methods[::-1], masks=masks)
+        spec = perturb_spec(test, strength, seed=17, **window)
+        a, b = forward.space(spec), backward.space(spec)
+        assert a.held.tobytes() == b.held.tobytes()
+        assert a.attempts.tobytes() == b.attempts.tobytes()
+        if strength == "disruptive" and test == "ipt":
+            assert not a.compliant.any()
+
+        def same(x, y):
+            return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+        for method_id, _ in methods:
+            for ctx_a, ctx_b in zip(a.contexts[method_id], b.contexts[method_id], strict=True):
+                assert (ctx_a is None) == (ctx_b is None)
+                if ctx_a is None:
+                    continue
+                assert ctx_a.seed == ctx_b.seed and ctx_a.is_perturbed == ctx_b.is_perturbed
+                for name in ("X", "labels", "rows", "masks", "attributions"):
+                    assert same(getattr(ctx_a, name), getattr(ctx_b, name)), name
+                assert same(get_weights(ctx_a.net), get_weights(ctx_b.net))
+        for estimator_id in ("faithfulness_correlation", "relevance_mass_accuracy"):
+            scorer = make_scorer(estimator_id, EstimatorConfig(fc_runs=5, fc_subset_size=1))
+            scores = collect(forward, scorer=scorer, spec=spec)
+            reversed_scores = collect(backward, scorer=scorer, spec=spec)
+            assert same(scores, reversed_scores[:, ::-1].copy()), estimator_id
 
     @pytest.mark.parametrize("test", ["ipt", "mpt"])
     def test_estimators_share_the_spaces_read_only_contexts(self, trained, test, monkeypatch):
