@@ -300,31 +300,21 @@ def evaluate_cell(setup: BenchmarkSetup, estimator_id: str, cfg, test: str) -> C
                 iec_disruptive(qbar_ar, qbar_d, scorer.direction == LOWER_BETTER),
             )
         )
+    # one iteration has standard deviation 0.0, not the NaN of ddof 1
+    table = np.array([v.entries() for v in vectors])
+    mcs = np.array([v.mc for v in vectors])
+    ddof = 1 if len(vectors) > 1 else 0
     return CellResult(
         estimator_id=estimator_id,
         test=test,
-        mean=_mean_vector(vectors),
-        std=_std_entries(vectors),
+        mean=MetaVector(*map(float, table.mean(axis=0)), mc=float(mcs.mean())),
+        std={
+            **dict(zip(CRITERIA, map(float, table.std(axis=0, ddof=ddof)))),
+            "mc": float(mcs.std(ddof=ddof)),
+        },
         per_iteration=vectors,
         diagnostics=diagnostics,
     )
-
-
-def _mean_vector(vectors) -> MetaVector:
-    entries = np.array([v.entries() for v in vectors])
-    means = entries.mean(axis=0)
-    return MetaVector(
-        *(float(v) for v in means),
-        mc=float(np.mean([v.mc for v in vectors])),
-    )
-
-
-def _std_entries(vectors) -> dict:
-    """Per-criterion and MC standard deviation over iterations (0.0 for one)."""
-    ddof = 1 if len(vectors) > 1 else 0
-    stds = np.array([v.entries() for v in vectors]).std(axis=0, ddof=ddof)
-    mc = np.std([v.mc for v in vectors], ddof=ddof)
-    return {**dict(zip(CRITERIA, map(float, stds))), "mc": float(mc)}
 
 
 def run_meta_evaluation(setup: BenchmarkSetup) -> dict:

@@ -49,10 +49,10 @@ class ExplainerConfig:
 
 
 def _batch(net: Net, X, labels):
-    """(B, D) float inputs and (B,) integer labels; a scalar label is shared.
-    `net._check_batch` checks X and `net._class_indices` the labels."""
+    """(B, D) float inputs and (B,) int64 labels, checked by `net._check_batch`
+    and `net._class_indices`; a scalar label is shared."""
     X = _check_batch(net, X)
-    return X, _class_indices(net, np.asarray(labels, dtype=np.int64), X.shape[0])
+    return X, _class_indices(net, labels, X.shape[0])
 
 
 def _row_chunks(n_rows: int, row_elements: int):
@@ -80,16 +80,15 @@ def _label_column(net: Net, values, labels) -> np.ndarray:
 
 
 def explain_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    return input_gradient_batch(net, *_batch(net, X, labels))
+    return input_gradient_batch(net, X, labels)
 
 
 def explain_saliency(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    return np.abs(input_gradient_batch(net, *_batch(net, X, labels)))
+    return np.abs(input_gradient_batch(net, X, labels))
 
 
 def explain_input_x_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -> np.ndarray:
-    X, labels = _batch(net, X, labels)
-    return X * input_gradient_batch(net, X, labels)
+    return input_gradient_batch(net, X, labels) * X
 
 
 def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
@@ -114,7 +113,7 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     smaller block is allowed when the length does not divide evenly.  Every
     feature in a block receives the block's full logit drop.
     """
-    X, labels = _batch(net, X, labels)
+    X = _check_batch(net, X)
     d = X.shape[1]
     block_of = np.arange(d) // cfg.occlusion_patch
     n_blocks = int(block_of[-1]) + 1

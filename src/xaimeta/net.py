@@ -77,12 +77,19 @@ def _check_batch(net: Net, X) -> np.ndarray:
 
 
 def _class_indices(net: Net, class_index, rows: int) -> np.ndarray:
-    """(rows,) classes of one class for every row or a (rows,) array of
-    per-row classes; a class outside [0, num_classes) is an IndexError."""
-    classes = np.broadcast_to(np.asarray(class_index), (rows,))
-    if classes.size and not (0 <= classes.min() and classes.max() < net.num_classes):
-        raise IndexError(f"class_index {class_index} outside [0, {net.num_classes})")
-    return classes
+    """(rows,) int64 classes of one class for every row or a (rows,) array
+    of per-row classes.  This is the one label rule: a class is a whole
+    number in [0, num_classes), an int or a float such as 1.0; anything
+    else, a fractional 1.7 included, is an IndexError."""
+    given = np.broadcast_to(np.asarray(class_index), (rows,))
+    # the range is checked first, so a NaN or an infinity is never cast
+    if not given.size or (0 <= given.min() and given.max() < net.num_classes):
+        classes = given.astype(np.int64, copy=False)
+        if classes is given or (classes == given).all():
+            return classes
+    raise IndexError(
+        f"class_index {class_index} outside [0, {net.num_classes}) or not a whole number"
+    )
 
 
 def _activations(layers, A) -> list:

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from test_golden import CONFIG as GOLDEN_CONFIG
 from xaimeta import consistency, perturb
 from xaimeta.consistency import (
+    CRITERIA,
     BenchmarkSetup,
     evaluate_cell,
     iac,
@@ -269,6 +270,21 @@ class TestEndToEnd:
             assert cell.mean.iec_ar == 0.0
             assert cell.mean.mc == 0.5
             assert all(s == 0.0 for s in cell.std.values())
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_mean_and_std_are_those_of_the_iteration_table(self, small_setup, iterations):
+        setup = replace(small_setup, iterations=iterations)
+        cell = evaluate_cell(setup, "sparseness", EstimatorConfig(), "ipt")
+        table = np.array([v.entries() for v in cell.per_iteration])
+        mcs = [v.mc for v in cell.per_iteration]
+        assert table.shape == (iterations, len(CRITERIA))
+        assert cell.mean.entries().tolist() == table.mean(axis=0).tolist()
+        assert cell.mean.mc == np.mean(mcs)
+        if iterations == 1:
+            assert all(s == 0.0 for s in cell.std.values())
+        else:
+            stds = dict(zip(CRITERIA, table.std(axis=0, ddof=1).tolist()))
+            assert cell.std == {**stds, "mc": np.std(mcs, ddof=1)}
 
     def test_distribution_shift_adversary(self, small_setup):
         cell = evaluate_cell(small_setup, "adversarial_distribution_shift", EstimatorConfig(), "ipt")

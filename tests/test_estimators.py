@@ -259,13 +259,22 @@ def test_mean_baseline_needs_the_dataset_mean(estimator_id):
         make_scorer(estimator_id, cfg)(ctx)
 
 
-@pytest.mark.parametrize("label", [-1, 2])
+@pytest.mark.parametrize("label", [-1, 2, 1.7])
 @pytest.mark.parametrize("estimator_id", ["faithfulness_correlation", "pixel_flipping"])
 def test_a_label_outside_the_classes_is_an_index_error(estimator_id, label):
     ctx = make_ctx(linear_net(np.ones((2, 8))), np.linspace(0.1, 0.8, 8), label, np.arange(8.0))
     cfg = EstimatorConfig(fc_subset_size=2, fc_runs=4)
     with pytest.raises(IndexError, match=r"outside \[0, 2\)"):
         make_scorer(estimator_id, cfg)(ctx)
+
+
+@pytest.mark.parametrize("estimator_id", ["faithfulness_correlation", "pixel_flipping"])
+def test_a_whole_number_float_label_is_its_int(estimator_id):
+    net = linear_net(np.arange(16.0).reshape(2, 8) / 16)
+    x = np.linspace(0.1, 0.8, 8)
+    score = make_scorer(estimator_id, EstimatorConfig(fc_subset_size=2, fc_runs=4))
+    expected = score(make_ctx(net, x, 1, np.arange(8.0)))
+    assert score(make_ctx(net, x, 1.0, np.arange(8.0))).tobytes() == expected.tobytes()
 
 
 class TestPixelFlipping:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xaimeta import explain
+from xaimeta import net as net_module
 from xaimeta.explain import (
     ALL_METHODS,
+    SYNTHETIC_METHODS,
     ExplainerConfig,
     build_explainer,
     explain_gradient,
@@ -347,10 +350,11 @@ class TestBatchContract:
             chunked = build_explainer(method_id, BATCH_CFG)(net, X, labels)
             np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-12, err_msg=method_id)
 
-    @pytest.mark.parametrize("label", [-1, 3])
+    @pytest.mark.parametrize("label", [-1, 3, 1.7])
     @pytest.mark.parametrize("method_id", list(ALL_METHODS))
     def test_a_label_outside_the_classes_is_an_index_error(self, method_id, label):
-        # a three-class net; the synthetic methods check the labels they never read
+        # a three-class net; the synthetic methods check the labels they never
+        # read, and a fractional 1.7 is no class rather than class 1
         rng = np.random.default_rng(22)
         net = random_net(rng)
         X = rng.uniform(size=(4, 4))
@@ -358,6 +362,41 @@ class TestBatchContract:
         for labels in (label, np.array([0, 1, label, 2])):
             with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
                 fn(net, X, labels)
+
+    @pytest.mark.parametrize("method_id", [*ALL_METHODS, "input_gradient_batch"])
+    def test_a_whole_number_float_label_is_its_int(self, method_id):
+        rng = np.random.default_rng(25)
+        net = random_net(rng)
+        X = rng.uniform(size=(4, 4))
+        fn = (
+            input_gradient_batch
+            if method_id == "input_gradient_batch"
+            else build_explainer(method_id, BATCH_CFG)
+        )
+        assert fn(net, X, 1.0).tobytes() == fn(net, X, 1).tobytes()
+        floats, ints = np.array([0.0, 2.0, 1.0, 2.0]), np.array([0, 2, 1, 2])
+        assert fn(net, X, floats).tobytes() == fn(net, X, ints).tobytes()
+
+    @pytest.mark.parametrize(
+        "method_id", ["gradient", "saliency", "input_x_gradient", "occlusion", *SYNTHETIC_METHODS]
+    )
+    def test_one_entry_check_per_call(self, method_id, monkeypatch):
+        # the gradient methods leave X and the labels to the net's gradient
+        calls = Counter()
+        for name in ("_check_batch", "_class_indices"):
+
+            def counted(*args, name=name, original=getattr(net_module, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(net_module, name, counted)
+            monkeypatch.setattr(explain, name, counted)
+        rng = np.random.default_rng(26)
+        net = random_net(rng)
+        build_explainer(method_id, BATCH_CFG)(net, rng.uniform(size=(4, 4)), np.array([0, 1, 2, 1]))
+        assert calls["_class_indices"] == 1
+        if method_id != "occlusion":  # whose copies `logits_batch` checks again
+            assert calls["_check_batch"] == 1
 
     @pytest.mark.parametrize("method_id", list(ALL_METHODS))
     def test_a_batch_of_the_wrong_width_or_not_finite_is_a_value_error(self, method_id):

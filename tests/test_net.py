@@ -171,6 +171,9 @@ class TestInputGradient:
         net = make_net([dense(np.eye(2), np.zeros(2))])
         with pytest.raises(IndexError):
             row_gradient(net, [1.0, 1.0], 2)
+        for classes in (0.5, np.array([1.0, 0.5])):
+            with pytest.raises(IndexError, match="not a whole number"):
+                input_gradient_batch(net, np.ones((2, 2)), classes)
 
 
 class TestWeightVector:
