@@ -25,7 +25,7 @@ import numpy as np
 from . import stats
 from .errors import ConfigError
 from .explain import _copy_logits, _label_column
-from .net import Layer, Net, replace_layer, softmax
+from .net import Layer, Net, _class_indices, replace_layer, softmax
 from .seeding import derive_rng
 
 HIGHER_BETTER = "higher_better"
@@ -346,9 +346,10 @@ def evaluate_random_logit(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     classes = ctx.net.num_classes
     if classes < 2:
         raise ConfigError("random_logit needs at least two classes")
+    labels = _class_indices(ctx.net, ctx.labels, len(ctx.X))
     # a uniform draw from the C - 1 classes, shifted past the row's label
     draws = _sample_draws(ctx, "rl", lambda rng, m: rng.integers(classes - 1, size=m))
-    other_classes = draws + (draws >= ctx.labels)
+    other_classes = draws + (draws >= labels)
     others = ctx.explainer(ctx.net, ctx.X, other_classes)
     return stats.spearman(ctx.attributions, others)
 

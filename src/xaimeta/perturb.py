@@ -4,7 +4,10 @@ Two tests are supported: IPT, additive uniform noise on inputs (clipped to
 the dataset bounds), and MPT, multiplicative Gaussian noise on all model
 parameters.  A perturbation is *minor* when the predicted label
 survives it and *disruptive* when the label changes; payloads are resampled
-until they comply or a cap is reached.  `draw_space` draws one (test,
+until they comply or a cap is reached.  An IPT payload's attempts are drawn
+and labelled in doubling blocks (1, 2, 4, ...), one forward call per block,
+and the block's first compliant row is the payload, exactly as if the
+attempts were drawn one at a time.  `draw_space` draws one (test,
 strength, iteration) of payloads over the rows of a
 `consistency.BenchmarkSetup`, which keeps it, one column at a time: it
 draws the column, explains it once per method and builds that column's
@@ -109,21 +112,29 @@ def ipt_sample(net: Net, x, spec: PerturbSpec, draw_seed: int, bounds, label) ->
     """Draw additive uniform noise until the strength definition holds
     against `label`, the net's label of x.
 
-    The perturbed input is clipped to the dataset bounds elementwise.  After
-    spec.max_resamples failed attempts the last draw is returned with
-    compliant=False; non-compliance is data, not an error.
+    The perturbed input is clipped to the dataset bounds elementwise.
+    Attempts are drawn and labelled in blocks of 1, 2, 4, ... (the last one
+    cut to what is left of spec.max_resamples), one noise draw and one
+    `predict_labels` call per block; the block's first compliant row wins,
+    so payload and attempt count are those of drawing one attempt at a time
+    from the same generator.  After spec.max_resamples failed attempts the
+    last draw is returned with compliant=False; non-compliance is data, not
+    an error.  The payload is a row of its own, not a view of the block.
     """
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(draw_seed)
     lo, hi = bounds
     original = int(label)
-    x_hat = x
-    for attempt in range(1, spec.max_resamples + 1):
-        delta = rng.uniform(spec.alpha, spec.beta, size=x.size)
-        x_hat = np.clip(x + delta, lo, hi)
-        if _complies(spec.strength, original, int(predict_labels(net, x_hat[None, :])[0])):
-            return PerturbedCase(x_hat, True, attempt)
-    return PerturbedCase(x_hat, False, spec.max_resamples)
+    used = 0
+    while used < spec.max_resamples:
+        # after blocks of 1, 2, ..., 2^(j-1) attempts, used + 1 is 2^j
+        block = min(used + 1, spec.max_resamples - used)
+        x_hat = np.clip(x + rng.uniform(spec.alpha, spec.beta, size=(block, x.size)), lo, hi)
+        (hits,) = np.nonzero(_complies(spec.strength, original, predict_labels(net, x_hat)))
+        if hits.size:
+            return PerturbedCase(x_hat[hits[0]].copy(), True, used + int(hits[0]) + 1)
+        used += block
+    return PerturbedCase(x_hat[-1].copy(), False, used)
 
 
 def mpt_draw(net: Net, spec: PerturbSpec, draw_seed: int) -> Net:

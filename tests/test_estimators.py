@@ -793,6 +793,24 @@ class TestRandomLogit:
         with pytest.raises(ConfigError):
             evaluate_random_logit(ctx, CFG)
 
+    @pytest.mark.parametrize("label", [1.7, 7, -1])
+    def test_a_label_outside_the_classes_is_an_index_error(self, label):
+        # the class-blind explainer checks no label, so the estimator must
+        net = two_layer_net(np.random.default_rng(14))
+        blind = constant_explainer([1.0, 3.0, 2.0, 0.0])
+        ctx = make_ctx(net, [0.2, 0.4, 0.6, 0.8], label, explainer=blind)
+        with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
+            evaluate_random_logit(ctx, CFG)
+
+    def test_a_whole_number_float_label_is_its_int(self):
+        net = two_layer_net(np.random.default_rng(15))
+        explainer = build_explainer("gradient", ExplainerConfig())
+        x = [0.2, 0.4, 0.6, 0.8]
+        score = make_scorer("random_logit", CFG)
+        expected = score(make_ctx(net, x, 1, explainer=explainer, seed=5))
+        got = score(make_ctx(net, x, 1.0, explainer=explainer, seed=5))
+        assert got.tobytes() == expected.tobytes()
+
 
 def bare_ctx(values, mask=None):
     d = len(values)

@@ -181,6 +181,93 @@ class TestIptSample:
                 assert np.array_equal(a.payload, b.payload)
 
 
+def ipt_one_at_a_time(net, x, spec, draw_seed, bounds, label):
+    """Reference resampling: one size-D draw and one one-row label per attempt."""
+    rng = np.random.default_rng(draw_seed)
+    for attempt in range(1, spec.max_resamples + 1):
+        x_hat = np.clip(x + rng.uniform(spec.alpha, spec.beta, size=x.size), *bounds)
+        kept = predict_labels(net, x_hat[None, :])[0] == label
+        if kept == (spec.strength == "minor"):
+            return x_hat, True, attempt
+    return x_hat, False, spec.max_resamples
+
+
+CAPS = [1, 2, 3, 7, 8, 30, 100]
+BLOCK_WINDOWS = [
+    ("minor", -0.001, 0.001),
+    ("minor", -0.4, 0.4),
+    ("disruptive", 0.0, 1.0),
+    ("disruptive", -0.3, 0.3),
+    ("disruptive", -0.1, 0.1),
+]
+
+
+@pytest.fixture
+def label_calls(monkeypatch):
+    """The row count of every `predict_labels` call that `perturb` makes."""
+    calls = []
+
+    def counted(net, X):
+        calls.append(len(X))
+        return predict_labels(net, X)
+
+    monkeypatch.setattr(perturb, "predict_labels", counted)
+    return calls
+
+
+class TestIptBlocks:
+    @pytest.mark.parametrize("max_resamples", CAPS)
+    def test_blocks_equal_one_attempt_at_a_time(self, trained, max_resamples):
+        net, X = trained
+        labels = predict_labels(net, X)
+        outcomes = []
+        for strength, alpha, beta in BLOCK_WINDOWS:
+            window = {"alpha": alpha, "beta": beta, "max_resamples": max_resamples}
+            spec = perturb_spec("ipt", strength, **window)
+            for i in range(20):
+                case = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0), label=labels[i])
+                payload, compliant, attempts = ipt_one_at_a_time(
+                    net, X[i], spec, i, (0.0, 1.0), labels[i]
+                )
+                assert case.payload.tobytes() == payload.tobytes()
+                assert (case.compliant, case.attempts) == (compliant, attempts)
+                outcomes.append((strength, compliant, attempts))
+        # the windows exhaust the cap, and both strengths reach past the first block
+        assert any(not compliant for _, compliant, _ in outcomes)
+        later = {strength for strength, compliant, tries in outcomes if compliant and tries > 1}
+        assert max_resamples == 1 or later == {"minor", "disruptive"}
+
+    @pytest.mark.parametrize("max_resamples", CAPS)
+    def test_one_label_call_per_block(self, trained, label_calls, max_resamples):
+        net, X = trained
+        labels = predict_labels(net, X)
+        spec = perturb_spec("ipt", "disruptive", alpha=-0.3, beta=0.3, max_resamples=max_resamples)
+        for i in range(20):
+            label_calls.clear()
+            case = ipt_sample(net, X[i], spec, draw_seed=i, bounds=(0.0, 1.0), label=labels[i])
+            assert len(label_calls) <= max_resamples.bit_length()
+            # after j blocks, max_resamples + 1 - 2**j attempts are left
+            blocks = [min(2**j, max_resamples + 1 - 2**j) for j in range(len(label_calls))]
+            assert label_calls == blocks
+            assert case.attempts <= sum(label_calls)
+            assert case.payload.base is None
+        # a label the noise never flips draws every block, 1, 2, 4, ...
+        label_calls.clear()
+        spec = perturb_spec("ipt", "disruptive", alpha=0.0, beta=0.0, max_resamples=max_resamples)
+        case = ipt_sample(threshold_net(), np.array([0.1]), spec, 4, (0.0, 1.0), 0)
+        assert (case.compliant, case.attempts) == (False, max_resamples)
+        assert len(label_calls) == max_resamples.bit_length() and sum(label_calls) == max_resamples
+        assert case.payload.base is None
+
+    def test_a_first_attempt_payload_makes_one_one_row_call(self, trained, label_calls):
+        net, X = trained
+        spec = perturb_spec("ipt", "minor")
+        label = own_label(net, X[0])
+        case = ipt_sample(net, X[0], spec, draw_seed=1, bounds=(0.0, 1.0), label=label)
+        assert (case.compliant, case.attempts, label_calls) == (True, 1, [1])
+        assert case.payload.base is None and case.payload.shape == X[0].shape
+
+
 class TestMptSample:
     def test_sigma_zero_minor_keeps_model(self, trained):
         net, X = trained
