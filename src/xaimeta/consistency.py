@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stats
 from .errors import MetaEvaluationError
-from .estimators import LOWER_BETTER, EstimatorConfig, make_scorer
+from .estimators import LOWER_BETTER, EstimatorConfig, _read_only, make_scorer
 from .net import Net, predict_labels
 from .perturb import (
     DEFAULT_WINDOWS,
@@ -30,7 +30,6 @@ from .perturb import (
     MPT,
     PerturbedSpace,
     PerturbSpec,
-    _read_only,
     collect,
     draw_space,
     perturb_spec,
@@ -67,10 +66,20 @@ def meta_vector(iac_nr, iac_ar_raw, iec_nr, iec_ar) -> MetaVector:
     return MetaVector(*entries, mc=float(np.mean(entries)))
 
 
-def _method_iacs(unperturbed, perturbed) -> np.ndarray:
-    """(L,) IAC of each method from (N, L) unperturbed and (N, L, K) perturbed
-    scores: the mean Wilcoxon p over the method's columns, every column's
-    test made in one call."""
+def iac(unperturbed, perturbed):
+    """Mean two-sided Wilcoxon p-value between the (N,) unperturbed scores
+    and each column of the (N, K) perturbed ones, over the pairs where both
+    scores are finite.  With a method axis, (N, L) and (N, L, K) scores give
+    the (L,) IAC of each method, every column's test made in one call.
+
+    Columns with fewer than two usable pairs are skipped; if every column of
+    a method is degenerate the criterion is undefined and the run errors out.
+    """
+    unperturbed = np.asarray(unperturbed, dtype=np.float64)
+    perturbed = np.asarray(perturbed, dtype=np.float64)
+    one_method = unperturbed.ndim == 1
+    if one_method:
+        unperturbed, perturbed = unperturbed[:, None], perturbed[:, None]
     usable = np.isfinite(perturbed) & np.isfinite(unperturbed)[:, :, None]
     tested = usable.sum(axis=0) >= 2  # (L, K)
     if not tested.any(axis=1).all():
@@ -84,20 +93,8 @@ def _method_iacs(unperturbed, perturbed) -> np.ndarray:
     ps[tested] = stats.wilcoxon_signed_rank(
         tested_rows(unperturbed[:, :, None]), tested_rows(perturbed)
     )
-    return stats.masked_row_sums(ps, tested) / tested.sum(axis=1)
-
-
-def iac(unperturbed, perturbed) -> float:
-    """Mean two-sided Wilcoxon p-value between the (N,) unperturbed scores
-    and each column of the (N, K) perturbed ones, over the pairs where both
-    scores are finite.
-
-    Columns with fewer than two usable pairs are skipped; if every column is
-    degenerate the criterion is undefined and the run errors out.
-    """
-    unperturbed = np.asarray(unperturbed, dtype=np.float64)
-    perturbed = np.asarray(perturbed, dtype=np.float64)
-    return float(_method_iacs(unperturbed[:, None], perturbed[:, None])[0])
+    iacs = stats.masked_row_sums(ps, tested) / tested.sum(axis=1)
+    return float(iacs[0]) if one_method else iacs
 
 
 def iec_minor(qbar, qbar_m) -> float:
@@ -142,7 +139,7 @@ def ranking_matrices(scores, dropped):
 
 def iac_over_methods(scores) -> float:
     """The mean over methods of each method's IAC, from one Wilcoxon call."""
-    return float(np.mean(_method_iacs(scores[:, :, 0], scores[:, :, 1:])))
+    return float(np.mean(iac(scores[:, :, 0], scores[:, :, 1:])))
 
 
 def _usable_rows(setup, spec: PerturbSpec, scores, estimator_id: str):

@@ -83,6 +83,7 @@ class EstimatorConfig:
     Subset and step sizes default to 2*sqrt(D) features; the robustness
     radius defaults to a tenth of the dataset range, and a radius that is set
     must be finite and positive; top-k defaults to the mask cardinality.
+    `_block` checks all three sizes against D: each lies in [1, D].
     Faithfulness correlation needs fc_runs >= 2 runs to correlate.
     """
 
@@ -116,12 +117,10 @@ class EstimatorConfig:
 
     def top_k(self, d: int) -> int | None:
         """topk_k, checked against d features; None means the mask cardinality."""
-        if self.topk_k is not None and not 1 <= self.topk_k <= d:
-            raise ConfigError(f"topk_k {self.topk_k} outside [1, {d}]")
-        return self.topk_k
+        return None if self.topk_k is None else _block(self.topk_k, "topk_k", d)
 
     def check_features(self, d: int):
-        """Raise ValueError when a size set here does not fit d features."""
+        """Raise ConfigError when a size set here does not fit d features."""
         self.subset_size(d)
         self.step_size(d)
         self.top_k(d)
@@ -138,8 +137,13 @@ def _block(size, name, d: int) -> int:
     if size is None:
         size = max(1, min(d, int(round(2 * math.sqrt(d)))))
     if not 1 <= size <= d:
-        raise ValueError(f"{name} {size} outside [1, {d}]")
+        raise ConfigError(f"{name} {size} outside [1, {d}]")
     return size
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 def _sample_draws(ctx, tag, draw) -> np.ndarray:
@@ -171,12 +175,6 @@ def _baseline_values(kind, tag, shape, ctx) -> np.ndarray:
     if kind == "mean" and ctx.dataset_mean is None:
         raise ConfigError("the mean baseline needs the dataset mean")
     return np.broadcast_to(float(lo if kind == "black" else ctx.dataset_mean), (len(ctx.X), *shape))
-
-
-def _ratio_or_nan(numerator, denominator) -> np.ndarray:
-    return np.divide(
-        numerator, denominator, out=np.full(len(denominator), np.nan), where=denominator != 0.0
-    )
 
 
 # --- faithfulness -----------------------------------------------------------
@@ -276,11 +274,10 @@ def _in_ball_changes(ctx, cfg):
     if rows.size:
         others = ctx.explainer(ctx.net, x_pert[rows, draws], ctx.labels[rows])
         changes[rows, draws] = _row_norms(ctx.attributions[rows] - others)
-    for table in (changes, dists):
-        table.setflags(write=False)
+    tables = _read_only(changes), _read_only(dists)
     if ctx.kept is not None:
-        ctx.kept[key] = changes, dists
-    return changes, dists
+        ctx.kept[key] = tables
+    return tables
 
 
 def evaluate_max_sensitivity(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
@@ -289,7 +286,7 @@ def evaluate_max_sensitivity(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarr
     come from `_in_ball_changes`, which local Lipschitz shares.
     """
     changes, _ = _in_ball_changes(ctx, cfg)
-    return _ratio_or_nan(np.max(changes, axis=1), _row_norms(ctx.X))
+    return stats._ratio_or_nan(np.max(changes, axis=1), _row_norms(ctx.X))
 
 
 def evaluate_local_lipschitz(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
@@ -300,9 +297,7 @@ def evaluate_local_lipschitz(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarr
     without any other draw is undefined.
     """
     changes, dists = _in_ball_changes(ctx, cfg)
-    ratios = np.divide(
-        changes, dists, out=np.full(dists.shape, np.nan), where=dists >= MIN_DISPLACEMENT
-    )
+    ratios = stats._ratio_or_nan(changes, np.where(dists >= MIN_DISPLACEMENT, dists, 0.0))
     # a skipped draw's ratio stays NaN, and fmax passes over it
     return np.fmax.reduce(ratios, axis=1)
 
@@ -337,7 +332,7 @@ def evaluate_model_parameter_randomisation(ctx: EvalContext, cfg: EstimatorConfi
     correlations = stats.spearman(np.broadcast_to(ctx.attributions, others.shape), others).T
     defined = np.isfinite(correlations)
     counts = defined.sum(axis=1)
-    return _ratio_or_nan(stats.masked_row_sums(correlations, defined), counts)
+    return stats._ratio_or_nan(stats.masked_row_sums(correlations, defined), counts)
 
 
 def evaluate_random_logit(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
@@ -362,7 +357,7 @@ def evaluate_sparseness(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     v = np.sort(np.abs(ctx.attributions), axis=1)
     d = v.shape[1]
     i = np.arange(1, d + 1)
-    return _ratio_or_nan(((2 * i - d - 1) * v).sum(axis=1), d * v.sum(axis=1))
+    return stats._ratio_or_nan(((2 * i - d - 1) * v).sum(axis=1), d * v.sum(axis=1))
 
 
 def evaluate_complexity(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
@@ -406,7 +401,7 @@ def evaluate_relevance_mass_accuracy(ctx: EvalContext, cfg: EstimatorConfig) -> 
     """Fraction of absolute attribution mass inside the mask."""
     masks = _require_masks(ctx, "relevance_mass_accuracy")
     v = np.abs(ctx.attributions)
-    return _ratio_or_nan(stats.masked_row_sums(v, masks), v.sum(axis=1))
+    return stats._ratio_or_nan(stats.masked_row_sums(v, masks), v.sum(axis=1))
 
 
 def evaluate_top_k_intersection(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:

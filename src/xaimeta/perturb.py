@@ -19,12 +19,13 @@ criteria consume.
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PerturbationInfeasibleError
-from .estimators import EvalContext
-from .net import Net, get_weights, predict_labels, set_weights
+from .estimators import EvalContext, _read_only
+from .net import Net, _class_indices, get_weights, predict_labels, set_weights
 from .seeding import derive_seed
 
 IPT = "ipt"
@@ -94,10 +95,13 @@ def perturb_spec(test: str, strength: str, **overrides) -> PerturbSpec:
     return PerturbSpec(test, strength, **{**window, **overrides})
 
 
-@dataclass
-class PerturbedCase:
-    payload: object  # perturbed input vector or perturbed Net
-    compliant: bool
+class PerturbedCase(NamedTuple):
+    """What both samplers return: `ipt_sample` a perturbed input row and
+    whether it complies, `mpt_sample` a perturbed Net and its (N,) per-sample
+    compliance mask; with the attempts drawn.  It unpacks as that triple."""
+
+    payload: object
+    compliant: bool | np.ndarray
     attempts: int
 
 
@@ -144,9 +148,9 @@ def mpt_draw(net: Net, spec: PerturbSpec, draw_seed: int) -> Net:
     return set_weights(net, w * nu)
 
 
-def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
+def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels) -> PerturbedCase:
     """Draw a perturbed model and evaluate per-sample compliance against it;
-    `labels` are the net's labels of X.
+    `labels` are the net's labels of X, read by `net._class_indices`.
 
     One model draw serves all samples; samples whose label does not behave
     as the strength demands are simply marked non-compliant.  The model is
@@ -156,9 +160,11 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
     falls back to the best draw seen and errors only if no sample ever
     complied with any draw.
 
-    Returns (perturbed net, per-sample compliance mask, attempts used).
+    Returns the PerturbedCase (perturbed net, per-sample compliance mask,
+    attempts used).
     """
     X = np.asarray(X, dtype=np.float64)
+    labels = _class_indices(net, labels, len(X))
     best = None
     for attempt in range(1, spec.max_resamples + 1):
         net_hat = mpt_draw(net, spec, derive_seed(draw_seed, "redraw", attempt))
@@ -168,9 +174,9 @@ def mpt_sample(net: Net, X, spec: PerturbSpec, draw_seed: int, labels):
         if best is None or fraction > best[2]:
             best = (net_hat, compliant, fraction)
         if fraction >= spec.min_retained_fraction:
-            return net_hat, compliant, attempt
+            return PerturbedCase(net_hat, compliant, attempt)
     if spec.strength == DISRUPTIVE and best[2] > 0.0:
-        return best[0], best[1], spec.max_resamples
+        return PerturbedCase(best[0], best[1], spec.max_resamples)
     raise PerturbationInfeasibleError(
         f"{spec.strength} model perturbation (sigma={spec.sigma}) reached "
         f"compliance {best[2]:.3f} after {spec.max_resamples} redraws"
@@ -192,11 +198,6 @@ class PerturbedSpace:
     def compliant(self) -> np.ndarray:
         """(N, K) payload compliance, shared across methods."""
         return self.held[:, 1:]
-
-
-def _read_only(array):
-    array.setflags(write=False)
-    return array
 
 
 def draw_space(setup, spec: PerturbSpec) -> PerturbedSpace:

@@ -57,6 +57,12 @@ def _scalar_if_1d(values, ndim):
     return float(values) if ndim == 1 else values
 
 
+def _ratio_or_nan(numerator, denominator) -> np.ndarray:
+    """numerator / denominator of any shape, NaN where the denominator is 0."""
+    out = np.full(np.shape(denominator), np.nan)
+    return np.divide(numerator, denominator, out=out, where=denominator != 0.0)
+
+
 def average_ranks(values) -> np.ndarray:
     """Ascending ranks 1..n along the last axis, ties assigned their average rank.
 
@@ -195,7 +201,7 @@ def _correlate(a, b):
     ac = a - a.mean(axis=-1, keepdims=True)
     bc = b - b.mean(axis=-1, keepdims=True)
     denom = np.sqrt(_row_dots(ac, ac) * _row_dots(bc, bc))
-    r = np.divide(_row_dots(ac, bc), denom, out=np.full(denom.shape, np.nan), where=denom != 0.0)
+    r = _ratio_or_nan(_row_dots(ac, bc), denom)
     return _scalar_if_1d(np.clip(r, -1.0, 1.0), a.ndim)
 
 

@@ -8,6 +8,7 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xaimeta import consistency, estimators, explain, net, perturb, report, runner, stats
@@ -77,6 +78,24 @@ def test_the_positions_the_hooks_read():
     cell = list(inspect.signature(consistency.evaluate_cell).parameters)
     assert cell[1] == "estimator_id" and cell[3] == "test"
     assert list(inspect.signature(perturb.mpt_sample).parameters)[2] == "spec"
+
+
+def test_the_tracer_reads_both_sampler_results(tracer):
+    # _count_ipt reads a case's .attempts and .compliant, _count_mpt unpacks
+    # (net, compliance mask, attempts)
+    model, X = net.make_net([net.dense(10.0 * np.eye(3), np.zeros(3))]), np.eye(3)
+    counting = tracer.Tracer("contract")
+    spec = perturb.perturb_spec("ipt", "minor")
+    case = perturb.ipt_sample(model, X[0], spec, 1, (0.0, 1.0), 0)
+    assert counting._count_ipt((model, X[0], spec), {}, case) is case
+    spec = perturb.perturb_spec("mpt", "minor")
+    result = perturb.mpt_sample(model, X, spec, 1, np.arange(3))
+    assert counting._count_mpt((model, X, spec), {}, result) is result
+    assert dict(counting.counts) == {
+        "perturb.payloads": 2,
+        "perturb.attempts": case.attempts + result.attempts,
+        "perturb.compliant": 2,
+    }
 
 
 SMALL_RUN = """

@@ -86,6 +86,29 @@ class TestIac:
         else:
             assert iac(u, p) == float(np.mean(ps))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_method_axis_gives_each_method_its_1d_iac(self, data):
+        # column 0 of method 0 is degenerate; methods whose every column is
+        # degenerate make both forms raise
+        n, methods = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(2, 4))
+        finite = st.floats(-1e6, 1e6)
+        u = data.draw(arrays(np.float64, (n, methods), elements=finite))
+        p = data.draw(
+            arrays(np.float64, (n, methods, k), elements=st.one_of(finite, st.just(np.nan)))
+        )
+        u[data.draw(arrays(bool, (n, methods)))] = np.nan
+        p[:, 0, 0] = np.nan
+        try:
+            expected = np.array([iac(u[:, j], p[:, j]) for j in range(methods)])
+        except MetaEvaluationError:
+            with pytest.raises(MetaEvaluationError):
+                iac(u, p)
+            return
+        got = iac(u, p)
+        assert got.shape == (methods,) and got.tobytes() == expected.tobytes()
+
 
 @st.composite
 def monotone_images(draw):

@@ -641,7 +641,7 @@ def mpr_oracle(ctx):
     """The per-row oracle's estimates: the mean of each row's defined layers."""
     correlations = mpr_oracle_correlations(ctx)
     defined = np.isfinite(correlations)
-    return estimators_module._ratio_or_nan(
+    return stats._ratio_or_nan(
         stats.masked_row_sums(correlations, defined), defined.sum(axis=1)
     )
 
@@ -960,6 +960,23 @@ class TestLocalisation:
         ctx = bare_ctx([5.0, 4.0, 1.0, 0.0], np.array([True, True, False, False]))
         with pytest.raises(ConfigError, match=r"topk_k 5 outside \[1, 4\]"):
             evaluate_top_k_intersection(ctx, EstimatorConfig(topk_k=5))
+
+    @pytest.mark.parametrize(
+        "name, read",
+        [
+            ("fc_subset_size", EstimatorConfig.subset_size),
+            ("pf_step_size", EstimatorConfig.step_size),
+            ("topk_k", EstimatorConfig.top_k),
+        ],
+    )
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_a_size_outside_the_features_is_config_error(self, name, read, size):
+        cfg = EstimatorConfig(**{name: size})
+        message = rf"^{name} {size} outside \[1, 4\]$"
+        with pytest.raises(ConfigError, match=message):
+            read(cfg, 4)
+        with pytest.raises(ConfigError, match=message):
+            cfg.check_features(4)
 
     def test_rra_hand_values(self):
         mask = np.array([True, False, True, False])

@@ -33,6 +33,11 @@ def threshold_net():
     return make_net([dense([[0.0], [10.0]], [0.0, -5.0])])
 
 
+def three_class_net():
+    # the label of a one-hot row is its hot feature
+    return make_net([dense(10.0 * np.eye(3), np.zeros(3))])
+
+
 def own_label(net, x):
     return predict_labels(net, np.asarray(x)[None, :])[0]
 
@@ -312,6 +317,23 @@ class TestMptSample:
         spec = perturb_spec("mpt", "disruptive", sigma=100.0)
         _, compliant, _ = mpt_sample(net, X, spec, draw_seed=3, labels=predict_labels(net, X))
         assert compliant.mean() >= 0.8
+
+    @pytest.mark.parametrize("label", [7, -1, 1.7])
+    def test_a_label_outside_the_classes_is_an_index_error(self, label):
+        spec = perturb_spec("mpt", "minor")
+        with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
+            mpt_sample(three_class_net(), np.eye(3)[:1], spec, draw_seed=1, labels=[label])
+
+    @pytest.mark.parametrize("strength", ["minor", "disruptive"])
+    def test_whole_float_labels_read_as_their_ints(self, strength):
+        net, X = three_class_net(), np.eye(3)
+        spec = perturb_spec("mpt", strength, sigma=1.0, min_retained_fraction=0.3)
+        labels = np.array([0, 1, 2])
+        ints = mpt_sample(net, X, spec, draw_seed=5, labels=labels)
+        floats = mpt_sample(net, X, spec, draw_seed=5, labels=labels.astype(float))
+        assert get_weights(ints.payload).tobytes() == get_weights(floats.payload).tobytes()
+        assert ints.compliant.tobytes() == floats.compliant.tobytes()
+        assert ints.attempts == floats.attempts
 
     def test_draw_is_multiplicative(self, trained):
         net, _ = trained

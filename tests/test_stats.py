@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from xaimeta.stats import (
     EXACT_LIMIT,
+    _ratio_or_nan,
     _wilcoxon_approx_p,
     _wilcoxon_exact_p,
     average_ranks,
@@ -535,3 +536,25 @@ class TestRowWise:
         assert isinstance(pearson([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]), float)
         assert isinstance(spearman([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]), float)
         assert isinstance(trapezoid_auc([0.0, 1.0], [0.0, 1.0]), float)
+
+
+class TestRatioOrNan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nan_exactly_where_the_denominator_is_zero(self, data):
+        shape = data.draw(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+        numerator = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+        denominator = data.draw(
+            arrays(
+                np.float64,
+                shape,
+                elements=st.one_of(
+                    st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3)
+                ),
+            )
+        )
+        ratio = _ratio_or_nan(numerator, denominator)
+        assert ratio.shape == shape
+        zero = denominator == 0.0
+        assert np.array_equal(np.isnan(ratio), zero)
+        assert ratio[~zero].tobytes() == (numerator[~zero] / denominator[~zero]).tobytes()
