@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .net import Layer, Net, get_weights, make_net, set_weights
+from .net import Layer, Net, _training_labels, get_weights, make_net, set_weights
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -26,12 +26,12 @@ MASK_POLICIES = ("none", "center_box", "threshold")  # [dataset] mask
 @dataclass
 class Dataset:
     inputs: np.ndarray  # (N, D), scaled to [0, 1]
-    labels: np.ndarray  # (N,) integers
+    labels: np.ndarray  # (N,) int64 classes, whole and >= 0
     bounds: tuple  # (min, max) over this split
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _training_labels(self.labels)
         if self.inputs.size:
             lo, hi = self.bounds
             if self.inputs.min() < lo or self.inputs.max() > hi:

@@ -252,10 +252,10 @@ def _in_ball_changes(ctx, cfg):
 
     A sample's `(runs, D)` uniform displacements come from the "ball"
     stream, which max sensitivity and local Lipschitz share.  One explainer
-    call explains every draw but those of a zero input that move it by less
-    than MIN_DISPLACEMENT, whose changes are NaN: max sensitivity reads
-    every draw of a nonzero input, local Lipschitz every draw that moves its
-    input by MIN_DISPLACEMENT or more.  When `ctx.kept` is given the two
+    call explains all B * runs draws, row by row in draw order; each
+    estimator decides for itself which draws it reads (max sensitivity is
+    undefined for a zero input, local Lipschitz skips a draw that moves its
+    input by less than MIN_DISPLACEMENT).  When `ctx.kept` is given the two
     tables are kept in it under ("ball", seed, radius, runs), so whichever
     of the two estimators scores the context first explains for both.
     """
@@ -268,12 +268,8 @@ def _in_ball_changes(ctx, cfg):
     deltas = _sample_draws(ctx, "ball", lambda rng, m: rng.uniform(-radius, radius, (m, *shape)))
     x_pert = np.clip(ctx.X[:, None, :] + deltas, lo, hi)
     dists = _row_norms(x_pert - ctx.X[:, None, :])
-    explained = (dists >= MIN_DISPLACEMENT) | (_row_norms(ctx.X) != 0.0)[:, None]
-    rows, draws = np.nonzero(explained)
-    changes = np.full(dists.shape, np.nan)
-    if rows.size:
-        others = ctx.explainer(ctx.net, x_pert[rows, draws], ctx.labels[rows])
-        changes[rows, draws] = _row_norms(ctx.attributions[rows] - others)
+    others = ctx.explainer(ctx.net, x_pert.reshape(-1, shape[1]), np.repeat(ctx.labels, shape[0]))
+    changes = _row_norms(ctx.attributions[:, None, :] - others.reshape(x_pert.shape))
     tables = _read_only(changes), _read_only(dists)
     if ctx.kept is not None:
         ctx.kept[key] = tables
@@ -282,8 +278,9 @@ def _in_ball_changes(ctx, cfg):
 
 def evaluate_max_sensitivity(ctx: EvalContext, cfg: EstimatorConfig) -> np.ndarray:
     """Largest explanation change over random in-ball input perturbations,
-    relative to the input norm.  Undefined for a zero input.  The changes
-    come from `_in_ball_changes`, which local Lipschitz shares.
+    relative to the input norm.  Undefined for a zero input, whose norm
+    `stats._ratio_or_nan` divides by.  The changes come from
+    `_in_ball_changes`, which local Lipschitz shares.
     """
     changes, _ = _in_ball_changes(ctx, cfg)
     return stats._ratio_or_nan(np.max(changes, axis=1), _row_norms(ctx.X))

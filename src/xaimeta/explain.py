@@ -173,22 +173,21 @@ METHODS = {
 
 # cheap placeholder methods for pipeline checks where only the plumbing
 # matters (the adversarial estimators ignore the attribution entirely)
-def _synthetic_flat(net, X, labels, cfg=None):
+def _synthetic_flat(net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     return np.ones_like(_batch(net, X, labels)[0])
 
 
-def _synthetic_input(net, X, labels, cfg=None):
+def _synthetic_input(net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     return _batch(net, X, labels)[0].copy()
 
 
-def _synthetic_negative(net, X, labels, cfg=None):
+def _synthetic_negative(net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     return -_batch(net, X, labels)[0]
 
 
-def _synthetic_noise(net, X, labels, cfg=None):
+def _synthetic_noise(net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     X, _ = _batch(net, X, labels)
-    seed = cfg.seed if cfg is not None else 0
-    row = derive_rng("synthetic_noise", seed).normal(size=X.shape[1])
+    row = derive_rng("synthetic_noise", cfg.seed).normal(size=X.shape[1])
     return np.tile(row, (X.shape[0], 1))
 
 

@@ -202,6 +202,18 @@ def init_net(input_dim: int, hidden: tuple, num_classes: int, seed: int) -> Net:
     return make_net(layers)
 
 
+def _training_labels(labels) -> np.ndarray:
+    """Labels as int64 classes if each is finite, whole and >= 0 (an empty
+    array passes), else ValueError: the rule of `train_tiny` and `Dataset`."""
+    y = np.asarray(labels)
+    if not (np.isfinite(y).all() and (y == np.floor(y)).all()):
+        raise ValueError("labels must be integers")
+    y = y.astype(np.int64)
+    if y.size and y.min() < 0:
+        raise ValueError("labels outside [0, num_classes)")
+    return y
+
+
 def train_tiny(
     hidden,
     inputs,
@@ -229,11 +241,7 @@ def train_tiny(
         raise ValueError("training data must be a nonempty (N, D) matrix with N labels")
     if not np.isfinite(X).all():
         raise ValueError("inputs must be finite")
-    if not (np.isfinite(y).all() and (y == np.floor(y)).all()):
-        raise ValueError("labels must be integers")
-    y = y.astype(np.int64)
-    if y.min() < 0:
-        raise ValueError("labels outside [0, num_classes)")
+    y = _training_labels(y)
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:

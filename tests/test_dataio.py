@@ -111,6 +111,23 @@ class TestSynthBlobs:
         assert lo <= dataset.inputs.min() and dataset.inputs.max() <= hi
 
 
+class TestDatasetLabels:
+    """A dataset keeps its labels by the trainer's rule: finite, whole and
+    >= 0, cast to int64, never truncated."""
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([1.7, 0.0], "labels must be integers"), ([-1, 0], r"labels outside \[0")],
+    )
+    def test_a_label_the_trainer_rejects_raises(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.zeros((2, 3)), labels, (0.0, 1.0))
+
+    def test_a_whole_number_float_label_is_its_int(self):
+        labels = Dataset(np.zeros((2, 3)), [1.0, 0.0], (0.0, 1.0)).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
+
+
 class TestMasks:
     def square_dataset(self, images):
         images = np.asarray(images, dtype=np.float64)

@@ -520,9 +520,9 @@ class TestLocalLipschitz:
     @pytest.mark.parametrize("zero_input", [True, False], ids=["zero", "nonzero"])
     def test_a_row_with_only_degenerate_draws_is_undefined(self, zero_input):
         # every draw of radius 1e-14 moves x by less than 1e-12, so every
-        # one is skipped and the estimate is undefined.  Of a zero input no
-        # draw is explained; those of a nonzero one are, in one call, for
-        # max sensitivity, which reads the same table
+        # one is skipped and the estimate is undefined.  The draws are still
+        # explained, zero input or not, in one call, for max sensitivity,
+        # which reads the same table
         calls = []
 
         def explainer(net, X, labels):
@@ -536,9 +536,51 @@ class TestLocalLipschitz:
         calls.clear()
         cfg = EstimatorConfig(robustness_runs=4, robustness_radius=1e-14)
         assert math.isnan(evaluate_local_lipschitz(ctx, cfg))
-        assert calls == ([] if zero_input else [4])
+        assert calls == [4]
         assert math.isnan(evaluate_max_sensitivity(ctx, cfg)) == zero_input
-        assert calls == ([] if zero_input else [4])
+        assert calls == [4]
+
+
+def test_a_zero_row_between_two_others_is_explained_in_the_one_call():
+    # max sensitivity is undefined exactly at the zero row, local Lipschitz
+    # equals the per-draw oracle on every row, and one explainer call sees
+    # all B * runs draws, row by row in draw order
+    rng = np.random.default_rng(23)
+    net = two_layer_net(rng)
+    gradient = build_explainer("gradient", ExplainerConfig())
+    X = rng.uniform(size=(3, 4))
+    X[1] = 0.0
+    labels = rng.integers(0, net.num_classes, size=3)
+    calls = []
+
+    def explainer(net, X, labels):
+        calls.append((X.copy(), labels.copy()))
+        return gradient(net, X, labels)
+
+    ctx = EvalContext(
+        net=net,
+        X=X,
+        labels=labels,
+        attributions=gradient(net, X, labels),
+        explainer=explainer,
+        dataset_bounds=(0.0, 1.0),
+        rows=np.arange(3),
+        seed=9,
+        kept={},
+    )
+    cfg = EstimatorConfig(robustness_runs=5, robustness_radius=0.2)
+    sensitivity = estimators_module.evaluate_max_sensitivity(ctx, cfg)
+    assert np.isnan(sensitivity).tolist() == [False, True, False]
+    lipschitz = estimators_module.evaluate_local_lipschitz(ctx, cfg)
+    for i in range(3):
+        one = make_ctx(net, X[i], label=labels[i], explainer=gradient, seed=9, row=i)
+        assert lipschitz[i] == pytest.approx(local_lipschitz_oracle(one, cfg), rel=1e-12, abs=1e-12)
+
+    deltas = derive_rng("ball", 9).uniform(-0.2, 0.2, size=(3, 5, 4))
+    x_pert = np.clip(X[:, None, :] + deltas, 0.0, 1.0)
+    ((explained, explained_labels),) = calls
+    np.testing.assert_array_equal(explained, x_pert.reshape(-1, 4))
+    np.testing.assert_array_equal(explained_labels, np.repeat(labels, 5))
 
 
 def test_the_in_ball_table_is_read_only():

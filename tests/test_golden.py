@@ -8,7 +8,9 @@ It also pins the per-iteration MetaVectors of `run_sanity` at N=256, K=2
 and two iterations; its synthetic explainers never touch the net, so
 batching the explain stage must leave them unchanged.  Last, it pins every
 cell of the desk benchmark config (N=16, D=64, K=3, one iteration, all
-eleven estimators) at one master seed.
+eleven estimators) at one master seed, and the sha256 of the three report
+files that config and a one-iteration K=1 sanity run write at three master
+seeds each.
 A change that alters the numbers on purpose (batching ulp drift, a new seed
 path) regenerates the values below and says so in CHANGES.md; the
 perturbation-blind adversary's [1, 0, 1, 0] is exact and never regenerated.
@@ -17,13 +19,18 @@ To regenerate, print `get_weights(setup.net).tolist()` and, per cell,
 `[v.entries().tolist() for v in cell.per_iteration]` for the runs below
 (print floats with `repr`, so the exactly pinned desk cells round-trip).
 """
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from xaimeta.consistency import run_meta_evaluation
 from xaimeta.net import get_weights
-from xaimeta.runconfig import config_from_tables, parse_tables
-from xaimeta.runner import build_setup, run_sanity
+from xaimeta.report import write_report
+from xaimeta.runconfig import config_from_tables, config_to_tables, parse_tables
+from xaimeta.runner import build_setup, run_benchmark, run_sanity
 
 CONFIG = """
 [dataset]
@@ -331,3 +338,58 @@ def test_desk_meta_vectors():
             assert vector.entries().tolist() == expected, key
         else:
             np.testing.assert_allclose(vector.entries(), expected, rtol=0, atol=1e-12, err_msg=str(key))
+
+
+# sha256 of results.json, summary.csv and areagraph.csv: for DESK_CONFIG as
+# `run_benchmark` writes them, and for `run_sanity(k=1, iterations=1)` of
+# SANITY_CONFIG as bench/run.py writes them, at each master seed
+REPORT_SHA256 = {
+    ("desk", 7000): {
+        "results": "8d80d09d4422e454e32c107bd0461a5b2bb3934c1d49e81be6f180c27f24478e",
+        "summary": "4d7807818b573d60983fd41d66b76ead830817961e4414256ab2a6982701e558",
+        "areagraph": "92a481dbaa4491f8f328b010961232f8b5341e38270695c0bbd8505dc052c569",
+    },
+    ("desk", 7001): {
+        "results": "5ac7484b8a688cc450d5e997df3beb092e101aa144eb5d87cfc2d0436e3c8092",
+        "summary": "f96978a901969ccf4ee99d3245146e339e8ee3d0f4f9b864e926807961269386",
+        "areagraph": "dbea1ccb146fdb8dd176027961730ef29249797a44f9904950a694e76fc73154",
+    },
+    ("desk", 7002): {
+        "results": "876a843726908be77815039c03685f76909a91979c5835ebad6e64f483f64c4b",
+        "summary": "a4daeba6fcc462c6cb2b5f1381ce1c0d17ec66aec5028bc2cbbe28770abdfee9",
+        "areagraph": "acc6ae8dcc012f0ecd1002fc58c205e8a346e4b88e5b6b89a5a1b53f664de796",
+    },
+    ("sanity", 9000): {
+        "results": "95e9cc4c4af700190d9ef136a51117894ba0b9ea1c959bef3a1edffa94db3d1d",
+        "summary": "34da1fc9dd899483964dd714411089712fc49be7bac5bb131c27496b834bf223",
+        "areagraph": "2628c1fe22a522304089d45bfec07771a29f04b42570112e4dda514a56288eb0",
+    },
+    ("sanity", 9001): {
+        "results": "bb6339d71e74b997894356a69621d13bc25521efbe5f09f05f2adeadb42da29d",
+        "summary": "fd137e863ffc83f3656857c3cbace960a818639ab2b17b526f128648a4d1e7e1",
+        "areagraph": "c169fa22534fbed180ca7df0c6b095fcc917728e10d2cd1b96204d7f3b3489bf",
+    },
+    ("sanity", 9002): {
+        "results": "22f9a8e83caccfd5d7f2d92bb5c229b77198639860be6fbd552693ab6e8a17a5",
+        "summary": "8d12a3932671f2bca617b038882148cf6bcd5c12d8f8805e27f3b69b126456af",
+        "areagraph": "26e566d14cd49cb20a0a24f360ca241e3e3ca277d8ccbee08bd4c2fdec067595",
+    },
+}
+
+
+@pytest.mark.parametrize("kind, master_seed", sorted(REPORT_SHA256))
+def test_report_bytes(kind, master_seed, tmp_path):
+    text = DESK_CONFIG if kind == "desk" else SANITY_CONFIG
+    config = replace(config_from_tables(parse_tables(text)), master_seed=master_seed)
+    if kind == "desk":
+        _, paths = run_benchmark(config, out_dir=tmp_path)
+    else:
+        outcome = run_sanity(config, k=1, iterations=1)
+        paths = write_report(
+            outcome.results,
+            config_echo=config_to_tables(config),
+            master_seed=master_seed,
+            out_dir=tmp_path,
+        )
+    got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in paths.items()}
+    assert got == REPORT_SHA256[kind, master_seed]
