@@ -57,14 +57,12 @@ def _load(args):
     return config
 
 
-def cmd_benchmark(args) -> int:
-    config = _load(args)
+def cmd_benchmark(config) -> int:
     run_benchmark(config)
     return EXIT_OK
 
 
-def cmd_sanity(args) -> int:
-    config = _load(args)
+def cmd_sanity(config) -> int:
     outcome = run_sanity(config)
     header = f"{'test':<5} {'estimator':<34} {'criterion':<8} {'value':>10} {'std':>8}  expected"
     print(header)
@@ -81,8 +79,7 @@ def cmd_sanity(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_SANITY
 
 
-def cmd_hpo(args) -> int:
-    config = _load(args)
+def cmd_hpo(config) -> int:
     ranked = run_hpo(config)
     print(f"{'rank':<5} {'mc':>8}  cell")
     for rank, row in enumerate(ranked, start=1):
@@ -92,8 +89,7 @@ def cmd_hpo(args) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
-    config = _load(args)
+def cmd_convergence(config) -> int:
     summary = run_convergence(config)
     print(f"{'estimator pair':<60} {'corr':>8}  category")
     for row in summary["pairs"]:
@@ -105,8 +101,7 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = _load(args)
+def cmd_train(config) -> int:
     path, acc = run_train(config)
     print(f"model saved to {path}; training accuracy {acc:.4f}")
     return EXIT_OK
@@ -124,7 +119,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.verb](args)
+        return COMMANDS[args.verb](_load(args))
     except (ConfigError, FileNotFoundError) as exc:
         log(f"configuration error: {exc}")
         return EXIT_CONFIG

@@ -154,9 +154,13 @@ def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarr
 
 
 def normalize(values) -> np.ndarray:
-    """Divide each row by the root of its average squared value; all-zero rows pass through."""
+    """Divide each row by the root of its average squared value; all-zero rows
+    pass through.  A row whose root mean square is not finite (a NaN or
+    infinite entry, or squares that overflow) raises ValueError."""
     values = np.asarray(values, dtype=np.float64)
     rms = np.sqrt(np.mean(values**2, axis=-1, keepdims=True))
+    if not np.isfinite(rms).all():
+        raise ValueError("every explanation row needs a finite root mean square")
     return np.divide(values, rms, out=values.copy(), where=rms != 0.0)
 
 

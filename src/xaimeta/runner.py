@@ -246,19 +246,18 @@ def run_hpo(config: RunConfig):
     """
     if not config.hpo.get("axes"):
         raise ConfigError("[hpo.axes] must declare at least one axis")
-    trials = config.hpo_trials()
     dataset = build_dataset(config)
-    checked = []
-    for cell, estimator_id, settings in trials:
+    trials = []
+    for cell, estimator_id, settings in config.hpo_trials():
         try:
-            checked += _checked_estimators(
-                [(estimator_id, EstimatorConfig(**settings))], config, dataset
-            )
+            cfg = EstimatorConfig(**settings)
+            _checked_estimators([(estimator_id, cfg)], config, dataset)
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"[hpo] cell {cell}: {exc}") from exc
+        trials.append((cell, estimator_id, cfg))
     setup = build_setup(replace(config, estimators=[]), dataset=dataset)
     ranked = []
-    for index, ((cell, _, _), (estimator_id, cfg)) in enumerate(zip(trials, checked)):
+    for index, (cell, estimator_id, cfg) in enumerate(trials):
         results = {
             (estimator_id, test): evaluate_cell(setup, estimator_id, cfg, test)
             for test in setup.tests
@@ -272,30 +271,26 @@ def run_hpo(config: RunConfig):
 
 
 def run_convergence(config: RunConfig):
-    """Correlate the meta-evaluation vectors of every estimator pair and
-    compare within-category against cross-category agreement."""
+    """Correlate the meta-evaluation vectors of every estimator pair, in one
+    `stats.spearman` call over all pairs and tests, and compare within-category
+    against cross-category agreement.  A pair's correlation is its mean over
+    the tests where it is defined; a pair defined on no test is left out."""
     setup = build_setup(config)
     results = run_meta_evaluation(setup)
-    pairs = []
     estimators = list(config.estimators)
-    for i, first in enumerate(estimators):
-        for second in estimators[i + 1 :]:
-            correlations = []
-            for test in config.tests:
-                v1 = results[(first, test)].mean.entries()
-                v2 = results[(second, test)].mean.entries()
-                rho = stats.spearman(v1, v2)
-                if not np.isnan(rho):
-                    correlations.append(rho)
-            if not correlations:
-                continue
-            pairs.append(
-                {
-                    "pair": (first, second),
-                    "correlation": float(np.mean(correlations)),
-                    "within_category": ESTIMATORS[first].category == ESTIMATORS[second].category,
-                }
-            )
+    categories = [ESTIMATORS[e].category for e in estimators]
+    means = np.array([[results[(e, t)].mean.entries() for t in config.tests] for e in estimators])
+    firsts, seconds = np.triu_indices(len(estimators), k=1)
+    rhos = stats.spearman(means[firsts], means[seconds])  # (pairs, tests)
+    pairs = [
+        {
+            "pair": (estimators[i], estimators[j]),
+            "correlation": float(np.mean(row[~np.isnan(row)])),
+            "within_category": categories[i] == categories[j],
+        }
+        for i, j, row in zip(firsts, seconds, rhos)
+        if not np.isnan(row).all()
+    ]
     within = [p["correlation"] for p in pairs if p["within_category"]]
     cross = [p["correlation"] for p in pairs if not p["within_category"]]
     return {

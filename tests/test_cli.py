@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xaimeta import consistency, perturb, runner
+from xaimeta import consistency, perturb, runner, stats
 from xaimeta.cli import main
-from xaimeta.consistency import run_meta_evaluation
+from xaimeta.consistency import CellResult, MetaVector, run_meta_evaluation
 from xaimeta.dataio import make_masks
 from xaimeta.errors import ConfigError
 from xaimeta.report import mc_bar
@@ -599,6 +599,72 @@ class TestConvergenceCommand:
 
         assert rho(np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0])) == 1.0
         assert rho(np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0])) == -1.0
+
+    def test_one_spearman_call_correlates_every_pair(self, tmp_path, monkeypatch):
+        # the meta-evaluation runs once unstubbed; run_convergence then reads
+        # its results, so every spearman call counted is its own
+        text = QUICK_BENCH.replace("tests = [ipt]", "tests = [ipt, mpt]").replace(
+            "use = [sparseness, complexity]", "use = [sparseness, complexity, pointing_game]"
+        )
+        config = load_config(write_config(tmp_path, text, out=tmp_path / "out"))
+        results = run_meta_evaluation(runner.build_setup(config))
+        monkeypatch.setattr(runner, "run_meta_evaluation", lambda setup: results)
+        calls = []
+
+        def counted(a, b):
+            calls.append(np.shape(a))
+            return spearman(a, b)
+
+        monkeypatch.setattr(stats, "spearman", counted)
+        summary = run_convergence(config)
+        assert calls == [(3, 2, 4)]
+        assert [row["pair"] for row in summary["pairs"]] == [
+            ("sparseness", "complexity"),
+            ("sparseness", "pointing_game"),
+            ("complexity", "pointing_game"),
+        ]
+        for row in summary["pairs"]:
+            first, second = row["pair"]
+            rhos = [
+                spearman(results[(first, t)].mean.entries(), results[(second, t)].mean.entries())
+                for t in config.tests
+            ]
+            assert row["correlation"] == float(np.mean([r for r in rhos if not np.isnan(r)]))
+
+    def test_one_estimator_gives_no_pairs(self, tmp_path):
+        text = QUICK_BENCH.replace("use = [sparseness, complexity]", "use = [sparseness]")
+        config = load_config(write_config(tmp_path, text, out=tmp_path / "out"))
+        summary = run_convergence(config)
+        assert summary["pairs"] == []
+        assert np.isnan(summary["mean_within"]) and np.isnan(summary["mean_cross"])
+        assert set(summary["results"]) == {("sparseness", "ipt")}
+
+    def test_undefined_tests_are_left_out_of_a_pair(self, tmp_path, monkeypatch):
+        # pointing_game is constant on both tests, so its two pairs are left
+        # out; sparseness is constant on mpt, so its pair with complexity
+        # takes the ipt correlation alone
+        means = {
+            "sparseness": {"ipt": [0.1, 0.2, 0.3, 0.4], "mpt": [0.5, 0.5, 0.5, 0.5]},
+            "complexity": {"ipt": [0.1, 0.3, 0.2, 0.4], "mpt": [0.2, 0.1, 0.4, 0.3]},
+            "pointing_game": {"ipt": [0.5, 0.5, 0.5, 0.5], "mpt": [1.0, 1.0, 1.0, 1.0]},
+        }
+        results = {
+            (e, t): CellResult(e, t, MetaVector(*entries, mc=float(np.mean(entries))), {}, [], {})
+            for e, by_test in means.items()
+            for t, entries in by_test.items()
+        }
+        monkeypatch.setattr(runner, "build_setup", lambda config: None)
+        monkeypatch.setattr(runner, "run_meta_evaluation", lambda setup: results)
+        config = load_config(write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out"))
+        config = replace(config, estimators=list(means), tests=["ipt", "mpt"])
+        summary = run_convergence(config)
+        expected = spearman(means["sparseness"]["ipt"], means["complexity"]["ipt"])
+        assert expected == pytest.approx(0.8, abs=1e-12)
+        assert summary["pairs"] == [
+            {"pair": ("sparseness", "complexity"), "correlation": expected, "within_category": True}
+        ]
+        assert summary["mean_within"] == expected
+        assert np.isnan(summary["mean_cross"])
 
     def test_cli_prints_within_and_cross(self, tmp_path, capsys):
         config = write_config(tmp_path, QUICK_BENCH, out=tmp_path / "out")

@@ -258,6 +258,34 @@ class TestNormalize:
             a = normalize(rng.normal(size=(1, 8)))[0]
             assert np.mean(a**2) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "row", [[1e200, 1e200, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0], [math.inf, 0.0, 1.0, 1.0]]
+    )
+    def test_a_non_finite_root_mean_square_raises(self, row):
+        # 1e200 squares to inf, so that row's rms overflows although every entry is finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite root mean square"):
+                normalize(np.array([[1.0, 2.0, 3.0, 4.0], row]))
+
+
+@pytest.mark.parametrize(
+    "method_id, cfg",
+    [
+        ("integrated_gradients", ExplainerConfig(ig_baseline=-1e308)),
+        ("gradient_shap", ExplainerConfig()),
+        ("occlusion", ExplainerConfig(occlusion_baseline=-1e308)),
+        ("input_x_gradient", ExplainerConfig()),
+    ],
+)
+def test_a_map_that_overflows_raises(method_id, cfg):
+    # finite inputs whose interpolation points, occluded copies or products
+    # overflow: IG's gradient check rejects its points, the other three
+    # reach `normalize` with an infinite entry or an rms that overflows
+    net = random_net(np.random.default_rng(0), input_dim=4, hidden=5, num_classes=3)
+    X = np.array([[1e308, -1e308, 0.5, 0.5]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        build_explainer(method_id, cfg)(net, X, 0)
+
 
 class TestBuildExplainer:
     def test_wraps_and_normalizes(self):

@@ -10,7 +10,8 @@ batching the explain stage must leave them unchanged.  Last, it pins every
 cell of the desk benchmark config (N=16, D=64, K=3, one iteration, all
 eleven estimators) at one master seed, and the sha256 of the three report
 files that config and a one-iteration K=1 sanity run write at three master
-seeds each.
+seeds each.  The two experiment readouts are pinned the same way: the sha256
+of `run_hpo`'s ranked cells and of `run_convergence`'s pairs and means.
 A change that alters the numbers on purpose (batching ulp drift, a new seed
 path) regenerates the values below and says so in CHANGES.md; the
 perturbation-blind adversary's [1, 0, 1, 0] is exact and never regenerated.
@@ -20,6 +21,7 @@ To regenerate, print `get_weights(setup.net).tolist()` and, per cell,
 (print floats with `repr`, so the exactly pinned desk cells round-trip).
 """
 import hashlib
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from xaimeta.consistency import run_meta_evaluation
 from xaimeta.net import get_weights
 from xaimeta.report import write_report
 from xaimeta.runconfig import config_from_tables, config_to_tables, parse_tables
-from xaimeta.runner import build_setup, run_benchmark, run_sanity
+from xaimeta.runner import build_setup, run_benchmark, run_convergence, run_hpo, run_sanity
 
 CONFIG = """
 [dataset]
@@ -393,3 +395,77 @@ def test_report_bytes(kind, master_seed, tmp_path):
         )
     got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in paths.items()}
     assert got == REPORT_SHA256[kind, master_seed]
+
+
+# the config of demos/06_search_and_convergence.py, copied so that editing
+# the demo cannot silently change what is pinned
+DEMO06_CONFIG = """
+[dataset]
+kind = blobs
+samples = 24
+features = 16
+classes = 4
+mask = threshold
+
+[model]
+hidden = [12]
+epochs = 12
+
+[run]
+tests = [ipt]
+k = 2
+iterations = 1
+master_seed = 31
+
+[methods]
+use = [gradient, saliency, input_x_gradient]
+
+[estimators]
+use = [sparseness, complexity, pointing_game, relevance_mass_accuracy]
+
+[estimators.faithfulness_correlation]
+fc_runs = 20
+
+[perturb.ipt.disruptive]
+alpha = -1.0
+beta = 1.0
+
+[hpo]
+estimator = faithfulness_correlation
+
+[hpo.axes]
+fc_baseline = [black, uniform, mean]
+fc_subset_size = [2, 6, 10]
+"""
+
+# sha256 of the JSON of `run_hpo`'s ranked [cell, mc, {test: vector entries}]
+# rows, and of `run_convergence`'s [[first, second, correlation,
+# within_category] per pair, mean_within, mean_cross], at each master seed
+EXPERIMENT_SHA256 = {
+    ("hpo", "demo06", 31): "66dab6c52f67e8c2abc620aa31a2b8dae70317018c64e021653b0735cf52a699",
+    ("hpo", "demo06", 32): "cc20baab78113136807e554b08524300f30bb356ddff500a1d9c6e5d77416fb1",
+    ("hpo", "demo06", 33): "291a757f76542512ccdd012cad551c4d9d33188a5c34bf1a3d4e2af015f6ed10",
+    ("convergence", "demo06", 31): "c86f675f16fe9c0e3cd59aec0c76d60f162cb0e277e33b3a063eebd5fd66ba3c",
+    ("convergence", "demo06", 32): "62bb0377b04925d5713d790798a66d0176a63aa25f9ce35729cc0a91b253972d",
+    ("convergence", "demo06", 33): "5b1b016493ce6b73e6a276ab29cef5698c5a17f121d9b7868d1824e9201d8217",
+    ("convergence", "desk", 7000): "fe99448390a5fb4d0411a72baed864893c2d58d3439f77fc783b79f06689ffaa",
+    ("convergence", "desk", 7001): "6c86959cdaa967a0ea72a1320426a29c5e1d1c4671816d2c622df24082204be8",
+    ("convergence", "desk", 7002): "132936d37b469a2afb878148929d0d92515bb8cc99e977bf72248617ae6b3b10",
+}
+
+
+@pytest.mark.parametrize("experiment, kind, master_seed", sorted(EXPERIMENT_SHA256))
+def test_experiment_readouts(experiment, kind, master_seed):
+    text = DEMO06_CONFIG if kind == "demo06" else DESK_CONFIG
+    config = replace(config_from_tables(parse_tables(text)), master_seed=master_seed)
+    if experiment == "hpo":
+        readout = [
+            [row["cell"], row["mc"], {test: v.entries().tolist() for test, v in row["vectors"].items()}]
+            for row in run_hpo(config)
+        ]
+    else:
+        summary = run_convergence(config)
+        pairs = [[*p["pair"], p["correlation"], p["within_category"]] for p in summary["pairs"]]
+        readout = [pairs, summary["mean_within"], summary["mean_cross"]]
+    got = hashlib.sha256(json.dumps(readout, sort_keys=True).encode()).hexdigest()
+    assert got == EXPERIMENT_SHA256[experiment, kind, master_seed]
