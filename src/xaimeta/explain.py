@@ -13,12 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, _check_batch, _class_indices, input_gradient_batch, logits_batch
+from .net import (
+    Net,
+    _check_batch,
+    _class_indices,
+    _first_layer,
+    _head_gradient,
+    _head_logits,
+    _rows_times,
+    input_gradient_batch,
+    logits_batch,
+)
 from .seeding import derive_rng
 
-# Bound on the floats of expanded points (IG steps, SHAP samples, the copies
-# `_copy_logits` scores) that one net call sees; a batch is processed in row
-# chunks under it.
+# Bound on the floats of expanded points that one net call sees; a batch is
+# processed in chunks of whole rows under it.  IG steps, SHAP samples and
+# occluded copies are first-layer pre-activations and count at the widest
+# layer's width (SHAP's per-sample input gradients at least at the input's);
+# the input copies `_copy_logits` scores count at the input's.  Arrays of one
+# float per input feature and row are no larger than the batch itself.
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -62,6 +75,11 @@ def _row_chunks(n_rows: int, row_elements: int):
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
+def _widest(net: Net) -> int:
+    """The most units of any layer, the floats a point holds past the input."""
+    return max(layer.weights.shape[0] for layer in net.layers)
+
+
 def _copy_logits(net: Net, n_rows: int, j: int, copies) -> np.ndarray:
     """(n_rows, j, C) logits of j copies of each row: per chunk of whole rows,
     copies(rows) builds their (rows, j, D) copies and one net call scores them."""
@@ -92,17 +110,25 @@ def explain_input_x_gradient(net: Net, X, labels, cfg: ExplainerConfig = None) -
 
 
 def explain_integrated_gradients(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
-    """Midpoint Riemann sum of gradients along the straight path baseline -> x."""
+    """Midpoint Riemann sum of gradients along the straight path baseline -> x.
+
+    A path point's first-layer pre-activation is z(b) + alpha * W1 (x - b),
+    so each row takes one first-layer product; and the mean over the steps
+    commutes with the input gradient's final product by W1, which is
+    therefore formed once per row: span * (mean_alpha dlogit/dz) @ W1.
+    """
     X, labels = _batch(net, X, labels)
-    d = X.shape[1]
     steps = cfg.ig_steps
     alphas = (np.arange(steps) + 0.5) / steps
+    W1 = net.layers[0].weights
+    h = W1.shape[0]
+    start = _first_layer(net, np.full((1, X.shape[1]), cfg.ig_baseline))
     out = np.empty_like(X)
-    for rows in _row_chunks(X.shape[0], steps * d):
+    for rows in _row_chunks(X.shape[0], steps * _widest(net)):
         span = X[rows] - cfg.ig_baseline
-        points = cfg.ig_baseline + alphas[None, :, None] * span[:, None, :]
-        grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], steps))
-        out[rows] = span * grads.reshape(-1, steps, d).mean(axis=1)
+        points = start + alphas[:, None] * (span @ W1.T)[:, None, :]
+        dz = _head_gradient(net, points.reshape(-1, h), np.repeat(labels[rows], steps))
+        out[rows] = span * _rows_times(dz.reshape(-1, steps, h).mean(axis=1), W1)
     return out
 
 
@@ -111,30 +137,48 @@ def explain_occlusion(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
 
     Blocks of `occlusion_patch` consecutive features tile the input; a final
     smaller block is allowed when the length does not divide evenly.  Every
-    feature in a block receives the block's full logit drop.
+    feature in a block receives the block's full logit drop.  An occluded
+    copy differs from its row in one block, so its first-layer
+    pre-activation is the row's plus W1[:, block] (baseline - x_block); every
+    block's change comes from one batched product over zero-padded blocks.
     """
     X = _check_batch(net, X)
-    d = X.shape[1]
-    block_of = np.arange(d) // cfg.occlusion_patch
-    n_blocks = int(block_of[-1]) + 1
-    # copy 0 is the input itself, copy j > 0 has block j - 1 occluded
-    occluded = np.arange(-1, n_blocks)[:, None] == block_of[None, :]
-
-    def copies(rows):
-        return np.where(occluded, cfg.occlusion_baseline, X[rows, None, :])
-
-    scores = _label_column(net, _copy_logits(net, len(X), n_blocks + 1, copies), labels)
-    return (scores[:, :1] - scores[:, 1:])[:, block_of]
+    n, d = X.shape
+    p, c = cfg.occlusion_patch, net.num_classes
+    n_blocks = -(-d // p)
+    W1 = net.layers[0].weights
+    h = W1.shape[0]
+    # (n_blocks, p, H): each block's first-layer weights, zero past the input
+    block_weights = np.zeros((n_blocks * p, h))
+    block_weights[:d] = W1.T
+    block_weights = block_weights.reshape(n_blocks, p, h)
+    logits = np.empty((n, n_blocks + 1, c))
+    for rows in _row_chunks(n, (n_blocks + 1) * _widest(net)):
+        x = X[rows]
+        delta = np.zeros((len(x), n_blocks * p))
+        delta[:, :d] = cfg.occlusion_baseline - x
+        # (n_blocks, rows, p) @ (n_blocks, p, H): each block's change of z
+        change = delta.reshape(-1, n_blocks, p).transpose(1, 0, 2) @ block_weights
+        # point 0 is the input itself, point j > 0 has block j - 1 occluded
+        points = _first_layer(net, x)[:, None, :].repeat(n_blocks + 1, axis=1)
+        points[:, 1:] += change.transpose(1, 0, 2)
+        logits[rows] = _head_logits(net, points.reshape(-1, h)).reshape(-1, n_blocks + 1, c)
+    scores = _label_column(net, logits, labels)
+    return (scores[:, :1] - scores[:, 1:])[:, np.arange(d) // p]
 
 
 def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarray:
     """Expected-gradients estimate: jittered baselines, random interpolation.
 
     Baselines are drawn uniformly over `shap_bounds` with Gaussian jitter of
-    std `shap_noise_std`; one uniform interpolation coefficient is drawn per
-    baseline.  The average of (x - baseline) * grad(point) over the samples
-    is returned.  Deterministic for a fixed cfg.seed; every row of a batch
-    shares the same baselines and coefficients.
+    std `shap_noise_std`; one uniform interpolation coefficient t is drawn
+    per baseline.  The average of (x - baseline) * grad(point) over the
+    samples is returned, where point = baseline + t * (x - baseline).
+    Deterministic for a fixed cfg.seed; every row of a batch shares the same
+    baselines and coefficients.  A point's first-layer pre-activation is
+    (1 - t) W1 baseline + t W1 x + b1, so the baselines' first-layer
+    products are formed once per call and each row's once per row; the
+    backward product by W1 stays per sample, whose span differs.
     """
     X, labels = _batch(net, X, labels)
     d = X.shape[1]
@@ -144,12 +188,15 @@ def explain_gradient_shap(net: Net, X, labels, cfg: ExplainerConfig) -> np.ndarr
     baselines = rng.uniform(low, high, size=(samples, d))
     baselines = baselines + rng.normal(0.0, cfg.shap_noise_std, size=baselines.shape)
     ts = rng.uniform(0.0, 1.0, size=samples)
+    W1 = net.layers[0].weights
+    h = W1.shape[0]
+    start = (1.0 - ts)[:, None] * (baselines @ W1.T) + net.layers[0].bias
     out = np.empty_like(X)
-    for rows in _row_chunks(X.shape[0], samples * d):
+    for rows in _row_chunks(X.shape[0], samples * max(d, _widest(net))):
+        points = start + ts[:, None] * (X[rows] @ W1.T)[:, None, :]
+        dz = _head_gradient(net, points.reshape(-1, h), np.repeat(labels[rows], samples))
         span = X[rows][:, None, :] - baselines[None, :, :]
-        points = baselines + ts[:, None] * span
-        grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels[rows], samples))
-        out[rows] = (span * grads.reshape(-1, samples, d)).mean(axis=1)
+        out[rows] = (span * _rows_times(dz, W1).reshape(-1, samples, d)).mean(axis=1)
     return out
 
 

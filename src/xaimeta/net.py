@@ -1,7 +1,13 @@
 """Minimal dense/relu inference engine.
 
 A net is its dense layers, with a relu between consecutive ones; that rule
-lives here alone, in the forward pass and the two backward passes.
+lives here alone, in the forward pass and the two backward passes.  Both
+passes split at the first layer, the largest matrix product: `_head_logits`
+and `_head_gradient` start from first-layer pre-activations, so an explainer
+whose points are affine combinations of a few inputs (integrated gradients,
+gradient SHAP, occlusion) combines their first-layer products instead of
+pushing every point through the first layer.  `logits_batch` and
+`input_gradient_batch` are these two functions behind the first layer.
 
 Provides exactly what the benchmark needs from a model: a deterministic
 forward pass with softmax prediction, analytic input gradients through the
@@ -92,24 +98,53 @@ def _class_indices(net: Net, class_index, rows: int) -> np.ndarray:
     )
 
 
-def _activations(layers, A) -> list:
-    """Forward pass of (rows, in) inputs through `layers`: each layer's
-    input, then the logits.  Every layer but the first takes the relu of
-    the one before."""
-    acts = [A]
-    for i, layer in enumerate(layers):
-        if i:
-            A = np.maximum(A, 0.0)
-            acts.append(A)
-        A = A @ layer.weights.T
-        A += layer.bias
-    acts.append(A)
+def _first_layer(net: Net, A) -> np.ndarray:
+    """(rows, H) first-layer pre-activations of (rows, input_dim) inputs."""
+    first = net.layers[0]
+    Z = A @ first.weights.T
+    Z += first.bias
+    return Z
+
+
+def _forward(layers, Z) -> list:
+    """Forward pass of `layers` from the pre-activations Z of the layer
+    before them: each layer's input, the relu of the pre-activation before
+    it, then the last pre-activation."""
+    acts = []
+    for layer in layers:
+        A = np.maximum(Z, 0.0)
+        acts.append(A)
+        Z = A @ layer.weights.T
+        Z += layer.bias
+    acts.append(Z)
     return acts
+
+
+def _head_logits(net: Net, Z) -> np.ndarray:
+    """Raw class scores of (rows, H) first-layer pre-activations."""
+    return _forward(net.layers[1:], Z)[-1]
+
+
+def _head_gradient(net: Net, Z, classes) -> np.ndarray:
+    """d logit[classes[r]] / d Z[r] for (rows, H) first-layer pre-activations
+    and (rows,) int64 classes that `_class_indices` checked.
+
+    Relu kinks (pre-activation exactly zero) use subgradient zero.  Only the
+    relu masks are needed, so the last layer's product is never formed: the
+    mask of a pre-activation is the mask of its relu."""
+    rows = len(Z)
+    acts = _forward(net.layers[1:-1], Z)
+    G = np.zeros((rows, net.num_classes))
+    G[np.arange(rows), classes] = 1.0
+    for i in range(len(net.layers) - 1, 0, -1):
+        G = _rows_times(G, net.layers[i].weights)
+        G = G * (acts[i - 1] > 0.0)  # the relu before layer i
+    return G
 
 
 def logits_batch(net: Net, X) -> np.ndarray:
     """Raw class scores for a batch; rows of X are inputs."""
-    return _activations(net.layers, _check_batch(net, X))[-1]
+    return _head_logits(net, _first_layer(net, _check_batch(net, X)))
 
 
 def softmax(logits) -> np.ndarray:
@@ -131,16 +166,9 @@ def input_gradient_batch(net: Net, X, class_index) -> np.ndarray:
     classes.  Relu kinks (pre-activation exactly zero) use subgradient zero.
     """
     A = _check_batch(net, X)
-    rows = A.shape[0]
-    classes = _class_indices(net, class_index, rows)
-    activations = _activations(net.layers, A)
-    G = np.zeros((rows, net.num_classes))
-    G[np.arange(rows), classes] = 1.0
-    for i in range(len(net.layers) - 1, -1, -1):
-        G = _rows_times(G, net.layers[i].weights)
-        if i:  # the relu before layer i passes where its output is positive
-            G = G * (activations[i] > 0.0)
-    return G
+    classes = _class_indices(net, class_index, A.shape[0])
+    G = _head_gradient(net, _first_layer(net, A), classes)
+    return _rows_times(G, net.layers[0].weights)
 
 
 def _rows_times(G, weights) -> np.ndarray:
@@ -267,7 +295,8 @@ def train_tiny(
                 xb = X_epoch[start : start + batch_size]
                 yb = y_epoch[start : start + batch_size]
                 hit = rows[: len(yb)], yb
-                acts = _activations(net.layers, xb)
+                # each layer's input, then the logits
+                acts = [xb, *_forward(net.layers[1:], _first_layer(net, xb))]
                 G = softmax(acts[-1])
                 # a softmax row is all finite or all NaN, and so is the loss
                 if np.isnan(G.sum()):

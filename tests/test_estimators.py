@@ -340,7 +340,7 @@ class TestPixelFlipping:
 
 
 FC_CHUNK_CFG = EstimatorConfig(fc_runs=5, fc_subset_size=2)
-# (ctx) -> (B,) or (B, D) scores of the scorers that score copies of each row
+# (ctx) -> (B,) scores of the estimators that score copies of each row
 COPY_SCORERS = {
     "fc_uniform": lambda ctx: estimators_module.evaluate_faithfulness_correlation(
         ctx, FC_CHUNK_CFG
@@ -350,9 +350,6 @@ COPY_SCORERS = {
     ),
     "pixel_flipping": lambda ctx: estimators_module.evaluate_pixel_flipping(
         ctx, EstimatorConfig(pf_step_size=1)
-    ),
-    "occlusion": lambda ctx: explain_module.explain_occlusion(
-        ctx.net, ctx.X, ctx.labels, ExplainerConfig(occlusion_patch=1)
     ),
 }
 

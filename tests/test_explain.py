@@ -3,14 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xaimeta import explain
 from xaimeta import net as net_module
 from xaimeta.explain import (
     ALL_METHODS,
-    SYNTHETIC_METHODS,
     ExplainerConfig,
     build_explainer,
     explain_gradient,
@@ -22,6 +21,7 @@ from xaimeta.explain import (
     normalize,
 )
 from xaimeta.net import dense, input_gradient_batch, logits_batch, make_net
+from xaimeta.seeding import derive_rng
 
 
 def random_net(rng, input_dim=4, hidden=6, num_classes=3):
@@ -268,6 +268,121 @@ class TestNormalize:
                 normalize(np.array([[1.0, 2.0, 3.0, 4.0], row]))
 
 
+# Oracles: the expanded methods as whole input points or copies that the net
+# scores from its input layer, one call per batch.  The methods themselves
+# combine first-layer products; these bodies show what that must equal.
+def oracle_integrated_gradients(net, X, labels, cfg):
+    d = X.shape[1]
+    steps = cfg.ig_steps
+    alphas = (np.arange(steps) + 0.5) / steps
+    span = X - cfg.ig_baseline
+    points = cfg.ig_baseline + alphas[None, :, None] * span[:, None, :]
+    grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels, steps))
+    return span * grads.reshape(-1, steps, d).mean(axis=1)
+
+
+def oracle_gradient_shap(net, X, labels, cfg):
+    d = X.shape[1]
+    samples = cfg.shap_samples
+    rng = derive_rng("gradient_shap", cfg.seed)
+    low, high = cfg.shap_bounds
+    baselines = rng.uniform(low, high, size=(samples, d))
+    baselines = baselines + rng.normal(0.0, cfg.shap_noise_std, size=baselines.shape)
+    ts = rng.uniform(0.0, 1.0, size=samples)
+    span = X[:, None, :] - baselines[None, :, :]
+    points = baselines + ts[:, None] * span
+    grads = input_gradient_batch(net, points.reshape(-1, d), np.repeat(labels, samples))
+    return (span * grads.reshape(-1, samples, d)).mean(axis=1)
+
+
+def oracle_occlusion(net, X, labels, cfg):
+    d = X.shape[1]
+    block_of = np.arange(d) // cfg.occlusion_patch
+    n_blocks = int(block_of[-1]) + 1
+    # copy 0 is the input itself, copy j > 0 has block j - 1 occluded
+    occluded = np.arange(-1, n_blocks)[:, None] == block_of[None, :]
+    copies = np.where(occluded, cfg.occlusion_baseline, X[:, None, :])
+    logits = logits_batch(net, copies.reshape(-1, d)).reshape(len(X), n_blocks + 1, net.num_classes)
+    scores = logits[np.arange(len(X)), :, labels]
+    return (scores[:, :1] - scores[:, 1:])[:, block_of]
+
+
+ORACLES = {
+    "integrated_gradients": oracle_integrated_gradients,
+    "gradient_shap": oracle_gradient_shap,
+    "occlusion": oracle_occlusion,
+}
+
+
+class TestFirstLayerPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 9),
+        widths=st.lists(st.integers(1, 10), min_size=0, max_size=2),
+        b=st.sampled_from([0, 1, 2, 7]),
+        patch=st.integers(1, 4),
+        steps=st.integers(1, 6),
+        samples=st.integers(1, 4),
+        chunk=st.sampled_from([8, explain._CHUNK_ELEMENTS]),
+    )
+    # three dense layers, the second wider than the first, 7 features in
+    # blocks of 3, one row per chunk
+    @example(seed=1, d=7, widths=[2, 9], b=7, patch=3, steps=5, samples=3, chunk=8)
+    def test_raw_maps_match_the_input_point_oracles(
+        self, seed, d, widths, b, patch, steps, samples, chunk
+    ):
+        # nets of one to three dense layers: `widths` are the hidden widths
+        rng = np.random.default_rng(seed)
+        dims = [d, *widths, 3]
+        net = make_net(
+            [dense(rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(dims, dims[1:])]
+        )
+        X = rng.uniform(0.0, 1.0, size=(b, d))
+        labels = rng.integers(0, 3, size=b)
+        cfg = ExplainerConfig(
+            ig_steps=steps,
+            ig_baseline=float(rng.uniform(-1.0, 1.0)),
+            occlusion_patch=patch,
+            occlusion_baseline=float(rng.uniform(-1.0, 1.0)),
+            shap_samples=samples,
+            seed=seed % 1000,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(explain, "_CHUNK_ELEMENTS", chunk)
+            for method_id, oracle in ORACLES.items():
+                got = ALL_METHODS[method_id](net, X, labels, cfg)
+                assert got.shape == (b, d)
+                np.testing.assert_allclose(
+                    got, oracle(net, X, labels, cfg), rtol=0, atol=1e-12, err_msg=method_id
+                )
+
+    @pytest.mark.parametrize("method_id", list(ORACLES))
+    def test_each_later_layer_call_sees_one_rows_points(self, method_id, monkeypatch):
+        # the row chunks bound what the layers after the first see: at a
+        # bound of 8 floats every chunk is one row, scored in one call
+        rng = np.random.default_rng(27)
+        net = random_net(rng, input_dim=6)
+        X = rng.uniform(size=(5, 6))
+        labels = np.array([0, 1, 2, 1, 0])
+        cfg = ExplainerConfig(ig_steps=4, occlusion_patch=4, shap_samples=3, seed=2)
+        whole = ALL_METHODS[method_id](net, X, labels, cfg)
+        seen = []
+        for name in ("_head_logits", "_head_gradient"):
+
+            def spy(net, Z, *args, original=getattr(explain, name)):
+                seen.append(len(Z))
+                return original(net, Z, *args)
+
+            monkeypatch.setattr(explain, name, spy)
+        monkeypatch.setattr(explain, "_CHUNK_ELEMENTS", 8)
+        chunked = ALL_METHODS[method_id](net, X, labels, cfg)
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+        # 4 path steps, 3 samples, or the input and its 2 occluded copies
+        points = {"integrated_gradients": 4, "gradient_shap": 3, "occlusion": 3}[method_id]
+        assert seen == [points] * len(X)
+
+
 @pytest.mark.parametrize(
     "method_id, cfg",
     [
@@ -278,9 +393,9 @@ class TestNormalize:
     ],
 )
 def test_a_map_that_overflows_raises(method_id, cfg):
-    # finite inputs whose interpolation points, occluded copies or products
-    # overflow: IG's gradient check rejects its points, the other three
-    # reach `normalize` with an infinite entry or an rms that overflows
+    # finite inputs whose path spans, occluded copies or products overflow:
+    # every method reaches `normalize` with a non-finite entry or an rms
+    # that overflows
     net = random_net(np.random.default_rng(0), input_dim=4, hidden=5, num_classes=3)
     X = np.array([[1e308, -1e308, 0.5, 0.5]])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
@@ -405,11 +520,10 @@ class TestBatchContract:
         floats, ints = np.array([0.0, 2.0, 1.0, 2.0]), np.array([0, 2, 1, 2])
         assert fn(net, X, floats).tobytes() == fn(net, X, ints).tobytes()
 
-    @pytest.mark.parametrize(
-        "method_id", ["gradient", "saliency", "input_x_gradient", "occlusion", *SYNTHETIC_METHODS]
-    )
+    @pytest.mark.parametrize("method_id", list(ALL_METHODS))
     def test_one_entry_check_per_call(self, method_id, monkeypatch):
-        # the gradient methods leave X and the labels to the net's gradient
+        # the gradient methods leave X and the labels to the net's gradient;
+        # the expanded methods check them on entry and never again
         calls = Counter()
         for name in ("_check_batch", "_class_indices"):
 
@@ -423,8 +537,7 @@ class TestBatchContract:
         net = random_net(rng)
         build_explainer(method_id, BATCH_CFG)(net, rng.uniform(size=(4, 4)), np.array([0, 1, 2, 1]))
         assert calls["_class_indices"] == 1
-        if method_id != "occlusion":  # whose copies `logits_batch` checks again
-            assert calls["_check_batch"] == 1
+        assert calls["_check_batch"] == 1
 
     @pytest.mark.parametrize("method_id", list(ALL_METHODS))
     def test_a_batch_of_the_wrong_width_or_not_finite_is_a_value_error(self, method_id):
